@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import verify as verify_mod
 from .endstab import HorocycleAlgebra, ToeplitzAlgebra, toeplitz_bratteli, toeplitz_shift_alpha
@@ -45,24 +47,22 @@ def emit_records(records, fmt: str, out) -> None:
     if fmt == "json":
         for rec in records:
             out.write(json.dumps(rec) + "\n")
-    elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["family", "left", "right", "value"])
-        for rec in records:
-            value = ";".join(f"{label}:{coeff}" for label, coeff in rec["value"])
-            writer.writerow([rec["family"], rec["key"][0], rec["key"][1], value])
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+        return
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["family", "left", "right", "value"])
+    for rec in records:
+        value = ";".join(f"{label}:{coeff}" for label, coeff in rec["value"])
+        writer.writerow([rec["family"], rec["key"][0], rec["key"][1], value])
 
 
-def _spherical_algebra(args) -> SphericalAlgebra:
+def _spherical_params(args) -> SphericalParams:
     if args.q is not None:
         if args.q0 is not None or args.q1 is not None:
             raise ValueError("pass either --q or --q0/--q1, not both")
-        return SphericalAlgebra(SphericalParams.homogeneous(args.q))
+        return SphericalParams.homogeneous(args.q)
     if args.q0 is None or args.q1 is None:
         raise ValueError("spherical needs --q (homogeneous) or --q0 and --q1 (two-orbit)")
-    return SphericalAlgebra(SphericalParams.two_orbit(args.q0, args.q1))
+    return SphericalParams.two_orbit(args.q0, args.q1)
 
 
 def _require(value, flag: str):
@@ -71,82 +71,87 @@ def _require(value, flag: str):
     return value
 
 
+def _upper_triangle(top: int):
+    return ((n, m) for n in range(top + 1) for m in range(n, top + 1))
+
+
+class Family(NamedTuple):
+    """How the commands build one family from the parsed args.
+
+    ``algebra(args)`` is the algebra; ``cells(args, algebra)`` the basis pairs
+    of its ``table``, and ``verify(args)`` its ``verify`` report.  Either of
+    the last two is None when that command does not take the family.
+    ``cells`` checks its flags when called, before ``table`` writes anything.
+    """
+
+    algebra: Callable
+    cells: Callable | None = None
+    verify: Callable | None = None
+
+
+FAMILIES = {
+    "spherical": Family(
+        lambda args: SphericalAlgebra(_spherical_params(args)),
+        lambda args, algebra: _upper_triangle(_require(args.max, "--max")),
+        lambda args: verify_mod.verify_spherical(
+            _spherical_params(args),
+            _require(args.max, "--max"),
+            max_vertices=args.max_ball_vertices,
+        ),
+    ),
+    "iwahori": Family(
+        lambda args: IwahoriAlgebra(_require(args.qs, "--qs"), _require(args.qt, "--qt")),
+        lambda args, algebra: itertools.product(
+            algebra.words_up_to(_require(args.len, "--len")), repeat=2
+        ),
+        lambda args: verify_mod.verify_iwahori(
+            _require(args.qs, "--qs"),
+            _require(args.qt, "--qt"),
+            _require(args.len, "--len"),
+            max_vertices=args.max_ball_vertices,
+        ),
+    ),
+    "affine": Family(
+        lambda args: HorocycleAlgebra(_require(args.q, "--q")),
+        lambda args, algebra: itertools.product(
+            range(_require(args.max, "--max") + 1), repeat=2
+        ),
+        lambda args: verify_mod.verify_affine(
+            _require(args.q, "--q"),
+            _require(args.max, "--max"),
+            max_vertices=args.max_ball_vertices,
+        ),
+    ),
+    "affine-nf": Family(lambda args: ToeplitzAlgebra(_require(args.q, "--q"))),
+    "sl2": Family(lambda args: SL2EndAlgebra(_require(args.p, "--p"))),
+}
+
+
 def cmd_table(args) -> int:
-    family = args.family
-    records = []
-    if family == "spherical":
-        algebra = _spherical_algebra(args)
-        top = _require(args.max, "--max")
-        for n in range(top + 1):
-            for m in range(n, top + 1):
-                records.append(product_record(family, algebra, n, m))
-    elif family == "iwahori":
-        algebra = IwahoriAlgebra(_require(args.qs, "--qs"), _require(args.qt, "--qt"))
-        indices = algebra.words_up_to(_require(args.len, "--len"))
-        for a in indices:
-            for b in indices:
-                records.append(product_record(family, algebra, a, b))
-    elif family == "affine":
-        algebra = HorocycleAlgebra(_require(args.q, "--q"))
-        top = _require(args.max, "--max")
-        for m in range(top + 1):
-            for n in range(top + 1):
-                records.append(product_record(family, algebra, m, n))
-    else:
-        raise ValueError(f"unknown table family {family!r}")
+    family = FAMILIES[args.family]
+    algebra = family.algebra(args)
+    cells = family.cells(args, algebra)
+    records = (product_record(args.family, algebra, a, b) for a, b in cells)
     emit_records(records, args.format, sys.stdout)
     return 0
 
 
 def cmd_mul(args) -> int:
-    family = args.family
-    if family == "spherical":
-        algebra = _spherical_algebra(args)
-    elif family == "iwahori":
-        algebra = IwahoriAlgebra(_require(args.qs, "--qs"), _require(args.qt, "--qt"))
-    elif family == "affine":
-        algebra = HorocycleAlgebra(_require(args.q, "--q"))
-    elif family == "affine-nf":
-        algebra = ToeplitzAlgebra(_require(args.q, "--q"))
-    elif family == "sl2":
-        algebra = SL2EndAlgebra(_require(args.p, "--p"))
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    algebra = FAMILIES[args.family].algebra(args)
     a = algebra.parse_label(args.left)
     b = algebra.parse_label(args.right)
-    emit_records([product_record(family, algebra, a, b)], args.format, sys.stdout)
+    emit_records([product_record(args.family, algebra, a, b)], args.format, sys.stdout)
     return 0
 
 
 def cmd_verify(args) -> int:
-    family = args.family
-    budget = args.max_ball_vertices
-    if family == "spherical":
-        algebra = _spherical_algebra(args)
-        report = verify_mod.verify_spherical(
-            algebra.params, _require(args.max, "--max"), max_vertices=budget
-        )
-    elif family == "iwahori":
-        report = verify_mod.verify_iwahori(
-            _require(args.qs, "--qs"),
-            _require(args.qt, "--qt"),
-            _require(args.len, "--len"),
-            max_vertices=budget,
-        )
-    elif family == "affine":
-        report = verify_mod.verify_affine(
-            _require(args.q, "--q"), _require(args.max, "--max"), max_vertices=budget
-        )
-    else:
-        raise ValueError(f"unknown verify family {family!r}")
+    report = FAMILIES[args.family].verify(args)
     print(json.dumps(report.to_json(), indent=2))
     return 0 if report.ok else 1
 
 
 def cmd_ktheory(args) -> int:
     if args.example is not None:
-        if args.example != "toeplitz":
-            raise ValueError(f"unknown example {args.example!r}")
         size = args.size
         diagram = toeplitz_bratteli(size)
         alpha = toeplitz_shift_alpha(size)
@@ -185,21 +190,24 @@ def cmd_nu(args) -> int:
             }
         )
     table = []
-    for a in cosets:
-        for b in cosets:
-            prod = algebra.basis_element(a) * algebra.basis_element(b)
-            table.append(
-                {
-                    "key": [a.label(), b.label()],
-                    "value": [
-                        [algebra.basis_label(idx), fmt_rational(coeff)]
-                        for idx, coeff in prod.terms()
-                    ],
-                }
-            )
+    for a, b in itertools.product(cosets, repeat=2):
+        record = product_record(None, algebra, a, b)
+        del record["family"]  # nu table entries carry only key and value
+        table.append(record)
     doc = {"p": args.p, "depth": args.depth, "cosets": coset_docs, "table": table}
     print(json.dumps(doc, indent=2))
     return 0
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type for counts: an int >= 0, else an error naming the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # reported the same way as a negative count
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def _add_family_options(parser: argparse.ArgumentParser) -> None:
@@ -208,8 +216,8 @@ def _add_family_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q1", type=int, help="odd-type branching number (two-orbit)")
     parser.add_argument("--qs", type=int, help="weight of the letter s")
     parser.add_argument("--qt", type=int, help="weight of the letter t")
-    parser.add_argument("--max", type=int, help="largest basis index")
-    parser.add_argument("--len", type=int, help="largest word length")
+    parser.add_argument("--max", type=nonnegative_int, help="largest basis index")
+    parser.add_argument("--len", type=nonnegative_int, help="largest word length")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,13 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="emit a multiplication table")
-    p_table.add_argument("family", choices=["spherical", "iwahori", "affine"])
+    p_table.add_argument("family", choices=[n for n, f in FAMILIES.items() if f.cells])
     _add_family_options(p_table)
     p_table.add_argument("--format", choices=["json", "csv"], default="json")
     p_table.set_defaults(func=cmd_table)
 
     p_mul = sub.add_parser("mul", help="multiply two basis elements")
-    p_mul.add_argument("family", choices=["spherical", "iwahori", "affine", "affine-nf", "sl2"])
+    p_mul.add_argument("family", choices=list(FAMILIES))
     p_mul.add_argument("left")
     p_mul.add_argument("right")
     _add_family_options(p_mul)
@@ -235,11 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_mul.set_defaults(func=cmd_mul)
 
     p_verify = sub.add_parser("verify", help="run an oracle-vs-table sweep")
-    p_verify.add_argument("family", choices=["spherical", "iwahori", "affine"])
+    p_verify.add_argument("family", choices=[n for n, f in FAMILIES.items() if f.verify])
     _add_family_options(p_verify)
     p_verify.add_argument(
         "--max-ball-vertices",
-        type=int,
+        type=nonnegative_int,
         default=DEFAULT_MAX_VERTICES,
         help="memory budget for oracle tree balls",
     )
@@ -254,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_nu = sub.add_parser("nu", help="unit-square orbit map and sl2 table")
     p_nu.add_argument("--p", type=int, required=True)
-    p_nu.add_argument("--depth", type=int, required=True)
+    p_nu.add_argument("--depth", type=nonnegative_int, required=True)
     p_nu.set_defaults(func=cmd_nu)
 
     return parser

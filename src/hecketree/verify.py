@@ -2,17 +2,12 @@
 
 Each sweep multiplies out a block of basis pairs along every implemented
 route and compares the structure-constant vectors exactly.  Reports list all
-mismatching cells with the values from each route; an empty mismatch list is
-the pass condition.  Cells are independent, so sweeps may be partitioned
-across worker threads (capped by the HECKETREE_THREADS environment
-variable); results are collected in cell order either way, keeping output
-deterministic.
+mismatching cells, in cell order, with the values from each route; an empty
+mismatch list is the pass condition.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import tree
@@ -20,15 +15,6 @@ from .core import HeckeElement
 from .endstab import HorocycleAlgebra, m_to_nf, nf_to_m
 from .iwahori import IwahoriAlgebra
 from .spherical import SphericalAlgebra, SphericalParams
-
-
-def thread_count() -> int:
-    """Worker cap from the environment; at least one."""
-    raw = os.environ.get("HECKETREE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -62,13 +48,6 @@ def _int_terms(x: HeckeElement) -> dict:
     return out
 
 
-def _run_cells(cells, worker, workers: int) -> list:
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, cells))
-    return [worker(cell) for cell in cells]
-
-
 def _route_json(algebra, routes: dict) -> dict:
     return {
         name: {algebra.basis_label(idx): coeff for idx, coeff in sorted(vec.items())}
@@ -76,21 +55,35 @@ def _route_json(algebra, routes: dict) -> dict:
     }
 
 
+def _sweep(family: str, params: dict, algebra, cells, routes) -> VerifyReport:
+    """Compare the named route vectors ``routes(a, b)`` on every cell ``(a, b)``."""
+    report = VerifyReport(family=family, params=params)
+    for a, b in cells:
+        report.cells += 1
+        vectors = routes(a, b)
+        first, *rest = vectors.values()
+        if any(vec != first for vec in rest):
+            report.mismatches.append(
+                {
+                    "key": [algebra.basis_label(a), algebra.basis_label(b)],
+                    "routes": _route_json(algebra, vectors),
+                }
+            )
+    return report
+
+
 def verify_spherical(
     params: SphericalParams,
     max_index: int,
     max_vertices: int = tree.DEFAULT_MAX_VERTICES,
-    workers: int | None = None,
 ) -> VerifyReport:
     """Closed form vs. generator recursion vs. sphere counting, all pairs up to max_index."""
     algebra = SphericalAlgebra(params)
     step = params.step
     ball = tree.build_ball(params.q0, params.q1, 2 * step * max_index, max_vertices)
-    cells = [(n, m) for n in range(max_index + 1) for m in range(n, max_index + 1)]
 
-    def check(cell):
-        n, m = cell
-        routes = {
+    def routes(n, m):
+        return {
             "closed": _int_terms(algebra.multiply_closed(n, m)),
             "recursive": _int_terms(algebra.multiply_recursive(n, m)),
             "oracle": {
@@ -100,21 +93,14 @@ def verify_spherical(
                 )
             },
         }
-        if routes["closed"] == routes["recursive"] == routes["oracle"]:
-            return None
-        return {
-            "key": [algebra.basis_label(n), algebra.basis_label(m)],
-            "routes": _route_json(algebra, routes),
-        }
 
-    report = VerifyReport(
-        family="spherical",
-        params={"mode": params.mode, "q0": params.q0, "q1": params.q1, "max": max_index},
-        cells=len(cells),
+    return _sweep(
+        "spherical",
+        {"mode": params.mode, "q0": params.q0, "q1": params.q1, "max": max_index},
+        algebra,
+        ((n, m) for n in range(max_index + 1) for m in range(n, max_index + 1)),
+        routes,
     )
-    workers = thread_count() if workers is None else workers
-    report.mismatches = [r for r in _run_cells(cells, check, workers) if r is not None]
-    return report
 
 
 def verify_iwahori(
@@ -122,7 +108,6 @@ def verify_iwahori(
     qt: int,
     max_len: int,
     max_vertices: int = tree.DEFAULT_MAX_VERTICES,
-    workers: int | None = None,
 ) -> VerifyReport:
     """Generator rewriting vs. closed form vs. edge counting, word pairs up to max_len.
 
@@ -137,12 +122,10 @@ def verify_iwahori(
     ball = tree.build_ball(qs, qt, 2 * max_len + 2, max_vertices)
     groups = tree.edges_by_weyl_word(ball, 2 * max_len)
     indices = algebra.words_up_to(max_len)
-    cells = [(a, b) for a in indices for b in indices]
     oracle_decorated = qs == qt
 
-    def check(cell):
-        a, b = cell
-        routes = {
+    def routes(a, b):
+        vectors = {
             "generated": _int_terms(algebra.multiply_basis(a, b)),
             "closed": _int_terms(algebra.multiply_closed(a, b)),
         }
@@ -161,30 +144,22 @@ def verify_iwahori(
                 )
                 if count:
                     oracle[target] = count
-            routes["oracle"] = oracle
-        vectors = list(routes.values())
-        if all(vec == vectors[0] for vec in vectors):
-            return None
-        return {
-            "key": [algebra.basis_label(a), algebra.basis_label(b)],
-            "routes": _route_json(algebra, routes),
-        }
+            vectors["oracle"] = oracle
+        return vectors
 
-    report = VerifyReport(
-        family="iwahori",
-        params={"qs": qs, "qt": qt, "len": max_len},
-        cells=len(cells),
+    return _sweep(
+        "iwahori",
+        {"qs": qs, "qt": qt, "len": max_len},
+        algebra,
+        ((a, b) for a in indices for b in indices),
+        routes,
     )
-    workers = thread_count() if workers is None else workers
-    report.mismatches = [r for r in _run_cells(cells, check, workers) if r is not None]
-    return report
 
 
 def verify_affine(
     q: int,
     max_index: int,
     max_vertices: int = tree.DEFAULT_MAX_VERTICES,
-    workers: int | None = None,
 ) -> VerifyReport:
     """M-table vs. normal-form expansion vs. horocycle counting, classes up to max_index.
 
@@ -197,33 +172,26 @@ def verify_affine(
     ray = ball.ray()
     members = {j: tree.horocycle_members(ball, j) for j in range(max_index + 1)}
     witnesses = {j: members[j][0] for j in range(max_index + 1)}
-    cells = [(m, n) for m in range(max_index + 1) for n in range(max_index + 1)]
 
-    def check(cell):
-        m, n = cell
-        table = _int_terms(algebra.multiply_basis(m, n))
-        nf_route = _int_terms(nf_to_m(m_to_nf(algebra, m) * m_to_nf(algebra, n)))
-        oracle = {}
+    def routes(m, n):
+        vectors = {
+            "table": _int_terms(algebra.multiply_basis(m, n)),
+            "normal-form": _int_terms(nf_to_m(m_to_nf(algebra, m) * m_to_nf(algebra, n))),
+            "oracle": {},
+        }
         for k in range(max(m, n) + 1):
             w = witnesses[k]
             count = sum(
                 1 for v in members[m] if tree.horocycle_class(ball, ray, v, w) == n
             )
             if count:
-                oracle[k] = count
-        if table == nf_route == oracle:
-            return None
-        routes = {"table": table, "normal-form": nf_route, "oracle": oracle}
-        return {
-            "key": [algebra.basis_label(m), algebra.basis_label(n)],
-            "routes": _route_json(algebra, routes),
-        }
+                vectors["oracle"][k] = count
+        return vectors
 
-    report = VerifyReport(
-        family="affine",
-        params={"q": q, "max": max_index},
-        cells=len(cells),
+    return _sweep(
+        "affine",
+        {"q": q, "max": max_index},
+        algebra,
+        ((m, n) for m in range(max_index + 1) for n in range(max_index + 1)),
+        routes,
     )
-    workers = thread_count() if workers is None else workers
-    report.mismatches = [r for r in _run_cells(cells, check, workers) if r is not None]
-    return report

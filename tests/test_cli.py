@@ -1,14 +1,18 @@
 """Command-line surface: formats, determinism, exit codes, label round-trips."""
 
+import hashlib
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from test_acceptance import ACCEPTANCE_COMMANDS
 
+from hecketree import cli, verify
 from hecketree.cli import main
-from hecketree.endstab import HorocycleAlgebra
+from hecketree.endstab import HorocycleAlgebra, m_to_nf
 from hecketree.iwahori import IwahoriAlgebra
 from hecketree.spherical import SphericalAlgebra, SphericalParams
 
@@ -163,6 +167,24 @@ def test_invalid_params_exit_2(capsys):
     assert run_cli(capsys, "table", "spherical", "--max", "2")[0] == 2
     assert run_cli(capsys, "table", "spherical", "--q", "1", "--max", "2")[0] == 2
     assert run_cli(capsys, "mul", "spherical", "G1", "Gx", "--q", "2")[0] == 2
+    for flag, argv in (
+        ("--max", ("table", "spherical", "--q", "2", "--max", "-1")),
+        ("--len", ("table", "iwahori", "--qs", "2", "--qt", "2", "--len", "-1")),
+        ("--max", ("verify", "affine", "--q", "2", "--max", "-1")),
+        ("--depth", ("nu", "--p", "5", "--depth", "-1")),
+        (
+            "--max-ball-vertices",
+            ("verify", "spherical", "--q", "2", "--max", "2", "--max-ball-vertices", "-5"),
+        ),
+    ):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects a bad option value this way
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert flag in captured.err.strip().splitlines()[-1]
 
 
 def test_deterministic_output(capsys):
@@ -182,15 +204,147 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["value"] == [["G0", "3/1"], ["G2", "1/1"]]
 
 
-def test_thread_cap_env_does_not_change_results(monkeypatch, capsys):
-    args = ("verify", "spherical", "--q", "2", "--max", "4")
-    code_serial = main(list(args))
-    out_serial = capsys.readouterr().out
-    monkeypatch.setenv("HECKETREE_THREADS", "4")
-    code_pool = main(list(args))
-    out_pool = capsys.readouterr().out
-    assert code_serial == code_pool == 0
-    assert out_serial == out_pool
+def _perturb(monkeypatch, owner, name, hit):
+    """Make the route ``owner.name`` add the unit to its result on the calls ``hit`` picks."""
+    original = getattr(owner, name)
+
+    def route(*args):
+        out = original(*args)
+        return out + out.algebra.one() if hit(*args) else out
+
+    monkeypatch.setattr(owner, name, route)
+
+
+_NF_M1_M1 = m_to_nf(HorocycleAlgebra(3), 1) * m_to_nf(HorocycleAlgebra(3), 1)
+
+
+@pytest.mark.parametrize(
+    "argv, owner, name, hit, keys, routes",
+    [
+        (
+            ("verify", "spherical", "--q", "2", "--max", "2"),
+            SphericalAlgebra,
+            "multiply_closed",
+            lambda self, n, m: (n, m) == (1, 2),
+            [["G1", "G2"]],
+            ["closed", "recursive", "oracle"],
+        ),
+        (
+            ("verify", "iwahori", "--qs", "2", "--qt", "2", "--len", "1"),
+            IwahoriAlgebra,
+            "multiply_closed",
+            lambda self, a, b: (self.basis_label(a), self.basis_label(b)) == ("s", "t"),
+            [["s", "t"]],
+            ["generated", "closed", "oracle"],
+        ),
+        (
+            ("verify", "affine", "--q", "3", "--max", "2"),
+            verify,
+            "nf_to_m",
+            lambda x: x == _NF_M1_M1,  # no other cell at q = 3 has this product
+            [["M1", "M1"]],
+            ["table", "normal-form", "oracle"],
+        ),
+    ],
+)
+def test_verify_reports_mismatch(capsys, monkeypatch, argv, owner, name, hit, keys, routes):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    clean = json.loads(out)
+    _perturb(monkeypatch, owner, name, hit)
+    code, out = run_cli(capsys, *argv)
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["ok"] is False
+    assert doc["cells"] == clean["cells"]
+    assert [m["key"] for m in doc["mismatches"]] == keys
+    for mismatch in doc["mismatches"]:
+        assert list(mismatch["routes"]) == routes
+
+
+def test_table_streams(monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    written = []  # stdout length when each product is computed
+    original = cli.product_record
+
+    def product_record(*args):
+        written.append(len(out.getvalue()))
+        return original(*args)
+
+    monkeypatch.setattr(cli, "product_record", product_record)
+    assert main(["table", "spherical", "--q", "2", "--max", "2"]) == 0
+    assert len(written) == 6
+    assert written[-1] > 0
+
+
+# sha256 of the stdout of each ACCEPTANCE_COMMANDS entry.  Criterion 8 only
+# compares two runs in one process; this pins the bytes across changes.
+ACCEPTANCE_STDOUT_SHA256 = {
+    "table spherical --q 2 --max 2": (
+        "8e7f9c4a2002aed1f30bdac4e10f76e9de16ca5281ecdcece93491140c3e8706"
+    ),
+    "table iwahori --qs 2 --qt 2 --len 1": (
+        "a09f9c1c932e28468f519facc6b208b3f5c4a75ec0d95afc7cef470a49a9f25c"
+    ),
+    "table affine --q 3 --max 1": (
+        "c56302a27c52d094c6c67c92f3b779ab0efbd40ef89516ecb1d7a1bffb5faa65"
+    ),
+    "verify spherical --q 2 --max 5": (
+        "ffeb799c9e57a88b5a3bb732d03e0e25209df4fd66ff56ab36be867d8aea53b0"
+    ),
+    "verify spherical --q 3 --max 5": (
+        "464bfef5991a8c79080370d1e6726752199c83e0f808895c836ffe6d09fd7dc6"
+    ),
+    "verify spherical --q 4 --max 5": (
+        "4b9484e91df959a9f157452c72adcc3ebdf2489fe6e5e8c7f43d9287b9d5e080"
+    ),
+    "verify spherical --q0 2 --q1 2 --max 3": (
+        "0df6c654685eface70b526d2412c8e558f3693e213f85764a3f5250b1f656d1a"
+    ),
+    "verify spherical --q0 2 --q1 3 --max 3": (
+        "c5ee2e87842d320076b0c22d1602fb3ac0e94be448573a0ea0a05549f81f4005"
+    ),
+    "verify spherical --q0 3 --q1 2 --max 3": (
+        "2a49d2bbcb0785c645744bda5914672974dfb2d9cce250488ea8fa4aca86c94a"
+    ),
+    "verify iwahori --qs 2 --qt 2 --len 5": (
+        "5b5bf904c5d3e96d3675b44f732c833040597a5fe3332a7e1a05f2c2c698862e"
+    ),
+    "verify iwahori --qs 2 --qt 3 --len 5": (
+        "ce084dc1145572bf385f07efdaa3435f9d6de6c005515dc8d99807da4515dffb"
+    ),
+    "verify affine --q 2 --max 4": (
+        "8f343eb3445aea4f908a17db985c18698168239bc7a902b503d148d0e3b587cf"
+    ),
+    "verify affine --q 3 --max 4": (
+        "f8af930a30be22dd4d5d4b6a0dbad3b60f2dad51a506523d4880534569e6aedd"
+    ),
+    "verify affine --q 4 --max 4": (
+        "d02b0681f5caa87006b5693d644cfad8f80ea4c72b634dcfe51d64b271cc7597"
+    ),
+    "ktheory --example toeplitz --size 6": (
+        "7a218b8a3330e33ba9f69be37d166b10e04c62d3e8ff4b69c0c08bf8aad357b2"
+    ),
+    "nu --p 3 --depth 2": (
+        "62224b0d1fe82c6a185af498805510f6bd7c21ada5697aed9117f5613217b3ae"
+    ),
+    "nu --p 5 --depth 2": (
+        "07bc06d60f7f5a8e7b14c0d5443979d9d2c41f5a2d2782052bd5f5178d440ff4"
+    ),
+    "nu --p 7 --depth 2": (
+        "6f10bd990e99f08cfa48978340158e2b9b421205ef0138f799f347905918c252"
+    ),
+}
+
+
+def test_acceptance_output_pinned(capsys):
+    assert len(ACCEPTANCE_STDOUT_SHA256) == len(ACCEPTANCE_COMMANDS)
+    for argv in ACCEPTANCE_COMMANDS:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == ACCEPTANCE_STDOUT_SHA256[" ".join(argv)], argv
 
 
 def test_csv_quotes_labels_containing_commas(capsys):
