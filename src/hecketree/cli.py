@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-ball-vertices",
         type=nonnegative_int,
         default=DEFAULT_MAX_VERTICES,
-        help="memory budget for oracle tree balls",
+        help="largest vertex range (sphere or edge block) an oracle count may visit",
     )
     p_verify.set_defaults(func=cmd_verify)
 

@@ -15,6 +15,7 @@ needs.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -26,7 +27,7 @@ class IntMatrix:
     entries: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        rows = tuple(tuple(operator.index(x) for x in row) for row in self.entries)
         if rows and any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("matrix rows have unequal lengths")
         object.__setattr__(self, "entries", rows)
@@ -273,7 +274,7 @@ class BratteliDiagram:
     maps: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        levels = tuple(tuple(int(x) for x in level) for level in self.levels)
+        levels = tuple(tuple(operator.index(x) for x in level) for level in self.levels)
         maps = tuple(
             m if isinstance(m, IntMatrix) else IntMatrix.from_rows(m) for m in self.maps
         )
@@ -309,7 +310,23 @@ class BratteliDiagram:
 
     @classmethod
     def from_json(cls, data: dict) -> "BratteliDiagram":
+        """Diagram from decoded JSON; any other shape or a non-integer entry is a ValueError."""
+        if not isinstance(data, dict) or not {"levels", "maps"} <= data.keys():
+            raise ValueError('a Bratteli diagram is a JSON object with "levels" and "maps"')
+        for key, depth, shape in (
+            ("levels", 2, "a list of lists of integers"),
+            ("maps", 3, "a list of matrices, each a list of lists of integers"),
+        ):
+            if not _nested_integers(data[key], depth):
+                raise ValueError(f'"{key}" must be {shape}')
         return cls(tuple(data["levels"]), tuple(data["maps"]))
+
+
+def _nested_integers(value, depth: int) -> bool:
+    """Whether ``value`` is ``depth`` nested JSON lists of integers (booleans excluded)."""
+    if depth == 0:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, list) and all(_nested_integers(x, depth - 1) for x in value)
 
 
 def load_bratteli(path) -> BratteliDiagram:

@@ -2,8 +2,8 @@
 
 The counting functions here know nothing about closed-form multiplication
 tables: every structure constant is obtained by enumerating vertices or
-edges of an explicit finite ball and measuring distances along unique paths.
-They serve as the independent oracle against which the algebraic modules are
+edges of a finite ball and measuring distances along unique paths.  They
+serve as the independent oracle against which the algebraic modules are
 verified.
 
 Conventions (fixed so all enumeration orders are deterministic):
@@ -16,13 +16,18 @@ Conventions (fixed so all enumeration orders are deterministic):
 * the distinguished edge for edge counting is the first ray edge, and
   crossing an even-type vertex contributes the letter ``s``, an odd-type
   vertex the letter ``t``.
+
+A ball stores O(radius) integers and derives parents and paths arithmetically;
+its vertex budget limits what a count visits, not the size of the ball.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass
 
 DEFAULT_MAX_VERTICES = 4_000_000
+MAX_INDEX_BITS = 8192  # a ball stores radius + 2 vertex numbers; this caps their size
 
 _SWAP_TYPES = str.maketrans("st", "ts")
 
@@ -33,7 +38,7 @@ def swap_types(word: str) -> str:
 
 
 class BallBudgetExceeded(ValueError):
-    """Requested ball would exceed the configured vertex budget."""
+    """A vertex range handed out for counting would exceed the vertex budget."""
 
 
 class BallTooSmall(ValueError):
@@ -44,35 +49,47 @@ class HorocycleMismatch(ValueError):
     """The two vertices do not lie on a common horocycle."""
 
 
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class TreeBall:
     """Ball of a given radius in the (q0+1, q1+1)-semi-homogeneous tree.
 
-    Immutable after construction.  Only the parent array and the sphere
-    offsets are stored; everything else (depths, the marked ray, paths) is
-    derived on demand.
+    Only the sphere offsets and the branching ``width[d]`` at each depth are
+    stored, O(radius) integers; depths, parents, the marked ray and paths
+    are derived on demand.  ``max_vertices`` bounds every vertex range the
+    ball hands out (:meth:`sphere`, :meth:`edges`): what a count visits.
     """
 
-    __slots__ = ("q0", "q1", "radius", "parent", "sphere_start")
-
-    def __init__(self, q0: int, q1: int, radius: int, parent: list, sphere_start: list):
-        self.q0 = q0
-        self.q1 = q1
-        self.radius = radius
-        self.parent = parent
-        self.sphere_start = sphere_start
+    q0: int
+    q1: int
+    radius: int
+    width: list
+    sphere_start: list
+    max_vertices: int
 
     @property
     def num_vertices(self) -> int:
-        return len(self.parent)
+        return self.sphere_start[-1]
 
     def depth(self, v: int) -> int:
         return bisect_right(self.sphere_start, v) - 1
+
+    def parent(self, v: int) -> int:
+        """The neighbour of ``v`` one step nearer the root (-1 for the root)."""
+        d, ss = self.depth(v), self.sphere_start
+        return ss[d - 1] + (v - ss[d]) // self.width[d - 1] if d else -1
+
+    def _budgeted(self, start: int, stop: int) -> range:
+        if stop - start > self.max_vertices:
+            raise BallBudgetExceeded(
+                f"counting would visit more than the budget of {self.max_vertices} vertices"
+            )
+        return range(start, stop)
 
     def sphere(self, d: int) -> range:
         """Vertices at distance ``d`` from the root, as a contiguous range."""
         if d < 0 or d > self.radius:
             raise BallTooSmall(f"sphere radius {d} outside ball of radius {self.radius}")
-        return range(self.sphere_start[d], self.sphere_start[d + 1])
+        return self._budgeted(self.sphere_start[d], self.sphere_start[d + 1])
 
     def ray(self) -> tuple:
         """The marked ray from the root toward the boundary (leftmost branch)."""
@@ -83,24 +100,16 @@ class TreeBall:
             raise BallTooSmall(f"ray vertex {j} outside ball of radius {self.radius}")
         return self.sphere_start[j]
 
-    def edges(self) -> range:
-        """All edges, each identified by its child endpoint."""
-        return range(1, len(self.parent))
+    def edges(self, depth: int | None = None) -> range:
+        """Edges, each named by its child endpoint, of child depth <= ``depth``."""
+        depth = self.radius if depth is None else min(depth, self.radius)
+        return self._budgeted(1, self.sphere_start[depth + 1])
 
     def __repr__(self):
         return (
             f"TreeBall(q0={self.q0}, q1={self.q1}, radius={self.radius}, "
             f"vertices={self.num_vertices})"
         )
-
-
-def ball_size(q0: int, q1: int, radius: int) -> int:
-    """Number of vertices of the radius-``radius`` ball, without building it."""
-    total, layer = 1, 1
-    for d in range(radius):
-        layer *= (q0 + 1) if d == 0 else (q0 if d % 2 == 0 else q1)
-        total += layer
-    return total
 
 
 def build_ball(
@@ -116,72 +125,65 @@ def build_ball(
         raise ValueError(f"branching numbers must be >= 2, got ({q0}, {q1})")
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    expected = ball_size(q0, q1, radius)
-    if expected > max_vertices:
-        raise BallBudgetExceeded(
-            f"ball of radius {radius} has {expected} vertices, "
-            f"exceeding the budget of {max_vertices}"
-        )
-    parent = [-1]
+    if (radius + 1) * (max(q0, q1) + 1).bit_length() > MAX_INDEX_BITS:
+        raise BallBudgetExceeded(f"ball of radius {radius} too deep to number its vertices")
+    width = [(q0 + 1) if d == 0 else (q0 if d % 2 == 0 else q1) for d in range(radius)]
     sphere_start = [0, 1]
-    start, end = 0, 1
-    for d in range(radius):
-        width = (q0 + 1) if d == 0 else (q0 if d % 2 == 0 else q1)
-        parent.extend(v for v in range(start, end) for _ in range(width))
-        start, end = end, len(parent)
-        sphere_start.append(end)
-    return TreeBall(q0, q1, radius, parent, sphere_start)
+    for w in width:
+        sphere_start.append(sphere_start[-1] + (sphere_start[-1] - sphere_start[-2]) * w)
+    return TreeBall(q0, q1, radius, width, sphere_start, max_vertices)
+
+
+def _meet(ball: TreeBall, u: int, v: int) -> tuple:
+    """Depths of ``u``, ``v`` and of their deepest common ancestor.
+
+    Climbs (depth, offset within the sphere) pairs: breadth-first numbering
+    makes offset ``i // width[d - 1]`` at depth ``d - 1`` the parent of
+    offset ``i`` at depth ``d``.
+    """
+    ss, width = ball.sphere_start, ball.width
+    du, dv = bisect_right(ss, u) - 1, bisect_right(ss, v) - 1
+    a, b = u - ss[du], v - ss[dv]
+    d = du
+    while d > dv:
+        d -= 1
+        a //= width[d]
+    e = dv
+    while e > d:
+        e -= 1
+        b //= width[e]
+    while a != b:
+        d -= 1
+        w = width[d]
+        a //= w
+        b //= w
+    return du, dv, d
 
 
 def distance(ball: TreeBall, u: int, v: int) -> int:
     """Length of the unique path between two vertices."""
-    parent = ball.parent
-    du, dv = ball.depth(u), ball.depth(v)
-    dist = 0
-    while du > dv:
-        u = parent[u]
-        du -= 1
-        dist += 1
-    while dv > du:
-        v = parent[v]
-        dv -= 1
-        dist += 1
-    while u != v:
-        u = parent[u]
-        v = parent[v]
-        dist += 2
-    return dist
+    du, dv, dc = _meet(ball, u, v)
+    return du + dv - 2 * dc
 
 
 def vertex_path(ball: TreeBall, u: int, v: int) -> list:
     """Vertices of the unique path from ``u`` to ``v``, inclusive."""
-    parent = ball.parent
-    du, dv = ball.depth(u), ball.depth(v)
+    du, dv, dc = _meet(ball, u, v)
     up, down = [u], [v]
-    while du > dv:
-        u = parent[u]
-        up.append(u)
-        du -= 1
-    while dv > du:
-        v = parent[v]
-        down.append(v)
-        dv -= 1
-    while u != v:
-        u = parent[u]
-        up.append(u)
-        v = parent[v]
-        down.append(v)
+    for path, steps in ((up, du - dc), (down, dv - dc)):
+        for _ in range(steps):
+            path.append(ball.parent(path[-1]))
     return up + down[-2::-1]
 
 
 def ray_confluence_depth(ball: TreeBall, v: int) -> int:
     """Depth of the deepest marked-ray vertex on the path from ``v`` to the root."""
-    parent = ball.parent
-    sphere_start = ball.sphere_start
+    width = ball.width
     d = ball.depth(v)
-    while v != sphere_start[d]:
-        v = parent[v]
+    offset = v - ball.sphere_start[d]
+    while offset:
         d -= 1
+        offset //= width[d]
     return d
 
 
@@ -236,25 +238,23 @@ def spherical_product(ball: TreeBall, n: int, m: int) -> dict:
 # -- edge-fixator (Weyl distance) counting -----------------------------------
 
 
-def _near_endpoint(ball: TreeBall, e: int, target: int) -> int:
-    """Endpoint of edge ``e`` closer to the vertex ``target``."""
-    p = ball.parent[e]
-    return e if distance(ball, e, target) < distance(ball, p, target) else p
-
-
 def weyl_distance(ball: TreeBall, e: int, f: int) -> str:
     """Crossing word of the edge path from ``e`` to ``f``.
 
     Each step of the path crosses one vertex; even-type vertices contribute
     ``s`` and odd-type vertices ``t``, so the word alternates and its length
-    is the edge-graph distance.
+    is the edge-graph distance.  The crossed vertices run between the near
+    endpoints of the two edges: an edge's child endpoint when that is an
+    ancestor of the other edge, else its parent.  So one climb fixes the
+    first letter and the length, hence the word.
     """
     if e == f:
         return ""
-    a = _near_endpoint(ball, e, f)
-    b = _near_endpoint(ball, f, e)
-    crossed = vertex_path(ball, a, b)
-    return "".join("s" if ball.depth(v) % 2 == 0 else "t" for v in crossed)
+    de, df, dc = _meet(ball, e, f)
+    near_e = de if dc == de else de - 1
+    near_f = df if dc == df else df - 1
+    length = near_e + near_f - 2 * dc + 1
+    return (("ts" if near_e & 1 else "st") * (length // 2 + 1))[:length]
 
 
 def base_edge(ball: TreeBall) -> int:
@@ -271,10 +271,9 @@ def edges_by_weyl_word(ball: TreeBall, max_len: int) -> dict:
             f"ball radius {ball.radius} < required {max_len + 2} for words of length {max_len}"
         )
     e0 = base_edge(ball)
-    # an edge at edge-distance L from the base edge has child depth <= L + 1
-    limit = ball.sphere_start[min(max_len + 2, ball.radius + 1)]
     groups: dict = {}
-    for f in range(1, limit):
+    # an edge at edge-distance L from the base edge has child depth <= L + 1
+    for f in ball.edges(max_len + 1):
         word = weyl_distance(ball, e0, f)
         if len(word) <= max_len:
             groups.setdefault(word, []).append(f)
@@ -324,14 +323,14 @@ def iwahori_constant(
 
 def _ray_path(ball: TreeBall, v: int) -> list:
     """The ray from ``v`` toward the marked end: up to the marked ray, then along it."""
-    parent = ball.parent
-    sphere_start = ball.sphere_start
+    sphere_start, width = ball.sphere_start, ball.width
     path = [v]
     d = ball.depth(v)
-    while v != sphere_start[d]:
-        v = parent[v]
+    offset = v - sphere_start[d]
+    while offset:
         d -= 1
-        path.append(v)
+        offset //= width[d]
+        path.append(sphere_start[d] + offset)
     path.extend(sphere_start[j] for j in range(d + 1, ball.radius + 1))
     return path
 
@@ -373,12 +372,16 @@ def horocycle_members(ball: TreeBall, n: int) -> list:
     return [v for v in ball.sphere(2 * n) if ray_confluence_depth(ball, v) == n]
 
 
-def horocycle_constant(ball: TreeBall, m: int, n: int, k: int) -> int:
+def horocycle_constant(
+    ball: TreeBall, m: int, n: int, k: int, _members: dict | None = None
+) -> int:
     """Count horocycle points at class ``m`` from the root and ``n`` from a witness.
 
     The witness is the first vertex at class ``k`` from the root; the count
     is the structure constant of the class-``k`` basis element in the
-    product of the class-``m`` and class-``n`` ones.
+    product of the class-``m`` and class-``n`` ones.  ``_members`` maps
+    classes to their :func:`horocycle_members` on this ball, computed once
+    by a caller that counts many constants.
     """
     if min(m, n, k) < 0:
         raise ValueError("horocycle classes must be nonnegative")
@@ -386,7 +389,7 @@ def horocycle_constant(ball: TreeBall, m: int, n: int, k: int) -> int:
     if ball.radius < bound:
         raise BallTooSmall(f"ball radius {ball.radius} < required {bound}")
     ray = ball.ray()
-    w = horocycle_members(ball, k)[0]
-    return sum(
-        1 for v in horocycle_members(ball, m) if horocycle_class(ball, ray, v, w) == n
-    )
+    if _members is None:
+        _members = {j: horocycle_members(ball, j) for j in {m, k}}
+    w = _members[k][0]
+    return sum(1 for v in _members[m] if horocycle_class(ball, ray, v, w) == n)

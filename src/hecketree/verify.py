@@ -81,6 +81,7 @@ def verify_spherical(
     algebra = SphericalAlgebra(params)
     step = params.step
     ball = tree.build_ball(params.q0, params.q1, 2 * step * max_index, max_vertices)
+    ball.sphere(step * max_index)  # the deepest sphere counted: fail on its budget first
 
     def routes(n, m):
         return {
@@ -169,24 +170,18 @@ def verify_affine(
     """
     algebra = HorocycleAlgebra(q)
     ball = tree.build_ball(q, q, 2 * max_index + 2, max_vertices)
-    ray = ball.ray()
     members = {j: tree.horocycle_members(ball, j) for j in range(max_index + 1)}
-    witnesses = {j: members[j][0] for j in range(max_index + 1)}
 
     def routes(m, n):
-        vectors = {
+        return {
             "table": _int_terms(algebra.multiply_basis(m, n)),
             "normal-form": _int_terms(nf_to_m(m_to_nf(algebra, m) * m_to_nf(algebra, n))),
-            "oracle": {},
+            "oracle": {
+                k: count
+                for k in range(max(m, n) + 1)
+                if (count := tree.horocycle_constant(ball, m, n, k, _members=members))
+            },
         }
-        for k in range(max(m, n) + 1):
-            w = witnesses[k]
-            count = sum(
-                1 for v in members[m] if tree.horocycle_class(ball, ray, v, w) == n
-            )
-            if count:
-                vectors["oracle"][k] = count
-        return vectors
 
     return _sweep(
         "affine",

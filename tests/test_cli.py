@@ -1,13 +1,16 @@
 """Command-line surface: formats, determinism, exit codes, label round-trips."""
 
+import contextlib
 import hashlib
 import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_acceptance import ACCEPTANCE_COMMANDS
 
 from hecketree import cli, verify
@@ -127,6 +130,18 @@ def test_verify_budget_flag(capsys):
     assert code == 2
 
 
+def test_verify_budget_limits_visited_vertices(capsys):
+    # the ball has radius 12 (27962026 vertices) but the counter visits at
+    # most sphere 6, which has 5120
+    code, out = run_cli(capsys, "verify", "spherical", "--q", "4", "--max", "6")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+    code = main(["verify", "spherical", "--q", "2", "--max", "5", "--max-ball-vertices", "10"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "budget of 10" in captured.err
+
+
 def test_ktheory_example(capsys):
     code, out = run_cli(capsys, "ktheory", "--example", "toeplitz", "--size", "5")
     assert code == 0
@@ -151,6 +166,76 @@ def test_ktheory_bad_input(capsys, tmp_path):
     bad.write_text(json.dumps({"levels": [[1], [1]], "maps": []}))
     code, _ = run_cli(capsys, "ktheory", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"levels": 3, "maps": []},
+        [1, 2],
+        {"levels": [[1], [1]], "maps": [[[1.5]]]},
+        {"levels": [[1], [1]], "maps": [[[True]]]},
+        {"levels": [["2"], [1]], "maps": [[[1]]]},
+        {"levels": [[1], [1]]},
+    ],
+)
+def test_ktheory_malformed_file_exit_2(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = main(["ktheory", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats(-2, 3, allow_nan=False)
+    | st.text(max_size=2)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["levels", "maps"]), inner, max_size=2),
+    max_leaves=10,
+)
+_entries = st.integers(-1, 3) | _json_scalars
+_diagram_like = st.fixed_dictionaries(
+    {
+        "levels": st.lists(st.lists(_entries, max_size=3), max_size=3),
+        "maps": st.lists(st.lists(st.lists(_entries, max_size=3), max_size=3), max_size=3),
+    }
+)
+
+
+
+@st.composite
+def _shaped_diagrams(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    levels = [draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)) for n in sizes]
+    maps = [
+        draw(st.lists(st.lists(st.integers(0, 3), min_size=a, max_size=a), min_size=b, max_size=b))
+        for a, b in zip(sizes, sizes[1:])
+    ]
+    return {"levels": levels, "maps": maps}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_json_values | _diagram_like | _shaped_diagrams(), st.none() | st.integers(-1, 3))
+def test_ktheory_fuzzed_files_exit_0_or_2(doc, depth):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/d.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = ["ktheory", path] + ([] if depth is None else ["--depth", str(depth)])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
 
 
 def test_nu_output(capsys):

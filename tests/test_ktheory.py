@@ -179,6 +179,18 @@ def test_diagram_validation():
         BratteliDiagram(((0,),), ())
 
 
+def test_non_integer_entries_are_not_truncated():
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([[1.5]])
+    with pytest.raises(TypeError):
+        BratteliDiagram(((1.5,),), ())
+    with pytest.raises(TypeError):
+        BratteliDiagram((("2",), (1,)), ([[1]],))
+    for data in ({"levels": [[1], [1]], "maps": [[[1.0]]]}, {"levels": [[True]], "maps": []}):
+        with pytest.raises(ValueError):
+            BratteliDiagram.from_json(data)
+
+
 def test_diagram_json_roundtrip(tmp_path):
     diagram = toeplitz_bratteli(3)
     path = tmp_path / "diagram.json"

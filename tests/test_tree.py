@@ -29,8 +29,10 @@ def test_ball_validation():
         tree.build_ball(1, 2, 3)
     with pytest.raises(ValueError):
         tree.build_ball(2, 2, -1)
+    # the budget limits the vertex ranges a count visits, not the ball
+    b = tree.build_ball(2, 2, 10, max_vertices=100)
     with pytest.raises(tree.BallBudgetExceeded):
-        tree.build_ball(2, 2, 10, max_vertices=100)
+        b.sphere(10)
 
 
 def test_distance_basics(ball22):
@@ -156,7 +158,7 @@ def test_horocycle_class_examples(ball22):
     siblings = [
         v
         for v in ball22.sphere(2)
-        if ball22.parent[v] == 1 and v != ball22.ray_vertex(2)
+        if ball22.parent(v) == 1 and v != ball22.ray_vertex(2)
     ]
     assert siblings
     for v in siblings:
@@ -265,3 +267,93 @@ def test_horocycle_witness_independence(ball22, ball33):
                         )
                     assert len(counts) == 1
                     assert counts.pop() == tree.horocycle_constant(ball, m, n, k)
+
+
+class _ExplicitBall:
+    """Reference ball: a parent list built breadth-first, walked one step at a time."""
+
+    def __init__(self, q0, q1, radius):
+        self.parent, self.depth, self.children = [-1], [0], [[]]
+        frontier = [0]
+        for d in range(radius):
+            width = (q0 + 1) if d == 0 else (q0 if d % 2 == 0 else q1)
+            nxt = []
+            for v in frontier:
+                for _ in range(width):
+                    child = len(self.parent)
+                    self.parent.append(v)
+                    self.depth.append(d + 1)
+                    self.children.append([])
+                    self.children[v].append(child)
+                    nxt.append(child)
+            frontier = nxt
+        self.ray = [0]
+        while self.children[self.ray[-1]]:
+            self.ray.append(self.children[self.ray[-1]][0])
+
+    def path(self, u, v):
+        up, down = [u], [v]
+        while self.depth[up[-1]] > self.depth[down[-1]]:
+            up.append(self.parent[up[-1]])
+        while self.depth[down[-1]] > self.depth[up[-1]]:
+            down.append(self.parent[down[-1]])
+        while up[-1] != down[-1]:
+            up.append(self.parent[up[-1]])
+            down.append(self.parent[down[-1]])
+        return up + down[-2::-1]
+
+    def distance(self, u, v):
+        return len(self.path(u, v)) - 1
+
+    def confluence_depth(self, v):
+        ray = set(self.ray)
+        while v not in ray:
+            v = self.parent[v]
+        return self.depth[v]
+
+    def weyl_distance(self, e, f):
+        # crossed vertices: from the endpoint of e nearer f to that of f nearer e
+        if e == f:
+            return ""
+
+        def near(edge, target):
+            p = self.parent[edge]
+            return edge if self.distance(edge, target) < self.distance(p, target) else p
+
+        crossed = self.path(near(e, f), near(f, e))
+        return "".join("s" if self.depth[v] % 2 == 0 else "t" for v in crossed)
+
+
+@pytest.mark.parametrize("q0,q1,radius", [(2, 2, 9), (2, 3, 8), (3, 2, 8), (4, 4, 6)])
+def test_implicit_ball_matches_explicit_reference(q0, q1, radius):
+    ref = _ExplicitBall(q0, q1, radius)
+    b = tree.build_ball(q0, q1, radius)
+    n = len(ref.parent)
+    assert b.num_vertices == n
+    assert [b.parent(v) for v in range(n)] == ref.parent
+    assert [b.depth(v) for v in range(n)] == ref.depth
+    assert b.ray() == tuple(ref.ray)
+    rng = random.Random(q0 * 100 + q1)
+    for v in rng.sample(range(n), 200):
+        assert tree.ray_confluence_depth(b, v) == ref.confluence_depth(v)
+    for _ in range(300):
+        u, v = rng.randrange(n), rng.randrange(n)
+        assert tree.vertex_path(b, u, v) == ref.path(u, v)
+        assert tree.distance(b, u, v) == ref.distance(u, v)
+    # edges are named by their child endpoint; include near pairs, where the
+    # two edges share a vertex or one lies below the other
+    for _ in range(300):
+        e = rng.randrange(1, n)
+        f = rng.choice([rng.randrange(1, n), e, ref.parent[e] or e] + ref.children[e])
+        assert tree.weyl_distance(b, e, f) == ref.weyl_distance(e, f)
+
+
+def test_deep_ball_is_implicit():
+    b = tree.build_ball(4, 4, 200)
+    assert tree.distance(b, 0, b.ray_vertex(200)) == 200
+    assert len(b.sphere_start) == 202 and len(b.width) == 200
+    with pytest.raises(tree.BallBudgetExceeded):
+        b.sphere(200)
+    # vertex numbers are capped in size, so a huge radius fails before building
+    with pytest.raises(tree.BallBudgetExceeded):
+        tree.build_ball(2, 2, 100_000)
