@@ -80,7 +80,7 @@ class HeckeAlgebra:
                     )
             terms = {idx: coeff for idx, coeff in terms.items() if coeff}
             self._product_cache[key] = terms
-        return HeckeElement(self, terms)
+        return HeckeElement._of(self, terms)
 
     def element(self, terms) -> "HeckeElement":
         return HeckeElement(self, terms)
@@ -107,7 +107,9 @@ class HeckeElement:
     """Finitely supported rational linear combination of basis indices.
 
     Immutable value type: every operation returns a new element, zero terms
-    are pruned on construction, and equality is structural.
+    are pruned on construction, and equality is structural.  Coefficients
+    are exact ``int`` or ``Fraction`` values.  An element may share its term
+    dict with the product cache, so ``_terms`` is never mutated once built.
     """
 
     __slots__ = ("algebra", "_terms")
@@ -130,6 +132,14 @@ class HeckeElement:
                     del acc[idx]
         self.algebra = algebra
         self._terms = acc
+
+    @classmethod
+    def _of(cls, algebra: HeckeAlgebra, terms: dict) -> "HeckeElement":
+        """Wrap a dict of exact, nonzero coefficients without checking or copying it."""
+        out = cls.__new__(cls)
+        out.algebra = algebra
+        out._terms = terms
+        return out
 
     # -- inspection --------------------------------------------------------
 
@@ -186,21 +196,17 @@ class HeckeElement:
         self._check_compatible(other)
         acc = dict(self._terms)
         for idx, coeff in other._terms.items():
-            total = acc.get(idx, Fraction(0)) + coeff
+            total = acc.get(idx, 0) + coeff
             if total:
                 acc[idx] = total
             else:
-                acc.pop(idx, None)
-        out = HeckeElement.__new__(HeckeElement)
-        out.algebra = self.algebra
-        out._terms = acc
-        return out
+                del acc[idx]
+        return HeckeElement._of(self.algebra, acc)
 
     def __neg__(self) -> "HeckeElement":
-        out = HeckeElement.__new__(HeckeElement)
-        out.algebra = self.algebra
-        out._terms = {idx: -coeff for idx, coeff in self._terms.items()}
-        return out
+        return HeckeElement._of(
+            self.algebra, {idx: -coeff for idx, coeff in self._terms.items()}
+        )
 
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
         if not isinstance(other, HeckeElement):
@@ -210,11 +216,10 @@ class HeckeElement:
     def scale(self, scalar) -> "HeckeElement":
         scalar = _as_fraction(scalar)
         if not scalar:
-            return HeckeElement(self.algebra, {})
-        out = HeckeElement.__new__(HeckeElement)
-        out.algebra = self.algebra
-        out._terms = {idx: scalar * coeff for idx, coeff in self._terms.items()}
-        return out
+            return HeckeElement._of(self.algebra, {})
+        return HeckeElement._of(
+            self.algebra, {idx: scalar * coeff for idx, coeff in self._terms.items()}
+        )
 
     def __rmul__(self, scalar) -> "HeckeElement":
         if isinstance(scalar, (int, Fraction)):
@@ -235,15 +240,8 @@ class HeckeElement:
             for b, cb in other._terms.items():
                 weight = ca * cb
                 for idx, n in algebra.multiply_basis(a, b)._terms.items():
-                    total = acc.get(idx, Fraction(0)) + weight * n
-                    if total:
-                        acc[idx] = total
-                    else:
-                        acc.pop(idx, None)
-        out = HeckeElement.__new__(HeckeElement)
-        out.algebra = algebra
-        out._terms = acc
-        return out
+                    acc[idx] = acc.get(idx, 0) + weight * n
+        return HeckeElement._of(algebra, {idx: c for idx, c in acc.items() if c})
 
     def star(self) -> "HeckeElement":
         """Involution: inverts each basis coset (rational scalars are fixed)."""

@@ -117,6 +117,17 @@ class SNFResult(NamedTuple):
     def rank(self) -> int:
         return sum(1 for x in self.diagonal if x)
 
+    @property
+    def cokernel(self) -> "AbelianGroupPresentation":
+        """Target space modulo the image of M."""
+        torsion = tuple(x for x in self.diagonal if x > 1)
+        return AbelianGroupPresentation(self.d.rows - self.rank, torsion)
+
+    @property
+    def kernel_rank(self) -> int:
+        """Rank of the integer kernel of M (the kernel is free)."""
+        return self.d.cols - self.rank
+
 
 def smith_normal_form(m: IntMatrix) -> SNFResult:
     """Diagonalize over the integers, tracking the row and column transforms.
@@ -224,14 +235,16 @@ class AbelianGroupPresentation:
     invariant_factors: tuple = ()
 
     def __post_init__(self):
-        factors = tuple(int(x) for x in self.invariant_factors)
-        if self.free_rank < 0:
+        free_rank = operator.index(self.free_rank)
+        factors = tuple(operator.index(x) for x in self.invariant_factors)
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         for i, x in enumerate(factors):
             if x < 2:
                 raise ValueError(f"invariant factor {x} < 2")
             if i and factors[i] % factors[i - 1]:
                 raise ValueError(f"invariant factors {factors} violate divisibility")
+        object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "invariant_factors", factors)
 
     def is_trivial(self) -> bool:
@@ -256,14 +269,12 @@ class AbelianGroupPresentation:
 
 def cokernel(m: IntMatrix) -> AbelianGroupPresentation:
     """Target space modulo the image, read off the Smith normal form."""
-    snf = smith_normal_form(m)
-    torsion = tuple(x for x in snf.diagonal if x > 1)
-    return AbelianGroupPresentation(m.rows - snf.rank, torsion)
+    return smith_normal_form(m).cokernel
 
 
 def kernel_rank(m: IntMatrix) -> int:
     """Rank of the integer kernel (the kernel is free)."""
-    return m.cols - smith_normal_form(m).rank
+    return smith_normal_form(m).kernel_rank
 
 
 @dataclass(frozen=True)
@@ -382,5 +393,5 @@ def pv_k_groups(alpha: IntMatrix) -> tuple:
     inclusion = IntMatrix.from_rows(
         [[1 if i == j else 0 for j in range(alpha.cols)] for i in range(alpha.rows)]
     )
-    diff = inclusion - alpha
-    return cokernel(diff), kernel_rank(diff)
+    snf = smith_normal_form(inclusion - alpha)
+    return snf.cokernel, snf.kernel_rank

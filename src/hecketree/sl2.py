@@ -5,9 +5,10 @@ additive group of the field by its integer ring is the Prüfer p-group, the
 double cosets correspond to orbits of multiplication by squares of p-adic
 units, and the support-restriction map sends a double coset to the sum of
 its orbit inside the Prüfer group algebra.  Since that map is an injective
-*-homomorphism, products are computed by convolving orbit sums and pulling
-the result back: the support of a product always partitions into full orbits
-with a constant coefficient on each, and this is asserted at runtime.
+*-homomorphism, products are computed by convolving orbit sums, which counts
+the pairwise sums of orbit members, and pulling the integer counts back: the
+support of a product always partitions into full orbits with a constant count
+on each, and this is asserted at runtime.
 
 Squares of units acting on denominator-``p^n`` elements factor through the
 residue ring, so orbits are finite and computed by enumeration for every
@@ -17,6 +18,7 @@ considered experimental).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -207,13 +209,12 @@ def double_coset(u: PruferElement) -> DoubleCoset:
 
 
 class SL2EndAlgebra(HeckeAlgebra):
-    """Double-coset algebra of the end centralizer, multiplied through the nu map."""
+    """Double-coset algebra of the end centralizer, multiplied as orbit sums."""
 
     def __init__(self, p: int, depth_bound: int = DEFAULT_DEPTH_BOUND):
         super().__init__()
         self.p = p
         self.depth_bound = depth_bound
-        self.prufer = PruferGroupAlgebra(p)
         self.unit = double_coset(prufer_zero(p))
 
     def _key(self):
@@ -262,9 +263,8 @@ class SL2EndAlgebra(HeckeAlgebra):
         return self.coset(parse_prufer(self.p, text))
 
     def _basis_product(self, c1: DoubleCoset, c2: DoubleCoset) -> dict:
-        """Convolve the nu images and pull the support back into full orbits."""
-        conv = nu(c1.representative) * nu(c2.representative)
-        remaining = {g: coeff for g, coeff in conv.terms()}
+        """Convolve the two orbit sums and pull the support back into full orbits."""
+        remaining = Counter(prufer_add(g, h) for g in c1.members for h in c2.members)
         max_depth = max(c1.representative.depth, c2.representative.depth)
         out: dict = {}
         while remaining:
@@ -281,7 +281,5 @@ class SL2EndAlgebra(HeckeAlgebra):
                 raise AssertionError(
                     f"orbit of {g!r} exceeds the operand depth {max_depth}"
                 )
-            if coeff.denominator != 1 or coeff < 0:
-                raise AssertionError(f"non-integral orbit coefficient {coeff!r}")
-            out[c] = int(coeff)
+            out[c] = coeff
         return out

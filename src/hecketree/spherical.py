@@ -179,7 +179,7 @@ class SphericalAlgebra(HeckeAlgebra):
     def normalize(self, x: HeckeElement) -> HeckeElement:
         """Rescale each basis term by the inverse of its coset count."""
         return HeckeElement(
-            self, [(n, coeff / self.r_value(n)) for n, coeff in x.terms()]
+            self, [(n, Fraction(coeff, self.r_value(n))) for n, coeff in x.terms()]
         )
 
     def normalized_coefficients(self, x: HeckeElement) -> dict:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import prod
 
 DEFAULT_MAX_VERTICES = 4_000_000
 MAX_INDEX_BITS = 8192  # a ball stores radius + 2 vertex numbers; this caps their size
@@ -364,12 +365,21 @@ def horocycle_class(ball: TreeBall, ray: tuple, u: int, v: int) -> int:
 
 
 def horocycle_members(ball: TreeBall, n: int) -> list:
-    """Vertices on the root's horocycle at confluence distance ``n``."""
+    """Vertices on the root's horocycle at confluence distance ``n``.
+
+    They are the vertices of sphere ``2n`` whose ancestor at depth ``n`` is
+    on the marked ray and whose ancestor at depth ``n + 1`` is not: with
+    ``span = width[n+1] * ... * width[2n-1]`` vertices of sphere ``2n``
+    below each vertex of sphere ``n + 1``, that is the block of offsets
+    ``[span, width[n] * span)`` within the sphere.
+    """
     if n == 0:
         return [0]
     if ball.radius < 2 * n:
         raise BallTooSmall(f"ball radius {ball.radius} < required {2 * n}")
-    return [v for v in ball.sphere(2 * n) if ray_confluence_depth(ball, v) == n]
+    span = prod(ball.width[n + 1 : 2 * n])
+    start = ball.sphere_start[2 * n]
+    return list(ball._budgeted(start + span, start + ball.width[n] * span))
 
 
 def horocycle_constant(

@@ -432,6 +432,27 @@ def test_acceptance_output_pinned(capsys):
         assert digest == ACCEPTANCE_STDOUT_SHA256[" ".join(argv)], argv
 
 
+SL2_STDOUT_SHA256 = {
+    ("nu", "--p", "7", "--depth", "3"): (
+        "18d10a4e94bde58cdf92077ffaae630f1b706039853814276cccbd8cf1b48023"
+    ),
+    ("nu", "--p", "5", "--depth", "3"): (
+        "344afe70c1d73e7896f6c4b4dc10633f739523ce69ea99de72ecd0a39109b841"
+    ),
+    ("nu", "--p", "3", "--depth", "4"): (
+        "7ff9521d408be3f87e7930a7a3db79fe3e01105cb434705497a7865bb0215368"
+    ),
+}
+
+
+def test_sl2_output_pinned(capsys):
+    # deeper SL2 tables than the acceptance commands pin
+    for argv, expected in SL2_STDOUT_SHA256.items():
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, argv
+
+
 def test_csv_quotes_labels_containing_commas(capsys):
     code, out = run_cli(
         capsys, "mul", "affine-nf", "(0,1)", "(1,0)", "--q", "2", "--format", "csv"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hecketree.sl2 import SL2EndAlgebra
 from hecketree.spherical import SphericalAlgebra, SphericalParams
 
 A = SphericalAlgebra(SphericalParams.homogeneous(2))
@@ -142,3 +143,16 @@ def test_provider_unit_laws():
         assert algebra.r_value(algebra.unit) == 1
         assert algebra.involute_basis(algebra.unit) == algebra.unit
         assert algebra.multiply_basis(algebra.unit, algebra.unit) == algebra.one()
+
+
+def test_operations_leave_cached_constants_unchanged():
+    # multiply_basis hands out the cached dict itself, so nothing may mutate it
+    S = SL2EndAlgebra(5)
+    for algebra, a, b in ((A, 2, 3), (S, S.parse_label("1/5"), S.parse_label("2/5"))):
+        x = algebra.multiply_basis(a, b)
+        cached = algebra._product_cache[(a, b)]
+        before = dict(cached)
+        for y in (x + x, -x, 2 * x, x * x, x.star(), x - x):
+            assert y.algebra == algebra
+        assert algebra._product_cache[(a, b)] is cached
+        assert cached == before and x == algebra.element(before)

@@ -100,6 +100,10 @@ def test_cokernel_examples():
     assert cokernel(IntMatrix.from_rows([[0]])) == AbelianGroupPresentation(1)
     assert kernel_rank(IntMatrix.zeros(2, 2)) == 2
     assert kernel_rank(IntMatrix.from_rows([[2]])) == 0
+    # rectangular: Z^3 / image of [[2, 0], [0, 0], [0, 0]] and a rank-one kernel
+    snf = smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 0], [0, 0]]))
+    assert snf.cokernel == AbelianGroupPresentation(2, (2,))
+    assert snf.kernel_rank == 1
 
 
 def test_rank_nullity():
@@ -113,6 +117,11 @@ def test_presentation_validation():
         AbelianGroupPresentation(0, (1,))
     with pytest.raises(ValueError):
         AbelianGroupPresentation(0, (4, 2))
+    # no silent truncation of non-integers
+    with pytest.raises(TypeError):
+        AbelianGroupPresentation(0, (2.7,))
+    with pytest.raises(TypeError):
+        AbelianGroupPresentation(1.5, ())
     assert AbelianGroupPresentation(0).describe() == "0"
     assert AbelianGroupPresentation(1).describe() == "Z"
     assert AbelianGroupPresentation(2, (2, 6)).describe() == "Z^2 + Z/2 + Z/6"

@@ -220,3 +220,16 @@ def test_star_trivial_iff_minus_one_is_square(p):
             assert fixed
         else:
             assert fixed == minus_one_square
+
+
+@pytest.mark.parametrize("p,depth", [(3, 3), (5, 3), (7, 2)])
+def test_orbit_convolution_matches_nu_products(p, depth):
+    # the generic product of nu images is the reference for the orbit count
+    algebra = SL2EndAlgebra(p, depth_bound=depth)
+    cosets = algebra.cosets_up_to_depth(depth)
+    for a, b in itertools.product(cosets, repeat=2):
+        expected = nu(a.representative) * nu(b.representative)
+        pulled = PruferGroupAlgebra(p).zero()
+        for c, coeff in algebra.multiply_basis(a, b).terms():
+            pulled = pulled + coeff * nu(c.representative)
+        assert pulled == expected, (a, b)

@@ -171,6 +171,23 @@ def test_horocycle_partition_sizes(ball22, ball33):
             assert len(tree.horocycle_members(b, n)) == (q - 1) * q ** (n - 1)
 
 
+@pytest.mark.parametrize(
+    "q0,q1,radius", [(2, 2, 12), (3, 3, 10), (4, 4, 8), (2, 3, 10), (3, 2, 10)]
+)
+def test_horocycle_members_match_sphere_scan(q0, q1, radius):
+    b = tree.build_ball(q0, q1, radius)
+    for n in range(radius // 2 + 1):
+        scan = [v for v in b.sphere(2 * n) if tree.ray_confluence_depth(b, v) == n]
+        assert tree.horocycle_members(b, n) == scan
+
+
+def test_horocycle_members_budget_counts_members():
+    # class 4 of the 4-regular ball: 192 members in a sphere of 81920 vertices
+    assert len(tree.horocycle_members(tree.build_ball(4, 4, 8, max_vertices=192), 4)) == 192
+    with pytest.raises(tree.BallBudgetExceeded):
+        tree.horocycle_members(tree.build_ball(4, 4, 8, max_vertices=191), 4)
+
+
 def test_horocycle_class_symmetric(ball33):
     ray = ball33.ray()
     members = tree.horocycle_members(ball33, 2) + tree.horocycle_members(ball33, 3)
