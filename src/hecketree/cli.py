@@ -123,7 +123,13 @@ FAMILIES = {
         ),
     ),
     "affine-nf": Family(lambda args: ToeplitzAlgebra(_require(args.q, "--q"))),
-    "sl2": Family(lambda args: SL2EndAlgebra(_require(args.p, "--p"))),
+    "sl2": Family(
+        lambda args: SL2EndAlgebra(_require(args.p, "--p")),
+        lambda args, algebra: itertools.product(
+            algebra.cosets_up_to_depth(_require(args.max, "--max")), repeat=2
+        ),
+        lambda args: verify_mod.verify_sl2(_require(args.p, "--p"), _require(args.max, "--max")),
+    ),
 }
 
 
@@ -218,6 +224,7 @@ def _add_family_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--qt", type=int, help="weight of the letter t")
     parser.add_argument("--max", type=nonnegative_int, help="largest basis index")
     parser.add_argument("--len", type=nonnegative_int, help="largest word length")
+    parser.add_argument("--p", type=int, help="prime for the sl2 family")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mul.add_argument("left")
     p_mul.add_argument("right")
     _add_family_options(p_mul)
-    p_mul.add_argument("--p", type=int, help="prime for the sl2 family")
     p_mul.add_argument("--format", choices=["json", "csv"], default="json")
     p_mul.set_defaults(func=cmd_mul)
 

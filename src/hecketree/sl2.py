@@ -5,10 +5,12 @@ additive group of the field by its integer ring is the Prüfer p-group, the
 double cosets correspond to orbits of multiplication by squares of p-adic
 units, and the support-restriction map sends a double coset to the sum of
 its orbit inside the Prüfer group algebra.  Since that map is an injective
-*-homomorphism, products are computed by convolving orbit sums, which counts
-the pairwise sums of orbit members, and pulling the integer counts back: the
-support of a product always partitions into full orbits with a constant count
-on each, and this is asserted at runtime.
+*-homomorphism, a product is the convolution of two orbit sums pulled back
+to orbits.  Unit squares act by automorphisms fixing both operand orbits, so
+that convolution counts the same number at every point of an orbit, and one
+representative of one operand determines the whole product (see
+:meth:`SL2EndAlgebra._basis_product`).  :func:`orbit_convolution` adds every
+pair of orbit members instead; ``verify sl2`` compares the two point by point.
 
 Squares of units acting on denominator-``p^n`` elements factor through the
 residue ring, so orbits are finite and computed by enumeration for every
@@ -19,7 +21,7 @@ considered experimental).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .core import HeckeAlgebra, HeckeElement
@@ -27,6 +29,7 @@ from .core import HeckeAlgebra, HeckeElement
 DEFAULT_DEPTH_BOUND = 6
 
 
+@lru_cache(maxsize=None)
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -174,6 +177,8 @@ def parse_prufer(p: int, text: str) -> PruferElement:
         return prufer_zero(p)
     num_text, _, den_text = text.partition("/")
     num, den = int(num_text), int(den_text)
+    if den < 1:
+        raise ValueError(f"denominator of {text!r} is not a power of {p}")
     depth = 0
     while den > 1:
         if den % p:
@@ -191,10 +196,14 @@ def nu(u: PruferElement) -> HeckeElement:
 
 @dataclass(frozen=True, order=True)
 class DoubleCoset:
-    """A unit-square orbit, keyed by its minimal representative."""
+    """A unit-square orbit, keyed by its minimal representative.
+
+    Equality, hashing and order look at the representative alone: it
+    determines the orbit, and ``members`` can run to hundreds of points.
+    """
 
     representative: PruferElement
-    members: tuple
+    members: tuple = field(compare=False)
 
     def label(self) -> str:
         return self.representative.label()
@@ -216,6 +225,8 @@ class SL2EndAlgebra(HeckeAlgebra):
         self.p = p
         self.depth_bound = depth_bound
         self.unit = double_coset(prufer_zero(p))
+        self._coset_of: dict = {}  # Prüfer point -> its DoubleCoset
+        self._indexed_depth = -1  # _coset_of covers every point of depth <= this
 
     def _key(self):
         return (self.p, self.depth_bound)
@@ -262,24 +273,54 @@ class SL2EndAlgebra(HeckeAlgebra):
     def parse_label(self, text: str) -> DoubleCoset:
         return self.coset(parse_prufer(self.p, text))
 
+    def _cosets_by_point(self, depth: int) -> dict:
+        """Map every point of depth <= ``depth`` to its double coset (filled lazily)."""
+        if depth > self._indexed_depth:
+            for c in self.cosets_up_to_depth(depth):
+                for g in c.members:
+                    self._coset_of[g] = c
+            self._indexed_depth = depth
+        return self._coset_of
+
     def _basis_product(self, c1: DoubleCoset, c2: DoubleCoset) -> dict:
-        """Convolve the two orbit sums and pull the support back into full orbits."""
-        remaining = Counter(prufer_add(g, h) for g in c1.members for h in c2.members)
+        """Count the product at one representative of the larger orbit.
+
+        With ``O1`` the smaller orbit and ``r`` the representative of the
+        other, ``O2``, let ``n_O = #{g in O1 : r + g in O}`` for each orbit
+        ``O``.  Each point of ``O2`` sees the same counts, since a unit square
+        carrying ``r`` to it permutes ``O1`` and ``O``; so the convolution of
+        the two orbit sums has ``|O2| * n_O`` pairs landing in ``O``, spread
+        evenly over its ``|O|`` points, and the structure constant is
+        ``|O2| * n_O / |O|``.  A sum deeper than both operands, or a division
+        that is not exact, raises :class:`AssertionError`.
+        """
+        if len(c1.members) > len(c2.members):
+            c1, c2 = c2, c1
         max_depth = max(c1.representative.depth, c2.representative.depth)
+        cosets = self._cosets_by_point(max_depth)
+        r = c2.representative
+        hits = Counter()
+        for g in c1.members:
+            total = prufer_add(r, g)
+            c = cosets.get(total)
+            if c is None:
+                raise AssertionError(f"sum {total!r} exceeds the operand depth {max_depth}")
+            hits[c] += 1
         out: dict = {}
-        while remaining:
-            g = next(iter(remaining))
-            c = double_coset(g)
-            coeff = remaining[g]
-            for member in c.members:
-                if remaining.get(member) != coeff:
-                    raise AssertionError(
-                        f"product support does not close up over the orbit of {g!r}"
-                    )
-                del remaining[member]
-            if c.representative.depth > max_depth:
+        for c, n in hits.items():
+            coeff, rest = divmod(len(c2.members) * n, len(c.members))
+            if rest:
                 raise AssertionError(
-                    f"orbit of {g!r} exceeds the operand depth {max_depth}"
+                    f"{len(c2.members)} * {n} pairs do not spread evenly over the orbit of {c!r}"
                 )
             out[c] = coeff
         return out
+
+
+def orbit_convolution(c1: DoubleCoset, c2: DoubleCoset) -> Counter:
+    """Convolution of two orbit sums, one count per Prüfer point.
+
+    Adds every pair of orbit members, ``|O1| * |O2|`` additions: the
+    reference that ``verify sl2`` holds the representative count against.
+    """
+    return Counter(prufer_add(g, h) for g in c1.members for h in c2.members)

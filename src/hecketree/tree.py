@@ -336,6 +336,26 @@ def _ray_path(ball: TreeBall, v: int) -> list:
     return path
 
 
+def _confluence_class(pu: list, pv: list) -> int:
+    """Distance from the starts of two rays toward the marked end to where they merge.
+
+    ``pu`` and ``pv`` are :func:`_ray_path` lists, which end at the same ray
+    vertex; raises :class:`HorocycleMismatch` when the two distances differ.
+    """
+    i = 1
+    stop = min(len(pu), len(pv))
+    while i <= stop and pu[-i] == pv[-i]:
+        i += 1
+    i -= 1
+    n_u = len(pu) - i
+    n_v = len(pv) - i
+    if n_u != n_v:
+        raise HorocycleMismatch(
+            f"vertices {pu[0]} and {pv[0]} lie on different horocycles ({n_u} != {n_v})"
+        )
+    return n_u
+
+
 def horocycle_class(ball: TreeBall, ray: tuple, u: int, v: int) -> int:
     """Confluence distance of two vertices on a common horocycle.
 
@@ -348,20 +368,7 @@ def horocycle_class(ball: TreeBall, ray: tuple, u: int, v: int) -> int:
         raise ValueError("ray does not match the ball's marked ray")
     if u == v:
         return 0
-    pu = _ray_path(ball, u)
-    pv = _ray_path(ball, v)
-    i = 1
-    stop = min(len(pu), len(pv))
-    while i <= stop and pu[-i] == pv[-i]:
-        i += 1
-    i -= 1
-    n_u = len(pu) - i
-    n_v = len(pv) - i
-    if n_u != n_v:
-        raise HorocycleMismatch(
-            f"vertices {u} and {v} lie on different horocycles ({n_u} != {n_v})"
-        )
-    return n_u
+    return _confluence_class(_ray_path(ball, u), _ray_path(ball, v))
 
 
 def horocycle_members(ball: TreeBall, n: int) -> list:
@@ -398,8 +405,7 @@ def horocycle_constant(
     bound = 2 * max(m, n, k) + 2
     if ball.radius < bound:
         raise BallTooSmall(f"ball radius {ball.radius} < required {bound}")
-    ray = ball.ray()
     if _members is None:
         _members = {j: horocycle_members(ball, j) for j in {m, k}}
-    w = _members[k][0]
-    return sum(1 for v in _members[m] if horocycle_class(ball, ray, v, w) == n)
+    pw = _ray_path(ball, _members[k][0])
+    return sum(1 for v in _members[m] if _confluence_class(_ray_path(ball, v), pw) == n)

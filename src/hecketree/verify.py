@@ -2,19 +2,23 @@
 
 Each sweep multiplies out a block of basis pairs along every implemented
 route and compares the structure-constant vectors exactly.  Reports list all
-mismatching cells, in cell order, with the values from each route; an empty
-mismatch list is the pass condition.
+mismatching cells, in cell order, with the values from each route and the
+``hecketree mul`` command that replays the cell; an empty mismatch list is
+the pass condition.  The SL2 sweep has no tree model: it compares its two
+routes point by point in the Prüfer group.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import tree
 from .core import HeckeElement
 from .endstab import HorocycleAlgebra, m_to_nf, nf_to_m
 from .iwahori import IwahoriAlgebra
-from .spherical import SphericalAlgebra, SphericalParams
+from .sl2 import PruferElement, SL2EndAlgebra, orbit_convolution
+from .spherical import HOMOGENEOUS, SphericalAlgebra, SphericalParams
 
 
 @dataclass
@@ -48,25 +52,42 @@ def _int_terms(x: HeckeElement) -> dict:
     return out
 
 
-def _route_json(algebra, routes: dict) -> dict:
+def _route_json(label, routes: dict) -> dict:
     return {
-        name: {algebra.basis_label(idx): coeff for idx, coeff in sorted(vec.items())}
+        name: {label(idx): coeff for idx, coeff in sorted(vec.items())}
         for name, vec in routes.items()
     }
 
 
-def _sweep(family: str, params: dict, algebra, cells, routes) -> VerifyReport:
-    """Compare the named route vectors ``routes(a, b)`` on every cell ``(a, b)``."""
+def _flags(**values) -> list:
+    """``--name value`` tokens for the ``hecketree mul`` replay of a cell."""
+    return [token for name, value in values.items() for token in (f"--{name}", str(value))]
+
+
+def _sweep(
+    family: str, params: dict, algebra, cells, routes, mul_flags: list, label=None
+) -> VerifyReport:
+    """Compare the named route vectors ``routes(a, b)`` on every cell ``(a, b)``.
+
+    ``label`` names the keys of the route vectors (default
+    ``algebra.basis_label``); ``mul_flags`` completes the ``hecketree mul``
+    replay line of a mismatching cell.
+    """
+    label = algebra.basis_label if label is None else label
     report = VerifyReport(family=family, params=params)
     for a, b in cells:
         report.cells += 1
         vectors = routes(a, b)
         first, *rest = vectors.values()
         if any(vec != first for vec in rest):
+            import shlex  # only a failing sweep needs it; importing costs 0.1 MiB resident
+
+            key = [algebra.basis_label(a), algebra.basis_label(b)]
             report.mismatches.append(
                 {
-                    "key": [algebra.basis_label(a), algebra.basis_label(b)],
-                    "routes": _route_json(algebra, vectors),
+                    "key": key,
+                    "routes": _route_json(label, vectors),
+                    "replay": shlex.join(["hecketree", "mul", family, *key, *mul_flags]),
                 }
             )
     return report
@@ -101,6 +122,11 @@ def verify_spherical(
         algebra,
         ((n, m) for n in range(max_index + 1) for m in range(n, max_index + 1)),
         routes,
+        (
+            _flags(q=params.q0)
+            if params.mode == HOMOGENEOUS
+            else _flags(q0=params.q0, q1=params.q1)
+        ),
     )
 
 
@@ -154,6 +180,7 @@ def verify_iwahori(
         algebra,
         ((a, b) for a in indices for b in indices),
         routes,
+        _flags(qs=qs, qt=qt),
     )
 
 
@@ -189,4 +216,39 @@ def verify_affine(
         algebra,
         ((m, n) for m in range(max_index + 1) for n in range(max_index + 1)),
         routes,
+        _flags(q=q),
+    )
+
+
+def verify_sl2(p: int, max_depth: int) -> VerifyReport:
+    """Representative counting vs. the full orbit convolution, cosets of depth <= max_depth.
+
+    Both routes give the product in the Prüfer group algebra, one count per
+    point: ``orbit`` spreads each structure constant of ``multiply_basis``
+    over the points of its orbit, ``convolution`` adds every pair of orbit
+    members.  A convolution count that varies within an orbit, or a point
+    deeper than both operands, is then a mismatch.  The sweep makes about
+    ``p^(2 max_depth)`` additions, like the ``nu`` table of the same depth.
+    """
+    algebra = SL2EndAlgebra(p)
+    cosets = algebra.cosets_up_to_depth(max_depth)
+
+    def routes(a, b):
+        return {
+            "orbit": {
+                g: coeff
+                for c, coeff in _int_terms(algebra.multiply_basis(a, b)).items()
+                for g in c.members
+            },
+            "convolution": orbit_convolution(a, b),
+        }
+
+    return _sweep(
+        "sl2",
+        {"p": p, "max": max_depth},
+        algebra,
+        itertools.product(cosets, repeat=2),
+        routes,
+        _flags(p=p),
+        label=PruferElement.label,
     )

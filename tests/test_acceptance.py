@@ -179,7 +179,7 @@ def test_criterion_6_sl2_nu():
             ok = ok and covered == len(layer)  # orbits are pairwise disjoint
         cosets = algebra.cosets_up_to_depth(3)
         for a, b in itertools.product(cosets, repeat=2):
-            # the pullback asserts full-orbit closure internally
+            # the product asserts its depth bound and exact division internally
             prod = algebra.multiply_basis(a, b)
             for _, coeff in prod.terms():
                 ok = ok and coeff.denominator == 1 and coeff > 0

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,7 @@ from hecketree import cli, verify
 from hecketree.cli import main
 from hecketree.endstab import HorocycleAlgebra, m_to_nf
 from hecketree.iwahori import IwahoriAlgebra
+from hecketree.sl2 import SL2EndAlgebra, make_prufer
 from hecketree.spherical import SphericalAlgebra, SphericalParams
 
 
@@ -56,6 +58,8 @@ def _algebra_for(rec):
         return SphericalAlgebra(SphericalParams.homogeneous(2))
     if family == "iwahori":
         return IwahoriAlgebra(2, 2)
+    if family == "sl2":
+        return SL2EndAlgebra(5)
     return HorocycleAlgebra(3)
 
 
@@ -65,6 +69,7 @@ def _algebra_for(rec):
         ("table", "spherical", "--q", "2", "--max", "3"),
         ("table", "iwahori", "--qs", "2", "--qt", "2", "--len", "2"),
         ("table", "affine", "--q", "3", "--max", "2"),
+        ("table", "sl2", "--p", "5", "--max", "2"),
     ],
 )
 def test_table_rows_reparse_and_reverify(capsys, argv):
@@ -113,6 +118,29 @@ def test_verify_exit_codes(capsys):
         capsys, "verify", "spherical", "--q0", "2", "--q1", "3", "--max", "2"
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("p, depth", [(2, 4), (3, 4), (5, 3), (7, 2)])
+def test_verify_sl2_passes(capsys, p, depth):
+    code, out = run_cli(capsys, "verify", "sl2", "--p", str(p), "--max", str(depth))
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"] is True
+    assert doc["cells"] == len(SL2EndAlgebra(p).cosets_up_to_depth(depth)) ** 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("table", "sl2", "--p", "4", "--max", "1"), "error: 4 is not prime"),
+        (("table", "sl2", "--p", "7", "--max", "7"), "error: depth 7 exceeds the bound 6"),
+        (("verify", "sl2", "--p", "4", "--max", "1"), "error: 4 is not prime"),
+    ],
+)
+def test_sl2_invalid_input_exit_2(capsys, argv, message):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == message
 
 
 def test_verify_budget_flag(capsys):
@@ -238,6 +266,55 @@ def test_ktheory_fuzzed_files_exit_0_or_2(doc, depth):
     assert (code == 0) == (err.getvalue() == "")
 
 
+_small = st.integers(-1, 3)
+_FLAGS = {
+    "--q": st.integers(-1, 4),
+    "--q0": st.integers(-1, 4),
+    "--q1": st.integers(-1, 4),
+    "--qs": st.integers(-1, 4),
+    "--qt": st.integers(-1, 4),
+    "--p": st.integers(-1, 11),
+    "--max": _small,
+    "--len": _small,
+}
+_LABELS = st.sampled_from(
+    ["G0", "G2", "G9", "M1", "1", "s", "ts", "ist", "tt", "0", "1/5", "2/7", "3/9"]
+    + ["1/4", "1/0", "(0,1)", "(1,0)", "(1,", "x", ""]
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["table", "mul", "verify", "nu"]))
+    if command == "nu":
+        return ["nu", "--p", str(draw(_FLAGS["--p"])), "--depth", str(draw(_small))]
+    argv = [command, draw(st.sampled_from([*cli.FAMILIES, "bogus"]))]
+    if command == "mul":
+        argv += [draw(_LABELS), draw(_LABELS)]
+    for flag, values in _FLAGS.items():
+        if draw(st.booleans()):
+            value = draw(values)
+            if command == "verify" and flag == "--max":
+                value = min(value, 2)  # verify sl2 makes about p^(2 max) additions
+            argv += [flag, str(value)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_exit_0_or_2(argv):
+    # no sweep in these ranges has a mismatch, so exit 1 would be a bug too
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a bad option value this way
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())
+
+
 def test_nu_output(capsys):
     code, out = run_cli(capsys, "nu", "--p", "5", "--depth", "1")
     assert code == 0
@@ -330,6 +407,14 @@ _NF_M1_M1 = m_to_nf(HorocycleAlgebra(3), 1) * m_to_nf(HorocycleAlgebra(3), 1)
             [["M1", "M1"]],
             ["table", "normal-form", "oracle"],
         ),
+        (
+            ("verify", "sl2", "--p", "5", "--max", "1"),
+            SL2EndAlgebra,
+            "multiply_basis",
+            lambda self, a, b: (a.label(), b.label()) == ("1/5", "2/5"),
+            [["1/5", "2/5"]],
+            ["orbit", "convolution"],
+        ),
     ],
 )
 def test_verify_reports_mismatch(capsys, monkeypatch, argv, owner, name, hit, keys, routes):
@@ -345,6 +430,38 @@ def test_verify_reports_mismatch(capsys, monkeypatch, argv, owner, name, hit, ke
     assert [m["key"] for m in doc["mismatches"]] == keys
     for mismatch in doc["mismatches"]:
         assert list(mismatch["routes"]) == routes
+        replay = shlex.split(mismatch["replay"])
+        assert replay[:5] == ["hecketree", "mul", argv[1], *mismatch["key"]]
+        assert run_cli(capsys, *replay[1:])[0] == 0
+
+
+@pytest.mark.parametrize(
+    "point, convolution",
+    [
+        # one point of the orbit {2/5, 3/5} counted twice: uneven within the orbit
+        (make_prufer(5, 2, 1), {"0": 2, "2/5": 2, "3/5": 1}),
+        # a point deeper than both operands
+        (make_prufer(5, 1, 2), {"0": 2, "2/5": 1, "3/5": 1, "1/25": 1}),
+    ],
+)
+def test_verify_sl2_compares_point_by_point(capsys, monkeypatch, point, convolution):
+    original = verify.orbit_convolution
+
+    def route(a, b):
+        counts = original(a, b)
+        if (a.label(), b.label()) == ("1/5", "1/5"):
+            counts[point] += 1
+        return counts
+
+    monkeypatch.setattr(verify, "orbit_convolution", route)
+    code, out = run_cli(capsys, "verify", "sl2", "--p", "5", "--max", "1")
+    doc = json.loads(out)
+    assert code == 1
+    assert [m["key"] for m in doc["mismatches"]] == [["1/5", "1/5"]]
+    routes = doc["mismatches"][0]["routes"]
+    assert routes["orbit"] == {"0": 2, "2/5": 1, "3/5": 1}
+    assert routes["convolution"] == convolution
+    assert doc["mismatches"][0]["replay"] == "hecketree mul sl2 1/5 1/5 --p 5"
 
 
 def test_table_streams(monkeypatch):

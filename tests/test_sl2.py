@@ -5,13 +5,17 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from hecketree import sl2
 from hecketree.sl2 import (
+    DoubleCoset,
     PruferElement,
     PruferGroupAlgebra,
     SL2EndAlgebra,
     make_prufer,
+    double_coset,
     nu,
     orbit,
+    orbit_convolution,
     parse_prufer,
     prufer_add,
     prufer_zero,
@@ -24,7 +28,7 @@ def test_prufer_canonical_form():
     assert make_prufer(3, 3, 2) == make_prufer(3, 1, 1)
     assert make_prufer(3, 9, 2) == prufer_zero(3)
     assert make_prufer(5, 26, 2) == make_prufer(5, 1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="4 is not prime"):
         PruferElement(4, 1, 1)
     with pytest.raises(ValueError):
         PruferElement(3, 2, 3)  # 3/9 is not reduced
@@ -199,6 +203,9 @@ def test_parse_labels():
     assert parse_prufer(5, "4/25") == make_prufer(5, 4, 2)
     with pytest.raises(ValueError):
         parse_prufer(5, "1/6")
+    for text in ("1/0", "1/-5"):
+        with pytest.raises(ValueError, match="is not a power of 5"):
+            parse_prufer(5, text)
 
 
 def test_coset_ordering_deterministic():
@@ -222,14 +229,47 @@ def test_star_trivial_iff_minus_one_is_square(p):
             assert fixed == minus_one_square
 
 
-@pytest.mark.parametrize("p,depth", [(3, 3), (5, 3), (7, 2)])
+@pytest.mark.parametrize("p,depth", [(2, 3), (3, 3), (5, 3), (7, 2)])
 def test_orbit_convolution_matches_nu_products(p, depth):
-    # the generic product of nu images is the reference for the orbit count
+    # the full convolution and the generic product of nu images are the
+    # references for the count at one representative
     algebra = SL2EndAlgebra(p, depth_bound=depth)
     cosets = algebra.cosets_up_to_depth(depth)
     for a, b in itertools.product(cosets, repeat=2):
+        product = algebra.multiply_basis(a, b).terms()
+        points = {g: coeff for c, coeff in product for g in c.members}
+        assert points == orbit_convolution(a, b), (a, b)
         expected = nu(a.representative) * nu(b.representative)
         pulled = PruferGroupAlgebra(p).zero()
-        for c, coeff in algebra.multiply_basis(a, b).terms():
+        for c, coeff in product:
             pulled = pulled + coeff * nu(c.representative)
         assert pulled == expected, (a, b)
+
+
+def test_double_coset_compares_by_representative():
+    u = make_prufer(5, 1, 1)
+    full = double_coset(u)
+    bare = DoubleCoset(u, ())
+    assert full == bare and hash(full) == hash(bare)
+    assert {full: 1}[bare] == 1
+    other = double_coset(make_prufer(5, 2, 1))
+    assert full < other and bare < other
+    assert sorted([other, bare]) == [bare, other]
+
+
+def test_representative_count_checks_depth(monkeypatch):
+    A = SL2EndAlgebra(5)
+    a, b = A.coset(make_prufer(5, 1, 1)), A.coset(make_prufer(5, 2, 1))
+    deep = make_prufer(5, 1, 2)
+    monkeypatch.setattr(sl2, "prufer_add", lambda x, y: deep)
+    with pytest.raises(AssertionError, match="exceeds the operand depth 1"):
+        A._basis_product(a, b)
+
+
+def test_representative_count_checks_exact_division():
+    A = SL2EndAlgebra(5)
+    u = make_prufer(5, 1, 1)
+    # three members cannot be a unit-square orbit at p = 5 (orbits of depth 1 have two)
+    bogus = DoubleCoset(u, (u, make_prufer(5, 2, 1), make_prufer(5, 4, 1)))
+    with pytest.raises(AssertionError, match="do not spread evenly"):
+        A._basis_product(A.unit, bogus)
