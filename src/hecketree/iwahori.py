@@ -79,6 +79,9 @@ def index_label(idx: DeltaIndex) -> str:
 
 
 def parse_index(text: str) -> DeltaIndex:
+    """Inverse of ``index_label``; the identity is written "1", never as the empty label."""
+    if not text:
+        raise ValueError('empty iwahori label; the identity is written "1"')
     if text == "1":
         return DeltaIndex(0, "")
     iflag = 0

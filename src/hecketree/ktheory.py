@@ -7,6 +7,13 @@ to for an AF algebra crossed by a single endomorphism (both odd K-groups of
 the coefficient algebra vanish, so the K-groups of the crossed product are
 the cokernel and kernel of the induced map minus the identity).
 
+Only ``smith_normal_form`` returns the witnesses U and V.  ``cokernel``,
+``kernel_rank``, ``pv_k_groups`` and ``truncated_limit`` read the diagonal
+alone, so they run the same elimination without building the transforms,
+whose entries can reach hundreds of digits on a 32 x 32 matrix.  The tests
+check that diagonal against ``smith_normal_form`` and, independently,
+against the determinantal divisors (gcds of k x k minors).
+
 Truncated limits, not symbolic ones: the machinery reports finite stages and
 flags when consecutive stages agree, which is what desk-scale verification
 needs.
@@ -115,18 +122,29 @@ class SNFResult(NamedTuple):
 
     @property
     def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x)
+        return _rank(self.diagonal)
 
     @property
     def cokernel(self) -> "AbelianGroupPresentation":
         """Target space modulo the image of M."""
-        torsion = tuple(x for x in self.diagonal if x > 1)
-        return AbelianGroupPresentation(self.d.rows - self.rank, torsion)
+        return _cokernel(self.d.rows, self.diagonal)
 
     @property
     def kernel_rank(self) -> int:
         """Rank of the integer kernel of M (the kernel is free)."""
-        return self.d.cols - self.rank
+        return _kernel_rank(self.d.cols, self.diagonal)
+
+
+def _rank(diagonal: list) -> int:
+    return sum(1 for x in diagonal if x)
+
+
+def _cokernel(rows: int, diagonal: list) -> "AbelianGroupPresentation":
+    return AbelianGroupPresentation(rows - _rank(diagonal), tuple(x for x in diagonal if x > 1))
+
+
+def _kernel_rank(cols: int, diagonal: list) -> int:
+    return cols - _rank(diagonal)
 
 
 def smith_normal_form(m: IntMatrix) -> SNFResult:
@@ -135,49 +153,78 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     Pivoting is deterministic: the entry of smallest nonzero absolute value,
     ties broken by position, so the returned transforms are reproducible.
     """
+    d, u, v = _smith_eliminate(m, track=True)
+    return SNFResult(IntMatrix.from_rows(u), IntMatrix.from_rows(d), IntMatrix.from_rows(v))
+
+
+def _smith_diagonal(m: IntMatrix) -> list:
+    """The diagonal of ``smith_normal_form(m).d``, computed without the transforms."""
+    d, _, _ = _smith_eliminate(m, track=False)
+    return [d[i][i] for i in range(min(m.rows, m.cols))]
+
+
+def _smith_eliminate(m: IntMatrix, track: bool) -> tuple:
+    """Smith elimination of ``m``; returns ``(d, u, v)`` as lists of rows.
+
+    With ``track`` false, ``u`` and ``v`` are None and no transform is built
+    or updated.  The pivots depend on the entries of ``d`` alone, so ``d``
+    is the same either way.
+    """
     a = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if track else None
+    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if track else None
 
+    # Rows and columns of ``a`` before the current pivot t are zero outside
+    # the diagonal, so the additions at step t touch ``a`` from t on only.
     def swap_rows(i, j):
         if i != j:
             a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
+            if track:
+                u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         if i != j:
             for row in a:
                 row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+            if track:
+                for row in v:
+                    row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, factor):
         # row dst += factor * row src
         arow, asrc = a[dst], a[src]
-        for j in range(cols):
+        for j in range(t, cols):
             arow[j] += factor * asrc[j]
-        urow, usrc = u[dst], u[src]
-        for j in range(rows):
-            urow[j] += factor * usrc[j]
+        if track:
+            u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, factor):
-        for row in a:
+        for i in range(t, rows):
+            row = a[i]
             row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
+        if track:
+            for row in v:
+                row[dst] += factor * row[src]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        if track:
+            u[i] = [-x for x in u[i]]
 
     def find_pivot(t):
-        best = None
+        # no entry is smaller than a unit, so the first unit is the pivot
+        best, smallest = None, 0
         for i in range(t, rows):
+            row = a[i]
             for j in range(t, cols):
-                x = a[i][j]
-                if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+                x = row[j]
+                if x:
+                    x = abs(x)
+                    if best is None or x < smallest:
+                        best, smallest = (i, j), x
+                        if x == 1:
+                            return best
         return best
 
     t = 0
@@ -210,13 +257,15 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
             # cross is clear; enforce divisibility of the remaining block
             pivot = a[t][t]
             offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % pivot:
-                        offender = i
+            if pivot != 1:
+                for i in range(t + 1, rows):
+                    row = a[i]
+                    for j in range(t + 1, cols):
+                        if row[j] % pivot:
+                            offender = i
+                            break
+                    if offender is not None:
                         break
-                if offender is not None:
-                    break
             if offender is None:
                 break
             add_row(offender, t, 1)
@@ -224,7 +273,7 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
             negate_row(i)
-    return SNFResult(IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v))
+    return a, u, v
 
 
 @dataclass(frozen=True)
@@ -268,13 +317,13 @@ class AbelianGroupPresentation:
 
 
 def cokernel(m: IntMatrix) -> AbelianGroupPresentation:
-    """Target space modulo the image, read off the Smith normal form."""
-    return smith_normal_form(m).cokernel
+    """Target space modulo the image, read off the Smith diagonal."""
+    return _cokernel(m.rows, _smith_diagonal(m))
 
 
 def kernel_rank(m: IntMatrix) -> int:
     """Rank of the integer kernel (the kernel is free)."""
-    return smith_normal_form(m).kernel_rank
+    return _kernel_rank(m.cols, _smith_diagonal(m))
 
 
 @dataclass(frozen=True)
@@ -393,5 +442,5 @@ def pv_k_groups(alpha: IntMatrix) -> tuple:
     inclusion = IntMatrix.from_rows(
         [[1 if i == j else 0 for j in range(alpha.cols)] for i in range(alpha.rows)]
     )
-    snf = smith_normal_form(inclusion - alpha)
-    return snf.cokernel, snf.kernel_rank
+    diagonal = _smith_diagonal(inclusion - alpha)
+    return _cokernel(alpha.rows, diagonal), _kernel_rank(alpha.cols, diagonal)

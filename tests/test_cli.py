@@ -329,6 +329,7 @@ def test_invalid_params_exit_2(capsys):
     assert run_cli(capsys, "table", "spherical", "--max", "2")[0] == 2
     assert run_cli(capsys, "table", "spherical", "--q", "1", "--max", "2")[0] == 2
     assert run_cli(capsys, "mul", "spherical", "G1", "Gx", "--q", "2")[0] == 2
+    assert run_cli(capsys, "mul", "iwahori", "", "s", "--qs", "2", "--qt", "2")[0] == 2
     for flag, argv in (
         ("--max", ("table", "spherical", "--q", "2", "--max", "-1")),
         ("--len", ("table", "iwahori", "--qs", "2", "--qt", "2", "--len", "-1")),
@@ -547,6 +548,46 @@ def test_acceptance_output_pinned(capsys):
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == ACCEPTANCE_STDOUT_SHA256[" ".join(argv)], argv
+
+
+# sha256 of the stdout of larger ktheory runs than the acceptance command:
+# the Toeplitz example at size 40 and the ten-level diagram below, read from
+# a file named bratteli.json in the working directory (the report echoes the
+# path).
+KTHEORY_STDOUT_SHA256 = {
+    ("ktheory", "--example", "toeplitz", "--size", "40"): (
+        "030c78755a2f3cf3ab2efa223ecc6c0b5bdb69b5380bd9c9cd14bfbf0a76b645"
+    ),
+    ("ktheory", "bratteli.json"): (
+        "cb3d37488dedc0715f1c701df70f41c6cfab056f24af19894147a3a1be505abd"
+    ),
+}
+
+
+def pinned_bratteli() -> dict:
+    """A fixed ten-level diagram whose stage cokernels carry torsion."""
+    widths = [2, 3, 4, 3, 5, 4, 3, 4, 5, 2]
+    levels = [[1, 2]]
+    maps = []
+    for k in range(len(widths) - 1):
+        rows = [
+            [(i * j + i + 2 * j + k) % 3 for j in range(widths[k])] for i in range(widths[k + 1])
+        ]
+        for i, row in enumerate(rows):
+            if not any(row):
+                row[i % widths[k]] = 1
+        maps.append(rows)
+        levels.append([sum(r * x for r, x in zip(row, levels[-1])) for row in rows])
+    return {"levels": levels, "maps": maps}
+
+
+def test_ktheory_output_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bratteli.json").write_text(json.dumps(pinned_bratteli()))
+    for argv, expected in KTHEORY_STDOUT_SHA256.items():
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, argv
 
 
 SL2_STDOUT_SHA256 = {

@@ -52,6 +52,8 @@ def test_label_roundtrip():
     assert parse_index("1") == DeltaIndex(0, "")
     with pytest.raises(ValueError):
         parse_index("iss")
+    with pytest.raises(ValueError):
+        parse_index("")
 
 
 @pytest.mark.parametrize("qs,qt", [(2, 2), (2, 3), (3, 2)])

@@ -1,6 +1,10 @@
 """Integer matrices, Smith normal form, Bratteli limits, crossed-product K-groups."""
 
+import hashlib
 import json
+import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,3 +264,84 @@ def test_snf_diagonal_product_matches_determinant(n, data):
 def test_pv_doubling_endomorphism():
     k0, k1 = pv_k_groups(IntMatrix.from_rows([[2]]))
     assert k0 == AbelianGroupPresentation(0) and k1 == 0
+
+
+@st.composite
+def int_matrices(draw, max_rows, max_cols, bound):
+    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    entries = st.integers(-bound, bound)
+    return IntMatrix.from_rows([[draw(entries) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Products of a rows x k and a k x cols matrix, up to 4 x 4: k bounds the
+    rank, so rank-deficient matrices are common, and k = 0 gives zero ones."""
+    left = draw(int_matrices(4, 4, 3))
+    right = draw(int_matrices(4, 4, 3))
+    inner = draw(st.integers(0, min(left.cols, right.rows)))
+    a, b = left.entries, right.entries
+    return IntMatrix.from_rows(
+        [
+            [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(right.cols)]
+            for i in range(left.rows)
+        ]
+    )
+
+
+def _determinantal_divisors(m):
+    """D_0 = 1, then D_k = gcd of all k x k minors for k = 1 .. min(rows, cols)."""
+    divisors = [1]
+    for k in range(1, min(m.rows, m.cols) + 1):
+        g = 0
+        for r in combinations(range(m.rows), k):
+            for c in combinations(range(m.cols), k):
+                g = gcd(g, IntMatrix.from_rows([[m.entries[i][j] for j in c] for i in r]).det())
+        divisors.append(g)
+    return divisors
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(low_rank_matrices(), int_matrices(4, 4, 9)))
+def test_cokernel_matches_determinantal_divisors(m):
+    # a second route to the invariant factors, sharing no elimination with
+    # the Smith normal form: d_1 ... d_k = D_k
+    divisors = _determinantal_divisors(m)
+    rank = max(k for k, dk in enumerate(divisors) if dk)
+    assert all(dk == 0 for dk in divisors[rank + 1 :])
+    factors = tuple(divisors[k] // divisors[k - 1] for k in range(1, rank + 1))
+    torsion = tuple(x for x in factors if x != 1)
+    assert cokernel(m) == AbelianGroupPresentation(m.rows - rank, torsion)
+    assert kernel_rank(m) == m.cols - rank
+
+
+@settings(max_examples=120, deadline=None)
+@given(int_matrices(8, 8, 9))
+def test_transform_free_routes_match_smith_normal_form(m):
+    snf = smith_normal_form(m)
+    assert cokernel(m) == snf.cokernel
+    assert kernel_rank(m) == snf.kernel_rank
+    alpha = m if m.rows >= m.cols else IntMatrix(tuple(zip(*m.entries)))
+    inclusion = IntMatrix.from_rows(
+        [[1 if i == j else 0 for j in range(alpha.cols)] for i in range(alpha.rows)]
+    )
+    snf = smith_normal_form(inclusion - alpha)
+    assert pv_k_groups(alpha) == (snf.cokernel, snf.kernel_rank)
+
+
+# The pivot rule fixes U and V exactly; this digest of (U, D, V) over seeded
+# matrices of the benchmark's shapes keeps a change to the elimination from
+# moving them unnoticed.
+SNF_PIN_SHAPES = [(n, n) for n in (8, 12, 16, 20, 24, 28, 28, 32, 32)]
+SNF_PIN_SHAPES += [(8, 12), (12, 8), (16, 24), (24, 16)]
+SNF_PIN_SHA256 = "1a55aa30413fdb2740cfa7ab85c014019ff7fc11d4e41ea4ef14714882646aae"
+
+
+def test_snf_transforms_pinned():
+    rng = random.Random(2008)
+    digest = hashlib.sha256()
+    for rows, cols in SNF_PIN_SHAPES:
+        m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
+        u, d, v = smith_normal_form(m)
+        digest.update(json.dumps([u.to_lists(), d.to_lists(), v.to_lists()]).encode())
+    assert digest.hexdigest() == SNF_PIN_SHA256
