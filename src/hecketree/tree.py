@@ -24,6 +24,7 @@ its vertex budget limits what a count visits, not the size of the ball.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
@@ -266,18 +267,34 @@ def base_edge(ball: TreeBall) -> int:
 
 
 def edges_by_weyl_word(ball: TreeBall, max_len: int) -> dict:
-    """Group all edges at crossing-word length <= max_len from the base edge."""
+    """Group all edges at crossing-word length <= max_len from the base edge.
+
+    Each group is one block of one sphere, handed out as a ``range``.  The
+    crossing word from the base edge (ray vertex 1) to the edge named by a
+    child at depth ``d`` depends only on ``d`` and on whether the child lies
+    below ray vertex 1.  If it does, the path crosses ray vertex 1 first and
+    the word is the ``t...`` word of length ``d - 1``; if not, it crosses the
+    root first and the word is the ``s...`` word of length ``d``.  The
+    children below ray vertex 1 are the first
+    ``span_d = width[1] * ... * width[d-1]`` of sphere ``d``, so the ``t...``
+    word of length ``L`` is offsets ``[0, span_{L+1})`` of sphere ``L + 1``,
+    the ``s...`` word of length ``L`` is offsets ``[span_L, |sphere L|)`` of
+    sphere ``L``, and the empty word is the base edge alone.  Groups come in
+    the order in which a scan of all edges would meet them.
+    """
     if ball.radius < max_len + 2:
         raise BallTooSmall(
             f"ball radius {ball.radius} < required {max_len + 2} for words of length {max_len}"
         )
-    e0 = base_edge(ball)
+    ss = ball.sphere_start
     groups: dict = {}
-    # an edge at edge-distance L from the base edge has child depth <= L + 1
-    for f in ball.edges(max_len + 1):
-        word = weyl_distance(ball, e0, f)
-        if len(word) <= max_len:
-            groups.setdefault(word, []).append(f)
+    span = 1  # span_d, vertices of sphere d below ray vertex 1
+    for d in range(1, max_len + 2):
+        if d > 1:
+            span *= ball.width[d - 1]
+        groups[("ts" * d)[: d - 1]] = ball._budgeted(ss[d], ss[d] + span)
+        if d <= max_len:
+            groups[("st" * d)[:d]] = ball._budgeted(ss[d] + span, ss[d + 1])
     return groups
 
 
@@ -288,6 +305,7 @@ def iwahori_constant(
     target: str,
     iflags: tuple = (0, 0, 0),
     _groups: dict | None = None,
+    _words: dict | None = None,
 ) -> int:
     """Edge count giving one structure constant of the edge-fixator algebra.
 
@@ -297,6 +315,13 @@ def iwahori_constant(
     a one-sided coset is an (edge, type-parity) pair; an index with the
     inversion flag set reaches the same edges through a type-swapped word,
     which is what the ``iflags`` adjustments below implement.
+
+    Two private caches serve a caller that counts many constants on one
+    ball: ``_groups`` holds :func:`edges_by_weyl_word` up to the longest
+    word counted, and ``_words`` maps (word from the base edge, witness
+    edge) to the histogram of crossing words from the witness over that
+    word's group, so each such pair is measured once and every ``w2`` is
+    read from it.
     """
     d1, d2, dt = (flag & 1 for flag in iflags)
     if d1 ^ d2 != dt:
@@ -316,7 +341,13 @@ def iwahori_constant(
     if not witnesses:
         raise BallTooSmall(f"no witness edge at word {word_eg!r} in {ball!r}")
     g = witnesses[0]
-    return sum(1 for f in groups.get(word_ef, ()) if weyl_distance(ball, f, g) == word_fg)
+    cache = {} if _words is None else _words
+    words = cache.get((word_ef, g))
+    if words is None:
+        words = cache[(word_ef, g)] = Counter(
+            weyl_distance(ball, f, g) for f in groups.get(word_ef, ())
+        )
+    return words[word_fg]
 
 
 # -- end-stabilizer (horocycle) counting ---------------------------------------
@@ -390,7 +421,12 @@ def horocycle_members(ball: TreeBall, n: int) -> list:
 
 
 def horocycle_constant(
-    ball: TreeBall, m: int, n: int, k: int, _members: dict | None = None
+    ball: TreeBall,
+    m: int,
+    n: int,
+    k: int,
+    _members: dict | None = None,
+    _classes: dict | None = None,
 ) -> int:
     """Count horocycle points at class ``m`` from the root and ``n`` from a witness.
 
@@ -398,7 +434,10 @@ def horocycle_constant(
     is the structure constant of the class-``k`` basis element in the
     product of the class-``m`` and class-``n`` ones.  ``_members`` maps
     classes to their :func:`horocycle_members` on this ball, computed once
-    by a caller that counts many constants.
+    by a caller that counts many constants; such a caller may also pass
+    ``_classes``, which maps ``(m, k)`` to the histogram of confluence
+    classes from the witness over the class-``m`` members, so each pair is
+    measured once and every ``n`` is read from it.
     """
     if min(m, n, k) < 0:
         raise ValueError("horocycle classes must be nonnegative")
@@ -407,5 +446,11 @@ def horocycle_constant(
         raise BallTooSmall(f"ball radius {ball.radius} < required {bound}")
     if _members is None:
         _members = {j: horocycle_members(ball, j) for j in {m, k}}
-    pw = _ray_path(ball, _members[k][0])
-    return sum(1 for v in _members[m] if _confluence_class(_ray_path(ball, v), pw) == n)
+    cache = {} if _classes is None else _classes
+    classes = cache.get((m, k))
+    if classes is None:
+        pw = _ray_path(ball, _members[k][0])
+        classes = cache[(m, k)] = Counter(
+            _confluence_class(_ray_path(ball, v), pw) for v in _members[m]
+        )
+    return classes[n]

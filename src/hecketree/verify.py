@@ -148,7 +148,9 @@ def verify_iwahori(
     algebra = IwahoriAlgebra(qs, qt)
     ball = tree.build_ball(qs, qt, 2 * max_len + 2, max_vertices)
     groups = tree.edges_by_weyl_word(ball, 2 * max_len)
-    indices = algebra.words_up_to(max_len)
+    words: dict = {}  # the oracle's histograms, freed with the sweep
+    targets = [algebra.words_up_to(n) for n in range(2 * max_len + 1)]
+    indices = targets[max_len]
     oracle_decorated = qs == qt
 
     def routes(a, b):
@@ -158,7 +160,7 @@ def verify_iwahori(
         }
         if oracle_decorated or (a.iflag == b.iflag == 0):
             oracle = {}
-            for target in algebra.words_up_to(len(a.word) + len(b.word)):
+            for target in targets[len(a.word) + len(b.word)]:
                 if target.iflag != a.iflag ^ b.iflag:
                     continue
                 count = tree.iwahori_constant(
@@ -168,6 +170,7 @@ def verify_iwahori(
                     target.word,
                     (a.iflag, b.iflag, target.iflag),
                     _groups=groups,
+                    _words=words,
                 )
                 if count:
                     oracle[target] = count
@@ -198,6 +201,7 @@ def verify_affine(
     algebra = HorocycleAlgebra(q)
     ball = tree.build_ball(q, q, 2 * max_index + 2, max_vertices)
     members = {j: tree.horocycle_members(ball, j) for j in range(max_index + 1)}
+    classes: dict = {}  # the oracle's histograms, freed with the sweep
 
     def routes(m, n):
         return {
@@ -206,7 +210,11 @@ def verify_affine(
             "oracle": {
                 k: count
                 for k in range(max(m, n) + 1)
-                if (count := tree.horocycle_constant(ball, m, n, k, _members=members))
+                if (
+                    count := tree.horocycle_constant(
+                        ball, m, n, k, _members=members, _classes=classes
+                    )
+                )
             },
         }
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_acceptance import ACCEPTANCE_COMMANDS
 
-from hecketree import cli, verify
+from hecketree import cli, tree, verify
 from hecketree.cli import main
 from hecketree.endstab import HorocycleAlgebra, m_to_nf
 from hecketree.iwahori import IwahoriAlgebra
@@ -367,13 +367,31 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["value"] == [["G0", "3/1"], ["G2", "1/1"]]
 
 
+def test_verify_budget_limits_one_word_group(capsys):
+    # the largest group of verify iwahori --qs 2 --qt 3 --len 5 has 7776
+    # edges, of the 41988 edges of child depth <= 11
+    argv = ["verify", "iwahori", "--qs", "2", "--qt", "3", "--len", "5"]
+    code, out = run_cli(capsys, *argv, "--max-ball-vertices", "7776")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ACCEPTANCE_STDOUT_SHA256[" ".join(argv)]
+    code = main([*argv, "--max-ball-vertices", "7775"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "budget of 7775" in captured.err
+
+
 def _perturb(monkeypatch, owner, name, hit):
-    """Make the route ``owner.name`` add the unit to its result on the calls ``hit`` picks."""
+    """Make the route ``owner.name`` add the unit to its result on the calls ``hit`` picks.
+
+    ``hit`` sees the positional arguments; a tree count gains 1.
+    """
     original = getattr(owner, name)
 
-    def route(*args):
-        out = original(*args)
-        return out + out.algebra.one() if hit(*args) else out
+    def route(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if not hit(*args):
+            return out
+        return out + (1 if isinstance(out, int) else out.algebra.one())
 
     monkeypatch.setattr(owner, name, route)
 
@@ -415,6 +433,23 @@ _NF_M1_M1 = m_to_nf(HorocycleAlgebra(3), 1) * m_to_nf(HorocycleAlgebra(3), 1)
             lambda self, a, b: (a.label(), b.label()) == ("1/5", "2/5"),
             [["1/5", "2/5"]],
             ["orbit", "convolution"],
+        ),
+        (
+            ("verify", "iwahori", "--qs", "2", "--qt", "2", "--len", "1"),
+            tree,
+            "iwahori_constant",
+            lambda ball, w1, w2, target, iflags: (w1, w2, target, iflags)
+            == ("s", "t", "st", (0, 0, 0)),
+            [["s", "t"]],
+            ["generated", "closed", "oracle"],
+        ),
+        (
+            ("verify", "affine", "--q", "3", "--max", "2"),
+            tree,
+            "horocycle_constant",
+            lambda ball, m, n, k: (m, n, k) == (1, 2, 2),
+            [["M1", "M2"]],
+            ["table", "normal-form", "oracle"],
         ),
     ],
 )
@@ -541,6 +576,30 @@ ACCEPTANCE_STDOUT_SHA256 = {
 }
 
 
+# sha256 of the stdout of the deeper verify sweeps the acceptance commands
+# leave out, one pair per oracle family.
+VERIFY_STDOUT_SHA256 = {
+    "verify spherical --q 2 --max 8": (
+        "8b53df132f1949b4976e11ebcb89a649ff6ad7ce80ebf65593dcec52500defae"
+    ),
+    "verify spherical --q 3 --max 6": (
+        "08c3b257dba77aa5339e29cbfd5922eefe0cc30566d1452ab065bbf8b2c3ee5c"
+    ),
+    "verify affine --q 2 --max 7": (
+        "0e5c7ae26f98801a8d482c181a80c62768e0cf74b446a1abd5930acc36c9585e"
+    ),
+    "verify affine --q 3 --max 5": (
+        "1cd9de3206ad5fb568998d0d77362e8af5c253f92803441f3b795b5087810fc5"
+    ),
+    "verify iwahori --qs 3 --qt 3 --len 4": (
+        "23a3e0151828c46224a45f43bd1b3b9cceb853c42c0751d82c7da8bded10e519"
+    ),
+    "verify iwahori --qs 3 --qt 2 --len 4": (
+        "66f0763f4882d22d96a7969d015c31dfc5b706d00972b8e62bcd14d28803e871"
+    ),
+}
+
+
 def test_acceptance_output_pinned(capsys):
     assert len(ACCEPTANCE_STDOUT_SHA256) == len(ACCEPTANCE_COMMANDS)
     for argv in ACCEPTANCE_COMMANDS:
@@ -548,6 +607,13 @@ def test_acceptance_output_pinned(capsys):
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == ACCEPTANCE_STDOUT_SHA256[" ".join(argv)], argv
+
+
+def test_verify_output_pinned(capsys):
+    for command, expected in VERIFY_STDOUT_SHA256.items():
+        code, out = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, command
 
 
 # sha256 of the stdout of larger ktheory runs than the acceptance command:

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hecketree import tree
+from hecketree import tree, verify
 
 
 def test_ball_shapes():
@@ -139,6 +139,36 @@ def test_weyl_reverse_symmetry(ball23):
     for _ in range(60):
         e, f = rng.choice(edges), rng.choice(edges)
         assert tree.weyl_distance(ball23, e, f) == tree.weyl_distance(ball23, f, e)[::-1]
+
+
+def _edges_by_weyl_word_scan(ball, max_len):
+    """Reference grouping: measure every edge of child depth <= max_len + 1."""
+    e0 = tree.base_edge(ball)
+    groups = {}
+    for f in ball.edges(max_len + 1):
+        word = tree.weyl_distance(ball, e0, f)
+        if len(word) <= max_len:
+            groups.setdefault(word, []).append(f)
+    return groups
+
+
+@pytest.mark.parametrize("q0,q1", [(2, 2), (2, 3), (3, 2), (4, 4), (3, 5)])
+def test_edges_by_weyl_word_match_edge_scan(q0, q1):
+    b = tree.build_ball(q0, q1, 8)
+    for max_len in range(7):
+        groups = tree.edges_by_weyl_word(b, max_len)
+        scan = _edges_by_weyl_word_scan(b, max_len)
+        assert list(groups) == list(scan)
+        assert {word: list(edges) for word, edges in groups.items()} == scan
+
+
+def test_edges_by_weyl_word_budget_counts_one_group():
+    # the largest group at length 6 in the 5-regular ball has 4^6 edges,
+    # of the 27305 edges of child depth <= 7
+    groups = tree.edges_by_weyl_word(tree.build_ball(4, 4, 8, max_vertices=4096), 6)
+    assert max(len(edges) for edges in groups.values()) == 4096
+    with pytest.raises(tree.BallBudgetExceeded):
+        tree.edges_by_weyl_word(tree.build_ball(4, 4, 8, max_vertices=4095), 6)
 
 
 def test_iwahori_constant_examples(ball22):
@@ -284,6 +314,34 @@ def test_horocycle_witness_independence(ball22, ball33):
                         )
                     assert len(counts) == 1
                     assert counts.pop() == tree.horocycle_constant(ball, m, n, k)
+
+
+@pytest.mark.parametrize(
+    "name, cache, sweep",
+    [
+        ("iwahori_constant", "_words", lambda: verify.verify_iwahori(2, 2, 3)),
+        ("iwahori_constant", "_words", lambda: verify.verify_iwahori(2, 3, 3)),
+        ("horocycle_constant", "_classes", lambda: verify.verify_affine(2, 3)),
+        ("horocycle_constant", "_classes", lambda: verify.verify_affine(3, 3)),
+    ],
+)
+def test_sweep_caches_change_no_count(monkeypatch, name, cache, sweep):
+    # every oracle call of the sweep, with the sweep's shared histograms,
+    # against the same call with no cache at all
+    original = getattr(tree, name)
+    calls = []
+
+    def checked(*args, **kwargs):
+        assert cache in kwargs
+        count = original(*args, **kwargs)
+        assert count == original(*args), args[1:]
+        calls.append(args)
+        return count
+
+    monkeypatch.setattr(tree, name, checked)
+    report = sweep()
+    assert report.ok
+    assert len(calls) > report.cells
 
 
 class _ExplicitBall:
