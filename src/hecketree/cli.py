@@ -28,12 +28,12 @@ from .spherical import SphericalAlgebra, SphericalParams
 from .tree import DEFAULT_MAX_VERTICES
 
 
-def fmt_rational(x: Fraction) -> str:
+def fmt_rational(x: int | Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
 def product_record(family: str, algebra, a, b) -> dict:
-    prod = algebra.basis_element(a) * algebra.basis_element(b)
+    prod = algebra.multiply_basis(a, b)
     return {
         "family": family,
         "key": [algebra.basis_label(a), algebra.basis_label(b)],

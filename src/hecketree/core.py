@@ -8,6 +8,12 @@ the right-coset count of each basis index.  Everything else -- sparse linear
 combinations with exact rational coefficients, bilinear multiplication, the
 star involution, and the coset-counting homomorphism to the scalars -- is
 generic and lives in :class:`HeckeElement`.
+
+Coefficient rule, owned by :func:`exact`: a coefficient is an ``int`` or a
+``Fraction`` and is kept as given, never converted; anything else, ``bool``
+and ``float`` included, is a ``TypeError``.  Integer structure constants
+therefore stay ``int`` through every product of integer elements, and a
+``Fraction`` appears only where a value really is a quotient.
 """
 
 from __future__ import annotations
@@ -95,12 +101,15 @@ class HeckeAlgebra:
         return HeckeElement(self, {})
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def exact(value) -> int | Fraction:
+    """Return an exact coefficient unchanged; raise TypeError for any other value.
+
+    ``int`` and ``Fraction`` pass as they are, so integers stay integers;
+    ``bool``, ``float`` and everything else are rejected, never coerced.
+    """
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"coefficients must be exact rationals, got {type(value)!r}")
+    raise TypeError(f"coefficients must be int or Fraction, got {type(value)!r}")
 
 
 class HeckeElement:
@@ -108,7 +117,9 @@ class HeckeElement:
 
     Immutable value type: every operation returns a new element, zero terms
     are pruned on construction, and equality is structural.  Coefficients
-    are exact ``int`` or ``Fraction`` values.  An element may share its term
+    are checked by :func:`exact` and kept as given: ``int`` or ``Fraction``.
+    ``int`` 3 and ``Fraction(3)`` compare and hash equal, so equality does
+    not see the difference.  An element may share its term
     dict with the product cache, so ``_terms`` is never mutated once built.
     """
 
@@ -118,7 +129,7 @@ class HeckeElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict = {}
         for idx, coeff in items:
-            coeff = _as_fraction(coeff)
+            coeff = exact(coeff)
             if not coeff:
                 continue
             prev = acc.get(idx)
@@ -147,8 +158,8 @@ class HeckeElement:
         """Term list sorted by the algebra's canonical basis order."""
         return sorted(self._terms.items(), key=lambda kv: self.algebra.basis_key(kv[0]))
 
-    def coefficient(self, idx) -> Fraction:
-        return self._terms.get(idx, Fraction(0))
+    def coefficient(self, idx) -> int | Fraction:
+        return self._terms.get(idx, 0)
 
     def support(self) -> set:
         return set(self._terms)
@@ -214,7 +225,7 @@ class HeckeElement:
         return self + (-other)
 
     def scale(self, scalar) -> "HeckeElement":
-        scalar = _as_fraction(scalar)
+        scalar = exact(scalar)
         if not scalar:
             return HeckeElement._of(self.algebra, {})
         return HeckeElement._of(
@@ -250,9 +261,9 @@ class HeckeElement:
             [(self.algebra.involute_basis(idx), coeff) for idx, coeff in self._terms.items()],
         )
 
-    def r_hom(self) -> Fraction:
+    def r_hom(self) -> int | Fraction:
         """Coset-counting homomorphism to the scalars."""
-        total = Fraction(0)
+        total = 0
         for idx, coeff in self._terms.items():
             total += coeff * self.algebra.r_value(idx)
         return total

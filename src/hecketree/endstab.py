@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import HeckeAlgebra, HeckeElement
+from .core import HeckeAlgebra, HeckeElement, exact
 from .ktheory import BratteliDiagram, IntMatrix
 
 
@@ -184,25 +184,27 @@ def nf_to_m(x: HeckeElement) -> HeckeElement:
     # (n, n) = sum of classes 0..n, so the class-i coefficient is a tail sum
     terms = {}
     for i in range(max(diag, default=-1) + 1):
-        total = sum((coeff for n, coeff in diag.items() if n >= i), Fraction(0))
-        terms[i] = total
+        terms[i] = sum(coeff for n, coeff in diag.items() if n >= i)
     return m_algebra.element(terms)
 
 
 class EventuallyConstantSeq:
-    """Rational sequence with a finite prefix and a constant tail, in canonical form."""
+    """Rational sequence with a finite prefix and a constant tail, in canonical form.
+
+    Values must pass :func:`core.exact`; they are kept as given.
+    """
 
     __slots__ = ("prefix", "tail")
 
     def __init__(self, prefix, tail):
-        tail = Fraction(tail)
-        cleaned = [Fraction(x) for x in prefix]
+        tail = exact(tail)
+        cleaned = [exact(x) for x in prefix]
         while cleaned and cleaned[-1] == tail:
             cleaned.pop()
         self.prefix = tuple(cleaned)
         self.tail = tail
 
-    def value_at(self, k: int) -> Fraction:
+    def value_at(self, k: int) -> int | Fraction:
         return self.prefix[k] if k < len(self.prefix) else self.tail
 
     def __eq__(self, other):
@@ -251,8 +253,8 @@ def to_sequence(x: HeckeElement) -> EventuallyConstantSeq:
         raise TypeError("expected an element of the horocycle algebra")
     q = algebra.q
     top = max((n for n, _ in x.terms()), default=0)
-    values = [Fraction(0)] * (top + 1)
-    tail = Fraction(0)
+    values = [0] * (top + 1)
+    tail = 0
     for n, coeff in x.terms():
         if n == 0:
             for k in range(top + 1):
@@ -283,7 +285,7 @@ def from_sequence(seq: EventuallyConstantSeq, q: int) -> HeckeElement:
             continue
         weight = jump * Fraction(1, q**k)
         for i in range(k + 1):
-            terms[i] = terms.get(i, Fraction(0)) + weight
+            terms[i] = terms.get(i, 0) + weight
     return algebra.element(terms)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import HeckeAlgebra, HeckeElement
+from .core import HeckeAlgebra, HeckeElement, exact
 
 HOMOGENEOUS = "homogeneous"
 TWO_ORBIT = "two-orbit"
@@ -78,7 +78,7 @@ class SphericalAlgebra(HeckeAlgebra):
     def __init__(self, params: SphericalParams):
         super().__init__()
         self.params = params
-        self._basis_polys = [(Fraction(1),), (Fraction(0), Fraction(1))]
+        self._basis_polys = [(1,), (0, 1)]
 
     def _key(self):
         return self.params
@@ -124,12 +124,12 @@ class SphericalAlgebra(HeckeAlgebra):
         acc: dict = {}
         for n, coeff in x.terms():
             if n == 0:
-                acc[1] = acc.get(1, Fraction(0)) + coeff
+                acc[1] = acc.get(1, 0) + coeff
                 continue
             a, b = self._recursion(n)
             for idx, weight in ((n - 1, a), (n, b), (n + 1, 1)):
                 if weight:
-                    acc[idx] = acc.get(idx, Fraction(0)) + coeff * weight
+                    acc[idx] = acc.get(idx, 0) + coeff * weight
         return HeckeElement(self, acc)
 
     def multiply_recursive(self, n: int, m: int) -> HeckeElement:
@@ -143,7 +143,7 @@ class SphericalAlgebra(HeckeAlgebra):
         result = self.generator_times(result)  # class 1 times basis(m)
         for k in range(1, n):
             a, b = self._recursion(k)
-            nxt = self.generator_times(result) - Fraction(b) * result - Fraction(a) * prev
+            nxt = self.generator_times(result) - b * result - a * prev
             prev, result = result, nxt
         return result
 
@@ -204,7 +204,7 @@ class SphericalAlgebra(HeckeAlgebra):
         while len(polys) <= n:
             k = len(polys) - 1
             a, b = self._recursion(k)
-            shifted = (Fraction(0),) + polys[k]
+            shifted = (0,) + polys[k]
             nxt = [c for c in shifted]
             for i, c in enumerate(polys[k]):
                 nxt[i] -= b * c
@@ -218,7 +218,7 @@ class SphericalAlgebra(HeckeAlgebra):
         if x.is_zero():
             return ()
         degree = max(n for n, _ in x.terms())
-        coeffs = [Fraction(0)] * (degree + 1)
+        coeffs = [0] * (degree + 1)
         for n, c in x.terms():
             for i, p in enumerate(self._basis_poly(n)):
                 coeffs[i] += c * p
@@ -227,8 +227,8 @@ class SphericalAlgebra(HeckeAlgebra):
         return tuple(coeffs)
 
     def from_polynomial(self, coeffs) -> HeckeElement:
-        """Inverse of :meth:`to_polynomial`; exact on any rational coefficient list."""
-        work = [Fraction(c) for c in coeffs]
+        """Inverse of :meth:`to_polynomial`; ``coeffs`` must pass :func:`core.exact`."""
+        work = [exact(c) for c in coeffs]
         while work and not work[-1]:
             work.pop()
         acc: dict = {}
@@ -236,7 +236,7 @@ class SphericalAlgebra(HeckeAlgebra):
             c = work[d]
             if not c:
                 continue
-            acc[d] = acc.get(d, Fraction(0)) + c
+            acc[d] = c
             for i, p in enumerate(self._basis_poly(d)):
                 work[i] -= c * p
         return HeckeElement(self, acc)

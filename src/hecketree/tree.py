@@ -58,7 +58,8 @@ class TreeBall:
     Only the sphere offsets and the branching ``width[d]`` at each depth are
     stored, O(radius) integers; depths, parents, the marked ray and paths
     are derived on demand.  ``max_vertices`` bounds every vertex range the
-    ball hands out (:meth:`sphere`, :meth:`edges`): what a count visits.
+    ball hands out (:meth:`sphere`, the blocks of :func:`edges_by_weyl_word`,
+    :func:`horocycle_members`): what a count visits.
     """
 
     q0: int
@@ -101,11 +102,6 @@ class TreeBall:
         if j < 0 or j > self.radius:
             raise BallTooSmall(f"ray vertex {j} outside ball of radius {self.radius}")
         return self.sphere_start[j]
-
-    def edges(self, depth: int | None = None) -> range:
-        """Edges, each named by its child endpoint, of child depth <= ``depth``."""
-        depth = self.radius if depth is None else min(depth, self.radius)
-        return self._budgeted(1, self.sphere_start[depth + 1])
 
     def __repr__(self):
         return (
@@ -259,13 +255,6 @@ def weyl_distance(ball: TreeBall, e: int, f: int) -> str:
     return (("ts" if near_e & 1 else "st") * (length // 2 + 1))[:length]
 
 
-def base_edge(ball: TreeBall) -> int:
-    """The distinguished edge: first ray edge, joining the root to ray vertex 1."""
-    if ball.radius < 1:
-        raise BallTooSmall("ball of radius 0 has no edges")
-    return ball.ray_vertex(1)
-
-
 def edges_by_weyl_word(ball: TreeBall, max_len: int) -> dict:
     """Group all edges at crossing-word length <= max_len from the base edge.
 
@@ -353,36 +342,27 @@ def iwahori_constant(
 # -- end-stabilizer (horocycle) counting ---------------------------------------
 
 
-def _ray_path(ball: TreeBall, v: int) -> list:
-    """The ray from ``v`` toward the marked end: up to the marked ray, then along it."""
-    sphere_start, width = ball.sphere_start, ball.width
-    path = [v]
-    d = ball.depth(v)
-    offset = v - sphere_start[d]
-    while offset:
-        d -= 1
-        offset //= width[d]
-        path.append(sphere_start[d] + offset)
-    path.extend(sphere_start[j] for j in range(d + 1, ball.radius + 1))
-    return path
+def _confluence_class(ball: TreeBall, u: int, v: int) -> int:
+    """Distance from ``u`` and from ``v`` to where their rays toward the marked end merge.
 
-
-def _confluence_class(pu: list, pv: list) -> int:
-    """Distance from the starts of two rays toward the marked end to where they merge.
-
-    ``pu`` and ``pv`` are :func:`_ray_path` lists, which end at the same ray
-    vertex; raises :class:`HorocycleMismatch` when the two distances differ.
+    The ray from a vertex climbs to its deepest marked-ray ancestor, at depth
+    ``c`` (:func:`ray_confluence_depth`), then runs down the marked ray.  If
+    the deepest common ancestor of ``u`` and ``v`` is off the marked ray, the
+    two rays merge there; otherwise they merge at the marked-ray vertex of
+    depth ``max(cu, cv)``.  Raises :class:`HorocycleMismatch` when the two
+    distances differ.
     """
-    i = 1
-    stop = min(len(pu), len(pv))
-    while i <= stop and pu[-i] == pv[-i]:
-        i += 1
-    i -= 1
-    n_u = len(pu) - i
-    n_v = len(pv) - i
+    du, dv, dc = _meet(ball, u, v)
+    cu = ray_confluence_depth(ball, u)
+    if dc > cu:
+        n_u, n_v = du - dc, dv - dc
+    else:
+        cv = ray_confluence_depth(ball, v)
+        top = max(cu, cv)
+        n_u, n_v = du + top - 2 * cu, dv + top - 2 * cv
     if n_u != n_v:
         raise HorocycleMismatch(
-            f"vertices {pu[0]} and {pv[0]} lie on different horocycles ({n_u} != {n_v})"
+            f"vertices {u} and {v} lie on different horocycles ({n_u} != {n_v})"
         )
     return n_u
 
@@ -399,7 +379,7 @@ def horocycle_class(ball: TreeBall, ray: tuple, u: int, v: int) -> int:
         raise ValueError("ray does not match the ball's marked ray")
     if u == v:
         return 0
-    return _confluence_class(_ray_path(ball, u), _ray_path(ball, v))
+    return _confluence_class(ball, u, v)
 
 
 def horocycle_members(ball: TreeBall, n: int) -> list:
@@ -449,8 +429,6 @@ def horocycle_constant(
     cache = {} if _classes is None else _classes
     classes = cache.get((m, k))
     if classes is None:
-        pw = _ray_path(ball, _members[k][0])
-        classes = cache[(m, k)] = Counter(
-            _confluence_class(_ray_path(ball, v), pw) for v in _members[m]
-        )
+        w = _members[k][0]
+        classes = cache[(m, k)] = Counter(_confluence_class(ball, v, w) for v in _members[m])
     return classes[n]

@@ -53,8 +53,15 @@ def test_known_products():
 def test_scalar_coefficient_types():
     x = Fraction(1, 2) * A.basis_element(1)
     assert x.coefficient(1) == Fraction(1, 2)
-    with pytest.raises(TypeError):
-        A.element({1: 0.5})
+    # integers are kept as given, never converted to Fraction
+    y = A.element({1: 3})
+    assert type(y.coefficient(1)) is int and type(y.coefficient(2)) is int
+    assert type((2 * y).coefficient(1)) is int
+    for bad in (0.5, True):
+        with pytest.raises(TypeError):
+            A.element({1: bad})
+        with pytest.raises(TypeError):
+            A.basis_element(1).scale(bad)
 
 
 def test_mixed_algebra_rejected():
@@ -103,10 +110,32 @@ def test_distributive(x, y, z):
 
 
 def test_structure_constants_nonnegative_integers():
-    for n in range(5):
-        for m in range(5):
-            for _, coeff in A.multiply_basis(n, m).terms():
-                assert coeff.denominator == 1 and coeff >= 0
+    # every route of every family keeps the counts as int, not Fraction
+    from hecketree.endstab import HorocycleAlgebra, ToeplitzAlgebra, m_to_nf, nf_to_m
+    from hecketree.iwahori import IwahoriAlgebra
+
+    two_orbit = SphericalAlgebra(SphericalParams.two_orbit(2, 3))
+    iwahori, M, S = IwahoriAlgebra(2, 3), HorocycleAlgebra(3), SL2EndAlgebra(5)
+    families = [
+        (A, range(5), A.multiply_recursive),
+        (two_orbit, range(4), two_orbit.multiply_recursive),
+        (iwahori, iwahori.words_up_to(2), iwahori.multiply_closed),
+        (M, range(4), lambda a, b: nf_to_m(m_to_nf(M, a) * m_to_nf(M, b))),
+        (ToeplitzAlgebra(2), [(a, b) for a in range(3) for b in range(3)], None),
+        (S, S.cosets_up_to_depth(2), None),
+    ]
+    for algebra, indices, other_route in families:
+        for a in indices:
+            for b in indices:
+                products = [
+                    algebra.multiply_basis(a, b),
+                    algebra.basis_element(a) * algebra.basis_element(b),
+                ]
+                if other_route:
+                    products.append(other_route(a, b))
+                for x in products:
+                    assert all(type(c) is int and c > 0 for _, c in x.terms()), (a, b)
+                    assert type(x.r_hom()) is int
 
 
 def test_terms_sorted_canonically():

@@ -177,6 +177,8 @@ def test_sequence_canonical_form():
     s = EventuallyConstantSeq([0, 2, 1], 1)
     assert s.prefix == (0, 2)
     assert s.value_at(1) == 2 and s.value_at(10) == 1
+    with pytest.raises(TypeError):
+        EventuallyConstantSeq([0.1], 1)
 
 
 def test_toeplitz_bratteli_shape():

@@ -138,6 +138,8 @@ def test_polynomial_examples():
     assert Q2.to_polynomial(Q2.basis_element(2)) == (-3, 0, 1)
     assert Q2.to_polynomial(Q2.one()) == (1,)
     assert Q2.to_polynomial(Q2.basis_element(3)) == (0, -5, 0, 1)
+    with pytest.raises(TypeError):
+        Q2.from_polynomial([0.5])
 
 
 def test_polynomial_monic():

@@ -1,6 +1,7 @@
 """Geometry of tree balls and the counting oracle itself."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,7 +112,7 @@ def test_spherical_requires_radius():
 
 
 def test_weyl_distance_basics(ball22):
-    e0 = tree.base_edge(ball22)
+    e0 = ball22.ray_vertex(1)  # the base edge, named by its child endpoint
     assert tree.weyl_distance(ball22, e0, e0) == ""
     groups = tree.edges_by_weyl_word(ball22, 3)
     # crossing the even-type root gives the letter s, the odd endpoint t
@@ -135,7 +136,7 @@ def test_weyl_word_lengths_are_edge_valencies(ball23):
 
 def test_weyl_reverse_symmetry(ball23):
     rng = random.Random(7)
-    edges = list(ball23.edges())[:400]
+    edges = range(1, 401)  # edges, each named by its child endpoint
     for _ in range(60):
         e, f = rng.choice(edges), rng.choice(edges)
         assert tree.weyl_distance(ball23, e, f) == tree.weyl_distance(ball23, f, e)[::-1]
@@ -143,9 +144,9 @@ def test_weyl_reverse_symmetry(ball23):
 
 def _edges_by_weyl_word_scan(ball, max_len):
     """Reference grouping: measure every edge of child depth <= max_len + 1."""
-    e0 = tree.base_edge(ball)
+    e0 = ball.ray_vertex(1)
     groups = {}
-    for f in ball.edges(max_len + 1):
+    for f in range(1, ball.sphere_start[max_len + 2]):
         word = tree.weyl_distance(ball, e0, f)
         if len(word) <= max_len:
             groups.setdefault(word, []).append(f)
@@ -233,6 +234,51 @@ def test_horocycle_mismatch_raises(ball22):
     ray = ball22.ray()
     with pytest.raises(tree.HorocycleMismatch):
         tree.horocycle_class(ball22, ray, 0, ball22.ray_vertex(2))
+
+
+def _ray_path(ball, v):
+    """The ray from ``v`` toward the marked end: up to the marked ray, then along it."""
+    path = [v]
+    while v not in ball.ray():
+        v = ball.parent(v)
+        path.append(v)
+    path.extend(ball.ray()[ball.depth(v) + 1 :])
+    return path
+
+
+def _horocycle_class_by_ray_lists(ball, u, v):
+    """Reference route: compare the two ray lists from their common far end."""
+    pu, pv = _ray_path(ball, u), _ray_path(ball, v)
+    i = 1
+    while i <= min(len(pu), len(pv)) and pu[-i] == pv[-i]:
+        i += 1
+    n_u, n_v = len(pu) - i + 1, len(pv) - i + 1
+    if n_u != n_v:
+        raise tree.HorocycleMismatch(f"{n_u} != {n_v}")
+    return n_u
+
+
+@pytest.mark.parametrize(
+    "q0,q1,radius", [(2, 2, 5), (3, 3, 4), (2, 3, 4), (3, 2, 4), (4, 4, 3)]
+)
+def test_horocycle_class_matches_ray_lists(q0, q1, radius):
+    # every vertex pair of the ball, most of them on different horocycles,
+    # where both routes must raise
+    b = tree.build_ball(q0, q1, radius)
+    ray = b.ray()
+    outcomes = Counter()
+    for u in range(b.num_vertices):
+        for v in range(b.num_vertices):
+            try:
+                expected = _horocycle_class_by_ray_lists(b, u, v)
+            except tree.HorocycleMismatch:
+                with pytest.raises(tree.HorocycleMismatch):
+                    tree.horocycle_class(b, ray, u, v)
+                outcomes["mismatch"] += 1
+            else:
+                assert tree.horocycle_class(b, ray, u, v) == expected, (u, v)
+                outcomes[expected] += 1
+    assert outcomes["mismatch"] and len(outcomes) > radius // 2
 
 
 def test_horocycle_class_stable_under_deepening():
