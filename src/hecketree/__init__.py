@@ -54,7 +54,9 @@ from .tree import (
     horocycle_class,
     horocycle_constant,
     horocycle_members,
+    horocycle_product,
     iwahori_constant,
+    iwahori_product,
     spherical_constant,
     spherical_product,
     weyl_distance,

@@ -274,9 +274,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser :func:`main` builds on its first call and reuses for the rest
+#: of the process; building one costs about a millisecond.
+_PARSER: list = []
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if not _PARSER:
+        _PARSER.append(build_parser())
+    args = _PARSER[0].parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -18,8 +18,8 @@ therefore stay ``int`` through every product of integer elements, and a
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 
 class HeckeAlgebra:

@@ -37,6 +37,7 @@ code.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .core import HeckeAlgebra, HeckeElement, exact
 from .ktheory import BratteliDiagram, IntMatrix
@@ -55,6 +56,14 @@ class HorocycleAlgebra(HeckeAlgebra):
 
     def _key(self):
         return self.q
+
+    @cached_property
+    def normal_form(self) -> "ToeplitzAlgebra":
+        """The normal-form algebra :func:`m_to_nf` maps into, one per horocycle algebra.
+
+        Sharing it shares its product cache between conversions.
+        """
+        return ToeplitzAlgebra(self.q)
 
     def r_value(self, n: int) -> int:
         return 1 if n == 0 else (self.q - 1) * self.q ** (n - 1)
@@ -148,7 +157,7 @@ class ToeplitzAlgebra(HeckeAlgebra):
 
 def m_to_nf(m_algebra: HorocycleAlgebra, n: int) -> HeckeElement:
     """Horocycle class ``n`` in normal form: ``(n,n) - (n-1,n-1)``; class 0 is the unit."""
-    nf = ToeplitzAlgebra(m_algebra.q)
+    nf = m_algebra.normal_form
     if n == 0:
         return nf.one()
     return nf.element({(n, n): 1, (n - 1, n - 1): -1})
@@ -159,8 +168,7 @@ def m_element_to_nf(x: HeckeElement) -> HeckeElement:
     m_algebra = x.algebra
     if not isinstance(m_algebra, HorocycleAlgebra):
         raise TypeError("expected an element of the horocycle algebra")
-    nf = ToeplitzAlgebra(m_algebra.q)
-    out = nf.zero()
+    out = m_algebra.normal_form.zero()
     for n, coeff in x.terms():
         out = out + coeff * m_to_nf(m_algebra, n)
     return out

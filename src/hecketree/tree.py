@@ -4,7 +4,10 @@ The counting functions here know nothing about closed-form multiplication
 tables: every structure constant is obtained by enumerating vertices or
 edges of a finite ball and measuring distances along unique paths.  They
 serve as the independent oracle against which the algebraic modules are
-verified.
+verified.  Each family has a per-cell function (:func:`spherical_product`,
+:func:`iwahori_product`, :func:`horocycle_product`) that returns a whole
+structure-constant vector, read from histograms a sweep may share between
+cells, and a single-constant reference beside it.
 
 Conventions (fixed so all enumeration orders are deterministic):
 
@@ -208,28 +211,35 @@ def spherical_constant(ball: TreeBall, n: int, m: int, k: int) -> int:
     return sum(1 for v in ball.sphere(n) if distance(ball, v, w) == m)
 
 
-def spherical_product(ball: TreeBall, n: int, m: int) -> dict:
+def spherical_product(ball: TreeBall, n: int, m: int, _depths: dict | None = None) -> dict:
     """Full structure-constant vector of a sphere-sphere product, by counting.
 
     Equivalent to ``{k: spherical_constant(ball, n, m, k)}`` over all
     ``k <= n + m`` but in a single pass: with the witness for class ``k``
     sitting on the marked ray at depth ``k``, the distance from a vertex
     ``v`` of the ``n``-sphere to it is determined by the depth at which the
-    path from ``v`` to the root meets the ray.
+    path from ``v`` to the root meets the ray.  So the vector is read from
+    the histogram of those depths over the ``n``-sphere, which does not
+    depend on ``m``.  A caller that counts many products on one ball may
+    pass ``_depths``, which maps ``n`` to that histogram, so each sphere is
+    measured once and every ``m`` is read from it.
     """
     if min(n, m) < 0:
         raise ValueError("sphere radii must be nonnegative")
     if ball.radius < n + m:
         raise BallTooSmall(f"ball radius {ball.radius} < required {n + m}")
+    cache = {} if _depths is None else _depths
+    depths = cache.get(n)
+    if depths is None:
+        depths = cache[n] = Counter(ray_confluence_depth(ball, v) for v in ball.sphere(n))
     counts: dict = {}
-    for v in ball.sphere(n):
-        c = ray_confluence_depth(ball, v)
+    for c, size in depths.items():
         k = n - m
         if 0 <= k <= c:
-            counts[k] = counts.get(k, 0) + 1
+            counts[k] = counts.get(k, 0) + size
         k = m - n + 2 * c
         if c < k <= n + m:
-            counts[k] = counts.get(k, 0) + 1
+            counts[k] = counts.get(k, 0) + size
     return counts
 
 
@@ -287,6 +297,26 @@ def edges_by_weyl_word(ball: TreeBall, max_len: int) -> dict:
     return groups
 
 
+def _word_histogram(
+    ball: TreeBall, groups: dict, word_ef: str, word_eg: str, cache: dict
+) -> Counter:
+    """Crossing words from a witness edge at ``word_eg``, over the group ``word_ef``.
+
+    The witness is the first edge of its group; ``cache`` keeps each
+    histogram under (``word_ef``, witness) for the next caller.
+    """
+    witnesses = groups.get(word_eg)
+    if not witnesses:
+        raise BallTooSmall(f"no witness edge at word {word_eg!r} in {ball!r}")
+    g = witnesses[0]
+    words = cache.get((word_ef, g))
+    if words is None:
+        words = cache[(word_ef, g)] = Counter(
+            weyl_distance(ball, f, g) for f in groups.get(word_ef, ())
+        )
+    return words
+
+
 def iwahori_constant(
     ball: TreeBall,
     w1: str,
@@ -294,7 +324,6 @@ def iwahori_constant(
     target: str,
     iflags: tuple = (0, 0, 0),
     _groups: dict | None = None,
-    _words: dict | None = None,
 ) -> int:
     """Edge count giving one structure constant of the edge-fixator algebra.
 
@@ -305,12 +334,10 @@ def iwahori_constant(
     inversion flag set reaches the same edges through a type-swapped word,
     which is what the ``iflags`` adjustments below implement.
 
-    Two private caches serve a caller that counts many constants on one
-    ball: ``_groups`` holds :func:`edges_by_weyl_word` up to the longest
-    word counted, and ``_words`` maps (word from the base edge, witness
-    edge) to the histogram of crossing words from the witness over that
-    word's group, so each such pair is measured once and every ``w2`` is
-    read from it.
+    ``_groups`` may hold :func:`edges_by_weyl_word` up to the longest word
+    counted, built once by a caller that counts many constants on one ball.
+    Every call measures its histogram afresh: this is the single-constant
+    reference for :func:`iwahori_product`.
     """
     d1, d2, dt = (flag & 1 for flag in iflags)
     if d1 ^ d2 != dt:
@@ -322,21 +349,61 @@ def iwahori_constant(
         raise BallTooSmall(
             f"ball radius {ball.radius} < required {len(w1) + len(w2) + 2}"
         )
-    word_ef = swap_types(w1) if d1 else w1
-    word_eg = swap_types(target) if dt else target
-    word_fg = swap_types(w2) if dt else w2
     groups = _groups if _groups is not None else edges_by_weyl_word(ball, len(w1) + len(w2))
-    witnesses = groups.get(word_eg)
-    if not witnesses:
-        raise BallTooSmall(f"no witness edge at word {word_eg!r} in {ball!r}")
-    g = witnesses[0]
+    words = _word_histogram(
+        ball,
+        groups,
+        swap_types(w1) if d1 else w1,
+        swap_types(target) if dt else target,
+        {},
+    )
+    return words[swap_types(w2) if dt else w2]
+
+
+def iwahori_product(
+    ball: TreeBall,
+    w1: str,
+    w2: str,
+    iflags: tuple,
+    targets,
+    _groups: dict | None = None,
+    _words: dict | None = None,
+) -> dict:
+    """Structure-constant vector of one edge-fixator product, by counting.
+
+    ``iflags`` are the inversion flags of the two factors and ``targets``
+    the candidate result indices, ``(iflag, word)`` pairs such as
+    :class:`hecketree.iwahori.DeltaIndex`.  Maps each target to
+    ``iwahori_constant(ball, w1, w2, word, (*iflags, iflag))`` and omits the
+    zeros: a target whose flag is not the sum of ``iflags`` mod 2, or whose
+    word is longer than ``w1`` and ``w2`` together, has none.
+
+    Two private caches serve a caller that counts many products on one
+    ball: ``_groups`` holds :func:`edges_by_weyl_word` up to the longest
+    word counted, and ``_words`` maps (word from the base edge, witness
+    edge) to the histogram of crossing words from the witness over that
+    word's group, so each such pair is measured once per sweep and every
+    ``w2`` is read from it.
+    """
+    d1, d2 = (flag & 1 for flag in iflags)
+    dt = d1 ^ d2
+    bound = len(w1) + len(w2)
+    if ball.radius < bound + 2:
+        raise BallTooSmall(f"ball radius {ball.radius} < required {bound + 2}")
+    groups = _groups if _groups is not None else edges_by_weyl_word(ball, bound)
     cache = {} if _words is None else _words
-    words = cache.get((word_ef, g))
-    if words is None:
-        words = cache[(word_ef, g)] = Counter(
-            weyl_distance(ball, f, g) for f in groups.get(word_ef, ())
-        )
-    return words[word_fg]
+    word_ef = swap_types(w1) if d1 else w1
+    word_fg = swap_types(w2) if dt else w2
+    counts: dict = {}
+    for target in targets:
+        flag, word = target
+        if flag & 1 != dt or len(word) > bound:
+            continue
+        word_eg = swap_types(word) if dt else word
+        count = _word_histogram(ball, groups, word_ef, word_eg, cache)[word_fg]
+        if count:
+            counts[target] = count
+    return counts
 
 
 # -- end-stabilizer (horocycle) counting ---------------------------------------
@@ -400,35 +467,67 @@ def horocycle_members(ball: TreeBall, n: int) -> list:
     return list(ball._budgeted(start + span, start + ball.width[n] * span))
 
 
-def horocycle_constant(
-    ball: TreeBall,
-    m: int,
-    n: int,
-    k: int,
-    _members: dict | None = None,
-    _classes: dict | None = None,
-) -> int:
+def _class_histogram(ball: TreeBall, members: dict, m: int, k: int, cache: dict) -> Counter:
+    """Confluence classes from the first class-``k`` member, over the class-``m`` members.
+
+    ``members`` maps classes to their :func:`horocycle_members`; ``cache``
+    keeps each histogram under ``(m, k)`` for the next caller.
+    """
+    classes = cache.get((m, k))
+    if classes is None:
+        w = members[k][0]
+        classes = cache[(m, k)] = Counter(_confluence_class(ball, v, w) for v in members[m])
+    return classes
+
+
+def horocycle_constant(ball: TreeBall, m: int, n: int, k: int) -> int:
     """Count horocycle points at class ``m`` from the root and ``n`` from a witness.
 
     The witness is the first vertex at class ``k`` from the root; the count
     is the structure constant of the class-``k`` basis element in the
-    product of the class-``m`` and class-``n`` ones.  ``_members`` maps
-    classes to their :func:`horocycle_members` on this ball, computed once
-    by a caller that counts many constants; such a caller may also pass
-    ``_classes``, which maps ``(m, k)`` to the histogram of confluence
-    classes from the witness over the class-``m`` members, so each pair is
-    measured once and every ``n`` is read from it.
+    product of the class-``m`` and class-``n`` ones.  Every call lists the
+    members and measures its histogram afresh: this is the single-constant
+    reference for :func:`horocycle_product`.
     """
     if min(m, n, k) < 0:
         raise ValueError("horocycle classes must be nonnegative")
     bound = 2 * max(m, n, k) + 2
     if ball.radius < bound:
         raise BallTooSmall(f"ball radius {ball.radius} < required {bound}")
+    members = {j: horocycle_members(ball, j) for j in {m, k}}
+    return _class_histogram(ball, members, m, k, {})[n]
+
+
+def horocycle_product(
+    ball: TreeBall,
+    m: int,
+    n: int,
+    _members: dict | None = None,
+    _classes: dict | None = None,
+) -> dict:
+    """Structure-constant vector of one horocycle-class product, by counting.
+
+    Maps each class ``k <= max(m, n)`` to ``horocycle_constant(ball, m, n,
+    k)`` and omits the zeros.  Deeper classes are not counted: the
+    confluence distance is an ultrametric, so a witness beyond ``max(m, n)``
+    cannot be reached.  A caller that counts many products on one ball may
+    pass ``_members``, which maps classes to their
+    :func:`horocycle_members`, and ``_classes``, which maps ``(m, k)`` to
+    the histogram of confluence classes from the witness over the class-``m``
+    members, so each pair is measured once per sweep and every ``n`` is
+    read from it.
+    """
+    if min(m, n) < 0:
+        raise ValueError("horocycle classes must be nonnegative")
+    top = max(m, n)
+    if ball.radius < 2 * top + 2:
+        raise BallTooSmall(f"ball radius {ball.radius} < required {2 * top + 2}")
     if _members is None:
-        _members = {j: horocycle_members(ball, j) for j in {m, k}}
+        _members = {j: horocycle_members(ball, j) for j in range(top + 1)}
     cache = {} if _classes is None else _classes
-    classes = cache.get((m, k))
-    if classes is None:
-        w = _members[k][0]
-        classes = cache[(m, k)] = Counter(_confluence_class(ball, v, w) for v in _members[m])
-    return classes[n]
+    counts: dict = {}
+    for k in range(top + 1):
+        count = _class_histogram(ball, _members, m, k, cache)[n]
+        if count:
+            counts[k] = count
+    return counts

@@ -4,8 +4,10 @@ Each sweep multiplies out a block of basis pairs along every implemented
 route and compares the structure-constant vectors exactly.  Reports list all
 mismatching cells, in cell order, with the values from each route and the
 ``hecketree mul`` command that replays the cell; an empty mismatch list is
-the pass condition.  The SL2 sweep has no tree model: it compares its two
-routes point by point in the Prüfer group.
+the pass condition.  The tree oracle returns each cell's whole vector in one
+call, read from histograms that the sweep measures once and shares between
+cells.  The SL2 sweep has no tree model: it compares its two routes point by
+point in the Prüfer group.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class VerifyReport:
 def _int_terms(x: HeckeElement) -> dict:
     """Structure-constant dict of an element known to have integer coefficients."""
     out = {}
-    for idx, coeff in x.terms():
+    for idx, coeff in x._terms.items():
         if coeff.denominator != 1:
             raise AssertionError(f"non-integral structure constant {coeff} at {idx!r}")
         out[idx] = coeff.numerator
@@ -103,6 +105,7 @@ def verify_spherical(
     step = params.step
     ball = tree.build_ball(params.q0, params.q1, 2 * step * max_index, max_vertices)
     ball.sphere(step * max_index)  # the deepest sphere counted: fail on its budget first
+    depths: dict = {}  # the oracle's histograms, freed with the sweep
 
     def routes(n, m):
         return {
@@ -110,9 +113,9 @@ def verify_spherical(
             "recursive": _int_terms(algebra.multiply_recursive(n, m)),
             "oracle": {
                 k // step: count
-                for k, count in sorted(
-                    tree.spherical_product(ball, step * n, step * m).items()
-                )
+                for k, count in tree.spherical_product(
+                    ball, step * n, step * m, _depths=depths
+                ).items()
             },
         }
 
@@ -159,22 +162,15 @@ def verify_iwahori(
             "closed": _int_terms(algebra.multiply_closed(a, b)),
         }
         if oracle_decorated or (a.iflag == b.iflag == 0):
-            oracle = {}
-            for target in targets[len(a.word) + len(b.word)]:
-                if target.iflag != a.iflag ^ b.iflag:
-                    continue
-                count = tree.iwahori_constant(
-                    ball,
-                    a.word,
-                    b.word,
-                    target.word,
-                    (a.iflag, b.iflag, target.iflag),
-                    _groups=groups,
-                    _words=words,
-                )
-                if count:
-                    oracle[target] = count
-            vectors["oracle"] = oracle
+            vectors["oracle"] = tree.iwahori_product(
+                ball,
+                a.word,
+                b.word,
+                (a.iflag, b.iflag),
+                targets[len(a.word) + len(b.word)],
+                _groups=groups,
+                _words=words,
+            )
         return vectors
 
     return _sweep(
@@ -194,9 +190,10 @@ def verify_affine(
 ) -> VerifyReport:
     """M-table vs. normal-form expansion vs. horocycle counting, classes up to max_index.
 
-    Oracle targets run over classes up to max(m, n): the confluence distance
-    is an ultrametric, so a witness at a deeper class cannot be reached and
-    those counts vanish identically (spot-checked separately in the tests).
+    The oracle vector of a cell covers classes up to max(m, n)
+    (:func:`tree.horocycle_product`): the confluence distance is an
+    ultrametric, so a witness at a deeper class cannot be reached and those
+    counts vanish identically (spot-checked separately in the tests).
     """
     algebra = HorocycleAlgebra(q)
     ball = tree.build_ball(q, q, 2 * max_index + 2, max_vertices)
@@ -207,15 +204,7 @@ def verify_affine(
         return {
             "table": _int_terms(algebra.multiply_basis(m, n)),
             "normal-form": _int_terms(nf_to_m(m_to_nf(algebra, m) * m_to_nf(algebra, n))),
-            "oracle": {
-                k: count
-                for k in range(max(m, n) + 1)
-                if (
-                    count := tree.horocycle_constant(
-                        ball, m, n, k, _members=members, _classes=classes
-                    )
-                )
-            },
+            "oracle": tree.horocycle_product(ball, m, n, _members=members, _classes=classes),
         }
 
     return _sweep(

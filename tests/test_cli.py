@@ -367,6 +367,27 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["value"] == [["G0", "3/1"], ["G2", "1/1"]]
 
 
+def test_reused_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch):
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    monkeypatch.setattr(cli, "_PARSER", [])
+    bad = ["verify", "spherical", "--q", "2", "--max", "-1"]
+    good = ["verify", "affine", "--q", "2", "--max", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    in_process = [(exc.value.code, *capsys.readouterr())]
+    code = main(good)
+    in_process.append((code, *capsys.readouterr()))
+    fresh = [
+        subprocess.run([sys.executable, "-m", "hecketree", *argv], capture_output=True, text=True)
+        for argv in (bad, good)
+    ]
+    assert in_process == [(proc.returncode, proc.stdout, proc.stderr) for proc in fresh]
+    assert in_process[0][0] == 2 and in_process[1][0] == 0
+    assert builds == [1]
+
+
 def test_verify_budget_limits_one_word_group(capsys):
     # the largest group of verify iwahori --qs 2 --qt 3 --len 5 has 7776
     # edges, of the 41988 edges of child depth <= 11
@@ -383,7 +404,7 @@ def test_verify_budget_limits_one_word_group(capsys):
 def _perturb(monkeypatch, owner, name, hit):
     """Make the route ``owner.name`` add the unit to its result on the calls ``hit`` picks.
 
-    ``hit`` sees the positional arguments; a tree count gains 1.
+    ``hit`` sees the positional arguments; every count of a tree vector gains 1.
     """
     original = getattr(owner, name)
 
@@ -391,7 +412,9 @@ def _perturb(monkeypatch, owner, name, hit):
         out = original(*args, **kwargs)
         if not hit(*args):
             return out
-        return out + (1 if isinstance(out, int) else out.algebra.one())
+        if isinstance(out, dict):
+            return {idx: count + 1 for idx, count in out.items()}
+        return out + out.algebra.one()
 
     monkeypatch.setattr(owner, name, route)
 
@@ -437,17 +460,16 @@ _NF_M1_M1 = m_to_nf(HorocycleAlgebra(3), 1) * m_to_nf(HorocycleAlgebra(3), 1)
         (
             ("verify", "iwahori", "--qs", "2", "--qt", "2", "--len", "1"),
             tree,
-            "iwahori_constant",
-            lambda ball, w1, w2, target, iflags: (w1, w2, target, iflags)
-            == ("s", "t", "st", (0, 0, 0)),
+            "iwahori_product",
+            lambda ball, w1, w2, iflags, targets: (w1, w2, iflags) == ("s", "t", (0, 0)),
             [["s", "t"]],
             ["generated", "closed", "oracle"],
         ),
         (
             ("verify", "affine", "--q", "3", "--max", "2"),
             tree,
-            "horocycle_constant",
-            lambda ball, m, n, k: (m, n, k) == (1, 2, 2),
+            "horocycle_product",
+            lambda ball, m, n: (m, n) == (1, 2),
             [["M1", "M2"]],
             ["table", "normal-form", "oracle"],
         ),

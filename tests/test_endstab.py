@@ -84,6 +84,9 @@ def test_m_to_nf():
     for i in range(4):
         acc = acc + m_to_nf(M2, i)
     assert acc == NF2.basis_element((3, 3))
+    # one normal-form algebra per horocycle algebra: conversions share its product cache
+    assert m_to_nf(M2, 2).algebra is m_to_nf(M2, 3).algebra
+    assert m_element_to_nf(M2.basis_element(1)).algebra is m_to_nf(M2, 0).algebra
 
 
 def test_nf_to_m_roundtrip():

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hecketree import tree, verify
+from hecketree.iwahori import IwahoriAlgebra
+from hecketree.spherical import SphericalParams
 
 
 def test_ball_shapes():
@@ -362,32 +364,96 @@ def test_horocycle_witness_independence(ball22, ball33):
                     assert counts.pop() == tree.horocycle_constant(ball, m, n, k)
 
 
+@pytest.mark.parametrize("qs, qt, max_len", [(2, 2, 3), (2, 3, 3), (3, 3, 3)])
+def test_iwahori_product_equals_constants(qs, qt, max_len):
+    # decorated indices included, at unequal weights too: the counts are the
+    # same edge counts whether or not they model an algebra
+    algebra = IwahoriAlgebra(qs, qt)
+    targets = algebra.words_up_to(2 * max_len)
+    ball = tree.build_ball(qs, qt, 2 * max_len + 2)
+    groups = tree.edges_by_weyl_word(ball, 2 * max_len)
+    words: dict = {}
+    for a in algebra.words_up_to(max_len):
+        for b in algebra.words_up_to(max_len):
+            flags = (a.iflag, b.iflag)
+            expected = {}
+            for t in targets:
+                count = tree.iwahori_constant(
+                    ball, a.word, b.word, t.word, (*flags, t.iflag), _groups=groups
+                )
+                if count:
+                    expected[t] = count
+            assert tree.iwahori_product(ball, a.word, b.word, flags, targets) == expected
+            assert (
+                tree.iwahori_product(
+                    ball, a.word, b.word, flags, targets, _groups=groups, _words=words
+                )
+                == expected
+            )
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_horocycle_product_equals_constants(q):
+    top = 4
+    ball = tree.build_ball(q, q, 2 * top + 2)
+    members = {j: tree.horocycle_members(ball, j) for j in range(top + 1)}
+    classes: dict = {}
+    for m in range(top + 1):
+        for n in range(top + 1):
+            # every class up to top, so the classes the product skips must count 0
+            expected = {
+                k: count
+                for k in range(top + 1)
+                if (count := tree.horocycle_constant(ball, m, n, k))
+            }
+            assert tree.horocycle_product(ball, m, n) == expected
+            assert (
+                tree.horocycle_product(ball, m, n, _members=members, _classes=classes)
+                == expected
+            )
+
+
 @pytest.mark.parametrize(
-    "name, cache, sweep",
+    "name, cache, sweep, oracle_cells",
     [
-        ("iwahori_constant", "_words", lambda: verify.verify_iwahori(2, 2, 3)),
-        ("iwahori_constant", "_words", lambda: verify.verify_iwahori(2, 3, 3)),
-        ("horocycle_constant", "_classes", lambda: verify.verify_affine(2, 3)),
-        ("horocycle_constant", "_classes", lambda: verify.verify_affine(3, 3)),
+        # 14 indices of length <= 3; qs == qt, so every pair has an oracle vector
+        ("iwahori_product", "_words", lambda: verify.verify_iwahori(2, 2, 3), 14 * 14),
+        # qs != qt: only the 7 plain words have an edge model
+        ("iwahori_product", "_words", lambda: verify.verify_iwahori(2, 3, 3), 7 * 7),
+        ("horocycle_product", "_classes", lambda: verify.verify_affine(2, 3), 4 * 4),
+        ("horocycle_product", "_classes", lambda: verify.verify_affine(3, 3), 4 * 4),
+        (
+            "spherical_product",
+            "_depths",
+            lambda: verify.verify_spherical(SphericalParams.homogeneous(2), 5),
+            21,
+        ),
+        (
+            "spherical_product",
+            "_depths",
+            lambda: verify.verify_spherical(SphericalParams.two_orbit(2, 3), 3),
+            10,
+        ),
     ],
+    ids=["iwahori-2-2", "iwahori-2-3", "affine-2", "affine-3", "spherical-2", "spherical-2-3"],
 )
-def test_sweep_caches_change_no_count(monkeypatch, name, cache, sweep):
+def test_sweep_caches_change_no_count(monkeypatch, name, cache, sweep, oracle_cells):
     # every oracle call of the sweep, with the sweep's shared histograms,
-    # against the same call with no cache at all
+    # against the same call with no cache at all; one call per oracle cell
     original = getattr(tree, name)
     calls = []
 
     def checked(*args, **kwargs):
         assert cache in kwargs
-        count = original(*args, **kwargs)
-        assert count == original(*args), args[1:]
-        calls.append(args)
-        return count
+        vector = original(*args, **kwargs)
+        assert vector == original(*args), args[1:4]
+        calls.append(args[1:4])
+        return vector
 
     monkeypatch.setattr(tree, name, checked)
     report = sweep()
     assert report.ok
-    assert len(calls) > report.cells
+    assert len(calls) == len(set(calls)) == oracle_cells
 
 
 class _ExplicitBall:
