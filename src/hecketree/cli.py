@@ -158,7 +158,11 @@ def cmd_verify(args) -> int:
 
 def cmd_ktheory(args) -> int:
     if args.example is not None:
-        size = args.size
+        if args.path is not None:
+            raise ValueError("pass a Bratteli diagram path or --example, not both")
+        if args.depth is not None:
+            raise ValueError("--depth applies to a Bratteli diagram path, not to --example")
+        size = 6 if args.size is None else args.size
         diagram = toeplitz_bratteli(size)
         alpha = toeplitz_shift_alpha(size)
         k0, k1_rank = pv_k_groups(alpha)
@@ -172,6 +176,8 @@ def cmd_ktheory(args) -> int:
             "K1_rank": k1_rank,
         }
     else:
+        if args.size is not None:
+            raise ValueError("--size applies to --example only")
         if args.path is None:
             raise ValueError("pass a Bratteli diagram path or --example toeplitz")
         diagram = load_bratteli(args.path)
@@ -263,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_k.add_argument("path", nargs="?", help="Bratteli diagram JSON file")
     p_k.add_argument("--depth", type=int, help="truncation level (default: all provided)")
     p_k.add_argument("--example", choices=["toeplitz"], help="run a built-in example")
-    p_k.add_argument("--size", type=int, default=6, help="stage size for --example")
+    p_k.add_argument("--size", type=int, help="stage size for --example (default: 6)")
     p_k.set_defaults(func=cmd_ktheory)
 
     p_nu = sub.add_parser("nu", help="unit-square orbit map and sl2 table")

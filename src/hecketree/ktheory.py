@@ -9,10 +9,14 @@ the cokernel and kernel of the induced map minus the identity).
 
 Only ``smith_normal_form`` returns the witnesses U and V.  ``cokernel``,
 ``kernel_rank``, ``pv_k_groups`` and ``truncated_limit`` read the diagonal
-alone, so they run the same elimination without building the transforms,
-whose entries can reach hundreds of digits on a 32 x 32 matrix.  The tests
-check that diagonal against ``smith_normal_form`` and, independently,
-against the determinantal divisors (gcds of k x k minors).
+alone, so they run the same elimination without building the transforms.
+The elimination clears each pivot's column by a Euclid loop of row
+operations before it touches the pivot's row, which keeps V's entries to a
+few hundred digits and U's to a few dozen on a 32 x 32 matrix of one-digit
+entries.  The tests check that diagonal against ``smith_normal_form`` and,
+independently, against the determinantal divisors (gcds of k x k minors);
+they pin the bytes of D, which the Smith form fixes, apart from those of U
+and V, which the pivot rule fixes.
 
 Truncated limits, not symbolic ones: the machinery reports finite stages and
 flags when consecutive stages agree, which is what desk-scale verification
@@ -40,16 +44,23 @@ class IntMatrix:
         object.__setattr__(self, "entries", rows)
 
     @classmethod
+    def _of(cls, rows: tuple) -> "IntMatrix":
+        """Wrap a tuple of equal-length tuples of ints without checking or copying it."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "entries", rows)
+        return out
+
+    @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         return cls(tuple(tuple(row) for row in rows))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls._of(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple((0,) * cols for _ in range(rows)))
+        return cls._of(tuple((0,) * cols for _ in range(rows)))
 
     @property
     def rows(self) -> int:
@@ -66,7 +77,7 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         ot = list(zip(*other.entries)) if other.entries else []
-        return IntMatrix(
+        return IntMatrix._of(
             tuple(
                 tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
                 for row in self.entries
@@ -76,7 +87,7 @@ class IntMatrix:
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in subtraction")
-        return IntMatrix(
+        return IntMatrix._of(
             tuple(
                 tuple(a - b for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
@@ -150,11 +161,20 @@ def _kernel_rank(cols: int, diagonal: list) -> int:
 def smith_normal_form(m: IntMatrix) -> SNFResult:
     """Diagonalize over the integers, tracking the row and column transforms.
 
-    Pivoting is deterministic: the entry of smallest nonzero absolute value,
-    ties broken by position, so the returned transforms are reproducible.
+    Pivoting is deterministic, so the returned transforms are reproducible.
+    Step t starts from the entry of smallest nonzero absolute value in the
+    remaining block (the first one in row-major order on a tie).  It then
+    runs Euclid down column t with row operations: the pivot is made
+    positive, quotients round to the nearest integer, and the smallest
+    remainder left in the column (the first row on a tie) becomes the next
+    pivot.  Once the column is clear, row t is reduced with column
+    operations; the smallest remainder left there is swapped in as the pivot
+    and the column is cleared again.  Each swap at least halves the pivot,
+    so the step ends, and a pivot that does not divide the rest of the block
+    has the first offending row added to its row.
     """
     d, u, v = _smith_eliminate(m, track=True)
-    return SNFResult(IntMatrix.from_rows(u), IntMatrix.from_rows(d), IntMatrix.from_rows(v))
+    return SNFResult(*(IntMatrix._of(tuple(map(tuple, x))) for x in (u, d, v)))
 
 
 def _smith_diagonal(m: IntMatrix) -> list:
@@ -164,7 +184,7 @@ def _smith_diagonal(m: IntMatrix) -> list:
 
 
 def _smith_eliminate(m: IntMatrix, track: bool) -> tuple:
-    """Smith elimination of ``m``; returns ``(d, u, v)`` as lists of rows.
+    """Smith elimination of ``m``; returns ``(d, u, v)`` as sequences of rows.
 
     With ``track`` false, ``u`` and ``v`` are None and no transform is built
     or updated.  The pivots depend on the entries of ``d`` alone, so ``d``
@@ -173,10 +193,11 @@ def _smith_eliminate(m: IntMatrix, track: bool) -> tuple:
     a = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if track else None
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if track else None
+    # V is kept as its list of columns, so a column operation is one comprehension
+    vc = [[1 if i == j else 0 for i in range(cols)] for j in range(cols)] if track else None
 
     # Rows and columns of ``a`` before the current pivot t are zero outside
-    # the diagonal, so the additions at step t touch ``a`` from t on only.
+    # the diagonal, so the operations at step t touch ``a`` from t on only.
     def swap_rows(i, j):
         if i != j:
             a[i], a[j] = a[j], a[i]
@@ -185,11 +206,11 @@ def _smith_eliminate(m: IntMatrix, track: bool) -> tuple:
 
     def swap_cols(i, j):
         if i != j:
-            for row in a:
+            for k in range(t, rows):
+                row = a[k]
                 row[i], row[j] = row[j], row[i]
             if track:
-                for row in v:
-                    row[i], row[j] = row[j], row[i]
+                vc[i], vc[j] = vc[j], vc[i]
 
     def add_row(src, dst, factor):
         # row dst += factor * row src
@@ -198,14 +219,6 @@ def _smith_eliminate(m: IntMatrix, track: bool) -> tuple:
             arow[j] += factor * asrc[j]
         if track:
             u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, factor):
-        for i in range(t, rows):
-            row = a[i]
-            row[dst] += factor * row[src]
-        if track:
-            for row in v:
-                row[dst] += factor * row[src]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -227,6 +240,9 @@ def _smith_eliminate(m: IntMatrix, track: bool) -> tuple:
                             return best
         return best
 
+    # The pivot rule is the one ``smith_normal_form`` describes.  Quotients
+    # round to the nearest integer, a tie leaving the positive remainder, so
+    # every remainder is at most half the pivot.
     t = 0
     while t < min(rows, cols):
         pos = find_pivot(t)
@@ -235,27 +251,43 @@ def _smith_eliminate(m: IntMatrix, track: bool) -> tuple:
         swap_rows(t, pos[0])
         swap_cols(t, pos[1])
         while True:
-            if a[t][t] < 0:
-                negate_row(t)
-            pivot = a[t][t]
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    add_row(t, i, -(a[i][t] // pivot))
-                    if a[i][t]:
-                        dirty = True
+            while True:
+                if a[t][t] < 0:
+                    negate_row(t)
+                pivot = a[t][t]
+                half = (pivot - 1) // 2
+                low, smallest = None, 0
+                for i in range(t + 1, rows):
+                    x = a[i][t]
+                    if x:
+                        q = (x + half) // pivot
+                        if q:
+                            add_row(t, i, -q)
+                            x -= q * pivot
+                        if x and (low is None or abs(x) < smallest):
+                            low, smallest = i, abs(x)
+                if low is None:
+                    break
+                swap_rows(t, low)
+            # column t is clear below the pivot, so a column operation
+            # changes ``a`` in row t alone
+            row = a[t]
+            low, smallest = None, 0
             for j in range(t + 1, cols):
-                if a[t][j]:
-                    add_col(t, j, -(a[t][j] // pivot))
-                    if a[t][j]:
-                        dirty = True
-            if dirty:
-                pos = find_pivot(t)
-                swap_rows(t, pos[0])
-                swap_cols(t, pos[1])
+                x = row[j]
+                if x:
+                    q = (x + half) // pivot
+                    if q:
+                        x -= q * pivot
+                        row[j] = x
+                        if track:
+                            vc[j] = [y - q * z for y, z in zip(vc[j], vc[t])]
+                    if x and (low is None or abs(x) < smallest):
+                        low, smallest = j, abs(x)
+            if low is not None:
+                swap_cols(t, low)
                 continue
             # cross is clear; enforce divisibility of the remaining block
-            pivot = a[t][t]
             offender = None
             if pivot != 1:
                 for i in range(t + 1, rows):
@@ -273,7 +305,7 @@ def _smith_eliminate(m: IntMatrix, track: bool) -> tuple:
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
             negate_row(i)
-    return a, u, v
+    return a, u, (list(zip(*vc)) if track else None)
 
 
 @dataclass(frozen=True)
@@ -439,8 +471,11 @@ def pv_k_groups(alpha: IntMatrix) -> tuple:
             f"alpha maps into a smaller stage ({alpha.rows} < {alpha.cols}); "
             "the truncation must not shrink"
         )
-    inclusion = IntMatrix.from_rows(
-        [[1 if i == j else 0 for j in range(alpha.cols)] for i in range(alpha.rows)]
+    difference = IntMatrix._of(
+        tuple(
+            tuple((1 if i == j else 0) - x for j, x in enumerate(row))
+            for i, row in enumerate(alpha.entries)
+        )
     )
-    diagonal = _smith_diagonal(inclusion - alpha)
+    diagonal = _smith_diagonal(difference)
     return _cokernel(alpha.rows, diagonal), _kernel_rank(alpha.cols, diagonal)

@@ -187,6 +187,25 @@ def test_ktheory_file(capsys, tmp_path):
     assert doc["limit"]["composed_map"] == [[2]]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["DIAGRAM", "--example", "toeplitz"], "not both"),
+        (["--example", "toeplitz", "--depth", "1"], "--depth applies to"),
+        (["DIAGRAM", "--size", "3"], "--size applies to --example only"),
+        (["--size", "3"], "--size applies to --example only"),
+    ],
+)
+def test_ktheory_unused_option_exit_2(capsys, tmp_path, argv, message):
+    # an option the chosen mode would ignore is an error, not a no-op
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"levels": [[1], [1]], "maps": [[[2]]]}))
+    code = main(["ktheory"] + [str(path) if x == "DIAGRAM" else x for x in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_ktheory_bad_input(capsys, tmp_path):
     code, _ = run_cli(capsys, "ktheory", str(tmp_path / "missing.json"))
     assert code == 2
@@ -283,11 +302,25 @@ _LABELS = st.sampled_from(
 )
 
 
+#: Stands in a fuzzed ``ktheory`` argv for the path of a valid diagram file.
+_DIAGRAM = "<diagram>"
+
+
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(["table", "mul", "verify", "nu"]))
+    command = draw(st.sampled_from(["table", "mul", "verify", "nu", "ktheory"]))
     if command == "nu":
         return ["nu", "--p", str(draw(_FLAGS["--p"])), "--depth", str(draw(_small))]
+    if command == "ktheory":
+        argv = ["ktheory"] + draw(st.sampled_from([[], [_DIAGRAM], ["missing.json"]]))
+        for flag, values in (
+            ("--example", st.just("toeplitz")),
+            ("--size", st.integers(-1, 8)),
+            ("--depth", _small),
+        ):
+            if draw(st.booleans()):
+                argv += [flag, str(draw(values))]
+        return argv
     argv = [command, draw(st.sampled_from([*cli.FAMILIES, "bogus"]))]
     if command == "mul":
         argv += [draw(_LABELS), draw(_LABELS)]
@@ -305,11 +338,16 @@ def _argv(draw):
 def test_fuzzed_argv_exit_0_or_2(argv):
     # no sweep in these ranges has a mismatch, so exit 1 would be a bug too
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a bad option value this way
-            code = exc.code
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/d.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"levels": [[1], [1], [2]], "maps": [[[1]], [[2]]]}, fh)
+        argv = [path if x == _DIAGRAM else x for x in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a bad option value this way
+                code = exc.code
     assert code in (0, 2), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())

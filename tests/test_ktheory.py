@@ -78,17 +78,47 @@ def _assert_snf_postconditions(m):
     return u, d, v
 
 
+@st.composite
+def int_matrices(draw, max_rows, max_cols, bound):
+    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    entries = st.integers(-bound, bound)
+    return IntMatrix.from_rows([[draw(entries) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Products of a rows x k and a k x cols matrix, up to 4 x 4: k bounds the
+    rank, so rank-deficient matrices are common, and k = 0 gives zero ones."""
+    left = draw(int_matrices(4, 4, 3))
+    right = draw(int_matrices(4, 4, 3))
+    inner = draw(st.integers(0, min(left.cols, right.rows)))
+    a, b = left.entries, right.entries
+    return IntMatrix.from_rows(
+        [
+            [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(right.cols)]
+            for i in range(left.rows)
+        ]
+    )
+
+
 @settings(max_examples=120, deadline=None)
-@given(
-    st.integers(1, 5),
-    st.integers(1, 5),
-    st.data(),
-)
-def test_snf_postconditions_random(rows, cols, data):
-    entries = [
-        [data.draw(st.integers(-9, 9)) for _ in range(cols)] for _ in range(rows)
-    ]
-    _assert_snf_postconditions(IntMatrix.from_rows(entries))
+@given(st.one_of(int_matrices(5, 5, 9), int_matrices(5, 5, 10**6), low_rank_matrices()))
+def test_snf_postconditions_random(m):
+    # large entries take many Euclid rounds per pivot, and rank-deficient
+    # matrices end the elimination on a zero block
+    _assert_snf_postconditions(m)
+
+
+def test_trusted_results_equal_validated_ones():
+    m = IntMatrix.from_rows([[4, 6, 2], [6, 4, 8]])
+    assert IntMatrix.identity(2) == IntMatrix.from_rows([[1, 0], [0, 1]])
+    assert hash(IntMatrix.zeros(2, 3)) == hash(IntMatrix.from_rows([[0] * 3] * 2))
+    for result in (*smith_normal_form(m), m @ IntMatrix.identity(3), m - m):
+        assert result == IntMatrix(result.entries)
+        assert hash(result) == hash(IntMatrix(result.entries))
+        assert type(result.entries) is tuple
+        assert all(type(row) is tuple for row in result.entries)
+        assert all(type(x) is int for row in result.entries for x in row)
 
 
 def test_snf_deterministic():
@@ -266,29 +296,6 @@ def test_pv_doubling_endomorphism():
     assert k0 == AbelianGroupPresentation(0) and k1 == 0
 
 
-@st.composite
-def int_matrices(draw, max_rows, max_cols, bound):
-    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
-    entries = st.integers(-bound, bound)
-    return IntMatrix.from_rows([[draw(entries) for _ in range(cols)] for _ in range(rows)])
-
-
-@st.composite
-def low_rank_matrices(draw):
-    """Products of a rows x k and a k x cols matrix, up to 4 x 4: k bounds the
-    rank, so rank-deficient matrices are common, and k = 0 gives zero ones."""
-    left = draw(int_matrices(4, 4, 3))
-    right = draw(int_matrices(4, 4, 3))
-    inner = draw(st.integers(0, min(left.cols, right.rows)))
-    a, b = left.entries, right.entries
-    return IntMatrix.from_rows(
-        [
-            [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(right.cols)]
-            for i in range(left.rows)
-        ]
-    )
-
-
 def _determinantal_divisors(m):
     """D_0 = 1, then D_k = gcd of all k x k minors for k = 1 .. min(rows, cols)."""
     divisors = [1]
@@ -329,19 +336,29 @@ def test_transform_free_routes_match_smith_normal_form(m):
     assert pv_k_groups(alpha) == (snf.cokernel, snf.kernel_rank)
 
 
-# The pivot rule fixes U and V exactly; this digest of (U, D, V) over seeded
-# matrices of the benchmark's shapes keeps a change to the elimination from
-# moving them unnoticed.
+# Digests over seeded matrices of the benchmark's shapes.  D is unique, so
+# its digest holds for every correct elimination; the pivot rule fixes U and
+# V exactly, so theirs keeps a change to the elimination from moving them
+# unnoticed.
 SNF_PIN_SHAPES = [(n, n) for n in (8, 12, 16, 20, 24, 28, 28, 32, 32)]
 SNF_PIN_SHAPES += [(8, 12), (12, 8), (16, 24), (24, 16)]
-SNF_PIN_SHA256 = "1a55aa30413fdb2740cfa7ab85c014019ff7fc11d4e41ea4ef14714882646aae"
+SNF_D_SHA256 = "e353a7a98204dbb6aedfc55f4c9740111c049a398f1e0299c69beb6e3d5e7e83"
+SNF_UV_SHA256 = "a62843e4c4be15acc9733d8a2a9f1764cd5b32f34d6cabd80a2547cc7bcecf34"
+# The row-then-column elimination that cleared the whole cross each round
+# reached 689 digits in U and 575 in V on these matrices.
+SNF_MAX_TRANSFORM_DIGITS = 400
 
 
 def test_snf_transforms_pinned():
     rng = random.Random(2008)
-    digest = hashlib.sha256()
+    d_digest, uv_digest = hashlib.sha256(), hashlib.sha256()
+    digits = 0
     for rows, cols in SNF_PIN_SHAPES:
         m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)])
         u, d, v = smith_normal_form(m)
-        digest.update(json.dumps([u.to_lists(), d.to_lists(), v.to_lists()]).encode())
-    assert digest.hexdigest() == SNF_PIN_SHA256
+        d_digest.update(json.dumps(d.to_lists()).encode())
+        uv_digest.update(json.dumps([u.to_lists(), v.to_lists()]).encode())
+        digits = max(digits, *(len(str(abs(x))) for t in (u, v) for row in t.entries for x in row))
+    assert d_digest.hexdigest() == SNF_D_SHA256
+    assert uv_digest.hexdigest() == SNF_UV_SHA256
+    assert digits <= SNF_MAX_TRANSFORM_DIGITS
