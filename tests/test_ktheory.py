@@ -344,8 +344,8 @@ SNF_PIN_SHAPES = [(n, n) for n in (8, 12, 16, 20, 24, 28, 28, 32, 32)]
 SNF_PIN_SHAPES += [(8, 12), (12, 8), (16, 24), (24, 16)]
 SNF_D_SHA256 = "e353a7a98204dbb6aedfc55f4c9740111c049a398f1e0299c69beb6e3d5e7e83"
 SNF_UV_SHA256 = "a62843e4c4be15acc9733d8a2a9f1764cd5b32f34d6cabd80a2547cc7bcecf34"
-# The row-then-column elimination that cleared the whole cross each round
-# reached 689 digits in U and 575 in V on these matrices.
+# U and V need 40 and 347 digits on these matrices; an elimination that
+# lets the transforms grow past this bound fails even with a correct D.
 SNF_MAX_TRANSFORM_DIGITS = 400
 
 
