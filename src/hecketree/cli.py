@@ -27,6 +27,10 @@ from .sl2 import SL2EndAlgebra, nu as nu_map
 from .spherical import SphericalAlgebra, SphericalParams
 from .tree import DEFAULT_MAX_VERTICES
 
+#: The most integers a ``ktheory --example toeplitz`` report may hold (size 89
+#: holds about 247,000 and prints 3.3 MB; the count grows as size^3 / 3).
+MAX_TOEPLITZ_INTEGERS = 250_000
+
 
 def fmt_rational(x: int | Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
@@ -163,6 +167,14 @@ def cmd_ktheory(args) -> int:
         if args.depth is not None:
             raise ValueError("--depth applies to a Bratteli diagram path, not to --example")
         size = 6 if args.size is None else args.size
+        # entries of the diagram's levels, of its maps (level k to k + 1 has
+        # (k + 2)(k + 1)) and of alpha: all but O(size) of the report's integers
+        count = size * (size + 1) // 2 + (size - 1) * size * (size + 1) // 3 + (size + 1) * size
+        if count > MAX_TOEPLITZ_INTEGERS:
+            raise ValueError(
+                f"--size {size} would report {count:,} integers,"
+                f" over the limit of {MAX_TOEPLITZ_INTEGERS:,}"
+            )
         diagram = toeplitz_bratteli(size)
         alpha = toeplitz_shift_alpha(size)
         k0, k1_rank = pv_k_groups(alpha)
@@ -188,7 +200,7 @@ def cmd_ktheory(args) -> int:
 
 
 def cmd_nu(args) -> int:
-    algebra = SL2EndAlgebra(args.p, depth_bound=max(args.depth, 1))
+    algebra = SL2EndAlgebra(args.p)
     cosets = algebra.cosets_up_to_depth(args.depth)
     coset_docs = []
     for c in cosets:

@@ -328,9 +328,6 @@ class AbelianGroupPresentation:
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "invariant_factors", factors)
 
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
-
     def describe(self) -> str:
         parts = []
         if self.free_rank == 1:

@@ -9,6 +9,20 @@ verified.  Each family has a per-cell function (:func:`spherical_product`,
 structure-constant vector, read from histograms a sweep may share between
 cells, and a single-constant reference beside it.
 
+The histograms come from one anchored climb (:func:`_anchored_climb`).  A
+block is a contiguous range of one sphere (a sphere, the edges at one
+crossing word, the members of one horocycle class) and a witness is one
+fixed vertex.  The witness's ancestor offsets are read once; then each
+vertex of the block climbs its own offset toward the root until it meets
+the marked ray or the witness's path to it, and the depth of that meeting
+fixes the vertex's confluence depth, crossing word or confluence class.
+Every vertex of the block is enumerated and climbed, none is skipped by
+arithmetic on the block as a whole.  The single-constant references
+(:func:`spherical_constant`, :func:`iwahori_constant`,
+:func:`horocycle_constant`) stay per-vertex: they measure each vertex with
+the generic :func:`distance`, :func:`weyl_distance` or confluence-class
+function, so the tests hold the climb against an independent count.
+
 Conventions (fixed so all enumeration orders are deterministic):
 
 * vertex 0 is the root, has even type, and carries ``q0 + 1`` children;
@@ -188,6 +202,47 @@ def ray_confluence_depth(ball: TreeBall, v: int) -> int:
     return d
 
 
+def _anchored_climb(ball: TreeBall, block: range, witness: int) -> Counter:
+    """Where each vertex of ``block`` meets the anchor of ``witness``, as a histogram.
+
+    ``block`` is a contiguous range of one sphere.  The anchor is the marked
+    ray together with the path from the witness up to it.  Each vertex of
+    the block climbs its offset one depth at a time (the parent of offset
+    ``i`` at depth ``e`` is offset ``i // width[e - 1]``) until it lands on
+    the anchor.  Key ``e >= 0`` counts the vertices that land on the marked
+    ray at depth ``e``, which is their :func:`ray_confluence_depth`; key
+    ``-e < 0`` counts those that land on the witness's path off the ray at
+    depth ``e``, which is then their deepest common ancestor with the
+    witness.  The counts sum to ``len(block)``.
+    """
+    ss, width = ball.sphere_start, ball.width
+    d = ball.depth(block.start)
+    if block and block.stop > ss[d + 1]:
+        raise ValueError(f"block {block} spans more than one sphere")
+    # anchor[e]: offset of the witness's ancestor at depth e, -1 below the witness
+    anchor = [-1] * (d + 1)
+    e = ball.depth(witness)
+    o = witness - ss[e]
+    while e > d:
+        e -= 1
+        o //= width[e]
+    anchor[e] = o
+    while e:
+        e -= 1
+        o //= width[e]
+        anchor[e] = o
+
+    def landings():
+        for o in range(block.start - ss[d], block.stop - ss[d]):
+            e = d
+            while o and o != anchor[e]:
+                e -= 1
+                o //= width[e]
+            yield -e if o else e
+
+    return Counter(landings())
+
+
 # -- vertex-stabilizer (spherical) counting ---------------------------------
 
 
@@ -220,9 +275,10 @@ def spherical_product(ball: TreeBall, n: int, m: int, _depths: dict | None = Non
     ``v`` of the ``n``-sphere to it is determined by the depth at which the
     path from ``v`` to the root meets the ray.  So the vector is read from
     the histogram of those depths over the ``n``-sphere, which does not
-    depend on ``m``.  A caller that counts many products on one ball may
-    pass ``_depths``, which maps ``n`` to that histogram, so each sphere is
-    measured once and every ``m`` is read from it.
+    depend on ``m``; it is one anchored climb of the sphere against the root,
+    whose anchor is the marked ray.  A caller that counts many products on
+    one ball may pass ``_depths``, which maps ``n`` to that histogram, so
+    each sphere is measured once and every ``m`` is read from it.
     """
     if min(n, m) < 0:
         raise ValueError("sphere radii must be nonnegative")
@@ -231,7 +287,7 @@ def spherical_product(ball: TreeBall, n: int, m: int, _depths: dict | None = Non
     cache = {} if _depths is None else _depths
     depths = cache.get(n)
     if depths is None:
-        depths = cache[n] = Counter(ray_confluence_depth(ball, v) for v in ball.sphere(n))
+        depths = cache[n] = _anchored_climb(ball, ball.sphere(n), 0)
     counts: dict = {}
     for c, size in depths.items():
         k = n - m
@@ -246,6 +302,20 @@ def spherical_product(ball: TreeBall, n: int, m: int, _depths: dict | None = Non
 # -- edge-fixator (Weyl distance) counting -----------------------------------
 
 
+def _crossing_word(de: int, df: int, dc: int) -> str:
+    """Crossing word between two edges, from the depths of their child endpoints and meet.
+
+    ``de`` and ``df`` are the depths of the child endpoints, ``dc`` that of
+    their deepest common ancestor (:func:`_meet`).
+    """
+    if de == df == dc:
+        return ""
+    near_e = de if dc == de else de - 1
+    near_f = df if dc == df else df - 1
+    length = near_e + near_f - 2 * dc + 1
+    return (("ts" if near_e & 1 else "st") * (length // 2 + 1))[:length]
+
+
 def weyl_distance(ball: TreeBall, e: int, f: int) -> str:
     """Crossing word of the edge path from ``e`` to ``f``.
 
@@ -256,13 +326,7 @@ def weyl_distance(ball: TreeBall, e: int, f: int) -> str:
     ancestor of the other edge, else its parent.  So one climb fixes the
     first letter and the length, hence the word.
     """
-    if e == f:
-        return ""
-    de, df, dc = _meet(ball, e, f)
-    near_e = de if dc == de else de - 1
-    near_f = df if dc == df else df - 1
-    length = near_e + near_f - 2 * dc + 1
-    return (("ts" if near_e & 1 else "st") * (length // 2 + 1))[:length]
+    return _crossing_word(*_meet(ball, e, f))
 
 
 def edges_by_weyl_word(ball: TreeBall, max_len: int) -> dict:
@@ -297,23 +361,27 @@ def edges_by_weyl_word(ball: TreeBall, max_len: int) -> dict:
     return groups
 
 
-def _word_histogram(
-    ball: TreeBall, groups: dict, word_ef: str, word_eg: str, cache: dict
-) -> Counter:
-    """Crossing words from a witness edge at ``word_eg``, over the group ``word_ef``.
-
-    The witness is the first edge of its group; ``cache`` keeps each
-    histogram under (``word_ef``, witness) for the next caller.
-    """
-    witnesses = groups.get(word_eg)
+def _witness_edge(ball: TreeBall, groups: dict, word: str) -> int:
+    """The first edge at crossing word ``word``: the witness for that class."""
+    witnesses = groups.get(word)
     if not witnesses:
-        raise BallTooSmall(f"no witness edge at word {word_eg!r} in {ball!r}")
-    g = witnesses[0]
-    words = cache.get((word_ef, g))
-    if words is None:
-        words = cache[(word_ef, g)] = Counter(
-            weyl_distance(ball, f, g) for f in groups.get(word_ef, ())
-        )
+        raise BallTooSmall(f"no witness edge at word {word!r} in {ball!r}")
+    return witnesses[0]
+
+
+def _word_histogram(ball: TreeBall, block: range, g: int) -> Counter:
+    """Crossing words from the edge ``g`` over the edges of ``block``, by one anchored climb.
+
+    Equals ``Counter(weyl_distance(ball, f, g) for f in block)``.  An edge
+    landing on the marked ray at depth ``e`` meets ``g`` at depth
+    ``min(e, c)``, with ``c`` the ray confluence depth of ``g``; one landing
+    on the path of ``g`` meets it there.
+    """
+    d, dg = ball.depth(block.start), ball.depth(g)
+    cg = ray_confluence_depth(ball, g)
+    words = Counter()
+    for key, count in _anchored_climb(ball, block, g).items():
+        words[_crossing_word(d, dg, min(key, cg) if key >= 0 else -key)] += count
     return words
 
 
@@ -336,8 +404,8 @@ def iwahori_constant(
 
     ``_groups`` may hold :func:`edges_by_weyl_word` up to the longest word
     counted, built once by a caller that counts many constants on one ball.
-    Every call measures its histogram afresh: this is the single-constant
-    reference for :func:`iwahori_product`.
+    Every call measures each edge with :func:`weyl_distance`: this is the
+    single-constant reference for :func:`iwahori_product`.
     """
     d1, d2, dt = (flag & 1 for flag in iflags)
     if d1 ^ d2 != dt:
@@ -350,14 +418,13 @@ def iwahori_constant(
             f"ball radius {ball.radius} < required {len(w1) + len(w2) + 2}"
         )
     groups = _groups if _groups is not None else edges_by_weyl_word(ball, len(w1) + len(w2))
-    words = _word_histogram(
-        ball,
-        groups,
-        swap_types(w1) if d1 else w1,
-        swap_types(target) if dt else target,
-        {},
+    g = _witness_edge(ball, groups, swap_types(target) if dt else target)
+    word = swap_types(w2) if dt else w2
+    return sum(
+        1
+        for f in groups.get(swap_types(w1) if d1 else w1, ())
+        if weyl_distance(ball, f, g) == word
     )
-    return words[swap_types(w2) if dt else w2]
 
 
 def iwahori_product(
@@ -380,10 +447,10 @@ def iwahori_product(
 
     Two private caches serve a caller that counts many products on one
     ball: ``_groups`` holds :func:`edges_by_weyl_word` up to the longest
-    word counted, and ``_words`` maps (word from the base edge, witness
-    edge) to the histogram of crossing words from the witness over that
-    word's group, so each such pair is measured once per sweep and every
-    ``w2`` is read from it.
+    word counted, and ``_words`` maps (word from the base edge, word of the
+    witness edge) to the histogram of crossing words from the witness over
+    the first word's group, so each such pair is measured once per sweep
+    and every ``w2`` is read from it.
     """
     d1, d2 = (flag & 1 for flag in iflags)
     dt = d1 ^ d2
@@ -400,7 +467,12 @@ def iwahori_product(
         if flag & 1 != dt or len(word) > bound:
             continue
         word_eg = swap_types(word) if dt else word
-        count = _word_histogram(ball, groups, word_ef, word_eg, cache)[word_fg]
+        words = cache.get((word_ef, word_eg))
+        if words is None:
+            words = cache[(word_ef, word_eg)] = _word_histogram(
+                ball, groups.get(word_ef, range(0)), _witness_edge(ball, groups, word_eg)
+            )
+        count = words[word_fg]
         if count:
             counts[target] = count
     return counts
@@ -449,8 +521,8 @@ def horocycle_class(ball: TreeBall, ray: tuple, u: int, v: int) -> int:
     return _confluence_class(ball, u, v)
 
 
-def horocycle_members(ball: TreeBall, n: int) -> list:
-    """Vertices on the root's horocycle at confluence distance ``n``.
+def horocycle_members(ball: TreeBall, n: int) -> range:
+    """Vertices on the root's horocycle at confluence distance ``n``, as a contiguous range.
 
     They are the vertices of sphere ``2n`` whose ancestor at depth ``n`` is
     on the marked ray and whose ancestor at depth ``n + 1`` is not: with
@@ -459,24 +531,39 @@ def horocycle_members(ball: TreeBall, n: int) -> list:
     ``[span, width[n] * span)`` within the sphere.
     """
     if n == 0:
-        return [0]
+        return range(1)
     if ball.radius < 2 * n:
         raise BallTooSmall(f"ball radius {ball.radius} < required {2 * n}")
     span = prod(ball.width[n + 1 : 2 * n])
     start = ball.sphere_start[2 * n]
-    return list(ball._budgeted(start + span, start + ball.width[n] * span))
+    return ball._budgeted(start + span, start + ball.width[n] * span)
 
 
-def _class_histogram(ball: TreeBall, members: dict, m: int, k: int, cache: dict) -> Counter:
-    """Confluence classes from the first class-``k`` member, over the class-``m`` members.
+def _class_histogram(ball: TreeBall, block: range, w: int) -> Counter:
+    """Confluence classes from ``w`` over the vertices of ``block``, by one anchored climb.
 
-    ``members`` maps classes to their :func:`horocycle_members`; ``cache``
-    keeps each histogram under ``(m, k)`` for the next caller.
+    Equals ``Counter(_confluence_class(ball, v, w) for v in block)`` and, like
+    it, raises :class:`HorocycleMismatch` if any vertex of the block is off
+    the horocycle of ``w``.  A vertex landing on the path of ``w`` off the
+    marked ray has its ray toward the marked end merge with that of ``w``
+    there; one landing on the ray at depth ``e`` merges at depth
+    ``max(e, c)``, with ``c`` the ray confluence depth of ``w``.
     """
-    classes = cache.get((m, k))
-    if classes is None:
-        w = members[k][0]
-        classes = cache[(m, k)] = Counter(_confluence_class(ball, v, w) for v in members[m])
+    d, dw = ball.depth(block.start), ball.depth(w)
+    cw = ray_confluence_depth(ball, w)
+    classes = Counter()
+    for key, count in _anchored_climb(ball, block, w).items():
+        if key < 0:
+            n_v, n_w = d + key, dw + key
+        else:
+            top = max(key, cw)
+            n_v, n_w = d + top - 2 * key, dw + top - 2 * cw
+        if n_v != n_w:
+            raise HorocycleMismatch(
+                f"{count} vertices of {block} and vertex {w} lie on different horocycles"
+                f" ({n_v} != {n_w})"
+            )
+        classes[n_v] += count
     return classes
 
 
@@ -485,8 +572,8 @@ def horocycle_constant(ball: TreeBall, m: int, n: int, k: int) -> int:
 
     The witness is the first vertex at class ``k`` from the root; the count
     is the structure constant of the class-``k`` basis element in the
-    product of the class-``m`` and class-``n`` ones.  Every call lists the
-    members and measures its histogram afresh: this is the single-constant
+    product of the class-``m`` and class-``n`` ones.  Every call measures
+    each member with :func:`_confluence_class`: this is the single-constant
     reference for :func:`horocycle_product`.
     """
     if min(m, n, k) < 0:
@@ -494,8 +581,8 @@ def horocycle_constant(ball: TreeBall, m: int, n: int, k: int) -> int:
     bound = 2 * max(m, n, k) + 2
     if ball.radius < bound:
         raise BallTooSmall(f"ball radius {ball.radius} < required {bound}")
-    members = {j: horocycle_members(ball, j) for j in {m, k}}
-    return _class_histogram(ball, members, m, k, {})[n]
+    w = horocycle_members(ball, k)[0]
+    return sum(1 for v in horocycle_members(ball, m) if _confluence_class(ball, v, w) == n)
 
 
 def horocycle_product(
@@ -527,7 +614,10 @@ def horocycle_product(
     cache = {} if _classes is None else _classes
     counts: dict = {}
     for k in range(top + 1):
-        count = _class_histogram(ball, _members, m, k, cache)[n]
+        classes = cache.get((m, k))
+        if classes is None:
+            classes = cache[(m, k)] = _class_histogram(ball, _members[m], _members[k][0])
+        count = classes[n]
         if count:
             counts[k] = count
     return counts

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,7 @@ from test_acceptance import ACCEPTANCE_COMMANDS
 
 from hecketree import cli, tree, verify
 from hecketree.cli import main
-from hecketree.endstab import HorocycleAlgebra, m_to_nf
+from hecketree.endstab import HorocycleAlgebra, m_to_nf, toeplitz_bratteli
 from hecketree.iwahori import IwahoriAlgebra
 from hecketree.sl2 import SL2EndAlgebra, make_prufer
 from hecketree.spherical import SphericalAlgebra, SphericalParams
@@ -206,6 +207,18 @@ def test_ktheory_unused_option_exit_2(capsys, tmp_path, argv, message):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+def test_ktheory_toeplitz_size_limit_exit_2(capsys):
+    # the report grows as size^3 / 3 integers; size 80 holds about 184,000
+    code, out = run_cli(capsys, "ktheory", "--example", "toeplitz", "--size", "80")
+    assert code == 0 and json.loads(out)["size"] == 80
+    for size in ("90", "100000"):
+        code = main(["ktheory", "--example", "toeplitz", "--size", size])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"limit of {cli.MAX_TOEPLITZ_INTEGERS:,}" in captured.err
+
+
 def test_ktheory_bad_input(capsys, tmp_path):
     code, _ = run_cli(capsys, "ktheory", str(tmp_path / "missing.json"))
     assert code == 2
@@ -361,6 +374,38 @@ def test_nu_output(capsys):
     code, out = run_cli(capsys, "nu", "--p", "3", "--depth", "1")
     doc = json.loads(out)
     assert [c["representative"] for c in doc["cosets"]] == ["0", "1/3", "2/3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("nu", "--p", "3", "--depth", "7"), ("nu", "--p", "7", "--depth", "9"),
+     ("table", "sl2", "--p", "3", "--max", "7")],
+)
+def test_sl2_depth_over_bound_exit_2(capsys, argv):
+    # nu and table sl2 share the depth bound, and fail before any work
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: depth {argv[-1]} exceeds the bound 6\n"
+
+
+def _readme_cli_lines() -> list:
+    """The ``hecketree ...`` lines of the README's command-line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("hecketree ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path, line):
+    # every example of the README's command-line block runs and exits 0;
+    # diagram.json is written to the working directory first
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "diagram.json").write_text(json.dumps(toeplitz_bratteli(5).to_json()))
+    code = main(shlex.split(line, comments=True)[1:])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out and not captured.err
 
 
 def test_invalid_params_exit_2(capsys):

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,7 +212,7 @@ def test_horocycle_members_match_sphere_scan(q0, q1, radius):
     b = tree.build_ball(q0, q1, radius)
     for n in range(radius // 2 + 1):
         scan = [v for v in b.sphere(2 * n) if tree.ray_confluence_depth(b, v) == n]
-        assert tree.horocycle_members(b, n) == scan
+        assert list(tree.horocycle_members(b, n)) == scan
 
 
 def test_horocycle_members_budget_counts_members():
@@ -223,7 +224,7 @@ def test_horocycle_members_budget_counts_members():
 
 def test_horocycle_class_symmetric(ball33):
     ray = ball33.ray()
-    members = tree.horocycle_members(ball33, 2) + tree.horocycle_members(ball33, 3)
+    members = [*tree.horocycle_members(ball33, 2), *tree.horocycle_members(ball33, 3)]
     rng = random.Random(3)
     for _ in range(40):
         u, v = rng.choice(members), rng.choice(members)
@@ -544,3 +545,84 @@ def test_deep_ball_is_implicit():
     # vertex numbers are capped in size, so a huge radius fails before building
     with pytest.raises(tree.BallBudgetExceeded):
         tree.build_ball(2, 2, 100_000)
+
+
+def _landing(ball, v, w):
+    """Per-vertex reference for one key of the anchored climb of ``v`` against ``w``."""
+    dc = tree._meet(ball, v, w)[2]
+    if dc > tree.ray_confluence_depth(ball, w):
+        return -dc  # the common ancestor is on the witness's path off the marked ray
+    return tree.ray_confluence_depth(ball, v)
+
+
+@st.composite
+def _blocks(draw):
+    """A ball, a block of one sphere and a witness on or off the marked ray."""
+    ball = tree.build_ball(draw(st.sampled_from((2, 3))), draw(st.sampled_from((2, 3))), 7)
+    kind = draw(st.sampled_from(("sphere", "edges", "horocycle", "mixed", "subtree")))
+    if kind == "sphere":
+        block = ball.sphere(draw(st.integers(1, 5)))
+    elif kind == "edges":
+        block = draw(st.sampled_from(list(tree.edges_by_weyl_word(ball, 4).values())))
+    elif kind == "subtree":  # the vertices of one sphere below one vertex
+        u = draw(st.integers(1, ball.sphere_start[4] - 1))
+        du = ball.depth(u)
+        d = draw(st.integers(du, 5))
+        span = prod(ball.width[du:d])
+        start = ball.sphere_start[d] + (u - ball.sphere_start[du]) * span
+        block = range(start, start + span)
+    else:
+        block = tree.horocycle_members(ball, draw(st.integers(1, 2)))
+        if kind == "mixed":  # one more vertex of the sphere, on another horocycle
+            block = draw(
+                st.sampled_from(
+                    (range(block.start - 1, block.stop), range(block.start, block.stop + 1))
+                )
+            )
+    witness = draw(
+        st.one_of(
+            st.sampled_from(ball.ray()[1:]),
+            st.integers(1, ball.num_vertices - 1),
+            # on the root's horocycle
+            st.integers(0, 3).flatmap(lambda k: st.sampled_from(tree.horocycle_members(ball, k))),
+        )
+    )
+    return ball, kind, block, witness
+
+
+@settings(max_examples=120, deadline=None)
+@given(_blocks())
+def test_anchored_climb_matches_per_vertex_functions(case):
+    ball, kind, block, w = case
+    climb = tree._anchored_climb(ball, block, w)
+    assert climb == Counter(_landing(ball, v, w) for v in block)
+    words = tree._word_histogram(ball, block, w)
+    assert words == Counter(tree.weyl_distance(ball, f, w) for f in block)
+    # every vertex of the block was visited
+    assert sum(climb.values()) == sum(words.values()) == len(block)
+    try:
+        expected = Counter(tree._confluence_class(ball, v, w) for v in block)
+    except tree.HorocycleMismatch:
+        with pytest.raises(tree.HorocycleMismatch):
+            tree._class_histogram(ball, block, w)
+    else:
+        # a sphere (ray vertex and the rest) or a mixed block holds vertices of
+        # two horocycles, so no witness lies on the horocycle of all of them
+        assert kind not in ("sphere", "mixed")
+        classes = tree._class_histogram(ball, block, w)
+        assert classes == expected and sum(classes.values()) == len(block)
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        lambda: verify.verify_iwahori(2, 3, 8),
+        lambda: verify.verify_affine(4, 7),
+        lambda: verify.verify_spherical(SphericalParams.homogeneous(4), 9),
+        lambda: verify.verify_spherical(SphericalParams.two_orbit(3, 2), 6),
+    ],
+    ids=["iwahori-2-3-len8", "affine-4-max7", "spherical-4-max9", "spherical-3-2-max6"],
+)
+def test_deep_sweeps_ok(sweep):
+    report = sweep()
+    assert report.ok and report.cells
