@@ -6,6 +6,11 @@ terms.  Tables and single products stream one JSON object per line (or CSV
 rows with ``label:num/den`` value lists); ``verify``, ``ktheory`` and ``nu``
 print a single JSON document.
 
+``table``, ``mul`` and ``nu`` key, label and JSON-encode each basis index
+once per command (:class:`BasisMemo`) and join their records from those
+fragments, byte for byte as ``json.dumps`` lays them out: with its default
+separators one record a line, with ``indent=2`` in ``nu``'s document.
+
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input.
 """
 
@@ -15,6 +20,7 @@ import argparse
 import csv
 import itertools
 import json
+import operator
 import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -23,7 +29,7 @@ from . import verify as verify_mod
 from .endstab import HorocycleAlgebra, ToeplitzAlgebra, toeplitz_bratteli, toeplitz_shift_alpha
 from .iwahori import IwahoriAlgebra
 from .ktheory import load_bratteli, pv_k_groups, truncated_limit
-from .sl2 import SL2EndAlgebra, nu as nu_map
+from .sl2 import PruferGroupAlgebra, SL2EndAlgebra, nu as nu_map
 from .spherical import SphericalAlgebra, SphericalParams
 from .tree import DEFAULT_MAX_VERTICES
 
@@ -36,27 +42,84 @@ def fmt_rational(x: int | Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def product_record(family: str, algebra, a, b) -> dict:
-    prod = algebra.multiply_basis(a, b)
-    return {
-        "family": family,
-        "key": [algebra.basis_label(a), algebra.basis_label(b)],
-        "value": [
-            [algebra.basis_label(idx), fmt_rational(coeff)] for idx, coeff in prod.terms()
-        ],
-    }
+class BasisMemo(dict):
+    """Basis index -> (sort key, label, JSON-encoded label), filled on first use.
+
+    One per command, so each index is keyed, labelled and encoded once
+    however many records it appears in.
+    """
+
+    def __init__(self, algebra):
+        super().__init__()
+        self.algebra = algebra
+
+    def __missing__(self, idx):
+        label = self.algebra.basis_label(idx)
+        entry = self[idx] = (self.algebra.basis_key(idx), label, json.dumps(label))
+        return entry
 
 
-def emit_records(records, fmt: str, out) -> None:
+_ENTRY = operator.itemgetter(0)
+
+
+def product_record(memo: BasisMemo, a, b) -> tuple:
+    """One table cell: ``(left, right, value)``.
+
+    ``left`` and ``right`` are the memo entries of ``a`` and ``b``; ``value``
+    lists the product's terms as ``(entry, coefficient)`` pairs in the
+    canonical basis order.  A coefficient is a structure constant, an ``int``
+    (``multiply_basis`` checks), so the writers print it as ``n/1``.
+    """
+    terms = memo.algebra.multiply_basis(a, b).items()
+    # memo entries sort by their first field, the basis key
+    return memo[a], memo[b], sorted([(memo[idx], c) for idx, c in terms], key=_ENTRY)
+
+
+def emit_records(family: str, records, fmt: str, out) -> None:
+    """Write product records as JSON lines or CSV rows, one record at a time.
+
+    A JSON line is ``{"family": ..., "key": [a, b], "value": [[label, "n/d"],
+    ...]}``, joined from the memo's encoded labels in the layout of
+    ``json.dumps`` with its default separators.
+    """
     if fmt == "json":
-        for rec in records:
-            out.write(json.dumps(rec) + "\n")
+        head = '{"family": ' + json.dumps(family) + ', "key": ['
+        for left, right, value in records:
+            terms = ", ".join([f'[{e[2]}, "{c}/1"]' for e, c in value])
+            out.write(f'{head}{left[2]}, {right[2]}], "value": [{terms}]}}\n')
         return
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["family", "left", "right", "value"])
-    for rec in records:
-        value = ";".join(f"{label}:{coeff}" for label, coeff in rec["value"])
-        writer.writerow([rec["family"], rec["key"][0], rec["key"][1], value])
+    for left, right, value in records:
+        terms = ";".join([f"{e[1]}:{c}/1" for e, c in value])
+        writer.writerow([family, left[1], right[1], terms])
+
+
+def _indented(open_: str, items: list, close: str, depth: int) -> str:
+    """A JSON array or object laid out as ``json.dumps(indent=2)`` does.
+
+    ``items`` are its rendered members and ``depth`` its nesting depth, 0 for
+    the whole document.
+    """
+    if not items:
+        return open_ + close
+    inner = "\n" + "  " * (depth + 1)
+    return open_ + inner + ("," + inner).join(items) + "\n" + "  " * depth + close
+
+
+def _indented_term(encoded_label: str, coeff: str) -> str:
+    """A ``[label, "n/d"]`` pair of ``nu``'s document."""
+    return _indented("[", [encoded_label, f'"{coeff}"'], "]", 4)
+
+
+def _indented_record(record) -> str:
+    """A product record without its family, as an entry of ``nu``'s table."""
+    left, right, value = record
+    fields = [
+        '"key": ' + _indented("[", [left[2], right[2]], "]", 3),
+        '"value": ' + _indented("[", [_indented_term(e[2], f"{c}/1") for e, c in value], "]", 3),
+    ]
+    return _indented("{", fields, "}", 2)
 
 
 def _spherical_params(args) -> SphericalParams:
@@ -141,8 +204,9 @@ def cmd_table(args) -> int:
     family = FAMILIES[args.family]
     algebra = family.algebra(args)
     cells = family.cells(args, algebra)
-    records = (product_record(args.family, algebra, a, b) for a, b in cells)
-    emit_records(records, args.format, sys.stdout)
+    memo = BasisMemo(algebra)
+    records = (product_record(memo, a, b) for a, b in cells)
+    emit_records(args.family, records, args.format, sys.stdout)
     return 0
 
 
@@ -150,7 +214,8 @@ def cmd_mul(args) -> int:
     algebra = FAMILIES[args.family].algebra(args)
     a = algebra.parse_label(args.left)
     b = algebra.parse_label(args.right)
-    emit_records([product_record(args.family, algebra, a, b)], args.format, sys.stdout)
+    record = product_record(BasisMemo(algebra), a, b)
+    emit_records(args.family, [record], args.format, sys.stdout)
     return 0
 
 
@@ -202,24 +267,32 @@ def cmd_ktheory(args) -> int:
 def cmd_nu(args) -> int:
     algebra = SL2EndAlgebra(args.p)
     cosets = algebra.cosets_up_to_depth(args.depth)
+    points = BasisMemo(PruferGroupAlgebra(args.p))
     coset_docs = []
     for c in cosets:
-        image = nu_map(c.representative)
-        coset_docs.append(
-            {
-                "representative": c.label(),
-                "orbit": [g.label() for g in c.members],
-                "size": len(c.members),
-                "nu": [[g.label(), fmt_rational(coeff)] for g, coeff in image.terms()],
-            }
-        )
-    table = []
-    for a, b in itertools.product(cosets, repeat=2):
-        record = product_record(None, algebra, a, b)
-        del record["family"]  # nu table entries carry only key and value
-        table.append(record)
-    doc = {"p": args.p, "depth": args.depth, "cosets": coset_docs, "table": table}
-    print(json.dumps(doc, indent=2))
+        image = [
+            _indented_term(points[g][2], fmt_rational(coeff))
+            for g, coeff in nu_map(c.representative).terms()
+        ]
+        fields = [
+            '"representative": ' + points[c.representative][2],
+            '"orbit": ' + _indented("[", [points[g][2] for g in c.members], "]", 3),
+            f'"size": {len(c.members)}',
+            '"nu": ' + _indented("[", image, "]", 3),
+        ]
+        coset_docs.append(_indented("{", fields, "}", 2))
+    memo = BasisMemo(algebra)
+    table = [
+        _indented_record(product_record(memo, a, b))
+        for a, b in itertools.product(cosets, repeat=2)
+    ]
+    fields = [
+        f'"p": {args.p}',
+        f'"depth": {args.depth}',
+        '"cosets": ' + _indented("[", coset_docs, "]", 1),
+        '"table": ' + _indented("[", table, "]", 1),
+    ]
+    print(_indented("{", fields, "}", 0))
     return 0
 
 

@@ -77,14 +77,15 @@ class HeckeAlgebra:
         key = (a, b)
         terms = self._product_cache.get(key)
         if terms is None:
-            terms = dict(self._basis_product(a, b))
-            for idx, coeff in terms.items():
-                if not isinstance(coeff, int) or coeff < 0:
+            terms = {}
+            for idx, coeff in self._basis_product(a, b).items():
+                if type(coeff) is not int or coeff < 0:  # bool is not a count
                     raise AssertionError(
                         f"structure constant {coeff!r} at {idx!r} is not a "
                         "nonnegative integer"
                     )
-            terms = {idx: coeff for idx, coeff in terms.items() if coeff}
+                if coeff:
+                    terms[idx] = coeff
             self._product_cache[key] = terms
         return HeckeElement._of(self, terms)
 
@@ -153,6 +154,10 @@ class HeckeElement:
         return out
 
     # -- inspection --------------------------------------------------------
+
+    def items(self):
+        """The (index, coefficient) pairs, in no fixed order."""
+        return self._terms.items()
 
     def terms(self) -> list:
         """Term list sorted by the algebra's canonical basis order."""

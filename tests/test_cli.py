@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_acceptance import ACCEPTANCE_COMMANDS
 
-from hecketree import cli, tree, verify
+from hecketree import cli, sl2, tree, verify
 from hecketree.cli import main
 from hecketree.endstab import HorocycleAlgebra, m_to_nf, toeplitz_bratteli
 from hecketree.iwahori import IwahoriAlgebra
@@ -135,9 +135,32 @@ def test_verify_sl2_passes(capsys, p, depth):
         (("table", "sl2", "--p", "4", "--max", "1"), "error: 4 is not prime"),
         (("table", "sl2", "--p", "7", "--max", "7"), "error: depth 7 exceeds the bound 6"),
         (("verify", "sl2", "--p", "4", "--max", "1"), "error: 4 is not prime"),
+        # the depth bound of 6 does not bound p^depth
+        (
+            ("table", "sl2", "--p", "101", "--max", "3"),
+            "error: depth 3 at p = 101 walks 1,040,603 points, over the limit of 50,000",
+        ),
+        (
+            ("nu", "--p", "101", "--depth", "3"),
+            "error: depth 3 at p = 101 walks 1,040,603 points, over the limit of 50,000",
+        ),
+        (
+            ("mul", "sl2", "1/1030301", "1/101", "--p", "101"),
+            "error: depth 3 at p = 101 walks 1,040,603 points, over the limit of 50,000",
+        ),
+        (
+            ("verify", "sl2", "--p", "13", "--max", "3"),
+            "error: verify sl2 at p = 13 and max 3 makes 4,826,809 additions,"
+            " over the limit of 2,000,000",
+        ),
     ],
 )
-def test_sl2_invalid_input_exit_2(capsys, argv, message):
+def test_sl2_invalid_input_exit_2(capsys, monkeypatch, argv, message):
+    # each is rejected before the orbit of any nonzero point is enumerated
+    def no_orbits(p, n):
+        raise AssertionError("orbit enumeration started")
+
+    monkeypatch.setattr(sl2, "unit_squares_mod", no_orbits)
     assert main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -387,6 +410,14 @@ def test_sl2_depth_over_bound_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: depth {argv[-1]} exceeds the bound 6\n"
+
+
+def test_sl2_limits_admit_the_documented_commands():
+    # nu --p 31 --depth 3 and verify sl2 --p 11 --max 3 still run
+    SL2EndAlgebra(31).check_depth(3)
+    with pytest.raises(ValueError, match="52,059 points"):
+        SL2EndAlgebra(37).check_depth(3)
+    assert 11**6 <= verify.MAX_SL2_SWEEP_ADDITIONS < 13**6
 
 
 def _readme_cli_lines() -> list:
@@ -780,6 +811,79 @@ def test_sl2_output_pinned(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == expected, argv
+
+
+# sha256 of the stdout of the cold-tables benchmark's table commands (its two
+# nu commands are pinned above) and of CSV tables of every table family: the
+# bytes a table writer could change.
+TABLE_STDOUT_SHA256 = {
+    "table spherical --q 2 --max 40": (
+        "f40af2ad5c14c80b4ed82163876b31c3b82d66e5216ab5b2277c432114c1e4bf"
+    ),
+    "table iwahori --qs 2 --qt 3 --len 6": (
+        "a5ef76873dc3c28815da28784fcc63e308edbf6dfec82a0bd9053941fb35b027"
+    ),
+    "table affine --q 3 --max 30": (
+        "c6a46559bb25294d8bb0e182b6044ff12415c704c1ce198e98f6e16ac252bb50"
+    ),
+    "table spherical --q0 3 --q1 2 --max 4": (
+        "0477a382c800204b15620ddec7315c390a4eb720768652bb321f837fd61d90a1"
+    ),
+    "table sl2 --p 3 --max 3": (
+        "9e9454daf31a21ebf0112150e3609a2c337baf95ef35b994fe14de305a8cd13a"
+    ),
+    "table spherical --q 2 --max 6 --format csv": (
+        "c3ef76ce10aa4ff2fa11776661aaee4238bcd50bbe0a7667d67223a199ea6924"
+    ),
+    "table spherical --q0 2 --q1 3 --max 5 --format csv": (
+        "09b96343d957ca002e9df4129a1b2cc23e4bff079dc3786704c46dc6f4ff3ed4"
+    ),
+    "table iwahori --qs 2 --qt 3 --len 3 --format csv": (
+        "8ad8346c8aeb11b9cea6e4eac603917963c1d3c418bef8d1daef6627e9b7c7ff"
+    ),
+    "table affine --q 3 --max 6 --format csv": (
+        "cb6a600c80127851f372202266b6a88dc6d0c0552682eb0c8bbcc820665ce58b"
+    ),
+    "table sl2 --p 5 --max 2 --format csv": (
+        "26dcd3dff1893dcbf7e93ed97acd8e7f86b497eba9e03fe51723a2947c2528a4"
+    ),
+    "mul affine-nf (0,1) (1,0) --q 2": (
+        "598f85151b83d5c5049b5ba9f80ca1ddedc078df908d5e9c07a5fe33c3f69c54"
+    ),
+    "mul affine-nf (2,1) (1,3) --q 3 --format csv": (
+        "220082c4c44cf5a776cf6f256b90b57d027c252f2cb197c078b3e1f01c7d0f8a"
+    ),
+    "mul sl2 1/5 2/25 --p 5": (
+        "eda8add3d708736fe82807f54ec07985b75bef2e8d7371e8a5301b8b34a6be72"
+    ),
+}
+
+
+def test_table_output_pinned(capsys):
+    for command, expected in TABLE_STDOUT_SHA256.items():
+        code, out = run_cli(capsys, *command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "spherical", "--q", "2", "--max", "3"),
+        ("table", "spherical", "--q0", "2", "--q1", "3", "--max", "3"),
+        ("table", "iwahori", "--qs", "2", "--qt", "3", "--len", "2"),
+        ("table", "affine", "--q", "3", "--max", "3"),
+        ("table", "sl2", "--p", "5", "--max", "2"),
+        ("mul", "affine-nf", "(2,1)", "(1,3)", "--q", "3"),
+        ("mul", "sl2", "3/25", "1/5", "--p", "5"),
+    ],
+)
+def test_json_lines_are_canonical(capsys, argv):
+    # each line is exactly what json.dumps makes of it with default separators
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out.endswith("\n")
+    for line in out.splitlines():
+        assert json.dumps(json.loads(line)) == line
 
 
 def test_csv_quotes_labels_containing_commas(capsys):

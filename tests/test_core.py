@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hecketree.core import HeckeAlgebra
 from hecketree.sl2 import SL2EndAlgebra
 from hecketree.spherical import SphericalAlgebra, SphericalParams
 
@@ -136,6 +137,35 @@ def test_structure_constants_nonnegative_integers():
                 for x in products:
                     assert all(type(c) is int and c > 0 for _, c in x.terms()), (a, b)
                     assert type(x.r_hom()) is int
+
+
+class _ToyAlgebra(HeckeAlgebra):
+    """One basis index whose square has the structure constants it is given."""
+
+    unit = 0
+
+    def __init__(self, constants):
+        super().__init__()
+        self.constants = constants
+
+    def _basis_product(self, a, b):
+        return self.constants
+
+
+@pytest.mark.parametrize("bad", [True, -1, Fraction(1)])
+def test_structure_constants_checked_on_admission(bad):
+    # a structure constant is a plain nonnegative int: bool, negative and
+    # Fraction values are rejected before anything is cached
+    algebra = _ToyAlgebra({0: bad})
+    with pytest.raises(AssertionError, match="not a nonnegative integer"):
+        algebra.multiply_basis(0, 0)
+    assert algebra._product_cache == {}
+
+
+def test_zero_structure_constants_dropped_on_admission():
+    algebra = _ToyAlgebra({0: 0, 1: 2})
+    assert algebra.multiply_basis(0, 0).items() == {1: 2}.items()
+    assert algebra._product_cache == {(0, 0): {1: 2}}
 
 
 def test_terms_sorted_canonically():
