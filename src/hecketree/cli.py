@@ -22,24 +22,19 @@ import itertools
 import json
 import operator
 import sys
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import verify as verify_mod
 from .endstab import HorocycleAlgebra, ToeplitzAlgebra, toeplitz_bratteli, toeplitz_shift_alpha
 from .iwahori import IwahoriAlgebra
 from .ktheory import load_bratteli, pv_k_groups, truncated_limit
-from .sl2 import PruferGroupAlgebra, SL2EndAlgebra, nu as nu_map
+from .sl2 import SL2EndAlgebra
 from .spherical import SphericalAlgebra, SphericalParams
 from .tree import DEFAULT_MAX_VERTICES
 
 #: The most integers a ``ktheory --example toeplitz`` report may hold (size 89
 #: holds about 247,000 and prints 3.3 MB; the count grows as size^3 / 3).
 MAX_TOEPLITZ_INTEGERS = 250_000
-
-
-def fmt_rational(x: int | Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 class BasisMemo(dict):
@@ -267,18 +262,17 @@ def cmd_ktheory(args) -> int:
 def cmd_nu(args) -> int:
     algebra = SL2EndAlgebra(args.p)
     cosets = algebra.cosets_up_to_depth(args.depth)
-    points = BasisMemo(PruferGroupAlgebra(args.p))
     coset_docs = []
     for c in cosets:
-        image = [
-            _indented_term(points[g][2], fmt_rational(coeff))
-            for g, coeff in nu_map(c.representative).terms()
-        ]
+        # each point lies in one orbit, so each is encoded once; the first
+        # member is the representative, and nu(c) is the orbit sum, each
+        # member with coefficient 1, in the same order as the orbit
+        points = [json.dumps(g.label()) for g in c.members]
         fields = [
-            '"representative": ' + points[c.representative][2],
-            '"orbit": ' + _indented("[", [points[g][2] for g in c.members], "]", 3),
-            f'"size": {len(c.members)}',
-            '"nu": ' + _indented("[", image, "]", 3),
+            '"representative": ' + points[0],
+            '"orbit": ' + _indented("[", points, "]", 3),
+            f'"size": {len(points)}',
+            '"nu": ' + _indented("[", [_indented_term(e, "1/1") for e in points], "]", 3),
         ]
         coset_docs.append(_indented("{", fields, "}", 2))
     memo = BasisMemo(algebra)

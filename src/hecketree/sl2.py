@@ -16,6 +16,19 @@ Squares of units acting on denominator-``p^n`` elements factor through the
 residue ring, so orbits are finite and computed by enumeration for every
 prime, including p = 2 (where square classes are finer; supported but
 considered experimental).
+
+Hot paths code points as ints.  A point ``num / p^depth`` with depth <= D
+is the int ``num * p^(D - depth)`` in ``[0, p^D)`` (:func:`_code`), so
+addition is ``(x + y) % p^D`` and the point's depth is at most ``d`` exactly
+when its code is a multiple of ``p^(D - d)``.  :class:`SL2EndAlgebra` codes
+at its depth bound and indexes its cosets by the codes of their members;
+:func:`orbit_convolution` codes at the depth of its operands.  Orbits are
+enumerated as sorted int residues.  :class:`PruferElement` objects are built
+only where points are parsed, labelled or returned: the members of each
+:class:`DoubleCoset`, one per point, and each distinct sum of a
+convolution.  :func:`prufer_add` and :class:`PruferGroupAlgebra` stay on
+:class:`PruferElement` and are the route the ``nu`` images are multiplied
+along.
 """
 
 from __future__ import annotations
@@ -35,15 +48,42 @@ DEFAULT_DEPTH_BOUND = 6
 MAX_POINTS = 50_000
 
 
+#: Bases of the Miller-Rabin test: the first 13 primes.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: Miller-Rabin on :data:`_WITNESSES` decides primality exactly below this
+#: bound (Sorenson and Webster, Math. Comp. 86 (2017), arXiv 2015); above it
+#: :func:`_is_prime` refuses to answer rather than guess.
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 @lru_cache(maxsize=None)
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; raise ValueError from :data:`PRIME_BOUND` on."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
+    if p >= PRIME_BOUND:
+        raise ValueError(
+            f"cannot decide whether {p} is prime: the primality test is exact"
+            f" only below {PRIME_BOUND:,}"
+        )
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False  # a witnesses that p is composite
     return True
 
 
@@ -127,16 +167,27 @@ def unit_squares_mod(p: int, n: int) -> tuple:
     return tuple(sorted({v * v % modulus for v in range(1, modulus) if v % p}))
 
 
+def _orbit_residues(p: int, n: int, a: int) -> list:
+    """Sorted orbit ``{w * a mod p^n}`` of a unit ``a`` under the unit squares mod ``p^n``.
+
+    ``w * a`` is distinct for distinct ``w`` because ``a`` is a unit.
+    """
+    modulus = p**n
+    return sorted([w * a % modulus for w in unit_squares_mod(p, n)])
+
+
+def _code(g: PruferElement, depth: int) -> int:
+    """The int coding ``g`` at ``depth`` >= its own: ``num * p^(depth - g.depth)``."""
+    if g.depth > depth:
+        raise ValueError(f"{g!r} is deeper than the coding depth {depth}")
+    return g.num * g.p ** (depth - g.depth)
+
+
 def orbit(u: PruferElement) -> tuple:
     """Unit-square orbit of ``u``, sorted; depth is preserved."""
     if u.depth == 0:
         return (u,)
-    return tuple(
-        sorted(
-            PruferElement(u.p, u.depth, w * u.num % u.p**u.depth)
-            for w in unit_squares_mod(u.p, u.depth)
-        )
-    )
+    return tuple([PruferElement(u.p, u.depth, x) for x in _orbit_residues(u.p, u.depth, u.num)])
 
 
 def same_double_coset(u: PruferElement, u2: PruferElement) -> bool:
@@ -224,15 +275,24 @@ def double_coset(u: PruferElement) -> DoubleCoset:
 
 
 class SL2EndAlgebra(HeckeAlgebra):
-    """Double-coset algebra of the end centralizer, multiplied as orbit sums."""
+    """Double-coset algebra of the end centralizer, multiplied as orbit sums.
+
+    The algebra codes points at its depth bound (see the module docstring)
+    and keeps one :class:`DoubleCoset` object per orbit it has listed, with
+    the codes of its members.  :meth:`cosets_up_to_depth` lists the orbits
+    of each depth once; :meth:`coset` and the products return those objects.
+    """
 
     def __init__(self, p: int, depth_bound: int = DEFAULT_DEPTH_BOUND):
         super().__init__()
         self.p = p
         self.depth_bound = depth_bound
         self.unit = double_coset(prufer_zero(p))
-        self._coset_of: dict = {}  # Prüfer point -> its DoubleCoset
-        self._indexed_depth = -1  # _coset_of covers every point of depth <= this
+        self._modulus = p**depth_bound
+        self._cosets = [self.unit]  # every coset of depth <= len(_depth_end) - 1, in order
+        self._member_codes = [(0,)]  # the codes of the members of each of _cosets
+        self._position = {0: 0}  # point code -> position in _cosets of its coset
+        self._depth_end = [1]  # _depth_end[n]: how many cosets have depth <= n
 
     def _key(self):
         return (self.p, self.depth_bound)
@@ -252,36 +312,46 @@ class SL2EndAlgebra(HeckeAlgebra):
                 f" over the limit of {MAX_POINTS:,}"
             )
 
+    def _index_to(self, depth: int) -> None:
+        """List the cosets of every depth <= ``depth`` not listed yet."""
+        if depth < len(self._depth_end):
+            return  # listed already, so within both limits
+        self.check_depth(depth)
+        p, position = self.p, self._position
+        for n in range(len(self._depth_end), depth + 1):
+            scale = p ** (self.depth_bound - n)
+            for a in range(1, p**n):
+                # the first point of an orbit met is its least member
+                if a % p == 0 or a * scale in position:
+                    continue
+                residues = _orbit_residues(p, n, a)
+                members = tuple([PruferElement(p, n, x) for x in residues])
+                codes = tuple([x * scale for x in residues])
+                position.update(dict.fromkeys(codes, len(self._cosets)))
+                self._cosets.append(DoubleCoset(members[0], members))
+                self._member_codes.append(codes)
+            self._depth_end.append(len(self._cosets))
+
     def coset(self, u: PruferElement) -> DoubleCoset:
         if u.p != self.p:
             raise ValueError(f"prime mismatch: {u.p} != {self.p}")
-        self.check_depth(u.depth)
-        return double_coset(u)
+        self._index_to(u.depth)
+        return self._cosets[self._position[_code(u, self.depth_bound)]]
 
     def coset_element(self, u: PruferElement) -> HeckeElement:
         return self.basis_element(self.coset(u))
 
     def cosets_up_to_depth(self, depth: int) -> list:
         """All double cosets of depth <= depth, in canonical order."""
-        self.check_depth(depth)
-        out = [self.unit]
-        for n in range(1, depth + 1):
-            claimed = set()
-            for a in range(1, self.p**n):
-                if a % self.p == 0 or a in claimed:
-                    continue
-                c = double_coset(PruferElement(self.p, n, a))
-                claimed.update(g.num for g in c.members)
-                out.append(c)
-        out.sort(key=self.basis_key)
-        return out
+        self._index_to(depth)
+        return self._cosets[: self._depth_end[depth]]
 
     def r_value(self, c: DoubleCoset) -> int:
         # one-sided cosets correspond to the points of the orbit
         return len(c.members)
 
     def involute_basis(self, c: DoubleCoset) -> DoubleCoset:
-        return double_coset(-c.representative)
+        return self.coset(-c.representative)
 
     def basis_key(self, c: DoubleCoset):
         return (c.representative.depth, c.representative.num)
@@ -292,14 +362,12 @@ class SL2EndAlgebra(HeckeAlgebra):
     def parse_label(self, text: str) -> DoubleCoset:
         return self.coset(parse_prufer(self.p, text))
 
-    def _cosets_by_point(self, depth: int) -> dict:
-        """Map every point of depth <= ``depth`` to its double coset (filled lazily)."""
-        if depth > self._indexed_depth:
-            for c in self.cosets_up_to_depth(depth):
-                for g in c.members:
-                    self._coset_of[g] = c
-            self._indexed_depth = depth
-        return self._coset_of
+    def _codes_of(self, c: DoubleCoset) -> tuple:
+        """Codes of the members of ``c``: kept for the algebra's own cosets, else computed."""
+        i = self._position.get(_code(c.representative, self.depth_bound))
+        if i is not None and self._cosets[i] is c:
+            return self._member_codes[i]
+        return tuple([_code(g, self.depth_bound) for g in c.members])
 
     def _basis_product(self, c1: DoubleCoset, c2: DoubleCoset) -> dict:
         """Count the product at one representative of the larger orbit.
@@ -316,17 +384,22 @@ class SL2EndAlgebra(HeckeAlgebra):
         if len(c1.members) > len(c2.members):
             c1, c2 = c2, c1
         max_depth = max(c1.representative.depth, c2.representative.depth)
-        cosets = self._cosets_by_point(max_depth)
-        r = c2.representative
-        hits = Counter()
-        for g in c1.members:
-            total = prufer_add(r, g)
-            c = cosets.get(total)
-            if c is None:
-                raise AssertionError(f"sum {total!r} exceeds the operand depth {max_depth}")
-            hits[c] += 1
+        self._index_to(max_depth)
+        modulus = self._modulus
+        r = _code(c2.representative, self.depth_bound)
+        totals = [(r + g) % modulus for g in self._codes_of(c1)]
+        # a sum of depth <= max_depth is a multiple of p^(depth_bound - max_depth)
+        step = self.p ** (self.depth_bound - max_depth)
+        for total in totals:
+            if total % step:
+                raise AssertionError(
+                    f"sum {make_prufer(self.p, total, self.depth_bound)!r}"
+                    f" exceeds the operand depth {max_depth}"
+                )
+        hits = Counter(map(self._position.__getitem__, totals))
         out: dict = {}
-        for c, n in hits.items():
+        for i, n in hits.items():
+            c = self._cosets[i]
             coeff, rest = divmod(len(c2.members) * n, len(c.members))
             if rest:
                 raise AssertionError(
@@ -339,7 +412,19 @@ class SL2EndAlgebra(HeckeAlgebra):
 def orbit_convolution(c1: DoubleCoset, c2: DoubleCoset) -> Counter:
     """Convolution of two orbit sums, one count per Prüfer point.
 
-    Adds every pair of orbit members, ``|O1| * |O2|`` additions: the
-    reference that ``verify sl2`` holds the representative count against.
+    Adds every pair of orbit members, ``|O1| * |O2|`` additions of int codes
+    at the depth of the deepest member, and builds one :class:`PruferElement`
+    per distinct sum: the reference that ``verify sl2`` holds the
+    representative count against.
     """
-    return Counter(prufer_add(g, h) for g in c1.members for h in c2.members)
+    p = c1.representative.p
+    if c2.representative.p != p:
+        raise ValueError(f"prime mismatch: {p} != {c2.representative.p}")
+    depth = max(g.depth for c in (c1, c2) for g in c.members)
+    modulus = p**depth
+    codes2 = [_code(h, depth) for h in c2.members]
+    sums = Counter()
+    for g in c1.members:
+        x = _code(g, depth)
+        sums.update([(x + y) % modulus for y in codes2])
+    return Counter({make_prufer(p, total, depth): n for total, n in sums.items()})

@@ -23,7 +23,8 @@ from .sl2 import PruferElement, SL2EndAlgebra, orbit_convolution
 from .spherical import HOMOGENEOUS, SphericalAlgebra, SphericalParams
 
 #: The most Prüfer additions a ``verify sl2`` sweep may make, p^(2 max):
-#: ``verify sl2 --p 11 --max 3`` makes 1,771,561 in about 5 s.
+#: ``verify sl2 --p 11 --max 3`` makes 1,771,561, as int additions, in about
+#: 0.3 s (Python 3.11, one core of a shared 2-vCPU host).
 MAX_SL2_SWEEP_ADDITIONS = 2_000_000
 
 

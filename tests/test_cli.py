@@ -153,6 +153,16 @@ def test_verify_sl2_passes(capsys, p, depth):
             "error: verify sl2 at p = 13 and max 3 makes 4,826,809 additions,"
             " over the limit of 2,000,000",
         ),
+        # primality is decided without trial division, and not guessed
+        (
+            ("mul", "sl2", "0", "0", "--p", "1000000000000000001"),
+            "error: 1000000000000000001 is not prime",
+        ),
+        (
+            ("nu", "--p", "3317044064679887385961981", "--depth", "0"),
+            "error: cannot decide whether 3317044064679887385961981 is prime:"
+            " the primality test is exact only below 3,317,044,064,679,887,385,961,981",
+        ),
     ],
 )
 def test_sl2_invalid_input_exit_2(capsys, monkeypatch, argv, message):
@@ -412,12 +422,44 @@ def test_sl2_depth_over_bound_exit_2(capsys, argv):
     assert captured.err == f"error: depth {argv[-1]} exceeds the bound 6\n"
 
 
-def test_sl2_limits_admit_the_documented_commands():
-    # nu --p 31 --depth 3 and verify sl2 --p 11 --max 3 still run
+def test_sl2_limits_admit_the_documented_commands(capsys):
+    # nu --p 31 --depth 3 and verify sl2 --p 11 --max 3 run, and print the
+    # bytes they printed when every point was a PruferElement
     SL2EndAlgebra(31).check_depth(3)
     with pytest.raises(ValueError, match="52,059 points"):
         SL2EndAlgebra(37).check_depth(3)
     assert 11**6 <= verify.MAX_SL2_SWEEP_ADDITIONS < 13**6
+    code, out = run_cli(capsys, "verify", "sl2", "--p", "11", "--max", "3")
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"] is True and doc["cells"] == 49
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f395a19a9f0439602632d5e004c13e3b49e0d615f402c7d59cc56db171993760"
+    )
+    code, out = run_cli(capsys, "nu", "--p", "31", "--depth", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cc56b1c9ef0af5a38011a50ec9e75cf8326ed74c04581a0f3a386f22f98052b4"
+    )
+
+
+def test_sl2_large_prime_runs(capsys):
+    # a prime of 19 digits is recognised at once; depth 0 walks no points
+    code, out = run_cli(capsys, "mul", "sl2", "0", "0", "--p", "1000000000000000003")
+    assert code == 0
+    assert out == '{"family": "sl2", "key": ["0", "0"], "value": [["0", "1/1"]]}\n'
+    code, out = run_cli(capsys, "nu", "--p", "1000000000000000003", "--depth", "0")
+    assert code == 0 and json.loads(out)["cosets"][0]["nu"] == [["0", "1/1"]]
+
+
+def test_nu_images_are_the_nu_map(capsys):
+    # the nu command prints each image from the coset's members; sl2.nu
+    # builds it in the Prüfer group algebra
+    code, out = run_cli(capsys, "nu", "--p", "7", "--depth", "2")
+    assert code == 0
+    for doc in json.loads(out)["cosets"]:
+        image = sl2.nu(sl2.parse_prufer(7, doc["representative"]))
+        assert doc["nu"] == [[g.label(), f"{c}/1"] for g, c in image.terms()]
+        assert [label for label, _ in doc["nu"]] == doc["orbit"]
 
 
 def _readme_cli_lines() -> list:

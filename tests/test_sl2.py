@@ -229,7 +229,7 @@ def test_star_trivial_iff_minus_one_is_square(p):
             assert fixed == minus_one_square
 
 
-@pytest.mark.parametrize("p,depth", [(2, 3), (3, 3), (5, 3), (7, 2)])
+@pytest.mark.parametrize("p,depth", [(2, 3), (3, 3), (5, 3), (7, 2), (11, 2), (2, 5)])
 def test_orbit_convolution_matches_nu_products(p, depth):
     # the full convolution and the generic product of nu images are the
     # references for the count at one representative
@@ -257,13 +257,86 @@ def test_double_coset_compares_by_representative():
     assert sorted([other, bare]) == [bare, other]
 
 
-def test_representative_count_checks_depth(monkeypatch):
+def test_representative_count_checks_depth():
     A = SL2EndAlgebra(5)
-    a, b = A.coset(make_prufer(5, 1, 1)), A.coset(make_prufer(5, 2, 1))
-    deep = make_prufer(5, 1, 2)
-    monkeypatch.setattr(sl2, "prufer_add", lambda x, y: deep)
-    with pytest.raises(AssertionError, match="exceeds the operand depth 1"):
-        A._basis_product(a, b)
+    u = make_prufer(5, 1, 1)
+    # an orbit of depth 1 has no member of depth 2: 2/5 + 1/25 = 11/25 is deeper
+    bogus = DoubleCoset(u, (u, make_prufer(5, 1, 2)))
+    with pytest.raises(AssertionError, match="sum 11/25 exceeds the operand depth 1"):
+        A._basis_product(bogus, A.coset(make_prufer(5, 2, 1)))
+
+
+def test_representative_count_checks_depth_after_indexing():
+    # the check tests the sum's depth, not whether the sum's coset is listed:
+    # after a product of depth 2 every point of depth 2 has its coset
+    A = SL2EndAlgebra(5)
+    A.multiply_basis(A.unit, A.coset(make_prufer(5, 1, 2)))
+    u = make_prufer(5, 1, 1)
+    bogus = DoubleCoset(u, (u, make_prufer(5, 1, 2)))
+    with pytest.raises(AssertionError, match="sum 11/25 exceeds the operand depth 1"):
+        A._basis_product(bogus, A.coset(make_prufer(5, 2, 1)))
+
+
+def test_listed_cosets_are_the_algebra_objects():
+    # coset, involute_basis and products return the listed objects, whose
+    # member codes the algebra keeps; an equal coset built outside it is
+    # coded from its own members
+    A = SL2EndAlgebra(7)
+    listed = A.cosets_up_to_depth(2)
+    assert A.cosets_up_to_depth(2) == listed
+    assert all(A.coset(c.representative) is c for c in listed)
+    assert all(A.involute_basis(c) in listed for c in listed)
+    for a, b in itertools.product(listed, repeat=2):
+        for c in A._basis_product(a, b):
+            assert any(c is d for d in listed)
+        outside = double_coset(a.representative)
+        assert outside is not a
+        assert A._basis_product(outside, b) == A._basis_product(a, b)
+
+
+def test_prufer_codes_add_mod_p_to_the_depth():
+    # num / p^depth is num * p^(D - depth) in [0, p^D); addition is mod p^D
+    D = 3
+    for p in (2, 3, 5):
+        points = [prufer_zero(p)] + [
+            make_prufer(p, a, n) for n in range(1, D + 1) for a in range(1, p**n) if a % p
+        ]
+        codes = {sl2._code(g, D): g for g in points}
+        assert sorted(codes) == list(range(p**D))
+        for x, y in itertools.product(points[:20], repeat=2):
+            total = (sl2._code(x, D) + sl2._code(y, D)) % p**D
+            assert codes[total] == prufer_add(x, y)
+    with pytest.raises(ValueError, match="deeper than the coding depth 1"):
+        sl2._code(make_prufer(5, 1, 2), 1)
+
+
+def test_orbit_convolution_checks_the_prime():
+    with pytest.raises(ValueError, match="prime mismatch"):
+        orbit_convolution(double_coset(make_prufer(5, 1, 1)), double_coset(make_prufer(3, 1, 1)))
+
+
+@pytest.mark.parametrize(
+    "n", [561, 3_215_031_751, 3_825_123_056_546_413_051, 1_000_000_000_000_000_001]
+)
+def test_is_prime_rejects_pseudoprimes(n):
+    # a Carmichael number, strong pseudoprimes to the bases 2, 3, 5, 7 and to
+    # the primes 2 to 31, and 10^18 + 1, a multiple of 101
+    assert not sl2._is_prime(n)
+
+
+def test_is_prime_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if sl2._is_prime(n)] == [n for n in range(3000) if trial(n)]
+    assert sl2._is_prime(1_000_000_000_000_000_003)
+    assert sl2._is_prime(2**61 - 1)
+
+
+def test_is_prime_refuses_beyond_its_bound():
+    with pytest.raises(ValueError, match="exact only below 3,317,044,064,679,887,385,961,981"):
+        sl2._is_prime(sl2.PRIME_BOUND)
+    assert sl2.PRIME_BOUND == 3_317_044_064_679_887_385_961_981
 
 
 def test_representative_count_checks_exact_division():
