@@ -140,28 +140,38 @@ def _upper_triangle(top: int):
 class Family(NamedTuple):
     """How the commands build one family from the parsed args.
 
+    ``flags`` names the family options the family reads, as attributes of
+    the args; :func:`_family` rejects any other family option given.
     ``algebra(args)`` is the algebra; ``cells(args, algebra)`` the basis pairs
     of its ``table``, and ``verify(args)`` its ``verify`` report.  Either of
     the last two is None when that command does not take the family.
     ``cells`` checks its flags when called, before ``table`` writes anything.
     """
 
+    flags: tuple
     algebra: Callable
     cells: Callable | None = None
     verify: Callable | None = None
 
 
+def _ball_budget(args) -> int:
+    """The vertex budget of a ``verify`` ball: ``--max-ball-vertices`` if given."""
+    return DEFAULT_MAX_VERTICES if args.max_ball_vertices is None else args.max_ball_vertices
+
+
 FAMILIES = {
     "spherical": Family(
+        ("q", "q0", "q1", "max", "max_ball_vertices"),
         lambda args: SphericalAlgebra(_spherical_params(args)),
         lambda args, algebra: _upper_triangle(_require(args.max, "--max")),
         lambda args: verify_mod.verify_spherical(
             _spherical_params(args),
             _require(args.max, "--max"),
-            max_vertices=args.max_ball_vertices,
+            max_vertices=_ball_budget(args),
         ),
     ),
     "iwahori": Family(
+        ("qs", "qt", "len", "max_ball_vertices"),
         lambda args: IwahoriAlgebra(_require(args.qs, "--qs"), _require(args.qt, "--qt")),
         lambda args, algebra: itertools.product(
             algebra.words_up_to(_require(args.len, "--len")), repeat=2
@@ -170,10 +180,11 @@ FAMILIES = {
             _require(args.qs, "--qs"),
             _require(args.qt, "--qt"),
             _require(args.len, "--len"),
-            max_vertices=args.max_ball_vertices,
+            max_vertices=_ball_budget(args),
         ),
     ),
     "affine": Family(
+        ("q", "max", "max_ball_vertices"),
         lambda args: HorocycleAlgebra(_require(args.q, "--q")),
         lambda args, algebra: itertools.product(
             range(_require(args.max, "--max") + 1), repeat=2
@@ -181,11 +192,12 @@ FAMILIES = {
         lambda args: verify_mod.verify_affine(
             _require(args.q, "--q"),
             _require(args.max, "--max"),
-            max_vertices=args.max_ball_vertices,
+            max_vertices=_ball_budget(args),
         ),
     ),
-    "affine-nf": Family(lambda args: ToeplitzAlgebra(_require(args.q, "--q"))),
+    "affine-nf": Family(("q",), lambda args: ToeplitzAlgebra(_require(args.q, "--q"))),
     "sl2": Family(
+        ("p", "max"),
         lambda args: SL2EndAlgebra(_require(args.p, "--p")),
         lambda args, algebra: itertools.product(
             algebra.cosets_up_to_depth(_require(args.max, "--max")), repeat=2
@@ -194,9 +206,22 @@ FAMILIES = {
     ),
 }
 
+#: Every family option, in the order of first declaration.
+_FAMILY_FLAGS = tuple(dict.fromkeys(name for f in FAMILIES.values() for name in f.flags))
+
+
+def _family(args) -> Family:
+    """The family the args name, after checking that it reads every family option given."""
+    family = FAMILIES[args.family]
+    for name in _FAMILY_FLAGS:
+        if getattr(args, name, None) is not None and name not in family.flags:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to the {args.family} family")
+    return family
+
 
 def cmd_table(args) -> int:
-    family = FAMILIES[args.family]
+    family = _family(args)
     algebra = family.algebra(args)
     cells = family.cells(args, algebra)
     memo = BasisMemo(algebra)
@@ -206,7 +231,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_mul(args) -> int:
-    algebra = FAMILIES[args.family].algebra(args)
+    algebra = _family(args).algebra(args)
     a = algebra.parse_label(args.left)
     b = algebra.parse_label(args.right)
     record = product_record(BasisMemo(algebra), a, b)
@@ -215,7 +240,7 @@ def cmd_mul(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = FAMILIES[args.family].verify(args)
+    report = _family(args).verify(args)
     print(json.dumps(report.to_json(), indent=2))
     return 0 if report.ok else 1
 
@@ -339,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--max-ball-vertices",
         type=nonnegative_int,
-        default=DEFAULT_MAX_VERTICES,
-        help="largest vertex range (sphere or edge block) an oracle count may visit",
+        help="largest vertex range (sphere or edge block) an oracle count may visit"
+        f" (default {DEFAULT_MAX_VERTICES:,})",
     )
     p_verify.set_defaults(func=cmd_verify)
 

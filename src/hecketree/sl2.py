@@ -21,7 +21,7 @@ Hot paths code points as ints.  A point ``num / p^depth`` with depth <= D
 is the int ``num * p^(D - depth)`` in ``[0, p^D)`` (:func:`_code`), so
 addition is ``(x + y) % p^D`` and the point's depth is at most ``d`` exactly
 when its code is a multiple of ``p^(D - d)``.  :class:`SL2EndAlgebra` codes
-at its depth bound and indexes its cosets by the codes of their members;
+at :data:`DEPTH_BOUND` and indexes its cosets by the codes of their members;
 :func:`orbit_convolution` codes at the depth of its operands.  Orbits are
 enumerated as sorted int residues.  :class:`PruferElement` objects are built
 only where points are parsed, labelled or returned: the members of each
@@ -39,7 +39,8 @@ from functools import lru_cache
 
 from .core import HeckeAlgebra, HeckeElement
 
-DEFAULT_DEPTH_BOUND = 6
+#: The deepest cosets :class:`SL2EndAlgebra` lists; its points are coded at this depth.
+DEPTH_BOUND = 6
 
 #: The most Prüfer points ``p + p^2 + ... + p^depth`` that enumerating the
 #: cosets of depth <= depth may walk.  The depth bound alone does not bound
@@ -277,25 +278,24 @@ def double_coset(u: PruferElement) -> DoubleCoset:
 class SL2EndAlgebra(HeckeAlgebra):
     """Double-coset algebra of the end centralizer, multiplied as orbit sums.
 
-    The algebra codes points at its depth bound (see the module docstring)
+    The algebra codes points at :data:`DEPTH_BOUND` (see the module docstring)
     and keeps one :class:`DoubleCoset` object per orbit it has listed, with
     the codes of its members.  :meth:`cosets_up_to_depth` lists the orbits
     of each depth once; :meth:`coset` and the products return those objects.
     """
 
-    def __init__(self, p: int, depth_bound: int = DEFAULT_DEPTH_BOUND):
+    def __init__(self, p: int):
         super().__init__()
         self.p = p
-        self.depth_bound = depth_bound
         self.unit = double_coset(prufer_zero(p))
-        self._modulus = p**depth_bound
+        self._modulus = p**DEPTH_BOUND
         self._cosets = [self.unit]  # every coset of depth <= len(_depth_end) - 1, in order
         self._member_codes = [(0,)]  # the codes of the members of each of _cosets
         self._position = {0: 0}  # point code -> position in _cosets of its coset
         self._depth_end = [1]  # _depth_end[n]: how many cosets have depth <= n
 
     def _key(self):
-        return (self.p, self.depth_bound)
+        return self.p
 
     def check_depth(self, depth: int) -> None:
         """Raise ValueError if cosets of depth ``depth`` are out of bounds.
@@ -303,8 +303,8 @@ class SL2EndAlgebra(HeckeAlgebra):
         Two limits, both checked before any enumeration: the depth bound, and
         :data:`MAX_POINTS` on the points ``p + ... + p^depth`` walked.
         """
-        if depth > self.depth_bound:
-            raise ValueError(f"depth {depth} exceeds the bound {self.depth_bound}")
+        if depth > DEPTH_BOUND:
+            raise ValueError(f"depth {depth} exceeds the bound {DEPTH_BOUND}")
         points = sum(self.p**n for n in range(1, depth + 1))
         if points > MAX_POINTS:
             raise ValueError(
@@ -319,7 +319,7 @@ class SL2EndAlgebra(HeckeAlgebra):
         self.check_depth(depth)
         p, position = self.p, self._position
         for n in range(len(self._depth_end), depth + 1):
-            scale = p ** (self.depth_bound - n)
+            scale = p ** (DEPTH_BOUND - n)
             for a in range(1, p**n):
                 # the first point of an orbit met is its least member
                 if a % p == 0 or a * scale in position:
@@ -336,7 +336,7 @@ class SL2EndAlgebra(HeckeAlgebra):
         if u.p != self.p:
             raise ValueError(f"prime mismatch: {u.p} != {self.p}")
         self._index_to(u.depth)
-        return self._cosets[self._position[_code(u, self.depth_bound)]]
+        return self._cosets[self._position[_code(u, DEPTH_BOUND)]]
 
     def coset_element(self, u: PruferElement) -> HeckeElement:
         return self.basis_element(self.coset(u))
@@ -364,10 +364,10 @@ class SL2EndAlgebra(HeckeAlgebra):
 
     def _codes_of(self, c: DoubleCoset) -> tuple:
         """Codes of the members of ``c``: kept for the algebra's own cosets, else computed."""
-        i = self._position.get(_code(c.representative, self.depth_bound))
+        i = self._position.get(_code(c.representative, DEPTH_BOUND))
         if i is not None and self._cosets[i] is c:
             return self._member_codes[i]
-        return tuple([_code(g, self.depth_bound) for g in c.members])
+        return tuple([_code(g, DEPTH_BOUND) for g in c.members])
 
     def _basis_product(self, c1: DoubleCoset, c2: DoubleCoset) -> dict:
         """Count the product at one representative of the larger orbit.
@@ -386,14 +386,14 @@ class SL2EndAlgebra(HeckeAlgebra):
         max_depth = max(c1.representative.depth, c2.representative.depth)
         self._index_to(max_depth)
         modulus = self._modulus
-        r = _code(c2.representative, self.depth_bound)
+        r = _code(c2.representative, DEPTH_BOUND)
         totals = [(r + g) % modulus for g in self._codes_of(c1)]
-        # a sum of depth <= max_depth is a multiple of p^(depth_bound - max_depth)
-        step = self.p ** (self.depth_bound - max_depth)
+        # a sum of depth <= max_depth is a multiple of p^(DEPTH_BOUND - max_depth)
+        step = self.p ** (DEPTH_BOUND - max_depth)
         for total in totals:
             if total % step:
                 raise AssertionError(
-                    f"sum {make_prufer(self.p, total, self.depth_bound)!r}"
+                    f"sum {make_prufer(self.p, total, DEPTH_BOUND)!r}"
                     f" exceeds the operand depth {max_depth}"
                 )
         hits = Counter(map(self._position.__getitem__, totals))

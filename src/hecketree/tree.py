@@ -6,8 +6,9 @@ edges of a finite ball and measuring distances along unique paths.  They
 serve as the independent oracle against which the algebraic modules are
 verified.  Each family has a per-cell function (:func:`spherical_product`,
 :func:`iwahori_product`, :func:`horocycle_product`) that returns a whole
-structure-constant vector, read from histograms a sweep may share between
-cells, and a single-constant reference beside it.
+structure-constant vector, read from histograms kept in the ball's memo
+(:attr:`TreeBall.memo`) and so shared by every cell counted on one ball, and
+a single-constant reference beside it.
 
 The histograms come from one anchored climb (:func:`_anchored_climb`).  A
 block is a contiguous range of one sphere (a sphere, the edges at one
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 DEFAULT_MAX_VERTICES = 4_000_000
@@ -77,6 +78,10 @@ class TreeBall:
     are derived on demand.  ``max_vertices`` bounds every vertex range the
     ball hands out (:meth:`sphere`, the blocks of :func:`edges_by_weyl_word`,
     :func:`horocycle_members`): what a count visits.
+
+    ``memo`` holds the histograms the per-cell oracles read, one inner dict
+    per kind (``"depths"``, ``"groups"``, ``"words"``, ``"classes"``).  They
+    depend only on the ball, so they live as long as it does.
     """
 
     q0: int
@@ -85,6 +90,7 @@ class TreeBall:
     width: list
     sphere_start: list
     max_vertices: int
+    memo: dict = field(default_factory=dict, init=False)
 
     @property
     def num_vertices(self) -> int:
@@ -266,7 +272,7 @@ def spherical_constant(ball: TreeBall, n: int, m: int, k: int) -> int:
     return sum(1 for v in ball.sphere(n) if distance(ball, v, w) == m)
 
 
-def spherical_product(ball: TreeBall, n: int, m: int, _depths: dict | None = None) -> dict:
+def spherical_product(ball: TreeBall, n: int, m: int) -> dict:
     """Full structure-constant vector of a sphere-sphere product, by counting.
 
     Equivalent to ``{k: spherical_constant(ball, n, m, k)}`` over all
@@ -276,15 +282,14 @@ def spherical_product(ball: TreeBall, n: int, m: int, _depths: dict | None = Non
     path from ``v`` to the root meets the ray.  So the vector is read from
     the histogram of those depths over the ``n``-sphere, which does not
     depend on ``m``; it is one anchored climb of the sphere against the root,
-    whose anchor is the marked ray.  A caller that counts many products on
-    one ball may pass ``_depths``, which maps ``n`` to that histogram, so
+    whose anchor is the marked ray.  The ball's memo keeps it under ``n``, so
     each sphere is measured once and every ``m`` is read from it.
     """
     if min(n, m) < 0:
         raise ValueError("sphere radii must be nonnegative")
     if ball.radius < n + m:
         raise BallTooSmall(f"ball radius {ball.radius} < required {n + m}")
-    cache = {} if _depths is None else _depths
+    cache = ball.memo.setdefault("depths", {})
     depths = cache.get(n)
     if depths is None:
         depths = cache[n] = _anchored_climb(ball, ball.sphere(n), 0)
@@ -386,12 +391,7 @@ def _word_histogram(ball: TreeBall, block: range, g: int) -> Counter:
 
 
 def iwahori_constant(
-    ball: TreeBall,
-    w1: str,
-    w2: str,
-    target: str,
-    iflags: tuple = (0, 0, 0),
-    _groups: dict | None = None,
+    ball: TreeBall, w1: str, w2: str, target: str, iflags: tuple = (0, 0, 0)
 ) -> int:
     """Edge count giving one structure constant of the edge-fixator algebra.
 
@@ -402,8 +402,6 @@ def iwahori_constant(
     inversion flag set reaches the same edges through a type-swapped word,
     which is what the ``iflags`` adjustments below implement.
 
-    ``_groups`` may hold :func:`edges_by_weyl_word` up to the longest word
-    counted, built once by a caller that counts many constants on one ball.
     Every call measures each edge with :func:`weyl_distance`: this is the
     single-constant reference for :func:`iwahori_product`.
     """
@@ -417,7 +415,7 @@ def iwahori_constant(
         raise BallTooSmall(
             f"ball radius {ball.radius} < required {len(w1) + len(w2) + 2}"
         )
-    groups = _groups if _groups is not None else edges_by_weyl_word(ball, len(w1) + len(w2))
+    groups = edges_by_weyl_word(ball, len(w1) + len(w2))
     g = _witness_edge(ball, groups, swap_types(target) if dt else target)
     word = swap_types(w2) if dt else w2
     return sum(
@@ -427,15 +425,7 @@ def iwahori_constant(
     )
 
 
-def iwahori_product(
-    ball: TreeBall,
-    w1: str,
-    w2: str,
-    iflags: tuple,
-    targets,
-    _groups: dict | None = None,
-    _words: dict | None = None,
-) -> dict:
+def iwahori_product(ball: TreeBall, w1: str, w2: str, iflags: tuple, targets) -> dict:
     """Structure-constant vector of one edge-fixator product, by counting.
 
     ``iflags`` are the inversion flags of the two factors and ``targets``
@@ -445,20 +435,22 @@ def iwahori_product(
     zeros: a target whose flag is not the sum of ``iflags`` mod 2, or whose
     word is longer than ``w1`` and ``w2`` together, has none.
 
-    Two private caches serve a caller that counts many products on one
-    ball: ``_groups`` holds :func:`edges_by_weyl_word` up to the longest
-    word counted, and ``_words`` maps (word from the base edge, word of the
-    witness edge) to the histogram of crossing words from the witness over
-    the first word's group, so each such pair is measured once per sweep
-    and every ``w2`` is read from it.
+    The ball's memo keeps :func:`edges_by_weyl_word` for each bound on the
+    word length, and maps (word from the base edge, word of the witness
+    edge) to the histogram of crossing words from the witness over the first
+    word's group, so each such pair is measured once and every ``w2`` is
+    read from it.
     """
     d1, d2 = (flag & 1 for flag in iflags)
     dt = d1 ^ d2
     bound = len(w1) + len(w2)
     if ball.radius < bound + 2:
         raise BallTooSmall(f"ball radius {ball.radius} < required {bound + 2}")
-    groups = _groups if _groups is not None else edges_by_weyl_word(ball, bound)
-    cache = {} if _words is None else _words
+    groups_by_bound = ball.memo.setdefault("groups", {})
+    groups = groups_by_bound.get(bound)
+    if groups is None:
+        groups = groups_by_bound[bound] = edges_by_weyl_word(ball, bound)
+    cache = ball.memo.setdefault("words", {})
     word_ef = swap_types(w1) if d1 else w1
     word_fg = swap_types(w2) if dt else w2
     counts: dict = {}
@@ -506,16 +498,14 @@ def _confluence_class(ball: TreeBall, u: int, v: int) -> int:
     return n_u
 
 
-def horocycle_class(ball: TreeBall, ray: tuple, u: int, v: int) -> int:
+def horocycle_class(ball: TreeBall, u: int, v: int) -> int:
     """Confluence distance of two vertices on a common horocycle.
 
-    Both rays toward the marked end eventually merge; the class is the
-    distance from either vertex to the merge point.  Raises
+    Both rays toward the ball's marked end eventually merge; the class is
+    the distance from either vertex to the merge point.  Raises
     :class:`HorocycleMismatch` when the two distances differ, i.e. the
     vertices sit on different horocycles.
     """
-    if not ray or tuple(ray) != ball.ray()[: len(ray)]:
-        raise ValueError("ray does not match the ball's marked ray")
     if u == v:
         return 0
     return _confluence_class(ball, u, v)
@@ -585,38 +575,29 @@ def horocycle_constant(ball: TreeBall, m: int, n: int, k: int) -> int:
     return sum(1 for v in horocycle_members(ball, m) if _confluence_class(ball, v, w) == n)
 
 
-def horocycle_product(
-    ball: TreeBall,
-    m: int,
-    n: int,
-    _members: dict | None = None,
-    _classes: dict | None = None,
-) -> dict:
+def horocycle_product(ball: TreeBall, m: int, n: int) -> dict:
     """Structure-constant vector of one horocycle-class product, by counting.
 
     Maps each class ``k <= max(m, n)`` to ``horocycle_constant(ball, m, n,
     k)`` and omits the zeros.  Deeper classes are not counted: the
     confluence distance is an ultrametric, so a witness beyond ``max(m, n)``
-    cannot be reached.  A caller that counts many products on one ball may
-    pass ``_members``, which maps classes to their
-    :func:`horocycle_members`, and ``_classes``, which maps ``(m, k)`` to
-    the histogram of confluence classes from the witness over the class-``m``
-    members, so each pair is measured once per sweep and every ``n`` is
-    read from it.
+    cannot be reached.  The ball's memo maps ``(m, k)`` to the histogram of
+    confluence classes from the witness over the class-``m`` members, so
+    each pair is measured once and every ``n`` is read from it.
     """
     if min(m, n) < 0:
         raise ValueError("horocycle classes must be nonnegative")
     top = max(m, n)
     if ball.radius < 2 * top + 2:
         raise BallTooSmall(f"ball radius {ball.radius} < required {2 * top + 2}")
-    if _members is None:
-        _members = {j: horocycle_members(ball, j) for j in range(top + 1)}
-    cache = {} if _classes is None else _classes
+    cache = ball.memo.setdefault("classes", {})
     counts: dict = {}
     for k in range(top + 1):
         classes = cache.get((m, k))
         if classes is None:
-            classes = cache[(m, k)] = _class_histogram(ball, _members[m], _members[k][0])
+            classes = cache[(m, k)] = _class_histogram(
+                ball, horocycle_members(ball, m), horocycle_members(ball, k)[0]
+            )
         count = classes[n]
         if count:
             counts[k] = count

@@ -5,9 +5,9 @@ route and compares the structure-constant vectors exactly.  Reports list all
 mismatching cells, in cell order, with the values from each route and the
 ``hecketree mul`` command that replays the cell; an empty mismatch list is
 the pass condition.  The tree oracle returns each cell's whole vector in one
-call, read from histograms that the sweep measures once and shares between
-cells.  The SL2 sweep has no tree model: it compares its two routes point by
-point in the Prüfer group.
+call, read from histograms kept in the memo of the sweep's ball, so each is
+measured once per sweep and shared between cells.  The SL2 sweep has no
+tree model: it compares its two routes point by point in the Prüfer group.
 """
 
 from __future__ import annotations
@@ -110,7 +110,6 @@ def verify_spherical(
     step = params.step
     ball = tree.build_ball(params.q0, params.q1, 2 * step * max_index, max_vertices)
     ball.sphere(step * max_index)  # the deepest sphere counted: fail on its budget first
-    depths: dict = {}  # the oracle's histograms, freed with the sweep
 
     def routes(n, m):
         return {
@@ -118,9 +117,7 @@ def verify_spherical(
             "recursive": _int_terms(algebra.multiply_recursive(n, m)),
             "oracle": {
                 k // step: count
-                for k, count in tree.spherical_product(
-                    ball, step * n, step * m, _depths=depths
-                ).items()
+                for k, count in tree.spherical_product(ball, step * n, step * m).items()
             },
         }
 
@@ -155,8 +152,7 @@ def verify_iwahori(
     """
     algebra = IwahoriAlgebra(qs, qt)
     ball = tree.build_ball(qs, qt, 2 * max_len + 2, max_vertices)
-    groups = tree.edges_by_weyl_word(ball, 2 * max_len)
-    words: dict = {}  # the oracle's histograms, freed with the sweep
+    tree.edges_by_weyl_word(ball, 2 * max_len)  # every word group counted: fail on its budget
     targets = [algebra.words_up_to(n) for n in range(2 * max_len + 1)]
     indices = targets[max_len]
     oracle_decorated = qs == qt
@@ -168,13 +164,7 @@ def verify_iwahori(
         }
         if oracle_decorated or (a.iflag == b.iflag == 0):
             vectors["oracle"] = tree.iwahori_product(
-                ball,
-                a.word,
-                b.word,
-                (a.iflag, b.iflag),
-                targets[len(a.word) + len(b.word)],
-                _groups=groups,
-                _words=words,
+                ball, a.word, b.word, (a.iflag, b.iflag), targets[len(a.word) + len(b.word)]
             )
         return vectors
 
@@ -202,14 +192,13 @@ def verify_affine(
     """
     algebra = HorocycleAlgebra(q)
     ball = tree.build_ball(q, q, 2 * max_index + 2, max_vertices)
-    members = {j: tree.horocycle_members(ball, j) for j in range(max_index + 1)}
-    classes: dict = {}  # the oracle's histograms, freed with the sweep
+    tree.horocycle_members(ball, max_index)  # the largest class counted: fail on its budget
 
     def routes(m, n):
         return {
             "table": _int_terms(algebra.multiply_basis(m, n)),
             "normal-form": _int_terms(nf_to_m(m_to_nf(algebra, m) * m_to_nf(algebra, n))),
-            "oracle": tree.horocycle_product(ball, m, n, _members=members, _classes=classes),
+            "oracle": tree.horocycle_product(ball, m, n),
         }
 
     return _sweep(

@@ -240,6 +240,30 @@ def test_ktheory_unused_option_exit_2(capsys, tmp_path, argv, message):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            "table iwahori --qs 2 --qt 2 --len 1 --q 9 --max 4 --p 3",
+            "--q does not apply to the iwahori family",
+        ),
+        ("mul affine M1 M2 --q 2 --max 7 --len 3", "--len does not apply to the affine family"),
+        # sl2 has no tree model, so no ball to budget
+        (
+            "verify sl2 --p 3 --max 1 --max-ball-vertices 5",
+            "--max-ball-vertices does not apply to the sl2 family",
+        ),
+    ],
+    ids=["table", "mul", "verify"],
+)
+def test_unread_family_flag_exit_2(capsys, argv, message):
+    # a family option the family never reads is an error, not a no-op
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_ktheory_toeplitz_size_limit_exit_2(capsys):
     # the report grows as size^3 / 3 integers; size 80 holds about 184,000
     code, out = run_cli(capsys, "ktheory", "--example", "toeplitz", "--size", "80")
@@ -342,6 +366,7 @@ _FLAGS = {
     "--max": _small,
     "--len": _small,
 }
+_ONE_IN_SIXTEEN = st.sampled_from((False,) * 15 + (True,))
 _LABELS = st.sampled_from(
     ["G0", "G2", "G9", "M1", "1", "s", "ts", "ist", "tt", "0", "1/5", "2/7", "3/9"]
     + ["1/4", "1/0", "(0,1)", "(1,0)", "(1,", "x", ""]
@@ -367,11 +392,15 @@ def _argv(draw):
             if draw(st.booleans()):
                 argv += [flag, str(draw(values))]
         return argv
-    argv = [command, draw(st.sampled_from([*cli.FAMILIES, "bogus"]))]
+    family = draw(st.sampled_from([*cli.FAMILIES, "bogus"]))
+    argv = [command, family]
     if command == "mul":
         argv += [draw(_LABELS), draw(_LABELS)]
+    reads = cli.FAMILIES[family].flags if family in cli.FAMILIES else ()
     for flag, values in _FLAGS.items():
-        if draw(st.booleans()):
+        # a flag the family reads is drawn half the time, one it rejects one time in
+        # sixteen, so most argvs of a family reach its own checks
+        if draw(st.booleans() if flag[2:] in reads else _ONE_IN_SIXTEEN):
             value = draw(values)
             if command == "verify" and flag == "--max":
                 value = min(value, 2)  # verify sl2 makes about p^(2 max) additions
@@ -555,6 +584,34 @@ def test_verify_budget_limits_one_word_group(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "budget of 7775" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, largest",
+    [
+        # class 7 of the 3-regular tree has 64 members
+        (["verify", "affine", "--q", "2", "--max", "7"], 64),
+        # sphere 8 of the 3-regular tree has 384 vertices
+        (["verify", "spherical", "--q", "2", "--max", "8"], 384),
+        # the edges at one word of length 10
+        (["verify", "iwahori", "--qs", "2", "--qt", "3", "--len", "5"], 7776),
+    ],
+    ids=["affine", "spherical", "iwahori"],
+)
+def test_verify_budget_checked_before_the_first_cell(capsys, monkeypatch, argv, largest):
+    # a budget just below the largest block counted exits 2 before any block is climbed
+    climbs = []
+    anchored_climb = tree._anchored_climb
+    monkeypatch.setattr(
+        tree, "_anchored_climb", lambda *args: climbs.append(1) or anchored_climb(*args)
+    )
+    code = main([*argv, "--max-ball-vertices", str(largest - 1)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"budget of {largest - 1} vertices" in captured.err
+    assert climbs == []
+    code, out = run_cli(capsys, *argv, "--max-ball-vertices", str(largest))
+    assert code == 0 and json.loads(out)["ok"] is True and climbs
 
 
 def _perturb(monkeypatch, owner, name, hit):

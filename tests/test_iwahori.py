@@ -122,33 +122,24 @@ def test_closed_non_interacting_case():
 
 
 def test_oracle_agreement_small(ball22):
-    groups = tree.edges_by_weyl_word(ball22, 6)
     indices = A22.words_up_to(3)
     for a in indices:
         for b in indices:
             prod = A22.multiply_basis(a, b)
             for target in A22.words_up_to(len(a.word) + len(b.word)):
                 count = tree.iwahori_constant(
-                    ball22,
-                    a.word,
-                    b.word,
-                    target.word,
-                    (a.iflag, b.iflag, target.iflag),
-                    _groups=groups,
+                    ball22, a.word, b.word, target.word, (a.iflag, b.iflag, target.iflag)
                 )
                 assert prod.coefficient(target) == count
 
 
 def test_oracle_agreement_word_sector_biregular(ball23):
-    groups = tree.edges_by_weyl_word(ball23, 6)
     indices = A23.words_up_to(3, with_iflag=False)
     for a in indices:
         for b in indices:
             prod = A23.multiply_basis(a, b)
             for target in A23.words_up_to(len(a.word) + len(b.word), with_iflag=False):
-                count = tree.iwahori_constant(
-                    ball23, a.word, b.word, target.word, _groups=groups
-                )
+                count = tree.iwahori_constant(ball23, a.word, b.word, target.word)
                 assert prod.coefficient(target) == count
 
 

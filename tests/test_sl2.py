@@ -193,9 +193,10 @@ def test_r_hom_multiplicative():
 
 
 def test_depth_bound_enforced():
-    A = SL2EndAlgebra(5, depth_bound=2)
-    with pytest.raises(ValueError):
-        A.coset(make_prufer(5, 1, 3))
+    A = SL2EndAlgebra(5)
+    assert A.coset(make_prufer(5, 1, sl2.DEPTH_BOUND)).representative.depth == 6
+    with pytest.raises(ValueError, match="depth 7 exceeds the bound 6"):
+        A.coset(make_prufer(5, 1, 7))
 
 
 def test_parse_labels():
@@ -233,7 +234,7 @@ def test_star_trivial_iff_minus_one_is_square(p):
 def test_orbit_convolution_matches_nu_products(p, depth):
     # the full convolution and the generic product of nu images are the
     # references for the count at one representative
-    algebra = SL2EndAlgebra(p, depth_bound=depth)
+    algebra = SL2EndAlgebra(p)
     cosets = algebra.cosets_up_to_depth(depth)
     for a, b in itertools.product(cosets, repeat=2):
         product = algebra.multiply_basis(a, b).terms()

@@ -187,8 +187,7 @@ def test_iwahori_constant_parity_gate(ball22):
 
 
 def test_horocycle_class_examples(ball22):
-    ray = ball22.ray()
-    assert tree.horocycle_class(ball22, ray, 0, 0) == 0
+    assert tree.horocycle_class(ball22, 0, 0) == 0
     siblings = [
         v
         for v in ball22.sphere(2)
@@ -196,7 +195,7 @@ def test_horocycle_class_examples(ball22):
     ]
     assert siblings
     for v in siblings:
-        assert tree.horocycle_class(ball22, ray, 0, v) == 1
+        assert tree.horocycle_class(ball22, 0, v) == 1
 
 
 def test_horocycle_partition_sizes(ball22, ball33):
@@ -223,20 +222,16 @@ def test_horocycle_members_budget_counts_members():
 
 
 def test_horocycle_class_symmetric(ball33):
-    ray = ball33.ray()
     members = [*tree.horocycle_members(ball33, 2), *tree.horocycle_members(ball33, 3)]
     rng = random.Random(3)
     for _ in range(40):
         u, v = rng.choice(members), rng.choice(members)
-        assert tree.horocycle_class(ball33, ray, u, v) == tree.horocycle_class(
-            ball33, ray, v, u
-        )
+        assert tree.horocycle_class(ball33, u, v) == tree.horocycle_class(ball33, v, u)
 
 
 def test_horocycle_mismatch_raises(ball22):
-    ray = ball22.ray()
     with pytest.raises(tree.HorocycleMismatch):
-        tree.horocycle_class(ball22, ray, 0, ball22.ray_vertex(2))
+        tree.horocycle_class(ball22, 0, ball22.ray_vertex(2))
 
 
 def _ray_path(ball, v):
@@ -268,7 +263,6 @@ def test_horocycle_class_matches_ray_lists(q0, q1, radius):
     # every vertex pair of the ball, most of them on different horocycles,
     # where both routes must raise
     b = tree.build_ball(q0, q1, radius)
-    ray = b.ray()
     outcomes = Counter()
     for u in range(b.num_vertices):
         for v in range(b.num_vertices):
@@ -276,10 +270,10 @@ def test_horocycle_class_matches_ray_lists(q0, q1, radius):
                 expected = _horocycle_class_by_ray_lists(b, u, v)
             except tree.HorocycleMismatch:
                 with pytest.raises(tree.HorocycleMismatch):
-                    tree.horocycle_class(b, ray, u, v)
+                    tree.horocycle_class(b, u, v)
                 outcomes["mismatch"] += 1
             else:
-                assert tree.horocycle_class(b, ray, u, v) == expected, (u, v)
+                assert tree.horocycle_class(b, u, v) == expected, (u, v)
                 outcomes[expected] += 1
     assert outcomes["mismatch"] and len(outcomes) > radius // 2
 
@@ -290,9 +284,7 @@ def test_horocycle_class_stable_under_deepening():
     members = tree.horocycle_members(shallow, 3)
     for u in members:
         for v in members[:4]:
-            assert tree.horocycle_class(
-                shallow, shallow.ray(), u, v
-            ) == tree.horocycle_class(deep, deep.ray(), u, v)
+            assert tree.horocycle_class(shallow, u, v) == tree.horocycle_class(deep, u, v)
 
 
 def test_horocycle_constant_examples(ball22):
@@ -340,14 +332,11 @@ def test_iwahori_witness_independence(ball22, ball23):
                 )
             assert len(counts) <= 1
             if counts:
-                assert counts.pop() == tree.iwahori_constant(
-                    ball, w1, w2, target, _groups=groups
-                )
+                assert counts.pop() == tree.iwahori_constant(ball, w1, w2, target)
 
 
 def test_horocycle_witness_independence(ball22, ball33):
     for ball in (ball22, ball33):
-        ray = ball.ray()
         for m in range(3):
             members_m = tree.horocycle_members(ball, m)
             for n in range(3):
@@ -358,7 +347,7 @@ def test_horocycle_witness_independence(ball22, ball33):
                             sum(
                                 1
                                 for v in members_m
-                                if tree.horocycle_class(ball, ray, v, w) == n
+                                if tree.horocycle_class(ball, v, w) == n
                             )
                         )
                     assert len(counts) == 1
@@ -372,33 +361,22 @@ def test_iwahori_product_equals_constants(qs, qt, max_len):
     algebra = IwahoriAlgebra(qs, qt)
     targets = algebra.words_up_to(2 * max_len)
     ball = tree.build_ball(qs, qt, 2 * max_len + 2)
-    groups = tree.edges_by_weyl_word(ball, 2 * max_len)
-    words: dict = {}
     for a in algebra.words_up_to(max_len):
         for b in algebra.words_up_to(max_len):
             flags = (a.iflag, b.iflag)
             expected = {}
             for t in targets:
-                count = tree.iwahori_constant(
-                    ball, a.word, b.word, t.word, (*flags, t.iflag), _groups=groups
-                )
+                count = tree.iwahori_constant(ball, a.word, b.word, t.word, (*flags, t.iflag))
                 if count:
                     expected[t] = count
+            # the histograms earlier pairs left in the ball's memo serve this one
             assert tree.iwahori_product(ball, a.word, b.word, flags, targets) == expected
-            assert (
-                tree.iwahori_product(
-                    ball, a.word, b.word, flags, targets, _groups=groups, _words=words
-                )
-                == expected
-            )
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_horocycle_product_equals_constants(q):
     top = 4
     ball = tree.build_ball(q, q, 2 * top + 2)
-    members = {j: tree.horocycle_members(ball, j) for j in range(top + 1)}
-    classes: dict = {}
     for m in range(top + 1):
         for n in range(top + 1):
             # every class up to top, so the classes the product skips must count 0
@@ -408,53 +386,80 @@ def test_horocycle_product_equals_constants(q):
                 if (count := tree.horocycle_constant(ball, m, n, k))
             }
             assert tree.horocycle_product(ball, m, n) == expected
-            assert (
-                tree.horocycle_product(ball, m, n, _members=members, _classes=classes)
-                == expected
-            )
 
 
 @pytest.mark.parametrize(
-    "name, cache, sweep, oracle_cells",
+    "name, sweep, oracle_cells",
     [
         # 14 indices of length <= 3; qs == qt, so every pair has an oracle vector
-        ("iwahori_product", "_words", lambda: verify.verify_iwahori(2, 2, 3), 14 * 14),
+        ("iwahori_product", lambda: verify.verify_iwahori(2, 2, 3), 14 * 14),
         # qs != qt: only the 7 plain words have an edge model
-        ("iwahori_product", "_words", lambda: verify.verify_iwahori(2, 3, 3), 7 * 7),
-        ("horocycle_product", "_classes", lambda: verify.verify_affine(2, 3), 4 * 4),
-        ("horocycle_product", "_classes", lambda: verify.verify_affine(3, 3), 4 * 4),
+        ("iwahori_product", lambda: verify.verify_iwahori(2, 3, 3), 7 * 7),
+        ("horocycle_product", lambda: verify.verify_affine(2, 3), 4 * 4),
+        ("horocycle_product", lambda: verify.verify_affine(3, 3), 4 * 4),
         (
             "spherical_product",
-            "_depths",
             lambda: verify.verify_spherical(SphericalParams.homogeneous(2), 5),
             21,
         ),
         (
             "spherical_product",
-            "_depths",
             lambda: verify.verify_spherical(SphericalParams.two_orbit(2, 3), 3),
             10,
         ),
     ],
     ids=["iwahori-2-2", "iwahori-2-3", "affine-2", "affine-3", "spherical-2", "spherical-2-3"],
 )
-def test_sweep_caches_change_no_count(monkeypatch, name, cache, sweep, oracle_cells):
-    # every oracle call of the sweep, with the sweep's shared histograms,
-    # against the same call with no cache at all; one call per oracle cell
+def test_ball_memo_changes_no_count(monkeypatch, name, sweep, oracle_cells):
+    # every oracle call of the sweep, on the sweep's ball with the histograms
+    # earlier cells left in its memo, against the same call on a freshly
+    # built ball with an empty memo; one call per oracle cell
     original = getattr(tree, name)
     calls = []
 
-    def checked(*args, **kwargs):
-        assert cache in kwargs
-        vector = original(*args, **kwargs)
-        assert vector == original(*args), args[1:4]
-        calls.append(args[1:4])
+    def checked(ball, *args):
+        vector = original(ball, *args)
+        fresh = tree.build_ball(ball.q0, ball.q1, ball.radius, ball.max_vertices)
+        assert fresh.memo == {}
+        assert vector == original(fresh, *args), args[:3]
+        calls.append(args[:3])
         return vector
 
     monkeypatch.setattr(tree, name, checked)
     report = sweep()
     assert report.ok
     assert len(calls) == len(set(calls)) == oracle_cells
+
+
+@pytest.mark.parametrize(
+    "sweep, kind, histograms",
+    [
+        # (word from the base edge, word of the witness edge) pairs
+        (lambda: verify.verify_iwahori(2, 2, 5), "words", 181),
+        # (m, k) pairs with k <= max(m, n) for some n <= 7: all 8 * 8
+        (lambda: verify.verify_affine(2, 7), "classes", 64),
+        # one per sphere radius 0..8
+        (lambda: verify.verify_spherical(SphericalParams.homogeneous(2), 8), "depths", 9),
+    ],
+    ids=["iwahori", "affine", "spherical"],
+)
+def test_sweep_measures_each_histogram_once(monkeypatch, sweep, kind, histograms):
+    # the sweep's one ball keeps every histogram its cells read, measured once
+    balls = []
+    build_ball = tree.build_ball
+    monkeypatch.setattr(
+        tree, "build_ball", lambda *args: balls.append(build_ball(*args)) or balls[-1]
+    )
+    climbs = []
+    anchored_climb = tree._anchored_climb
+    monkeypatch.setattr(
+        tree, "_anchored_climb", lambda *args: climbs.append(1) or anchored_climb(*args)
+    )
+    assert sweep().ok
+    (ball,) = balls
+    assert len(ball.memo[kind]) == len(climbs) == histograms
+    if kind == "words":  # and the word groups of each bound 0..10 on the word length
+        assert sorted(ball.memo["groups"]) == list(range(11))
 
 
 class _ExplicitBall:
