@@ -18,7 +18,11 @@ vertex of the block climbs its own offset toward the root until it meets
 the marked ray or the witness's path to it, and the depth of that meeting
 fixes the vertex's confluence depth, crossing word or confluence class.
 Every vertex of the block is enumerated and climbed, none is skipped by
-arithmetic on the block as a whole.  The single-constant references
+arithmetic on the block as a whole.  The Iwahori witnesses all lie on one
+apartment through the base edge, the marked ray and one branch off it, so
+each edge group is climbed once, against the deepest witness of that
+branch, and the one climb gives its crossing words to every witness;
+every edge of the group is still enumerated.  The single-constant references
 (:func:`spherical_constant`, :func:`iwahori_constant`,
 :func:`horocycle_constant`) stay per-vertex: they measure each vertex with
 the generic :func:`distance`, :func:`weyl_distance` or confluence-class
@@ -80,8 +84,8 @@ class TreeBall:
     :func:`horocycle_members`): what a count visits.
 
     ``memo`` holds the histograms the per-cell oracles read, one inner dict
-    per kind (``"depths"``, ``"groups"``, ``"words"``, ``"classes"``).  They
-    depend only on the ball, so they live as long as it does.
+    per kind (``"depths"``, ``"tables"``, ``"classes"``).  They depend only
+    on the ball, so they live as long as it does.
     """
 
     q0: int
@@ -334,6 +338,22 @@ def weyl_distance(ball: TreeBall, e: int, f: int) -> str:
     return _crossing_word(*_meet(ball, e, f))
 
 
+def _word_blocks(ball: TreeBall, max_len: int):
+    """``(word, start, stop)`` of each crossing-word group of length <= max_len, unbudgeted.
+
+    The derivation is in :func:`edges_by_weyl_word`, which hands the blocks
+    out; :func:`_witness_edges` reads only their first edges.
+    """
+    ss = ball.sphere_start
+    span = 1  # span_d, vertices of sphere d below ray vertex 1
+    for d in range(1, max_len + 2):
+        if d > 1:
+            span *= ball.width[d - 1]
+        yield ("ts" * d)[: d - 1], ss[d], ss[d] + span
+        if d <= max_len:
+            yield ("st" * d)[:d], ss[d] + span, ss[d + 1]
+
+
 def edges_by_weyl_word(ball: TreeBall, max_len: int) -> dict:
     """Group all edges at crossing-word length <= max_len from the base edge.
 
@@ -354,16 +374,9 @@ def edges_by_weyl_word(ball: TreeBall, max_len: int) -> dict:
         raise BallTooSmall(
             f"ball radius {ball.radius} < required {max_len + 2} for words of length {max_len}"
         )
-    ss = ball.sphere_start
-    groups: dict = {}
-    span = 1  # span_d, vertices of sphere d below ray vertex 1
-    for d in range(1, max_len + 2):
-        if d > 1:
-            span *= ball.width[d - 1]
-        groups[("ts" * d)[: d - 1]] = ball._budgeted(ss[d], ss[d] + span)
-        if d <= max_len:
-            groups[("st" * d)[:d]] = ball._budgeted(ss[d] + span, ss[d + 1])
-    return groups
+    return {
+        word: ball._budgeted(start, stop) for word, start, stop in _word_blocks(ball, max_len)
+    }
 
 
 def _witness_edge(ball: TreeBall, groups: dict, word: str) -> int:
@@ -374,20 +387,55 @@ def _witness_edge(ball: TreeBall, groups: dict, word: str) -> int:
     return witnesses[0]
 
 
-def _word_histogram(ball: TreeBall, block: range, g: int) -> Counter:
-    """Crossing words from the edge ``g`` over the edges of ``block``, by one anchored climb.
+def _witness_edges(ball: TreeBall, max_len: int) -> dict:
+    """The witness edge of every crossing word of length <= max_len, by offset arithmetic.
 
-    Equals ``Counter(weyl_distance(ball, f, g) for f in block)``.  An edge
-    landing on the marked ray at depth ``e`` meets ``g`` at depth
-    ``min(e, c)``, with ``c`` the ray confluence depth of ``g``; one landing
-    on the path of ``g`` meets it there.
+    Equals :func:`_witness_edge` on the groups of :func:`edges_by_weyl_word`,
+    but hands out no group, so no budget applies.  The ``t...`` witness of
+    length ``L`` is ray vertex ``L + 1``.  The ``s...`` witness of length
+    ``L`` is offset ``span_L`` of sphere ``L``, whose parent is offset
+    ``span_{L-1}`` of sphere ``L - 1``: the ``s...`` witness one letter
+    shorter.  So every witness lies on one apartment through the base edge,
+    the marked ray together with the path from the root to the deepest
+    ``s...`` witness.
     """
-    d, dg = ball.depth(block.start), ball.depth(g)
-    cg = ray_confluence_depth(ball, g)
-    words = Counter()
-    for key, count in _anchored_climb(ball, block, g).items():
-        words[_crossing_word(d, dg, min(key, cg) if key >= 0 else -key)] += count
-    return words
+    return {word: start for word, start, _ in _word_blocks(ball, max_len)}
+
+
+def _word_table(ball: TreeBall, word_ef: str) -> dict:
+    """Crossing words to every witness over the group at ``word_ef``, by one anchored climb.
+
+    Maps ``word_fg`` to ``{word_eg: count}``: the number of edges ``f`` of
+    the group at crossing word ``word_ef`` from the base edge whose crossing
+    word to the witness at ``word_eg`` is ``word_fg``, for every witness the
+    ball reaches (words of length <= radius - 2).  The witnesses lie on one
+    apartment (:func:`_witness_edges`), so the group is climbed once, every
+    edge of it enumerated, against the deepest ``s...`` witness.  An edge
+    landing on the marked ray at depth ``e`` meets a witness on the ray at
+    depth ``min(e, dg)``, with ``dg`` the witness's depth, and an ``s...``
+    witness at the root; one landing on the path of the ``s...`` witnesses
+    at depth ``e`` meets an ``s...`` witness at ``min(e, dg)`` and a witness
+    on the ray at the root.  At radius 2 there is no ``s...`` witness: the
+    deepest ``s...`` word is then empty, and the climb is against the base
+    edge, on the ray.
+    """
+    reach = ball.radius - 2
+    witnesses = _witness_edges(ball, reach)
+    ss = ball.sphere_start
+    sides = []  # (word_eg, depth of the witness, whether it is on the marked ray)
+    for word_eg, g in witnesses.items():
+        dg = ball.depth(g)
+        sides.append((word_eg, dg, g == ss[dg]))
+    block = edges_by_weyl_word(ball, len(word_ef))[word_ef]
+    d = ball.depth(block.start)
+    table: dict = {}
+    for key, count in _anchored_climb(ball, block, witnesses[("st" * reach)[:reach]]).items():
+        on_ray, e = key >= 0, abs(key)
+        for word_eg, dg, ray_witness in sides:
+            dc = min(e, dg) if ray_witness == on_ray else 0
+            row = table.setdefault(_crossing_word(d, dg, dc), {})
+            row[word_eg] = row.get(word_eg, 0) + count
+    return table
 
 
 def iwahori_constant(
@@ -425,49 +473,36 @@ def iwahori_constant(
     )
 
 
-def iwahori_product(ball: TreeBall, w1: str, w2: str, iflags: tuple, targets) -> dict:
+def iwahori_product(ball: TreeBall, w1: str, w2: str, iflags: tuple) -> dict:
     """Structure-constant vector of one edge-fixator product, by counting.
 
-    ``iflags`` are the inversion flags of the two factors and ``targets``
-    the candidate result indices, ``(iflag, word)`` pairs such as
-    :class:`hecketree.iwahori.DeltaIndex`.  Maps each target to
-    ``iwahori_constant(ball, w1, w2, word, (*iflags, iflag))`` and omits the
-    zeros: a target whose flag is not the sum of ``iflags`` mod 2, or whose
-    word is longer than ``w1`` and ``w2`` together, has none.
+    ``iflags`` are the inversion flags of the two factors.  Maps each result
+    index, an ``(iflag, word)`` pair like :class:`hecketree.iwahori.DeltaIndex`,
+    to ``iwahori_constant(ball, w1, w2, word, (*iflags, iflag))`` and omits
+    the zeros.  Every index counted has the flag ``iflags[0] + iflags[1]``
+    mod 2, and a word no longer than ``w1`` and ``w2`` together, by the
+    triangle inequality on the edge metric.
 
-    The ball's memo keeps :func:`edges_by_weyl_word` for each bound on the
-    word length, and maps (word from the base edge, word of the witness
-    edge) to the histogram of crossing words from the witness over the first
-    word's group, so each such pair is measured once and every ``w2`` is
-    read from it.
+    All witnesses lie on one apartment (:func:`_witness_edges`), so one climb
+    of a word group fixes its crossing words to every witness.  The ball's
+    memo keeps that table (:func:`_word_table`) for each word from the base
+    edge: each group is climbed once per ball, every edge of it enumerated,
+    and each cell is one lookup.
     """
     d1, d2 = (flag & 1 for flag in iflags)
     dt = d1 ^ d2
     bound = len(w1) + len(w2)
     if ball.radius < bound + 2:
         raise BallTooSmall(f"ball radius {ball.radius} < required {bound + 2}")
-    groups_by_bound = ball.memo.setdefault("groups", {})
-    groups = groups_by_bound.get(bound)
-    if groups is None:
-        groups = groups_by_bound[bound] = edges_by_weyl_word(ball, bound)
-    cache = ball.memo.setdefault("words", {})
+    tables = ball.memo.setdefault("tables", {})
     word_ef = swap_types(w1) if d1 else w1
-    word_fg = swap_types(w2) if dt else w2
-    counts: dict = {}
-    for target in targets:
-        flag, word = target
-        if flag & 1 != dt or len(word) > bound:
-            continue
-        word_eg = swap_types(word) if dt else word
-        words = cache.get((word_ef, word_eg))
-        if words is None:
-            words = cache[(word_ef, word_eg)] = _word_histogram(
-                ball, groups.get(word_ef, range(0)), _witness_edge(ball, groups, word_eg)
-            )
-        count = words[word_fg]
-        if count:
-            counts[target] = count
-    return counts
+    table = tables.get(word_ef)
+    if table is None:
+        table = tables[word_ef] = _word_table(ball, word_ef)
+    counts = table.get(swap_types(w2) if dt else w2, {})
+    if dt:
+        return {(1, swap_types(word)): count for word, count in counts.items()}
+    return {(0, word): count for word, count in counts.items()}
 
 
 # -- end-stabilizer (horocycle) counting ---------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from . import tree
 from .core import HeckeElement
 from .endstab import HorocycleAlgebra, m_to_nf, nf_to_m
-from .iwahori import IwahoriAlgebra
+from .iwahori import DeltaIndex, IwahoriAlgebra
 from .sl2 import PruferElement, SL2EndAlgebra, orbit_convolution
 from .spherical import HOMOGENEOUS, SphericalAlgebra, SphericalParams
 
@@ -149,12 +149,18 @@ def verify_iwahori(
     formal rewriting on them is not even associative).  Plain-word pairs are
     checked three ways at any parameters; decorated pairs at unequal weights
     are still checked along both algebraic routes.
+
+    All Iwahori witnesses lie on one apartment through the base edge, so
+    the oracle (:func:`tree.iwahori_product`) climbs each word group of
+    length <= max_len once, enumerating every edge of it, and reads each
+    cell from that group's table; the budget is checked on those groups
+    before the first cell.  Its ``(iflag, word)`` keys become
+    :class:`DeltaIndex` keys, so a mismatch labels them as the other routes.
     """
     algebra = IwahoriAlgebra(qs, qt)
     ball = tree.build_ball(qs, qt, 2 * max_len + 2, max_vertices)
-    tree.edges_by_weyl_word(ball, 2 * max_len)  # every word group counted: fail on its budget
-    targets = [algebra.words_up_to(n) for n in range(2 * max_len + 1)]
-    indices = targets[max_len]
+    tree.edges_by_weyl_word(ball, max_len)  # every word group climbed: fail on its budget
+    indices = algebra.words_up_to(max_len)
     oracle_decorated = qs == qt
 
     def routes(a, b):
@@ -163,9 +169,12 @@ def verify_iwahori(
             "closed": _int_terms(algebra.multiply_closed(a, b)),
         }
         if oracle_decorated or (a.iflag == b.iflag == 0):
-            vectors["oracle"] = tree.iwahori_product(
-                ball, a.word, b.word, (a.iflag, b.iflag), targets[len(a.word) + len(b.word)]
-            )
+            vectors["oracle"] = {
+                DeltaIndex(*idx): count
+                for idx, count in tree.iwahori_product(
+                    ball, a.word, b.word, (a.iflag, b.iflag)
+                ).items()
+            }
         return vectors
 
     return _sweep(

@@ -428,6 +428,60 @@ def test_fuzzed_argv_exit_0_or_2(argv):
     assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())
 
 
+_WEIGHTS = st.integers(2, 4)
+
+
+@st.composite
+def _valid_argv(draw):
+    """A table, mul or verify argv whose family reads every option given, each in range."""
+    command = draw(st.sampled_from(["table", "mul", "verify"]))
+    takes = {"table": "cells", "mul": "algebra", "verify": "verify"}[command]
+    family = draw(st.sampled_from([n for n, f in cli.FAMILIES.items() if getattr(f, takes)]))
+    top, size = "--max", st.integers(0, 3)
+    if family == "spherical":
+        if draw(st.booleans()):
+            flags, step = ["--q", draw(_WEIGHTS)], 1
+        else:
+            flags, step = ["--q0", draw(_WEIGHTS), "--q1", draw(_WEIGHTS)], 2
+        labels = st.integers(0, 4).map(lambda n: f"G{step * n}")
+    elif family == "iwahori":
+        flags, top = ["--qs", draw(_WEIGHTS), "--qt", draw(_WEIGHTS)], "--len"
+        algebra = IwahoriAlgebra(2, 2)
+        labels = st.sampled_from([algebra.basis_label(i) for i in algebra.words_up_to(4)])
+    elif family == "affine":
+        flags = ["--q", draw(_WEIGHTS)]
+        labels = st.integers(0, 4).map(lambda n: f"M{n}")
+    elif family == "affine-nf":
+        flags = ["--q", draw(_WEIGHTS)]
+        labels = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda ab: "(%d,%d)" % ab)
+    else:  # sl2: p^(2 max) additions for verify, a few cosets for table
+        p = draw(st.sampled_from([2, 3, 5, 7]))
+        flags, size = ["--p", p], st.integers(0, 2)
+        labels = st.just("0") | st.sampled_from([p, p * p]).flatmap(
+            lambda den: st.integers(1, den - 1).map(lambda num: f"{num}/{den}")
+        )
+    argv = [command, family]
+    if command == "mul":
+        argv += [draw(labels), draw(labels)]
+    else:
+        flags += [top, draw(size)]
+    return argv + [str(x) for x in flags]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_valid_argv())
+def test_fuzzed_valid_argv_exits_0(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, ""), argv
+    if argv[0] == "verify":
+        assert json.loads(out.getvalue())["ok"] is True, argv
+    else:  # one JSON record a line
+        lines = out.getvalue().splitlines()
+        assert lines and all(isinstance(json.loads(line), dict) for line in lines), argv
+
+
 def test_nu_output(capsys):
     code, out = run_cli(capsys, "nu", "--p", "5", "--depth", "1")
     assert code == 0
@@ -574,16 +628,17 @@ def test_reused_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch):
 
 
 def test_verify_budget_limits_one_word_group(capsys):
-    # the largest group of verify iwahori --qs 2 --qt 3 --len 5 has 7776
-    # edges, of the 41988 edges of child depth <= 11
+    # the largest group climbed by verify iwahori --qs 2 --qt 3 --len 5, the
+    # edges at the word tstst, has 108 edges, of the 41988 edges
+    # of child depth <= 11; deeper witnesses are found without their groups
     argv = ["verify", "iwahori", "--qs", "2", "--qt", "3", "--len", "5"]
-    code, out = run_cli(capsys, *argv, "--max-ball-vertices", "7776")
+    code, out = run_cli(capsys, *argv, "--max-ball-vertices", "108")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ACCEPTANCE_STDOUT_SHA256[" ".join(argv)]
-    code = main([*argv, "--max-ball-vertices", "7775"])
+    code = main([*argv, "--max-ball-vertices", "107"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert "budget of 7775" in captured.err
+    assert "budget of 107" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -593,8 +648,8 @@ def test_verify_budget_limits_one_word_group(capsys):
         (["verify", "affine", "--q", "2", "--max", "7"], 64),
         # sphere 8 of the 3-regular tree has 384 vertices
         (["verify", "spherical", "--q", "2", "--max", "8"], 384),
-        # the edges at one word of length 10
-        (["verify", "iwahori", "--qs", "2", "--qt", "3", "--len", "5"], 7776),
+        # the edges at one word of length 5, the largest group climbed
+        (["verify", "iwahori", "--qs", "2", "--qt", "3", "--len", "5"], 108),
     ],
     ids=["affine", "spherical", "iwahori"],
 )
@@ -674,7 +729,7 @@ _NF_M1_M1 = m_to_nf(HorocycleAlgebra(3), 1) * m_to_nf(HorocycleAlgebra(3), 1)
             ("verify", "iwahori", "--qs", "2", "--qt", "2", "--len", "1"),
             tree,
             "iwahori_product",
-            lambda ball, w1, w2, iflags, targets: (w1, w2, iflags) == ("s", "t", (0, 0)),
+            lambda ball, w1, w2, iflags: (w1, w2, iflags) == ("s", "t", (0, 0)),
             [["s", "t"]],
             ["generated", "closed", "oracle"],
         ),

@@ -369,8 +369,8 @@ def test_iwahori_product_equals_constants(qs, qt, max_len):
                 count = tree.iwahori_constant(ball, a.word, b.word, t.word, (*flags, t.iflag))
                 if count:
                     expected[t] = count
-            # the histograms earlier pairs left in the ball's memo serve this one
-            assert tree.iwahori_product(ball, a.word, b.word, flags, targets) == expected
+            # the tables earlier pairs left in the ball's memo serve this one
+            assert tree.iwahori_product(ball, a.word, b.word, flags) == expected
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -434,8 +434,8 @@ def test_ball_memo_changes_no_count(monkeypatch, name, sweep, oracle_cells):
 @pytest.mark.parametrize(
     "sweep, kind, histograms",
     [
-        # (word from the base edge, word of the witness edge) pairs
-        (lambda: verify.verify_iwahori(2, 2, 5), "words", 181),
+        # one table per word group from the base edge: the 11 words of length <= 5
+        (lambda: verify.verify_iwahori(2, 2, 5), "tables", 11),
         # (m, k) pairs with k <= max(m, n) for some n <= 7: all 8 * 8
         (lambda: verify.verify_affine(2, 7), "classes", 64),
         # one per sphere radius 0..8
@@ -458,8 +458,7 @@ def test_sweep_measures_each_histogram_once(monkeypatch, sweep, kind, histograms
     assert sweep().ok
     (ball,) = balls
     assert len(ball.memo[kind]) == len(climbs) == histograms
-    if kind == "words":  # and the word groups of each bound 0..10 on the word length
-        assert sorted(ball.memo["groups"]) == list(range(11))
+    assert list(ball.memo) == [kind]
 
 
 class _ExplicitBall:
@@ -601,10 +600,8 @@ def test_anchored_climb_matches_per_vertex_functions(case):
     ball, kind, block, w = case
     climb = tree._anchored_climb(ball, block, w)
     assert climb == Counter(_landing(ball, v, w) for v in block)
-    words = tree._word_histogram(ball, block, w)
-    assert words == Counter(tree.weyl_distance(ball, f, w) for f in block)
     # every vertex of the block was visited
-    assert sum(climb.values()) == sum(words.values()) == len(block)
+    assert sum(climb.values()) == len(block)
     try:
         expected = Counter(tree._confluence_class(ball, v, w) for v in block)
     except tree.HorocycleMismatch:
@@ -616,6 +613,46 @@ def test_anchored_climb_matches_per_vertex_functions(case):
         assert kind not in ("sphere", "mixed")
         classes = tree._class_histogram(ball, block, w)
         assert classes == expected and sum(classes.values()) == len(block)
+
+
+@pytest.mark.parametrize("q0, q1", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("radius", [6, 9])
+def test_word_table_matches_per_edge_weyl_distance(q0, q1, radius):
+    # every word group up to length 4, against every witness the ball reaches;
+    # at radius 6 the deepest s... witness (depth 4) lies above the t... groups
+    # of length 4 (child depth 5), at radius 9 below every group
+    ball = tree.build_ball(q0, q1, radius)
+    groups = tree.edges_by_weyl_word(ball, radius - 2)
+    witnesses = {word: tree._witness_edge(ball, groups, word) for word in groups}
+    assert tree._witness_edges(ball, radius - 2) == witnesses
+    for word_ef in tree.edges_by_weyl_word(ball, 4):
+        expected = {}
+        for word_eg, g in witnesses.items():
+            for word_fg, count in Counter(
+                tree.weyl_distance(ball, f, g) for f in groups[word_ef]
+            ).items():
+                expected.setdefault(word_fg, {})[word_eg] = count
+        assert tree._word_table(ball, word_ef) == expected, word_ef
+
+
+@pytest.mark.parametrize("q0, q1", [(2, 2), (2, 3), (3, 2), (4, 3)])
+def test_witness_edges_lie_on_one_apartment(q0, q1):
+    # every witness is a marked-ray vertex or an ancestor of the deepest s... witness
+    ball = tree.build_ball(q0, q1, 10)
+    groups = tree.edges_by_weyl_word(ball, 8)
+    apex = tree._witness_edge(ball, groups, "stststst")
+    branch = set(tree.vertex_path(ball, apex, 0))
+    ray = set(ball.ray())
+    for word in groups:
+        g = tree._witness_edge(ball, groups, word)
+        if word.startswith("s"):
+            assert g in branch and g not in ray, word
+        else:  # the t... words and the base edge
+            assert g in ray, word
+    # the s... witnesses are the path from the root's second child down to the apex
+    assert sorted(branch - {0}) == sorted(
+        tree._witness_edge(ball, groups, ("st" * n)[:n]) for n in range(1, 9)
+    )
 
 
 @pytest.mark.parametrize(
