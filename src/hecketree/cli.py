@@ -11,6 +11,10 @@ once per command (:class:`BasisMemo`) and join their records from those
 fragments, byte for byte as ``json.dumps`` lays them out: with its default
 separators one record a line, with ``indent=2`` in ``nu``'s document.
 
+``table``, ``mul`` and ``verify`` are generic over the families: one line
+of :data:`FAMILIES` (its options, algebra, extent option and sweep) plus its
+entry of :data:`hecketree.verify.CELLS` define a family for all three.
+
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input.
 """
 
@@ -117,93 +121,62 @@ def _indented_record(record) -> str:
     return _indented("{", fields, "}", 2)
 
 
-def _spherical_params(args) -> SphericalParams:
-    if args.q is not None:
-        if args.q0 is not None or args.q1 is not None:
-            raise ValueError("pass either --q or --q0/--q1, not both")
-        return SphericalParams.homogeneous(args.q)
-    if args.q0 is None or args.q1 is None:
-        raise ValueError("spherical needs --q (homogeneous) or --q0 and --q1 (two-orbit)")
-    return SphericalParams.two_orbit(args.q0, args.q1)
-
-
 def _require(value, flag: str):
     if value is None:
         raise ValueError(f"missing required option {flag}")
     return value
 
 
-def _upper_triangle(top: int):
-    return ((n, m) for n in range(top + 1) for m in range(n, top + 1))
+def _required(*names: str) -> Callable:
+    """An options reader: the values of the named flags, in order, each required."""
+    return lambda args: tuple(_require(getattr(args, name), "--" + name) for name in names)
+
+
+def _spherical(args) -> tuple:
+    """The spherical options reader: ``(SphericalParams,)`` from ``--q`` or ``--q0/--q1``."""
+    if args.q is not None:
+        if args.q0 is not None or args.q1 is not None:
+            raise ValueError("pass either --q or --q0/--q1, not both")
+        return (SphericalParams.homogeneous(args.q),)
+    if args.q0 is None or args.q1 is None:
+        raise ValueError("spherical needs --q (homogeneous) or --q0 and --q1 (two-orbit)")
+    return (SphericalParams.two_orbit(args.q0, args.q1),)
 
 
 class Family(NamedTuple):
-    """How the commands build one family from the parsed args.
+    """One family of ``table``, ``mul`` and ``verify``, declared as data.
 
-    ``flags`` names the family options the family reads, as attributes of
-    the args; :func:`_family` rejects any other family option given.
-    ``algebra(args)`` is the algebra; ``cells(args, algebra)`` the basis pairs
-    of its ``table``, and ``verify(args)`` its ``verify`` report.  Either of
-    the last two is None when that command does not take the family.
-    ``cells`` checks its flags when called, before ``table`` writes anything.
+    ``flags`` are the family options it reads, as attributes of the args
+    (:func:`_family` rejects any other).  ``options(args)`` reads its
+    parameters as a tuple and ``algebra(*options)`` builds its algebra.
+    ``extent`` names the option bounding its cells, ``verify.CELLS[name]``,
+    and ``verify`` the sweep in :mod:`hecketree.verify`, called as
+    ``sweep(*options, extent)``; either is None when ``table`` or ``verify``
+    does not take the family.
     """
 
     flags: tuple
+    options: Callable
     algebra: Callable
-    cells: Callable | None = None
-    verify: Callable | None = None
-
-
-def _ball_budget(args) -> int:
-    """The vertex budget of a ``verify`` ball: ``--max-ball-vertices`` if given."""
-    return DEFAULT_MAX_VERTICES if args.max_ball_vertices is None else args.max_ball_vertices
+    extent: str | None = None
+    verify: str | None = None
 
 
 FAMILIES = {
     "spherical": Family(
-        ("q", "q0", "q1", "max", "max_ball_vertices"),
-        lambda args: SphericalAlgebra(_spherical_params(args)),
-        lambda args, algebra: _upper_triangle(_require(args.max, "--max")),
-        lambda args: verify_mod.verify_spherical(
-            _spherical_params(args),
-            _require(args.max, "--max"),
-            max_vertices=_ball_budget(args),
-        ),
+        ("q", "q0", "q1", "max", "max_ball_vertices"), _spherical, SphericalAlgebra, "max",
+        "verify_spherical",
     ),
     "iwahori": Family(
-        ("qs", "qt", "len", "max_ball_vertices"),
-        lambda args: IwahoriAlgebra(_require(args.qs, "--qs"), _require(args.qt, "--qt")),
-        lambda args, algebra: itertools.product(
-            algebra.words_up_to(_require(args.len, "--len")), repeat=2
-        ),
-        lambda args: verify_mod.verify_iwahori(
-            _require(args.qs, "--qs"),
-            _require(args.qt, "--qt"),
-            _require(args.len, "--len"),
-            max_vertices=_ball_budget(args),
-        ),
+        ("qs", "qt", "len", "max_ball_vertices"), _required("qs", "qt"), IwahoriAlgebra, "len",
+        "verify_iwahori",
     ),
     "affine": Family(
-        ("q", "max", "max_ball_vertices"),
-        lambda args: HorocycleAlgebra(_require(args.q, "--q")),
-        lambda args, algebra: itertools.product(
-            range(_require(args.max, "--max") + 1), repeat=2
-        ),
-        lambda args: verify_mod.verify_affine(
-            _require(args.q, "--q"),
-            _require(args.max, "--max"),
-            max_vertices=_ball_budget(args),
-        ),
+        ("q", "max", "max_ball_vertices"), _required("q"), HorocycleAlgebra, "max",
+        "verify_affine",
     ),
-    "affine-nf": Family(("q",), lambda args: ToeplitzAlgebra(_require(args.q, "--q"))),
-    "sl2": Family(
-        ("p", "max"),
-        lambda args: SL2EndAlgebra(_require(args.p, "--p")),
-        lambda args, algebra: itertools.product(
-            algebra.cosets_up_to_depth(_require(args.max, "--max")), repeat=2
-        ),
-        lambda args: verify_mod.verify_sl2(_require(args.p, "--p"), _require(args.max, "--max")),
-    ),
+    "affine-nf": Family(("q",), _required("q"), ToeplitzAlgebra),
+    "sl2": Family(("p", "max"), _required("p"), SL2EndAlgebra, "max", "verify_sl2"),
 }
 
 #: Every family option, in the order of first declaration.
@@ -220,10 +193,17 @@ def _family(args) -> Family:
     return family
 
 
+def _extent(args, family: Family) -> int:
+    """The value of the family's extent option, which ``table`` and ``verify`` require."""
+    return _require(getattr(args, family.extent), "--" + family.extent)
+
+
 def cmd_table(args) -> int:
     family = _family(args)
-    algebra = family.algebra(args)
-    cells = family.cells(args, algebra)
+    algebra = family.algebra(*family.options(args))
+    # CELLS lists a family's indices when called, so a bad extent fails before
+    # the CSV header is written
+    cells = verify_mod.CELLS[args.family](algebra, _extent(args, family))
     memo = BasisMemo(algebra)
     records = (product_record(memo, a, b) for a, b in cells)
     emit_records(args.family, records, args.format, sys.stdout)
@@ -231,7 +211,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_mul(args) -> int:
-    algebra = _family(args).algebra(args)
+    family = _family(args)
+    algebra = family.algebra(*family.options(args))
     a = algebra.parse_label(args.left)
     b = algebra.parse_label(args.right)
     record = product_record(BasisMemo(algebra), a, b)
@@ -240,7 +221,10 @@ def cmd_mul(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = _family(args).verify(args)
+    family = _family(args)
+    budget = {} if args.max_ball_vertices is None else {"max_vertices": args.max_ball_vertices}
+    sweep = getattr(verify_mod, family.verify)  # looked up now, so a rebound sweep is called
+    report = sweep(*family.options(args), _extent(args, family), **budget)
     print(json.dumps(report.to_json(), indent=2))
     return 0 if report.ok else 1
 
@@ -345,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_table = sub.add_parser("table", help="emit a multiplication table")
-    p_table.add_argument("family", choices=[n for n, f in FAMILIES.items() if f.cells])
+    p_table.add_argument("family", choices=[n for n, f in FAMILIES.items() if f.extent])
     _add_family_options(p_table)
     p_table.add_argument("--format", choices=["json", "csv"], default="json")
     p_table.set_defaults(func=cmd_table)
@@ -397,7 +381,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

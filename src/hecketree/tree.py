@@ -379,6 +379,18 @@ def edges_by_weyl_word(ball: TreeBall, max_len: int) -> dict:
     }
 
 
+def _check_words(*words: str) -> None:
+    """Raise ``ValueError`` unless every word is a crossing word: ``s`` and ``t`` alternating.
+
+    The crossing word of an edge path alternates its two letters, so no
+    other word has an edge, a group or a witness; the empty word is the
+    base edge's own.
+    """
+    for word in words:
+        if not set(word) <= {"s", "t"} or "ss" in word or "tt" in word:
+            raise ValueError(f"{word!r} is not an alternating word in s and t")
+
+
 def _witness_edge(ball: TreeBall, groups: dict, word: str) -> int:
     """The first edge at crossing word ``word``: the witness for that class."""
     witnesses = groups.get(word)
@@ -451,8 +463,10 @@ def iwahori_constant(
     which is what the ``iflags`` adjustments below implement.
 
     Every call measures each edge with :func:`weyl_distance`: this is the
-    single-constant reference for :func:`iwahori_product`.
+    single-constant reference for :func:`iwahori_product`.  Raises
+    ``ValueError`` on a word that is not alternating.
     """
+    _check_words(w1, w2, target)
     d1, d2, dt = (flag & 1 for flag in iflags)
     if d1 ^ d2 != dt:
         return 0
@@ -487,8 +501,10 @@ def iwahori_product(ball: TreeBall, w1: str, w2: str, iflags: tuple) -> dict:
     of a word group fixes its crossing words to every witness.  The ball's
     memo keeps that table (:func:`_word_table`) for each word from the base
     edge: each group is climbed once per ball, every edge of it enumerated,
-    and each cell is one lookup.
+    and each cell is one lookup.  Raises ``ValueError`` on a word that is
+    not alternating.
     """
+    _check_words(w1, w2)
     d1, d2 = (flag & 1 for flag in iflags)
     dt = d1 ^ d2
     bound = len(w1) + len(w2)
@@ -508,15 +524,17 @@ def iwahori_product(ball: TreeBall, w1: str, w2: str, iflags: tuple) -> dict:
 # -- end-stabilizer (horocycle) counting ---------------------------------------
 
 
-def _confluence_class(ball: TreeBall, u: int, v: int) -> int:
-    """Distance from ``u`` and from ``v`` to where their rays toward the marked end merge.
+def horocycle_class(ball: TreeBall, u: int, v: int) -> int:
+    """Confluence distance of two vertices on a common horocycle.
 
-    The ray from a vertex climbs to its deepest marked-ray ancestor, at depth
-    ``c`` (:func:`ray_confluence_depth`), then runs down the marked ray.  If
-    the deepest common ancestor of ``u`` and ``v`` is off the marked ray, the
-    two rays merge there; otherwise they merge at the marked-ray vertex of
-    depth ``max(cu, cv)``.  Raises :class:`HorocycleMismatch` when the two
-    distances differ.
+    Both rays toward the ball's marked end eventually merge; the class is
+    the distance from either vertex to the merge point.  The ray from a
+    vertex climbs to its deepest marked-ray ancestor, at depth ``c``
+    (:func:`ray_confluence_depth`), then runs down the marked ray.  If the
+    deepest common ancestor of ``u`` and ``v`` is off the marked ray, the two
+    rays merge there; otherwise they merge at the marked-ray vertex of depth
+    ``max(cu, cv)``.  Raises :class:`HorocycleMismatch` when the two
+    distances differ, i.e. the vertices sit on different horocycles.
     """
     du, dv, dc = _meet(ball, u, v)
     cu = ray_confluence_depth(ball, u)
@@ -531,19 +549,6 @@ def _confluence_class(ball: TreeBall, u: int, v: int) -> int:
             f"vertices {u} and {v} lie on different horocycles ({n_u} != {n_v})"
         )
     return n_u
-
-
-def horocycle_class(ball: TreeBall, u: int, v: int) -> int:
-    """Confluence distance of two vertices on a common horocycle.
-
-    Both rays toward the ball's marked end eventually merge; the class is
-    the distance from either vertex to the merge point.  Raises
-    :class:`HorocycleMismatch` when the two distances differ, i.e. the
-    vertices sit on different horocycles.
-    """
-    if u == v:
-        return 0
-    return _confluence_class(ball, u, v)
 
 
 def horocycle_members(ball: TreeBall, n: int) -> range:
@@ -567,7 +572,7 @@ def horocycle_members(ball: TreeBall, n: int) -> range:
 def _class_histogram(ball: TreeBall, block: range, w: int) -> Counter:
     """Confluence classes from ``w`` over the vertices of ``block``, by one anchored climb.
 
-    Equals ``Counter(_confluence_class(ball, v, w) for v in block)`` and, like
+    Equals ``Counter(horocycle_class(ball, v, w) for v in block)`` and, like
     it, raises :class:`HorocycleMismatch` if any vertex of the block is off
     the horocycle of ``w``.  A vertex landing on the path of ``w`` off the
     marked ray has its ray toward the marked end merge with that of ``w``
@@ -598,7 +603,7 @@ def horocycle_constant(ball: TreeBall, m: int, n: int, k: int) -> int:
     The witness is the first vertex at class ``k`` from the root; the count
     is the structure constant of the class-``k`` basis element in the
     product of the class-``m`` and class-``n`` ones.  Every call measures
-    each member with :func:`_confluence_class`: this is the single-constant
+    each member with :func:`horocycle_class`: this is the single-constant
     reference for :func:`horocycle_product`.
     """
     if min(m, n, k) < 0:
@@ -607,7 +612,7 @@ def horocycle_constant(ball: TreeBall, m: int, n: int, k: int) -> int:
     if ball.radius < bound:
         raise BallTooSmall(f"ball radius {ball.radius} < required {bound}")
     w = horocycle_members(ball, k)[0]
-    return sum(1 for v in horocycle_members(ball, m) if _confluence_class(ball, v, w) == n)
+    return sum(1 for v in horocycle_members(ball, m) if horocycle_class(ball, v, w) == n)
 
 
 def horocycle_product(ball: TreeBall, m: int, n: int) -> dict:

@@ -71,6 +71,17 @@ def _flags(**values) -> list:
     return [token for name, value in values.items() for token in (f"--{name}", str(value))]
 
 
+#: ``CELLS[family](algebra, extent)``: the cells ``(a, b)`` of the family's
+#: sweep, in order, which ``hecketree table`` also prints.  Spherical takes
+#: ``n <= m`` only, since that algebra commutes.
+CELLS = {
+    "spherical": lambda algebra, top: ((n, m) for n in range(top + 1) for m in range(n, top + 1)),
+    "iwahori": lambda algebra, top: itertools.product(algebra.words_up_to(top), repeat=2),
+    "affine": lambda algebra, top: itertools.product(range(top + 1), repeat=2),
+    "sl2": lambda algebra, top: itertools.product(algebra.cosets_up_to_depth(top), repeat=2),
+}
+
+
 def _sweep(
     family: str, params: dict, algebra, cells, routes, mul_flags: list, label=None
 ) -> VerifyReport:
@@ -125,7 +136,7 @@ def verify_spherical(
         "spherical",
         {"mode": params.mode, "q0": params.q0, "q1": params.q1, "max": max_index},
         algebra,
-        ((n, m) for n in range(max_index + 1) for m in range(n, max_index + 1)),
+        CELLS["spherical"](algebra, max_index),
         routes,
         (
             _flags(q=params.q0)
@@ -160,7 +171,6 @@ def verify_iwahori(
     algebra = IwahoriAlgebra(qs, qt)
     ball = tree.build_ball(qs, qt, 2 * max_len + 2, max_vertices)
     tree.edges_by_weyl_word(ball, max_len)  # every word group climbed: fail on its budget
-    indices = algebra.words_up_to(max_len)
     oracle_decorated = qs == qt
 
     def routes(a, b):
@@ -181,7 +191,7 @@ def verify_iwahori(
         "iwahori",
         {"qs": qs, "qt": qt, "len": max_len},
         algebra,
-        ((a, b) for a in indices for b in indices),
+        CELLS["iwahori"](algebra, max_len),
         routes,
         _flags(qs=qs, qt=qt),
     )
@@ -214,7 +224,7 @@ def verify_affine(
         "affine",
         {"q": q, "max": max_index},
         algebra,
-        ((m, n) for m in range(max_index + 1) for n in range(max_index + 1)),
+        CELLS["affine"](algebra, max_index),
         routes,
         _flags(q=q),
     )
@@ -241,7 +251,6 @@ def verify_sl2(p: int, max_depth: int) -> VerifyReport:
             f"verify sl2 at p = {p} and max {max_depth} makes {additions:,} additions,"
             f" over the limit of {MAX_SL2_SWEEP_ADDITIONS:,}"
         )
-    cosets = algebra.cosets_up_to_depth(max_depth)
 
     def routes(a, b):
         return {
@@ -257,7 +266,7 @@ def verify_sl2(p: int, max_depth: int) -> VerifyReport:
         "sl2",
         {"p": p, "max": max_depth},
         algebra,
-        itertools.product(cosets, repeat=2),
+        CELLS["sl2"](algebra, max_depth),
         routes,
         _flags(p=p),
         label=PruferElement.label,

@@ -435,7 +435,7 @@ _WEIGHTS = st.integers(2, 4)
 def _valid_argv(draw):
     """A table, mul or verify argv whose family reads every option given, each in range."""
     command = draw(st.sampled_from(["table", "mul", "verify"]))
-    takes = {"table": "cells", "mul": "algebra", "verify": "verify"}[command]
+    takes = {"table": "extent", "mul": "algebra", "verify": "verify"}[command]
     family = draw(st.sampled_from([n for n, f in cli.FAMILIES.items() if getattr(f, takes)]))
     top, size = "--max", st.integers(0, 3)
     if family == "spherical":
@@ -480,6 +480,38 @@ def test_fuzzed_valid_argv_exits_0(argv):
     else:  # one JSON record a line
         lines = out.getvalue().splitlines()
         assert lines and all(isinstance(json.loads(line), dict) for line in lines), argv
+
+
+@pytest.mark.parametrize(
+    "options, count, second, last",
+    [
+        ("spherical --q 2 --max 5", 21, ["G0", "G1"], ["G5", "G5"]),
+        ("spherical --q0 2 --q1 3 --max 3", 10, ["G0", "G2"], ["G6", "G6"]),
+        ("iwahori --qs 2 --qt 3 --len 4", 324, ["1", "i"], ["itsts", "itsts"]),
+        ("affine --q 3 --max 4", 25, ["M0", "M1"], ["M4", "M4"]),
+        ("sl2 --p 5 --max 2", 25, ["0", "1/5"], ["2/25", "2/25"]),
+    ],
+)
+def test_table_and_verify_run_over_the_same_cells(
+    capsys, monkeypatch, options, count, second, last
+):
+    # the keys of the table's records, in order, are the cells its sweep checks
+    code, out = run_cli(capsys, "table", *options.split())
+    assert code == 0
+    keys = [json.loads(line)["key"] for line in out.splitlines()]
+    swept = []
+    original = verify._sweep
+
+    def sweep(family, params, algebra, cells, *rest, **kwargs):
+        cells = list(cells)
+        swept.extend([algebra.basis_label(a), algebra.basis_label(b)] for a, b in cells)
+        return original(family, params, algebra, cells, *rest, **kwargs)
+
+    monkeypatch.setattr(verify, "_sweep", sweep)
+    code, out = run_cli(capsys, "verify", *options.split())
+    assert code == 0 and json.loads(out)["cells"] == count
+    assert swept == keys
+    assert len(keys) == count and keys[1] == second and keys[-1] == last
 
 
 def test_nu_output(capsys):

@@ -186,6 +186,22 @@ def test_iwahori_constant_parity_gate(ball22):
     assert tree.iwahori_constant(ball22, "", "s", "s", (1, 0, 1)) == 1
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: tree.iwahori_constant(b, "x", "", ""),
+        lambda b: tree.iwahori_constant(b, "ss", "s", ""),
+        lambda b: tree.iwahori_constant(b, "ss", "", "ss"),
+        lambda b: tree.iwahori_product(b, "ss", "", (0, 0)),
+    ],
+)
+def test_iwahori_oracle_rejects_words_that_do_not_alternate(call):
+    # no edge has such a crossing word: a count of 0, a missing witness or a
+    # missing group would each hide a caller's bad word
+    with pytest.raises(ValueError, match="is not an alternating word in s and t"):
+        call(tree.build_ball(2, 2, 6))
+
+
 def test_horocycle_class_examples(ball22):
     assert tree.horocycle_class(ball22, 0, 0) == 0
     siblings = [
@@ -603,7 +619,7 @@ def test_anchored_climb_matches_per_vertex_functions(case):
     # every vertex of the block was visited
     assert sum(climb.values()) == len(block)
     try:
-        expected = Counter(tree._confluence_class(ball, v, w) for v in block)
+        expected = Counter(tree.horocycle_class(ball, v, w) for v in block)
     except tree.HorocycleMismatch:
         with pytest.raises(tree.HorocycleMismatch):
             tree._class_histogram(ball, block, w)
