@@ -27,7 +27,10 @@ class HeckeAlgebra:
 
     Concrete algebras implement ``_basis_product``, ``involute_basis``,
     ``r_value``, set ``unit``, and provide label round-tripping for the CLI.
-    Instances are immutable apart from an internal product cache.
+    Instances are immutable apart from memos of results already computed:
+    the product cache here, and in subclasses the word dict of
+    ``IwahoriAlgebra._word_product`` and the recursion rows of
+    ``SphericalAlgebra.multiply_recursive``.  No memo changes a result.
     """
 
     #: basis index of the identity double coset

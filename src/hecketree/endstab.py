@@ -81,6 +81,9 @@ class HorocycleAlgebra(HeckeAlgebra):
         return int(text[1:])
 
     def _basis_product(self, m: int, n: int) -> dict:
+        for index in (m, n):
+            if index < 0:
+                raise ValueError(f"horocycle class {index} is negative")
         q = self.q
         if m == 0:
             return {n: 1}
@@ -115,6 +118,14 @@ class ToeplitzAlgebra(HeckeAlgebra):
     def _key(self):
         return self.q
 
+    @cached_property
+    def horocycle(self) -> HorocycleAlgebra:
+        """The horocycle algebra :func:`nf_to_m` maps into, one per normal-form algebra.
+
+        Sharing it shares its product cache between conversions.
+        """
+        return HorocycleAlgebra(self.q)
+
     def r_value(self, ab) -> int:
         a, _ = ab
         return self.q**a
@@ -135,6 +146,9 @@ class ToeplitzAlgebra(HeckeAlgebra):
         return (a, b)
 
     def _basis_product(self, x, y) -> dict:
+        for index in (x, y):
+            if min(index) < 0:
+                raise ValueError(f"monomial {index} has a negative exponent")
         a, b = x
         c, d = y
         k = min(b, c)
@@ -188,7 +202,7 @@ def nf_to_m(x: HeckeElement) -> HeckeElement:
         if a != b:
             raise ValueError(f"monomial ({a},{b}) is outside the horocycle subalgebra")
         diag[a] = coeff
-    m_algebra = HorocycleAlgebra(nf.q)
+    m_algebra = nf.horocycle
     # (n, n) = sum of classes 0..n, so the class-i coefficient is a tail sum
     terms = {}
     for i in range(max(diag, default=-1) + 1):

@@ -14,6 +14,12 @@ their mirror images on the right, and the inversion rules ``D_i^2 = 1``,
 ``D_i D_s D_i = D_t``.  A closed form for arbitrary word pairs is provided
 as an independent route and must agree with the generated product.
 
+The generated product of a word pair ``(w1, w2)`` is kept on the algebra,
+so ``(w1, w2)`` asked again is one lookup and ``(w1, w2 + letter)`` is one
+rewriting step.  A table or sweep asks for the words in length order, so
+each of its cells costs one step; a pair whose one-letter-shorter pair was
+never asked for is rewritten letter by letter from ``w1``.
+
 Coherence boundary: a type-exchanging automorphism forces equal branching
 at the two vertex types, so the inversion-decorated sector is a genuine
 (associative, coset-counting) Hecke algebra only when ``qs == qt``.  With
@@ -108,6 +114,7 @@ class IwahoriAlgebra(HeckeAlgebra):
             raise ValueError(f"letter weights must be >= 2, got ({qs}, {qt})")
         self.qs = qs
         self.qt = qt
+        self._word_products = {}  # (w1, w2) -> rewritten product, see _word_product
 
     def _key(self):
         return (self.qs, self.qt)
@@ -162,9 +169,25 @@ class IwahoriAlgebra(HeckeAlgebra):
         return out
 
     def _word_product(self, w1: str, w2: str) -> dict:
-        terms = {w1: 1}
-        for letter in w2:
-            terms = self._words_times_letter(terms, letter)
+        """Rewrite ``w1 * w2`` one letter of ``w2`` at a time, kept per word pair.
+
+        A pair one letter shorter that was asked for before is one step
+        away; any other pair is rewritten from ``w1``.  Only the pairs asked
+        for are kept, not the prefixes of the loop, and the kept dicts are
+        shared, so they are never mutated.
+        """
+        key = (w1, w2)
+        terms = self._word_products.get(key)
+        if terms is not None:
+            return terms
+        shorter = self._word_products.get((w1, w2[:-1])) if w2 else None
+        if shorter is not None:
+            terms = self._words_times_letter(shorter, w2[-1])
+        else:
+            terms = {w1: 1}
+            for letter in w2:
+                terms = self._words_times_letter(terms, letter)
+        self._word_products[key] = terms
         return terms
 
     def _basis_product(self, a: DeltaIndex, b: DeltaIndex) -> dict:

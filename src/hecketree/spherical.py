@@ -13,6 +13,11 @@ nonnegative integers in both modes, so a single polynomial model covers both
 (the display layer prints the full distance).  The algebra is commutative
 and is exactly the polynomial ring on its generator.
 
+The recursive route keeps, for each ``m``, the last two rows of the
+recursion for ``basis(k) * basis(m)``.  A sweep that asks for ``n`` in
+increasing order for every ``m`` (as ``verify spherical`` does) pays one
+recursion step per cell; a row behind the kept one restarts at row 0.
+
 Note on completions (documentation only, nothing here computes norms): a
 polynomial ring in one self-adjoint variable has *-representations given by
 evaluating at arbitrary real numbers, whose operator norms are unbounded, so
@@ -66,6 +71,11 @@ class SphericalParams:
         return n * self.step
 
 
+def _check_index(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"basis index {n} is negative")
+
+
 class SphericalAlgebra(HeckeAlgebra):
     """Commutative algebra of distance classes relative to a vertex stabilizer.
 
@@ -79,6 +89,7 @@ class SphericalAlgebra(HeckeAlgebra):
         super().__init__()
         self.params = params
         self._basis_polys = [(1,), (0, 1)]
+        self._recursion_rows = {}  # m -> (k, row k - 1, row k), see multiply_recursive
 
     def _key(self):
         return self.params
@@ -133,18 +144,30 @@ class SphericalAlgebra(HeckeAlgebra):
         return HeckeElement(self, acc)
 
     def multiply_recursive(self, n: int, m: int) -> HeckeElement:
-        """Basis product computed by reducing one factor to the generator."""
+        """Basis product computed by reducing one factor to the generator.
+
+        Row ``k`` is ``basis(k) * basis(m)``; each step of the recursion
+        gives the next row from the last two.  The step reached for ``m`` and
+        its two rows are kept, so a call with ``n`` at or past that step
+        continues from there and one with ``n`` behind it restarts at row 0.
+        """
+        _check_index(n)
+        _check_index(m)
         if n > m:
             n, m = m, n
-        result = self.basis_element(m)
-        if n == 0:
-            return result
-        prev = result  # class 0 times basis(m)
-        result = self.generator_times(result)  # class 1 times basis(m)
-        for k in range(1, n):
-            a, b = self._recursion(k)
-            nxt = self.generator_times(result) - b * result - a * prev
+        state = self._recursion_rows.get(m)
+        if state is None or state[0] > n:
+            state = (0, None, self.basis_element(m))
+        k, prev, result = state
+        while k < n:
+            if k == 0:
+                nxt = self.generator_times(result)
+            else:
+                a, b = self._recursion(k)
+                nxt = self.generator_times(result) - b * result - a * prev
             prev, result = result, nxt
+            k += 1
+        self._recursion_rows[m] = (k, prev, result)
         return result
 
     def multiply_closed(self, n: int, m: int) -> HeckeElement:
@@ -152,6 +175,8 @@ class SphericalAlgebra(HeckeAlgebra):
         return self.multiply_basis(n, m)
 
     def _basis_product(self, n: int, m: int) -> dict:
+        _check_index(n)
+        _check_index(m)
         if n > m:
             n, m = m, n
         if n == 0:

@@ -207,16 +207,18 @@ def verify_affine(
     The oracle vector of a cell covers classes up to max(m, n)
     (:func:`tree.horocycle_product`): the confluence distance is an
     ultrametric, so a witness at a deeper class cannot be reached and those
-    counts vanish identically (spot-checked separately in the tests).
+    counts vanish identically (spot-checked separately in the tests).  Each
+    class is converted to normal form once per sweep, not once per cell.
     """
     algebra = HorocycleAlgebra(q)
     ball = tree.build_ball(q, q, 2 * max_index + 2, max_vertices)
     tree.horocycle_members(ball, max_index)  # the largest class counted: fail on its budget
+    normal_forms = [m_to_nf(algebra, n) for n in range(max_index + 1)]
 
     def routes(m, n):
         return {
             "table": _int_terms(algebra.multiply_basis(m, n)),
-            "normal-form": _int_terms(nf_to_m(m_to_nf(algebra, m) * m_to_nf(algebra, n))),
+            "normal-form": _int_terms(nf_to_m(normal_forms[m] * normal_forms[n])),
             "oracle": tree.horocycle_product(ball, m, n),
         }
 

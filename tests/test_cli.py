@@ -111,6 +111,33 @@ def test_mul_command(capsys):
     assert json.loads(out)["value"] == [["(0,0)", "2/1"]]
 
 
+def test_mul_iwahori_long_word_is_a_loop_not_a_recursion(capsys):
+    # a 1,500-letter right word is rewritten letter by letter in one loop;
+    # the rewriting never recurses, so it cannot hit the recursion limit
+    word = "ts" * 750
+    code, out = run_cli(capsys, "mul", "iwahori", "st", word, "--qs", "2", "--qt", "2")
+    assert code == 0
+    algebra = IwahoriAlgebra(2, 2)
+    closed = algebra.multiply_closed(algebra.parse_label("st"), algebra.parse_label(word))
+    expected = [[algebra.basis_label(idx), f"{c}/1"] for idx, c in closed.terms()]
+    assert json.loads(out)["value"] == expected
+
+
+def test_table_iwahori_keeps_one_word_product_per_pair(capsys, monkeypatch):
+    built = []
+
+    def algebra(qs, qt):
+        built.append(IwahoriAlgebra(qs, qt))
+        return built[-1]
+
+    family = cli.FAMILIES["iwahori"]._replace(algebra=algebra)
+    monkeypatch.setitem(cli.FAMILIES, "iwahori", family)
+    code, out = run_cli(capsys, "table", "iwahori", "--qs", "2", "--qt", "3", "--len", "6")
+    assert code == 0 and len(out.splitlines()) == 676
+    # 13 words of length <= 6: one kept product per word pair, none per prefix
+    assert len(built[0]._word_products) <= 13 * 13
+
+
 def test_verify_exit_codes(capsys):
     code, out = run_cli(capsys, "verify", "spherical", "--q", "2", "--max", "3")
     assert code == 0

@@ -110,6 +110,23 @@ def test_distributive(x, y, z):
     assert x * (y + z) == x * y + x * z
 
 
+def test_negative_basis_index_is_rejected():
+    # each call once took a power q ** -k or returned a wrong product
+    from hecketree.endstab import HorocycleAlgebra, ToeplitzAlgebra
+
+    two_orbit = SphericalAlgebra(SphericalParams.two_orbit(2, 3))
+    calls = [
+        (lambda: A.multiply_recursive(-1, 2), "-1"),
+        (lambda: two_orbit.multiply_recursive(-2, 3), "-2"),
+        (lambda: A.multiply_closed(-1, 2), "-1"),
+        (lambda: HorocycleAlgebra(2).multiply_basis(-1, 2), "-1"),
+        (lambda: ToeplitzAlgebra(2).multiply_basis((0, -1), (0, 0)), r"\(0, -1\)"),
+    ]
+    for call, index in calls:
+        with pytest.raises(ValueError, match=index):
+            call()
+
+
 def test_structure_constants_nonnegative_integers():
     # every route of every family keeps the counts as int, not Fraction
     from hecketree.endstab import HorocycleAlgebra, ToeplitzAlgebra, m_to_nf, nf_to_m

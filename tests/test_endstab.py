@@ -96,6 +96,13 @@ def test_nf_to_m_roundtrip():
         assert nf_to_m(m_element_to_nf(x)) == x
 
 
+def test_nf_to_m_shares_one_horocycle_algebra():
+    # so products of its results share one product cache
+    x = m_to_nf(M3, 1) * m_to_nf(M3, 2)
+    y = m_to_nf(M3, 3)
+    assert nf_to_m(x).algebra is nf_to_m(y).algebra
+
+
 def test_nf_to_m_rejects_off_diagonal():
     with pytest.raises(ValueError):
         nf_to_m(NF2.basis_element((1, 0)))

@@ -159,6 +159,41 @@ def test_twisted_tensor_law():
                 assert algebra.multiply_basis(a, b) == expected
 
 
+def _rewritten(algebra, w1, w2):
+    """``w1 * w2`` by the one-letter rewriting rule, letter by letter from ``w1``."""
+    terms = {w1: 1}
+    for letter in w2:
+        q = algebra.letter_weight(letter)
+        out = {}
+        for word, coeff in terms.items():
+            if word.endswith(letter):
+                out[word[:-1]] = out.get(word[:-1], 0) + coeff * q
+                out[word] = out.get(word, 0) + coeff * (q - 1)
+            else:
+                out[word + letter] = out.get(word + letter, 0) + coeff
+        terms = out
+    return terms
+
+
+@pytest.mark.parametrize("qs,qt", [(2, 3), (2, 2)])
+def test_kept_word_products_match_in_any_order(qs, qt):
+    # each product grows from the kept one a letter shorter when that was
+    # asked for, and from w1 otherwise; neither depends on the order of cells
+    algebra = IwahoriAlgebra(qs, qt)
+    cells = list(itertools.product(algebra.words_up_to(5), repeat=2))
+    random.Random(17).shuffle(cells)
+    for a, b in cells:
+        left = bar(a.word) if b.iflag else a.word
+        expected = algebra.element(
+            {
+                DeltaIndex(a.iflag ^ b.iflag, w): c
+                for w, c in _rewritten(algebra, left, b.word).items()
+            }
+        )
+        assert algebra.multiply_basis(a, b) == expected, (a, b)
+    assert len(algebra._word_products) == 11 * 11
+
+
 def test_star_reverses_words():
     assert A22.delta("st").star() == A22.delta("ts")
     assert A22.delta("is").star() == A22.delta("it")

@@ -1,5 +1,6 @@
 """Vertex-stabilizer algebra: recursions, closed forms, normalization, polynomial model."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,18 @@ def test_two_orbit_products():
     assert g(1) * g(1) == TO23.element({0: 9, 1: 2, 2: 1})
     assert g(2) * g(2) == TO23.element({0: 54, 1: 12, 2: 3, 3: 2, 4: 1})
     assert TO23.multiply_recursive(2, 2) == TO23.multiply_closed(2, 2)
+
+
+@pytest.mark.parametrize(
+    "params", [SphericalParams.homogeneous(3), SphericalParams.two_orbit(2, 3)]
+)
+def test_kept_recursion_rows_match_in_any_order(params):
+    # (2, 9) is behind the step (6, 9) reached, so it restarts at row 0
+    algebra = SphericalAlgebra(params)
+    cells = [(n, m) for n in range(9) for m in range(9)]
+    random.Random(17).shuffle(cells)
+    for n, m in [(6, 9), (2, 9), (9, 9), (9, 2)] + cells:
+        assert algebra.multiply_recursive(n, m) == algebra.multiply_closed(n, m), (n, m)
 
 
 @pytest.mark.parametrize("q", [2, 3])
