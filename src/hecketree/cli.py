@@ -216,8 +216,31 @@ def cmd_mul(args) -> int:
     a = algebra.parse_label(args.left)
     b = algebra.parse_label(args.right)
     record = product_record(BasisMemo(algebra), a, b)
+    _check_printable(record)
     emit_records(args.family, [record], args.format, sys.stdout)
     return 0
+
+
+def _check_printable(record) -> None:
+    """Refuse, before anything is written, a product with a constant too long to print.
+
+    The interpreter converts an int of more than ``sys.get_int_max_str_digits()``
+    decimal digits to text only if that limit is raised, which a command line
+    can do through the ``PYTHONINTMAXSTRDIGITS`` environment variable alone.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else 0
+    if not limit:
+        return
+    left, right, value = record
+    bound = 10**limit
+    for entry, c in value:
+        if abs(c) >= bound:
+            raise ValueError(
+                f"the coefficient of {entry[1]} in {left[1]} * {right[1]} has more than"
+                f" {limit} digits, the interpreter's limit for printing an integer;"
+                " set PYTHONINTMAXSTRDIGITS to a larger limit, or to 0 for none"
+            )
 
 
 def cmd_verify(args) -> int:

@@ -116,6 +116,18 @@ def exact(value) -> int | Fraction:
     raise TypeError(f"coefficients must be int or Fraction, got {type(value)!r}")
 
 
+def label_int(text: str) -> int | None:
+    """The integer ``text`` spells inside a basis label, or None if it is no such spelling.
+
+    Labels print a nonnegative integer as ASCII digits without a leading
+    zero, and only that spelling is read back: ``int()`` would also take a
+    sign, ``_``, spaces, leading zeros and non-ASCII digits.
+    """
+    if text.isascii() and text.isdigit() and (text[0] != "0" or text == "0"):
+        return int(text)
+    return None
+
+
 class HeckeElement:
     """Finitely supported rational linear combination of basis indices.
 

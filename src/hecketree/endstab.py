@@ -37,9 +37,9 @@ code.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
-from .core import HeckeAlgebra, HeckeElement, exact
+from .core import HeckeAlgebra, HeckeElement, exact, label_int
 from .ktheory import BratteliDiagram, IntMatrix
 
 
@@ -76,9 +76,10 @@ class HorocycleAlgebra(HeckeAlgebra):
         return f"M{n}"
 
     def parse_label(self, text: str) -> int:
-        if not text.startswith("M") or int(text[1:]) < 0:
+        n = label_int(text[1:]) if text.startswith("M") else None
+        if n is None:
             raise ValueError(f"bad horocycle label {text!r}")
-        return int(text[1:])
+        return n
 
     def _basis_product(self, m: int, n: int) -> dict:
         for index in (m, n):
@@ -138,12 +139,11 @@ class ToeplitzAlgebra(HeckeAlgebra):
         return f"({ab[0]},{ab[1]})"
 
     def parse_label(self, text: str):
-        if not (text.startswith("(") and text.endswith(")")):
+        parts = text[1:-1].split(",") if text.startswith("(") and text.endswith(")") else ()
+        ab = tuple(label_int(part) for part in parts)
+        if len(ab) != 2 or None in ab:
             raise ValueError(f"bad monomial label {text!r}")
-        a, b = (int(part) for part in text[1:-1].split(","))
-        if a < 0 or b < 0:
-            raise ValueError(f"bad monomial label {text!r}")
-        return (a, b)
+        return ab
 
     def _basis_product(self, x, y) -> dict:
         for index in (x, y):
@@ -256,12 +256,6 @@ class EventuallyConstantSeq:
             self.tail + other.tail,
         )
 
-    def to_json(self) -> dict:
-        return {
-            "prefix": [f"{x.numerator}/{x.denominator}" for x in self.prefix],
-            "tail": f"{self.tail.numerator}/{self.tail.denominator}",
-        }
-
 
 def to_sequence(x: HeckeElement) -> EventuallyConstantSeq:
     """Image of a horocycle-basis element under the sequence isomorphism.
@@ -291,14 +285,21 @@ def to_sequence(x: HeckeElement) -> EventuallyConstantSeq:
     return EventuallyConstantSeq(values, tail)
 
 
+@cache
+def _horocycle_algebra(q: int) -> HorocycleAlgebra:
+    """The algebra :func:`from_sequence` maps into, one per ``q``."""
+    return HorocycleAlgebra(q)
+
+
 def from_sequence(seq: EventuallyConstantSeq, q: int) -> HeckeElement:
     """Inverse of :func:`to_sequence`, through the projection basis.
 
     A sequence with prefix length N decomposes over the indicator of
     ``{k, k+1, ...}`` for k <= N, and that indicator is ``q^{-k}`` times the
-    sum of the classes up to k.
+    sum of the classes up to k.  Every image for one ``q`` lies in the same
+    algebra, so products of images share its product cache.
     """
-    algebra = HorocycleAlgebra(q)
+    algebra = _horocycle_algebra(q)
     values = list(seq.prefix) + [seq.tail]
     terms = {0: values[0]}
     for k in range(1, len(values)):

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
-from .core import HeckeAlgebra, HeckeElement
+from .core import HeckeAlgebra, HeckeElement, label_int
 
 #: The deepest cosets :class:`SL2EndAlgebra` lists; its points are coded at this depth.
 DEPTH_BOUND = 6
@@ -234,8 +234,10 @@ def parse_prufer(p: int, text: str) -> PruferElement:
     if text == "0":
         return prufer_zero(p)
     num_text, _, den_text = text.partition("/")
-    num, den = int(num_text), int(den_text)
-    if den < 1:
+    num, den = label_int(num_text), label_int(den_text)
+    if num is None:
+        raise ValueError(f"bad numerator in Prüfer label {text!r}")
+    if not den:
         raise ValueError(f"denominator of {text!r} is not a power of {p}")
     depth = 0
     while den > 1:
@@ -246,9 +248,19 @@ def parse_prufer(p: int, text: str) -> PruferElement:
     return make_prufer(p, num, depth)
 
 
+@cache
+def _prufer_algebra(p: int) -> PruferGroupAlgebra:
+    """The algebra :func:`nu` maps into, one per prime."""
+    return PruferGroupAlgebra(p)
+
+
 def nu(u: PruferElement) -> HeckeElement:
-    """Image of the double coset of ``u``: the sum over its unit-square orbit."""
-    algebra = PruferGroupAlgebra(u.p)
+    """Image of the double coset of ``u``: the sum over its unit-square orbit.
+
+    Every image for one prime lies in the same algebra, so products of images
+    share its product cache.
+    """
+    algebra = _prufer_algebra(u.p)
     return algebra.element({g: 1 for g in orbit(u)})
 
 

@@ -1,17 +1,15 @@
 """Hecke algebra of a vertex stabilizer: radial basis on a semi-homogeneous tree.
 
-Two modes, matching the two possible vertex-orbit structures of a sphere-
-transitive action:
+On the (q0 + 1, q1 + 1)-semi-homogeneous tree the multiplication table and
+the sphere counts are one formula in the distances
+(:meth:`SphericalAlgebra._basis_product`).  The vertex-orbit mode of a
+sphere-transitive action only picks which distances are basis indices:
 
-* homogeneous -- one vertex orbit; the basis is indexed by all sphere radii
-  and the degree-one generator is the radius-1 element;
-* two-orbit -- vertices split by parity; only even radii occur, the basis is
-  indexed by half the radius, and the generator is the radius-2 element.
+* homogeneous (q0 = q1) -- one vertex orbit; index ``n`` is distance ``n``;
+* two-orbit -- vertices split by parity; index ``n`` is distance ``2n``.
 
-Storing two-orbit indices as half-distances keeps the basis indexed by the
-nonnegative integers in both modes, so a single polynomial model covers both
-(the display layer prints the full distance).  The algebra is commutative
-and is exactly the polynomial ring on its generator.
+The generator is index 1 and labels print the distance.  The algebra is
+commutative: exactly the polynomial ring on its generator.
 
 The recursive route keeps, for each ``m``, the last two rows of the
 recursion for ``basis(k) * basis(m)``.  A sweep that asks for ``n`` in
@@ -30,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import HeckeAlgebra, HeckeElement, exact
+from .core import HeckeAlgebra, HeckeElement, exact, label_int
 
 HOMOGENEOUS = "homogeneous"
 TWO_ORBIT = "two-orbit"
@@ -67,9 +65,6 @@ class SphericalParams:
         """Distance step between consecutive basis indices (1 or 2)."""
         return 1 if self.mode == HOMOGENEOUS else 2
 
-    def display_distance(self, n: int) -> int:
-        return n * self.step
-
 
 def _check_index(n: int) -> None:
     if n < 0:
@@ -101,23 +96,20 @@ class SphericalAlgebra(HeckeAlgebra):
         return n
 
     def r_value(self, n: int) -> int:
-        """Sphere cardinality: the number of one-sided cosets in class ``n``."""
+        """Sphere cardinality |S_d| = (q0 + 1)·Q_(d−1) at distance d = step·n."""
         if n == 0:
             return 1
         p = self.params
-        if p.mode == HOMOGENEOUS:
-            return (p.q0 + 1) * p.q0 ** (n - 1)
-        return (p.q0 + 1) * p.q1 * (p.q0 * p.q1) ** (n - 1)
+        d = p.step * n
+        return (p.q0 + 1) * p.q1 ** (d // 2) * p.q0 ** ((d - 1) // 2)
 
     def basis_label(self, n: int) -> str:
-        return f"G{self.params.display_distance(n)}"
+        return f"G{self.params.step * n}"
 
     def parse_label(self, text: str) -> int:
-        if not text.startswith("G"):
-            raise ValueError(f"bad spherical label {text!r}")
-        dist = int(text[1:])
+        dist = label_int(text[1:]) if text.startswith("G") else None
         step = self.params.step
-        if dist < 0 or dist % step:
+        if dist is None or dist % step:
             raise ValueError(f"bad spherical label {text!r}")
         return dist // step
 
@@ -175,6 +167,16 @@ class SphericalAlgebra(HeckeAlgebra):
         return self.multiply_basis(n, m)
 
     def _basis_product(self, n: int, m: int) -> dict:
+        """Closed-form table, one formula in the distances for both modes.
+
+        Let d = step·n <= e = step·m, let q_l be q1 at odd l and q0 at even
+        l, and let Q_k = q_1 ⋯ q_k (Q_0 = 1).  Then
+
+            G_d·G_e = G_(e+d) + Σ_(l=1..d−1) (q_l − 1)·Q_(l−1)·G_(e+d−2l)
+                      + Q_(d−1)·(q_d + [d = e])·G_(e−d),
+
+        and distance e + d − 2l is basis index m + n − 2l/step.
+        """
         _check_index(n)
         _check_index(m)
         if n > m:
@@ -182,21 +184,16 @@ class SphericalAlgebra(HeckeAlgebra):
         if n == 0:
             return {m: 1}
         p = self.params
+        step = p.step
+        d = step * n
         out = {m + n: 1}
+        prod = 1  # Q_(l-1)
+        for l in range(1, d):
+            ql = p.q1 if l % 2 else p.q0
+            out[m + n - 2 * l // step] = (ql - 1) * prod
+            prod *= ql
         delta = 1 if m == n else 0
-        if p.mode == HOMOGENEOUS:
-            q = p.q0
-            out[m - n] = out.get(m - n, 0) + q ** (n - 1) * (q + delta)
-            for l in range(1, n):
-                out[m + n - 2 * l] = out.get(m + n - 2 * l, 0) + (q - 1) * q ** (l - 1)
-        else:
-            q0, q1 = p.q0, p.q1
-            out[m - n] = out.get(m - n, 0) + q1**n * q0 ** (n - 1) * (q0 + delta)
-            prod = 1
-            for l in range(1, 2 * n):
-                ql = q0 if l % 2 == 0 else q1
-                out[m + n - l] = out.get(m + n - l, 0) + (ql - 1) * prod
-                prod *= ql
+        out[m - n] = prod * ((p.q1 if d % 2 else p.q0) + delta)
         return out
 
     # -- normalization ---------------------------------------------------------

@@ -648,6 +648,60 @@ def test_invalid_params_exit_2(capsys):
         assert flag in captured.err.strip().splitlines()[-1]
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sl2", "1_0/5", "1/5", "--p", "5"),
+        ("sl2", "1/05", "1/5", "--p", "5"),
+        ("sl2", "\uff11/5", "1/5", "--p", "5"),  # fullwidth 1
+        ("spherical", "G+2", "G1", "--q", "2"),
+        ("spherical", "G\u0663", "G1", "--q", "2"),  # Arabic-Indic 3
+        ("affine", "M01", "M1", "--q", "2"),
+        ("affine", "M-0", "M1", "--q", "2"),
+        ("affine-nf", "( 1, 2 )", "(0,0)", "--q", "2"),
+        ("affine-nf", "(+1,0_2)", "(0,0)", "--q", "2"),
+        ("affine-nf", "(1,2,3)", "(0,0)", "--q", "2"),
+    ],
+)
+def test_mul_reads_label_integers_only_as_printed(capsys, argv):
+    # int() would read each of these as some other label
+    code, out = run_cli(capsys, "mul", *argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_mul_reads_any_prufer_fraction_in_canonical_digits(capsys):
+    code, out = run_cli(capsys, "mul", "sl2", "5/25", "1/5", "--p", "5")
+    assert code == 0
+    assert json.loads(out)["key"] == ["1/5", "1/5"]
+
+
+@pytest.mark.parametrize(
+    "argv, term",
+    [
+        (("spherical", "G16000", "G16000", "--q", "2"), "G0 in G16000 * G16000"),
+        (("affine-nf", "(0,15000)", "(15000,0)", "--q", "2"), "(0,0) in (0,15000) * (15000,0)"),
+    ],
+)
+def test_mul_refuses_a_constant_over_the_int_printing_limit(capsys, argv, term):
+    limit = sys.get_int_max_str_digits()
+    assert main(["mul", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        f"error: the coefficient of {term} has more than {limit} digits, the"
+        " interpreter's limit for printing an integer; set PYTHONINTMAXSTRDIGITS"
+        " to a larger limit, or to 0 for none"
+    )
+
+
+def test_mul_prints_a_constant_under_the_int_printing_limit(capsys):
+    # 2^14000 has 4,215 digits
+    code, out = run_cli(capsys, "mul", "affine-nf", "(0,14000)", "(14000,0)", "--q", "2")
+    assert code == 0
+    assert json.loads(out)["value"] == [["(0,0)", f"{2**14000}/1"]]
+
 def test_deterministic_output(capsys):
     args = ("table", "spherical", "--q", "3", "--max", "3")
     first = run_cli(capsys, *args)

@@ -182,6 +182,13 @@ def test_sequence_roundtrip(terms):
     assert from_sequence(to_sequence(x), 2) == x
 
 
+
+def test_from_sequence_images_share_one_algebra_per_q():
+    # so a product of two images reads one product cache
+    s, t = EventuallyConstantSeq([0, 2], 1), EventuallyConstantSeq([3], 1)
+    assert from_sequence(s, 2).algebra is from_sequence(t, 2).algebra
+    assert from_sequence(s, 2).algebra is not from_sequence(s, 3).algebra
+
 def test_sequence_canonical_form():
     assert EventuallyConstantSeq([1, 1], 1) == EventuallyConstantSeq([], 1)
     s = EventuallyConstantSeq([0, 2, 1], 1)

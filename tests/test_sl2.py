@@ -84,6 +84,13 @@ def test_nu_examples():
     )
 
 
+
+def test_nu_images_share_one_algebra_per_prime():
+    # so a product of two images reads one product cache
+    a, b = make_prufer(7, 3, 2), make_prufer(7, 5, 2)
+    assert nu(a).algebra is nu(b).algebra
+    assert nu(a).algebra is not nu(make_prufer(5, 1, 1)).algebra
+
 def test_same_double_coset():
     assert same_double_coset(make_prufer(5, 1, 1), make_prufer(5, 4, 1))
     assert not same_double_coset(make_prufer(5, 1, 1), make_prufer(5, 2, 1))

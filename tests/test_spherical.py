@@ -64,6 +64,30 @@ def test_kept_recursion_rows_match_in_any_order(params):
         assert algebra.multiply_recursive(n, m) == algebra.multiply_closed(n, m), (n, m)
 
 
+
+@pytest.mark.parametrize(
+    "params",
+    [SphericalParams.homogeneous(q) for q in (2, 3, 5)]
+    + [SphericalParams.two_orbit(q0, q1) for q0, q1 in ((2, 3), (3, 2), (4, 7), (7, 4))],
+)
+def test_closed_form_matches_recursion_to_index_12(params):
+    # one distance formula for both modes, checked against the generator's
+    # own three-term recursion, which shares no code with it
+    algebra = SphericalAlgebra(params)
+    for m in range(13):
+        for n in range(13):
+            assert algebra.multiply_closed(n, m) == algebra.multiply_recursive(n, m), (n, m)
+
+
+@pytest.mark.parametrize(
+    "params", [SphericalParams.homogeneous(3), SphericalParams.two_orbit(2, 3)]
+)
+def test_r_value_is_the_sphere_of_the_ball(params):
+    algebra = SphericalAlgebra(params)
+    ball = tree.build_ball(params.q0, params.q1, 10)
+    for n in range(10 // params.step + 1):
+        assert algebra.r_value(n) == len(ball.sphere(params.step * n)), n
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_three_routes_agree_homogeneous(q):
     algebra = SphericalAlgebra(SphericalParams.homogeneous(q))
