@@ -29,6 +29,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import verify as verify_mod
+from .core import int_str_limit
 from .endstab import HorocycleAlgebra, ToeplitzAlgebra, toeplitz_bratteli, toeplitz_shift_alpha
 from .iwahori import IwahoriAlgebra
 from .ktheory import load_bratteli, pv_k_groups, truncated_limit
@@ -228,8 +229,7 @@ def _check_printable(record) -> None:
     decimal digits to text only if that limit is raised, which a command line
     can do through the ``PYTHONINTMAXSTRDIGITS`` environment variable alone.
     """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    limit = get_limit() if get_limit else 0
+    limit = int_str_limit()
     if not limit:
         return
     left, right, value = record

@@ -18,6 +18,7 @@ therefore stay ``int`` through every product of integer elements, and a
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
@@ -116,16 +117,31 @@ def exact(value) -> int | Fraction:
     raise TypeError(f"coefficients must be int or Fraction, got {type(value)!r}")
 
 
+def int_str_limit() -> int:
+    """The interpreter's limit on the decimal digits of an int read or printed, 0 for none."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return get_limit() if get_limit else 0
+
+
 def label_int(text: str) -> int | None:
     """The integer ``text`` spells inside a basis label, or None if it is no such spelling.
 
     Labels print a nonnegative integer as ASCII digits without a leading
     zero, and only that spelling is read back: ``int()`` would also take a
-    sign, ``_``, spaces, leading zeros and non-ASCII digits.
+    sign, ``_``, spaces, leading zeros and non-ASCII digits.  A spelling
+    longer than ``sys.get_int_max_str_digits()`` is a ValueError naming that
+    limit, which a command line can raise through ``PYTHONINTMAXSTRDIGITS``.
     """
-    if text.isascii() and text.isdigit() and (text[0] != "0" or text == "0"):
-        return int(text)
-    return None
+    if not (text.isascii() and text.isdigit() and (text[0] != "0" or text == "0")):
+        return None
+    limit = int_str_limit()
+    if limit and len(text) > limit:
+        raise ValueError(
+            f"the label integer {text[:10]}... has {len(text)} digits, more than {limit},"
+            " the interpreter's limit for reading an integer; set PYTHONINTMAXSTRDIGITS"
+            " to a larger limit, or to 0 for none"
+        )
+    return int(text)
 
 
 class HeckeElement:

@@ -7,16 +7,17 @@ to for an AF algebra crossed by a single endomorphism (both odd K-groups of
 the coefficient algebra vanish, so the K-groups of the crossed product are
 the cokernel and kernel of the induced map minus the identity).
 
-Only ``smith_normal_form`` returns the witnesses U and V.  ``cokernel``,
-``kernel_rank``, ``pv_k_groups`` and ``truncated_limit`` read the diagonal
-alone, so they run the same elimination without building the transforms.
-The elimination clears each pivot's column by a Euclid loop of row
-operations before it touches the pivot's row, which keeps V's entries to a
-few hundred digits and U's to a few dozen on a 32 x 32 matrix of one-digit
-entries.  The tests check that diagonal against ``smith_normal_form`` and,
-independently, against the determinantal divisors (gcds of k x k minors);
-they pin the bytes of D, which the Smith form fixes, apart from those of U
-and V, which the pivot rule fixes.
+Only ``smith_normal_form`` returns the witnesses U and V, which ride along
+in the elimination as identities appended to M's rows and stacked below
+them.  ``cokernel``, ``kernel_rank``, ``pv_k_groups`` and
+``truncated_limit`` read the diagonal alone, so they run the same
+elimination on M's bare rows.  The elimination clears each pivot's column
+by a Euclid loop of row operations before it touches the pivot's row, which
+keeps V's entries to a few hundred digits and U's to a few dozen on a
+32 x 32 matrix of one-digit entries.  The tests check that diagonal against
+``smith_normal_form`` and, independently, against the determinantal divisors
+(gcds of k x k minors); they pin the bytes of D, which the Smith form fixes,
+apart from those of U and V, which the pivot rule fixes.
 
 Truncated limits, not symbolic ones: the machinery reports finite stages and
 flags when consecutive stages agree, which is what desk-scale verification
@@ -161,69 +162,69 @@ def _kernel_rank(cols: int, diagonal: list) -> int:
 def smith_normal_form(m: IntMatrix) -> SNFResult:
     """Diagonalize over the integers, tracking the row and column transforms.
 
-    Pivoting is deterministic, so the returned transforms are reproducible.
-    Step t starts from the entry of smallest nonzero absolute value in the
-    remaining block (the first one in row-major order on a tie).  It then
-    runs Euclid down column t with row operations: the pivot is made
-    positive, quotients round to the nearest integer, and the smallest
-    remainder left in the column (the first row on a tie) becomes the next
-    pivot.  Once the column is clear, row t is reduced with column
+    U's identity rides along appended to M's rows and V's stacked below
+    them.  Pivoting is deterministic, so the returned transforms are
+    reproducible.  Step t starts from the entry of smallest nonzero absolute
+    value in the remaining block (the first one in row-major order on a
+    tie).  It then runs Euclid down column t with row operations: the pivot
+    is made positive, quotients round to the nearest integer, and the
+    smallest remainder left in the column (the first row on a tie) becomes
+    the next pivot.  Once the column is clear, row t is reduced with column
     operations; the smallest remainder left there is swapped in as the pivot
-    and the column is cleared again.  Each swap at least halves the pivot,
-    so the step ends, and a pivot that does not divide the rest of the block
+    and the column is cleared again.  Each swap at least halves the pivot, so
+    the step ends, and a pivot that does not divide the rest of the block
     has the first offending row added to its row.
     """
-    d, u, v = _smith_eliminate(m, track=True)
-    return SNFResult(*(IntMatrix._of(tuple(map(tuple, x))) for x in (u, d, v)))
+    rows, cols = m.rows, m.cols
+    a = [[*row, *(1 if i == j else 0 for j in range(rows))] for i, row in enumerate(m.entries)]
+    a += ([1 if i == j else 0 for j in range(cols)] for i in range(cols))
+    _smith_eliminate(a, rows, cols)
+    return SNFResult(
+        IntMatrix._of(tuple(tuple(row[cols:]) for row in a[:rows])),
+        IntMatrix._of(tuple(tuple(row[:cols]) for row in a[:rows])),
+        IntMatrix._of(tuple(map(tuple, a[rows:]))),
+    )
 
 
 def _smith_diagonal(m: IntMatrix) -> list:
     """The diagonal of ``smith_normal_form(m).d``, computed without the transforms."""
-    d, _, _ = _smith_eliminate(m, track=False)
-    return [d[i][i] for i in range(min(m.rows, m.cols))]
-
-
-def _smith_eliminate(m: IntMatrix, track: bool) -> tuple:
-    """Smith elimination of ``m``; returns ``(d, u, v)`` as sequences of rows.
-
-    With ``track`` false, ``u`` and ``v`` are None and no transform is built
-    or updated.  The pivots depend on the entries of ``d`` alone, so ``d``
-    is the same either way.
-    """
     a = [list(row) for row in m.entries]
-    rows, cols = m.rows, m.cols
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if track else None
-    # V is kept as its list of columns, so a column operation is one comprehension
-    vc = [[1 if i == j else 0 for i in range(cols)] for j in range(cols)] if track else None
+    _smith_eliminate(a, m.rows, m.cols)
+    return [a[i][i] for i in range(min(m.rows, m.cols))]
 
-    # Rows and columns of ``a`` before the current pivot t are zero outside
-    # the diagonal, so the operations at step t touch ``a`` from t on only.
+
+def _smith_eliminate(a: list, rows: int, cols: int) -> None:
+    """Smith elimination of the leading ``rows`` x ``cols`` block of ``a``, in place.
+
+    A row operation acts on the whole row and a column operation on every row
+    from the pivot down, so what ``a`` holds right of column ``cols`` and
+    below row ``rows`` rides along: U and V when ``smith_normal_form``
+    appends their identities, nothing for ``_smith_diagonal``.  Pivots and
+    quotients read the block alone, so the block ends the same either way.
+    """
+    # row operations stay inside the block, so these rows are never moved
+    below = a[rows:]
+
+    # Rows and columns of the block before the current pivot t are zero
+    # outside the diagonal, so the operations at step t touch ``a`` from t on.
     def swap_rows(i, j):
         if i != j:
             a[i], a[j] = a[j], a[i]
-            if track:
-                u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         if i != j:
-            for k in range(t, rows):
+            for k in range(t, len(a)):
                 row = a[k]
                 row[i], row[j] = row[j], row[i]
-            if track:
-                vc[i], vc[j] = vc[j], vc[i]
 
     def add_row(src, dst, factor):
         # row dst += factor * row src
         arow, asrc = a[dst], a[src]
-        for j in range(t, cols):
+        for j in range(t, len(arow)):
             arow[j] += factor * asrc[j]
-        if track:
-            u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        if track:
-            u[i] = [-x for x in u[i]]
 
     def find_pivot(t):
         # no entry is smaller than a unit, so the first unit is the pivot
@@ -269,8 +270,8 @@ def _smith_eliminate(m: IntMatrix, track: bool) -> tuple:
                 if low is None:
                     break
                 swap_rows(t, low)
-            # column t is clear below the pivot, so a column operation
-            # changes ``a`` in row t alone
+            # column t is clear below the pivot in the block, so a column
+            # operation changes row t and the rows below the block alone
             row = a[t]
             low, smallest = None, 0
             for j in range(t + 1, cols):
@@ -280,8 +281,8 @@ def _smith_eliminate(m: IntMatrix, track: bool) -> tuple:
                     if q:
                         x -= q * pivot
                         row[j] = x
-                        if track:
-                            vc[j] = [y - q * z for y, z in zip(vc[j], vc[t])]
+                        for r in below:
+                            r[j] -= q * r[t]
                     if x and (low is None or abs(x) < smallest):
                         low, smallest = j, abs(x)
             if low is not None:
@@ -305,7 +306,6 @@ def _smith_eliminate(m: IntMatrix, track: bool) -> tuple:
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
             negate_row(i)
-    return a, u, (list(zip(*vc)) if track else None)
 
 
 @dataclass(frozen=True)

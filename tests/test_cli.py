@@ -702,6 +702,29 @@ def test_mul_prints_a_constant_under_the_int_printing_limit(capsys):
     assert code == 0
     assert json.loads(out)["value"] == [["(0,0)", f"{2**14000}/1"]]
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spherical", "G{}", "G0", "--q", "2"),
+        ("affine-nf", "({},0)", "(0,0)", "--q", "2"),
+        ("sl2", "{}/5", "1/5", "--p", "5"),
+    ],
+)
+def test_mul_refuses_a_label_integer_over_the_int_reading_limit(capsys, argv):
+    # int() would stop on such a label with advice a command line cannot follow
+    limit = sys.get_int_max_str_digits()
+    digits = "1" * (limit + 1)
+    assert main(["mul", argv[0], argv[1].format(digits), *argv[2:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        f"error: the label integer 1111111111... has {limit + 1} digits, more than {limit},"
+        " the interpreter's limit for reading an integer; set PYTHONINTMAXSTRDIGITS"
+        " to a larger limit, or to 0 for none"
+    )
+
+
 def test_deterministic_output(capsys):
     args = ("table", "spherical", "--q", "3", "--max", "3")
     first = run_cli(capsys, *args)
