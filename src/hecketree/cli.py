@@ -259,6 +259,8 @@ def cmd_ktheory(args) -> int:
         if args.depth is not None:
             raise ValueError("--depth applies to a Bratteli diagram path, not to --example")
         size = 6 if args.size is None else args.size
+        if size < 1:
+            raise ValueError(f"--size must be >= 1, got {size}")
         # entries of the diagram's levels, of its maps (level k to k + 1 has
         # (k + 2)(k + 1)) and of alpha: all but O(size) of the report's integers
         count = size * (size + 1) // 2 + (size - 1) * size * (size + 1) // 3 + (size + 1) * size

@@ -4,7 +4,8 @@ Two concrete models, with exact conversions between them:
 
 * :class:`HorocycleAlgebra` -- the commutative algebra of the elliptic part,
   with basis indexed by horocycle classes (the confluence distance toward
-  the fixed end); carries the complete multiplication table.
+  the fixed end); its complete multiplication table is read off the coset
+  counts ``r_n`` alone.
 * :class:`ToeplitzAlgebra` -- the full algebra generated by the translation
   coset ``[s]`` and its adjoint, in the normal form ``[s]^a [s*]^b``.
   Working with ``[s]`` instead of its unitarily normalized version keeps all
@@ -82,21 +83,20 @@ class HorocycleAlgebra(HeckeAlgebra):
         return n
 
     def _basis_product(self, m: int, n: int) -> dict:
+        """The table read off the coset counts r_n (r_0 = 1, so M_0 is the unit).
+
+        M_m·M_n = r_min·M_max for m ≠ n, and
+        M_n² = Σ_(i<n) r_n·M_i + (r_n − Σ_(i<n) r_i)·M_n.
+        """
         for index in (m, n):
             if index < 0:
                 raise ValueError(f"horocycle class {index} is negative")
-        q = self.q
-        if m == 0:
-            return {n: 1}
-        if n == 0:
-            return {m: 1}
-        if m != n:
-            lo, hi = min(m, n), max(m, n)
-            return {hi: (q - 1) * q ** (lo - 1)}
-        out = {i: (q - 1) * q ** (m - 1) for i in range(m)}
-        head = (q - 2) * q ** (m - 1)
-        if head:
-            out[m] = head
+        r = self.r_value
+        lo, hi = min(m, n), max(m, n)
+        if lo != hi:
+            return {hi: r(lo)}
+        out = dict.fromkeys(range(hi), r(hi))
+        out[hi] = r(hi) - sum(map(r, range(hi)))
         return out
 
 

@@ -174,20 +174,20 @@ class IwahoriAlgebra(HeckeAlgebra):
         A pair one letter shorter that was asked for before is one step
         away; any other pair is rewritten from ``w1``.  Only the pairs asked
         for are kept, not the prefixes of the loop, and the kept dicts are
-        shared, so they are never mutated.
+        shared, so they are never mutated.  (With ``w2`` empty the shorter
+        pair is the pair itself, never kept here, so ``w1 * 1`` is ``w1``.)
         """
         key = (w1, w2)
         terms = self._word_products.get(key)
-        if terms is not None:
-            return terms
-        shorter = self._word_products.get((w1, w2[:-1])) if w2 else None
-        if shorter is not None:
-            terms = self._words_times_letter(shorter, w2[-1])
-        else:
-            terms = {w1: 1}
-            for letter in w2:
+        if terms is None:
+            shorter = self._word_products.get((w1, w2[:-1]))
+            if shorter is None:
+                terms, letters = {w1: 1}, w2
+            else:
+                terms, letters = shorter, w2[-1]
+            for letter in letters:
                 terms = self._words_times_letter(terms, letter)
-        self._word_products[key] = terms
+            self._word_products[key] = terms
         return terms
 
     def _basis_product(self, a: DeltaIndex, b: DeltaIndex) -> dict:
@@ -212,9 +212,9 @@ class IwahoriAlgebra(HeckeAlgebra):
     # -- closed form ---------------------------------------------------------------
 
     def _word_product_closed(self, w1: str, w2: str) -> dict:
-        if not w1 or not w2 or w1[-1] != w2[0]:
-            return {w1 + w2: 1}
-        m = min(len(w1), len(w2))
+        # alternating words cancel over min(len) letters when w1 ends with
+        # w2's first letter and over none otherwise (m = 0 gives w1 + w2)
+        m = min(len(w1), len(w2)) if w1[-1:] == w2[:1] else 0
         out: dict = {}
         window = 1  # weight of the i trailing letters of w1 already consumed
         for i in range(m):

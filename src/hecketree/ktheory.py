@@ -223,9 +223,6 @@ def _smith_eliminate(a: list, rows: int, cols: int) -> None:
         for j in range(t, len(arow)):
             arow[j] += factor * asrc[j]
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-
     def find_pivot(t):
         # no entry is smaller than a unit, so the first unit is the pivot
         best, smallest = None, 0
@@ -243,7 +240,9 @@ def _smith_eliminate(a: list, rows: int, cols: int) -> None:
 
     # The pivot rule is the one ``smith_normal_form`` describes.  Quotients
     # round to the nearest integer, a tie leaving the positive remainder, so
-    # every remainder is at most half the pivot.
+    # every remainder is at most half the pivot.  Each step ends with its
+    # pivot positive and later steps touch only rows below it, so the
+    # diagonal needs no closing sign pass.
     t = 0
     while t < min(rows, cols):
         pos = find_pivot(t)
@@ -254,7 +253,7 @@ def _smith_eliminate(a: list, rows: int, cols: int) -> None:
         while True:
             while True:
                 if a[t][t] < 0:
-                    negate_row(t)
+                    a[t] = [-x for x in a[t]]
                 pivot = a[t][t]
                 half = (pivot - 1) // 2
                 low, smallest = None, 0
@@ -303,9 +302,6 @@ def _smith_eliminate(a: list, rows: int, cols: int) -> None:
                 break
             add_row(offender, t, 1)
         t += 1
-    for i in range(min(rows, cols)):
-        if a[i][i] < 0:
-            negate_row(i)
 
 
 @dataclass(frozen=True)

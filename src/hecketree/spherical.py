@@ -117,6 +117,8 @@ class SphericalAlgebra(HeckeAlgebra):
 
     def _recursion(self, n: int) -> tuple:
         """Coefficients (a, b) with gen * basis(n) = a*basis(n-1) + b*basis(n) + basis(n+1)."""
+        if n == 0:
+            return (0, 0)  # gen * basis(0) = basis(1)
         p = self.params
         if p.mode == HOMOGENEOUS:
             return (p.q0 + (1 if n == 1 else 0), 0)
@@ -126,9 +128,6 @@ class SphericalAlgebra(HeckeAlgebra):
         """Multiply by the generator through the defining recursion."""
         acc: dict = {}
         for n, coeff in x.terms():
-            if n == 0:
-                acc[1] = acc.get(1, 0) + coeff
-                continue
             a, b = self._recursion(n)
             for idx, weight in ((n - 1, a), (n, b), (n + 1, 1)):
                 if weight:
@@ -149,14 +148,11 @@ class SphericalAlgebra(HeckeAlgebra):
             n, m = m, n
         state = self._recursion_rows.get(m)
         if state is None or state[0] > n:
-            state = (0, None, self.basis_element(m))
+            state = (0, self.zero(), self.basis_element(m))
         k, prev, result = state
         while k < n:
-            if k == 0:
-                nxt = self.generator_times(result)
-            else:
-                a, b = self._recursion(k)
-                nxt = self.generator_times(result) - b * result - a * prev
+            a, b = self._recursion(k)
+            nxt = self.generator_times(result) - b * result - a * prev
             prev, result = result, nxt
             k += 1
         self._recursion_rows[m] = (k, prev, result)

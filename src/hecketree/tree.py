@@ -391,19 +391,11 @@ def _check_words(*words: str) -> None:
             raise ValueError(f"{word!r} is not an alternating word in s and t")
 
 
-def _witness_edge(ball: TreeBall, groups: dict, word: str) -> int:
-    """The first edge at crossing word ``word``: the witness for that class."""
-    witnesses = groups.get(word)
-    if not witnesses:
-        raise BallTooSmall(f"no witness edge at word {word!r} in {ball!r}")
-    return witnesses[0]
-
-
 def _witness_edges(ball: TreeBall, max_len: int) -> dict:
     """The witness edge of every crossing word of length <= max_len, by offset arithmetic.
 
-    Equals :func:`_witness_edge` on the groups of :func:`edges_by_weyl_word`,
-    but hands out no group, so no budget applies.  The ``t...`` witness of
+    Equals the first edge of each group of :func:`edges_by_weyl_word`, but
+    hands out no group, so no budget applies.  The ``t...`` witness of
     length ``L`` is ray vertex ``L + 1``.  The ``s...`` witness of length
     ``L`` is offset ``span_L`` of sphere ``L``, whose parent is offset
     ``span_{L-1}`` of sphere ``L - 1``: the ``s...`` witness one letter
@@ -478,7 +470,8 @@ def iwahori_constant(
             f"ball radius {ball.radius} < required {len(w1) + len(w2) + 2}"
         )
     groups = edges_by_weyl_word(ball, len(w1) + len(w2))
-    g = _witness_edge(ball, groups, swap_types(target) if dt else target)
+    # the ball reaches every word up to len(w1) + len(w2), so the group is nonempty
+    g = groups[swap_types(target) if dt else target][0]
     word = swap_types(w2) if dt else w2
     return sum(
         1

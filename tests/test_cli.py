@@ -301,6 +301,11 @@ def test_ktheory_toeplitz_size_limit_exit_2(capsys):
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ")
         assert f"limit of {cli.MAX_TOEPLITZ_INTEGERS:,}" in captured.err
+    for size in ("0", "-3"):
+        code = main(["ktheory", "--example", "toeplitz", "--size", size])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --size must be >= 1, got {size}\n"
 
 
 def test_ktheory_bad_input(capsys, tmp_path):

@@ -168,6 +168,7 @@ def test_sequence_isomorphism_multiplicative(q):
         for n in range(4):
             x, y = algebra.basis_element(m), algebra.basis_element(n)
             assert to_sequence(x * y) == to_sequence(x) * to_sequence(y)
+            assert to_sequence(x + y) == to_sequence(x) + to_sequence(y)
 
 
 @given(

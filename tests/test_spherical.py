@@ -37,6 +37,9 @@ def test_recursion_products():
     assert Q2.multiply_recursive(1, 2) == Q2.element({1: 2, 3: 1})
     assert Q2.multiply_recursive(2, 2) == Q2.element({0: 6, 2: 1, 4: 1})
     assert g(0) * g(3) == g(3)
+    assert Q2.multiply_recursive(0, 3) == g(3)
+    for algebra in (Q2, TO23):
+        assert algebra.generator_times(algebra.one()) == algebra.basis_element(1)
 
 
 def test_closed_products():

@@ -639,7 +639,7 @@ def test_word_table_matches_per_edge_weyl_distance(q0, q1, radius):
     # of length 4 (child depth 5), at radius 9 below every group
     ball = tree.build_ball(q0, q1, radius)
     groups = tree.edges_by_weyl_word(ball, radius - 2)
-    witnesses = {word: tree._witness_edge(ball, groups, word) for word in groups}
+    witnesses = {word: groups[word][0] for word in groups}
     assert tree._witness_edges(ball, radius - 2) == witnesses
     for word_ef in tree.edges_by_weyl_word(ball, 4):
         expected = {}
@@ -656,18 +656,18 @@ def test_witness_edges_lie_on_one_apartment(q0, q1):
     # every witness is a marked-ray vertex or an ancestor of the deepest s... witness
     ball = tree.build_ball(q0, q1, 10)
     groups = tree.edges_by_weyl_word(ball, 8)
-    apex = tree._witness_edge(ball, groups, "stststst")
+    apex = groups["stststst"][0]
     branch = set(tree.vertex_path(ball, apex, 0))
     ray = set(ball.ray())
     for word in groups:
-        g = tree._witness_edge(ball, groups, word)
+        g = groups[word][0]
         if word.startswith("s"):
             assert g in branch and g not in ray, word
         else:  # the t... words and the base edge
             assert g in ray, word
     # the s... witnesses are the path from the root's second child down to the apex
     assert sorted(branch - {0}) == sorted(
-        tree._witness_edge(ball, groups, ("st" * n)[:n]) for n in range(1, 9)
+        groups[("st" * n)[:n]][0] for n in range(1, 9)
     )
 
 
