@@ -10,6 +10,8 @@ print a single JSON document.
 once per command (:class:`BasisMemo`) and join their records from those
 fragments, byte for byte as ``json.dumps`` lays them out: with its default
 separators one record a line, with ``indent=2`` in ``nu``'s document.
+``ktheory`` lays its document out with ``indent=2`` too, through
+:func:`_indented_json`, which joins each list of ints at once.
 
 ``table``, ``mul`` and ``verify`` are generic over the families: one line
 of :data:`FAMILIES` (its options, algebra, extent option and sweep) plus its
@@ -29,7 +31,7 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import verify as verify_mod
-from .core import int_str_limit
+from .core import int_str_limit, unprintable_int
 from .endstab import HorocycleAlgebra, ToeplitzAlgebra, toeplitz_bratteli, toeplitz_shift_alpha
 from .iwahori import IwahoriAlgebra
 from .ktheory import load_bratteli, pv_k_groups, truncated_limit
@@ -80,18 +82,26 @@ def emit_records(family: str, records, fmt: str, out) -> None:
 
     A JSON line is ``{"family": ..., "key": [a, b], "value": [[label, "n/d"],
     ...]}``, joined from the memo's encoded labels in the layout of
-    ``json.dumps`` with its default separators.
+    ``json.dumps`` with its default separators.  A coefficient too long to
+    print is a ValueError naming ``PYTHONINTMAXSTRDIGITS``, raised after the
+    records before it are written.
     """
     if fmt == "json":
         head = '{"family": ' + json.dumps(family) + ', "key": ['
         for left, right, value in records:
-            terms = ", ".join([f'[{e[2]}, "{c}/1"]' for e, c in value])
+            try:
+                terms = ", ".join([f'[{e[2]}, "{c}/1"]' for e, c in value])
+            except ValueError:
+                raise unprintable_int(f"a coefficient of {left[1]} * {right[1]}") from None
             out.write(f'{head}{left[2]}, {right[2]}], "value": [{terms}]}}\n')
         return
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["family", "left", "right", "value"])
     for left, right, value in records:
-        terms = ";".join([f"{e[1]}:{c}/1" for e, c in value])
+        try:
+            terms = ";".join([f"{e[1]}:{c}/1" for e, c in value])
+        except ValueError:
+            raise unprintable_int(f"a coefficient of {left[1]} * {right[1]}") from None
         writer.writerow([family, left[1], right[1], terms])
 
 
@@ -105,6 +115,24 @@ def _indented(open_: str, items: list, close: str, depth: int) -> str:
         return open_ + close
     inner = "\n" + "  " * (depth + 1)
     return open_ + inner + ("," + inner).join(items) + "\n" + "  " * depth + close
+
+
+def _indented_json(value, depth: int = 0) -> str:
+    """``value`` laid out as ``json.dumps(value, indent=2)`` does, at nesting ``depth``.
+
+    Dict keys must be strings.  A list of ints alone, most of a ``ktheory``
+    report, is joined from ``map(str, ...)``; anything else goes through
+    ``json.dumps``.  An int too long for ``str`` raises the interpreter's
+    ValueError, as ``json.dumps`` would.
+    """
+    if isinstance(value, dict):
+        items = [f"{json.dumps(k)}: {_indented_json(v, depth + 1)}" for k, v in value.items()]
+        return _indented("{", items, "}", depth)
+    if isinstance(value, (list, tuple)):
+        if set(map(type, value)) <= {int}:
+            return _indented("[", list(map(str, value)), "]", depth)
+        return _indented("[", [_indented_json(x, depth + 1) for x in value], "]", depth)
+    return json.dumps(value)
 
 
 def _indented_term(encoded_label: str, coeff: str) -> str:
@@ -223,12 +251,7 @@ def cmd_mul(args) -> int:
 
 
 def _check_printable(record) -> None:
-    """Refuse, before anything is written, a product with a constant too long to print.
-
-    The interpreter converts an int of more than ``sys.get_int_max_str_digits()``
-    decimal digits to text only if that limit is raised, which a command line
-    can do through the ``PYTHONINTMAXSTRDIGITS`` environment variable alone.
-    """
+    """Refuse, before anything is written, a product with a constant too long to print."""
     limit = int_str_limit()
     if not limit:
         return
@@ -236,11 +259,7 @@ def _check_printable(record) -> None:
     bound = 10**limit
     for entry, c in value:
         if abs(c) >= bound:
-            raise ValueError(
-                f"the coefficient of {entry[1]} in {left[1]} * {right[1]} has more than"
-                f" {limit} digits, the interpreter's limit for printing an integer;"
-                " set PYTHONINTMAXSTRDIGITS to a larger limit, or to 0 for none"
-            )
+            raise unprintable_int(f"the coefficient of {entry[1]} in {left[1]} * {right[1]}")
 
 
 def cmd_verify(args) -> int:
@@ -289,7 +308,11 @@ def cmd_ktheory(args) -> int:
         diagram = load_bratteli(args.path)
         depth = args.depth if args.depth is not None else diagram.num_levels - 1
         doc = {"path": args.path, "limit": truncated_limit(diagram, depth)}
-    print(json.dumps(doc, indent=2))
+    try:
+        text = _indented_json(doc)
+    except ValueError:
+        raise unprintable_int("the report holds an integer that") from None
+    print(text)
     return 0
 
 

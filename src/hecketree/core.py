@@ -123,6 +123,20 @@ def int_str_limit() -> int:
     return get_limit() if get_limit else 0
 
 
+def unprintable_int(subject: str) -> ValueError:
+    """The error for ``subject``, an int of more digits than the interpreter will print.
+
+    The interpreter converts an int of more than ``sys.get_int_max_str_digits()``
+    decimal digits to text only if that limit is raised, which a command line
+    can do through the ``PYTHONINTMAXSTRDIGITS`` environment variable alone.
+    """
+    return ValueError(
+        f"{subject} has more than {int_str_limit()} digits, the interpreter's limit"
+        " for printing an integer; set PYTHONINTMAXSTRDIGITS to a larger limit, or to 0"
+        " for none"
+    )
+
+
 def label_int(text: str) -> int | None:
     """The integer ``text`` spells inside a basis label, or None if it is no such spelling.
 

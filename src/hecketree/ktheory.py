@@ -31,6 +31,8 @@ import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from .core import unprintable_int
+
 
 @dataclass(frozen=True)
 class IntMatrix:
@@ -78,11 +80,9 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         ot = list(zip(*other.entries)) if other.entries else []
+        mul = operator.mul
         return IntMatrix._of(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot)
-                for row in self.entries
-            )
+            tuple(tuple(sum(map(mul, row, col)) for col in ot) for row in self.entries)
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
@@ -186,11 +186,10 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     )
 
 
-def _smith_diagonal(m: IntMatrix) -> list:
-    """The diagonal of ``smith_normal_form(m).d``, computed without the transforms."""
-    a = [list(row) for row in m.entries]
-    _smith_eliminate(a, m.rows, m.cols)
-    return [a[i][i] for i in range(min(m.rows, m.cols))]
+def _smith_diagonal(a: list, rows: int, cols: int) -> list:
+    """The Smith diagonal of the ``rows`` x ``cols`` list of rows ``a``, eliminated in place."""
+    _smith_eliminate(a, rows, cols)
+    return [a[i][i] for i in range(min(rows, cols))]
 
 
 def _smith_eliminate(a: list, rows: int, cols: int) -> None:
@@ -201,6 +200,10 @@ def _smith_eliminate(a: list, rows: int, cols: int) -> None:
     below row ``rows`` rides along: U and V when ``smith_normal_form``
     appends their identities, nothing for ``_smith_diagonal``.  Pivots and
     quotients read the block alone, so the block ends the same either way.
+    The Euclid loops skip what would add zero: a row operation visits the
+    source row's nonzero entries, a column operation the rows whose entry
+    in the pivot column is nonzero.  Every sum that changes an entry is the
+    same, in the same order, so U, D and V are too.
     """
     # row operations stay inside the block, so these rows are never moved
     below = a[rows:]
@@ -252,17 +255,24 @@ def _smith_eliminate(a: list, rows: int, cols: int) -> None:
         swap_cols(t, pos[1])
         while True:
             while True:
-                if a[t][t] < 0:
-                    a[t] = [-x for x in a[t]]
-                pivot = a[t][t]
+                row = a[t]
+                if row[t] < 0:
+                    row = a[t] = [-x for x in row]
+                pivot = row[t]
                 half = (pivot - 1) // 2
+                # the round's row operations leave the pivot row as it is,
+                # so its nonzero entries are listed once and the zeros,
+                # which would add nothing, are skipped
+                nonzero = [(j, x) for j, x in enumerate(row) if x]
                 low, smallest = None, 0
                 for i in range(t + 1, rows):
-                    x = a[i][t]
+                    dst = a[i]
+                    x = dst[t]
                     if x:
                         q = (x + half) // pivot
                         if q:
-                            add_row(t, i, -q)
+                            for j, y in nonzero:
+                                dst[j] -= q * y
                             x -= q * pivot
                         if x and (low is None or abs(x) < smallest):
                             low, smallest = i, abs(x)
@@ -270,8 +280,10 @@ def _smith_eliminate(a: list, rows: int, cols: int) -> None:
                     break
                 swap_rows(t, low)
             # column t is clear below the pivot in the block, so a column
-            # operation changes row t and the rows below the block alone
-            row = a[t]
+            # operation changes row t and the rows below the block alone;
+            # column operations leave column t as it is, so the rows below
+            # with a nonzero entry there are listed once
+            pivot_column = [(r, r[t]) for r in below if r[t]]
             low, smallest = None, 0
             for j in range(t + 1, cols):
                 x = row[j]
@@ -280,8 +292,8 @@ def _smith_eliminate(a: list, rows: int, cols: int) -> None:
                     if q:
                         x -= q * pivot
                         row[j] = x
-                        for r in below:
-                            r[j] -= q * r[t]
+                        for r, y in pivot_column:
+                            r[j] -= q * y
                     if x and (low is None or abs(x) < smallest):
                         low, smallest = j, abs(x)
             if low is not None:
@@ -330,7 +342,10 @@ class AbelianGroupPresentation:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.invariant_factors)
+        try:
+            parts.extend(f"Z/{d}" for d in self.invariant_factors)
+        except ValueError:
+            raise unprintable_int("an invariant factor") from None
         return " + ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:
@@ -343,12 +358,12 @@ class AbelianGroupPresentation:
 
 def cokernel(m: IntMatrix) -> AbelianGroupPresentation:
     """Target space modulo the image, read off the Smith diagonal."""
-    return _cokernel(m.rows, _smith_diagonal(m))
+    return _cokernel(m.rows, _smith_diagonal(m.to_lists(), m.rows, m.cols))
 
 
 def kernel_rank(m: IntMatrix) -> int:
     """Rank of the integer kernel (the kernel is free)."""
-    return _kernel_rank(m.cols, _smith_diagonal(m))
+    return _kernel_rank(m.cols, _smith_diagonal(m.to_lists(), m.rows, m.cols))
 
 
 @dataclass(frozen=True)
@@ -464,11 +479,8 @@ def pv_k_groups(alpha: IntMatrix) -> tuple:
             f"alpha maps into a smaller stage ({alpha.rows} < {alpha.cols}); "
             "the truncation must not shrink"
         )
-    difference = IntMatrix._of(
-        tuple(
-            tuple((1 if i == j else 0) - x for j, x in enumerate(row))
-            for i, row in enumerate(alpha.entries)
-        )
-    )
-    diagonal = _smith_diagonal(difference)
+    difference = [[-x for x in row] for row in alpha.entries]
+    for i in range(alpha.cols):
+        difference[i][i] += 1
+    diagonal = _smith_diagonal(difference, alpha.rows, alpha.cols)
     return _cokernel(alpha.rows, diagonal), _kernel_rank(alpha.cols, diagonal)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from test_acceptance import ACCEPTANCE_COMMANDS
 
 from hecketree import cli, sl2, tree, verify
@@ -708,6 +708,77 @@ def test_mul_prints_a_constant_under_the_int_printing_limit(capsys):
     assert json.loads(out)["value"] == [["(0,0)", f"{2**14000}/1"]]
 
 
+def test_table_names_the_int_printing_limit_after_the_records_before(capsys):
+    # at q = 10^1500 - 1 the coefficients of G3 * G3 have about 4,500 digits,
+    # and table streams, so the nine records before that cell are written
+    q = "9" * 1500
+    assert main(["table", "spherical", "--q", q, "--max", "3"]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 9
+    assert captured.err.startswith("error: a coefficient of G3 * G3 has more than")
+    assert "set PYTHONINTMAXSTRDIGITS" in captured.err
+
+
+def _long_int_diagram(path, rows) -> str:
+    """Write a four-level diagram whose maps have 4,000-digit entries; return its path."""
+    n = 10**3999 + 7
+    maps = [[[n if x == "n" else x for x in row] for row in rows[k]] for k in range(3)]
+    levels = [[1] * len(maps[0][0])] + [[1] * len(m) for m in maps]
+    path.write_text(json.dumps({"levels": levels, "maps": maps}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # three 1 x 1 maps: the composed map and its invariant factor have
+        # 12,000 digits, and the factor's description is the first text
+        ([[["n"]]] * 3, "error: an invariant factor has more than"),
+        # the composed map [[n^3], [1]] has cokernel Z: only the writer
+        # meets the long entry
+        (
+            [[["n"], [1]], [["n", 0], [0, 1]], [["n", 0], [0, 1]]],
+            "error: the report holds an integer that has more than",
+        ),
+    ],
+)
+def test_ktheory_names_the_int_printing_limit(capsys, tmp_path, rows, message):
+    path = _long_int_diagram(tmp_path / "long.json", rows)
+    assert main(["ktheory", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert "set PYTHONINTMAXSTRDIGITS" in captured.err
+
+
+_JSON_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    _JSON_TEXT,
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(st.integers(), max_size=5),
+        st.dictionaries(_JSON_TEXT, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_DOCS)
+@example({'"\\\x00\n\u00e9\U0001f600': [True, 0, -1, None, [], {}], "": [[1, False], [[2]]]})
+@example([[], {}, [[]], [{}], [1, -(10**50)], [0, True], [None, 1], (2, 3), ((), (4, None))])
+def test_indented_json_matches_json_dumps(doc):
+    assert cli._indented_json(doc) == json.dumps(doc, indent=2)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1085,6 +1156,16 @@ def test_ktheory_output_pinned(capsys, tmp_path, monkeypatch):
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == expected, argv
+
+
+def test_ktheory_largest_example_pinned(capsys):
+    # the largest report --size admits, 3,327,759 bytes, all of it through
+    # the document writer
+    code, out = run_cli(capsys, "ktheory", "--example", "toeplitz", "--size", "89")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ad236ecd319fe43c74446c6606b5b311304c7e302a55bba649398c3dd17b55e2"
+    )
 
 
 SL2_STDOUT_SHA256 = {
