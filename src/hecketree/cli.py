@@ -10,8 +10,6 @@ print a single JSON document.
 once per command (:class:`BasisMemo`) and join their records from those
 fragments, byte for byte as ``json.dumps`` lays them out: with its default
 separators one record a line, with ``indent=2`` in ``nu``'s document.
-``ktheory`` lays its document out with ``indent=2`` too, through
-:func:`_indented_json`, which joins each list of ints at once.
 
 ``table``, ``mul`` and ``verify`` are generic over the families: one line
 of :data:`FAMILIES` (its options, algebra, extent option and sweep) plus its
@@ -115,24 +113,6 @@ def _indented(open_: str, items: list, close: str, depth: int) -> str:
         return open_ + close
     inner = "\n" + "  " * (depth + 1)
     return open_ + inner + ("," + inner).join(items) + "\n" + "  " * depth + close
-
-
-def _indented_json(value, depth: int = 0) -> str:
-    """``value`` laid out as ``json.dumps(value, indent=2)`` does, at nesting ``depth``.
-
-    Dict keys must be strings.  A list of ints alone, most of a ``ktheory``
-    report, is joined from ``map(str, ...)``; anything else goes through
-    ``json.dumps``.  An int too long for ``str`` raises the interpreter's
-    ValueError, as ``json.dumps`` would.
-    """
-    if isinstance(value, dict):
-        items = [f"{json.dumps(k)}: {_indented_json(v, depth + 1)}" for k, v in value.items()]
-        return _indented("{", items, "}", depth)
-    if isinstance(value, (list, tuple)):
-        if set(map(type, value)) <= {int}:
-            return _indented("[", list(map(str, value)), "]", depth)
-        return _indented("[", [_indented_json(x, depth + 1) for x in value], "]", depth)
-    return json.dumps(value)
 
 
 def _indented_term(encoded_label: str, coeff: str) -> str:
@@ -309,7 +289,7 @@ def cmd_ktheory(args) -> int:
         depth = args.depth if args.depth is not None else diagram.num_levels - 1
         doc = {"path": args.path, "limit": truncated_limit(diagram, depth)}
     try:
-        text = _indented_json(doc)
+        text = json.dumps(doc, indent=2)
     except ValueError:
         raise unprintable_int("the report holds an integer that") from None
     print(text)

@@ -326,9 +326,10 @@ def toeplitz_bratteli(num_levels: int) -> BratteliDiagram:
     levels = tuple((1,) * (k + 1) for k in range(num_levels))
     maps = []
     for k in range(num_levels - 1):
-        # the unit vectors e_0, ..., e_k and e_k again; the diagram checks them
-        units = tuple((0,) * j + (1,) + (0,) * (k - j) for j in range(k + 1))
-        maps.append(IntMatrix._of(units + units[-1:]))
+        rows = []
+        for i in range(k + 2):
+            rows.append([1 if j == min(i, k) else 0 for j in range(k + 1)])
+        maps.append(IntMatrix.from_rows(rows))
     return BratteliDiagram(levels, tuple(maps))
 
 

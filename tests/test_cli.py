@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from test_acceptance import ACCEPTANCE_COMMANDS
 
 from hecketree import cli, sl2, tree, verify
@@ -734,7 +734,7 @@ def _long_int_diagram(path, rows) -> str:
         # three 1 x 1 maps: the composed map and its invariant factor have
         # 12,000 digits, and the factor's description is the first text
         ([[["n"]]] * 3, "error: an invariant factor has more than"),
-        # the composed map [[n^3], [1]] has cokernel Z: only the writer
+        # the composed map [[n^3], [1]] has cokernel Z: only json.dumps
         # meets the long entry
         (
             [[["n"], [1]], [["n", 0], [0, 1]], [["n", 0], [0, 1]]],
@@ -749,34 +749,6 @@ def test_ktheory_names_the_int_printing_limit(capsys, tmp_path, rows, message):
     assert captured.out == ""
     assert captured.err.startswith(message)
     assert "set PYTHONINTMAXSTRDIGITS" in captured.err
-
-
-_JSON_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
-_JSON_SCALARS = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(-5, 5),
-    st.integers(),
-    st.integers(-(10**40), 10**40),
-    _JSON_TEXT,
-)
-_JSON_DOCS = st.recursive(
-    _JSON_SCALARS,
-    lambda children: st.one_of(
-        st.lists(children, max_size=5),
-        st.lists(st.integers(), max_size=5),
-        st.dictionaries(_JSON_TEXT, children, max_size=5),
-    ),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_JSON_DOCS)
-@example({'"\\\x00\n\u00e9\U0001f600': [True, 0, -1, None, [], {}], "": [[1, False], [[2]]]})
-@example([[], {}, [[]], [{}], [1, -(10**50)], [0, True], [None, 1], (2, 3), ((), (4, None))])
-def test_indented_json_matches_json_dumps(doc):
-    assert cli._indented_json(doc) == json.dumps(doc, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -1159,8 +1131,7 @@ def test_ktheory_output_pinned(capsys, tmp_path, monkeypatch):
 
 
 def test_ktheory_largest_example_pinned(capsys):
-    # the largest report --size admits, 3,327,759 bytes, all of it through
-    # the document writer
+    # the largest report --size admits, 3,327,759 bytes
     code, out = run_cli(capsys, "ktheory", "--example", "toeplitz", "--size", "89")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (

@@ -130,19 +130,6 @@ def test_trusted_results_equal_validated_ones():
         assert all(type(x) is int for row in result.entries for x in row)
 
 
-def test_toeplitz_bratteli_equals_the_validated_diagram():
-    # the maps are built as trusted tuples; row i of map k is e_min(i, k)
-    for n in range(1, 13):
-        maps = [
-            IntMatrix.from_rows(
-                [[1 if j == min(i, k) else 0 for j in range(k + 1)] for i in range(k + 2)]
-            )
-            for k in range(n - 1)
-        ]
-        levels = [[1] * (k + 1) for k in range(n)]
-        assert toeplitz_bratteli(n) == BratteliDiagram(tuple(levels), tuple(maps))
-
-
 def test_snf_deterministic():
     m = IntMatrix.from_rows([[4, 6, 2], [6, 4, 8]])
     first = smith_normal_form(m)
