@@ -21,7 +21,6 @@ Exit codes: 0 success, 1 verification mismatch, 2 invalid input.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import operator
@@ -93,6 +92,8 @@ def emit_records(family: str, records, fmt: str, out) -> None:
                 raise unprintable_int(f"a coefficient of {left[1]} * {right[1]}") from None
             out.write(f'{head}{left[2]}, {right[2]}], "value": [{terms}]}}\n')
         return
+    import csv  # only --format csv needs it; every other command's process skips the import
+
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["family", "left", "right", "value"])
     for left, right, value in records:
@@ -221,6 +222,8 @@ def cmd_table(args) -> int:
 
 def cmd_mul(args) -> int:
     family = _family(args)
+    if family.extent and getattr(args, family.extent) is not None:
+        raise ValueError(f"--{family.extent} does not apply to mul")
     algebra = family.algebra(*family.options(args))
     a = algebra.parse_label(args.left)
     b = algebra.parse_label(args.right)

@@ -106,6 +106,35 @@ class HeckeAlgebra:
         return HeckeElement(self, {})
 
 
+class Frozen:
+    """Base of the immutable value classes, whose fields are their ``__slots__``.
+
+    ``__init__`` sets each field once, through ``object.__setattr__``;
+    assigning or deleting a field afterwards is an AttributeError.  Pickling
+    and copying carry the fields over as they are, without a second
+    ``__init__``.  Subclasses write their own equality, hash and repr.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable object")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable object")
+
+    def __reduce__(self):
+        return _rebuild, (type(self), tuple([getattr(self, name) for name in self.__slots__]))
+
+
+def _rebuild(cls, values: tuple) -> Frozen:
+    """The ``cls`` instance with these field values, in ``__slots__`` order."""
+    out = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(out, name, value)
+    return out
+
+
 def exact(value) -> int | Fraction:
     """Return an exact coefficient unchanged; raise TypeError for any other value.
 
@@ -198,7 +227,7 @@ class HeckeElement:
         out._terms = terms
         return out
 
-    # -- inspection --------------------------------------------------------
+    # -- terms and coefficients --------------------------------------------
 
     def items(self):
         """The (index, coefficient) pairs, in no fixed order."""

@@ -28,23 +28,32 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .core import unprintable_int
+from .core import Frozen, int_str_limit, unprintable_int
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Frozen):
     """Immutable rectangular matrix with exact integer entries."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        rows = tuple(tuple(operator.index(x) for x in row) for row in self.entries)
+    def __init__(self, entries: tuple):
+        rows = tuple(tuple(operator.index(x) for x in row) for row in entries)
         if rows and any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("matrix rows have unequal lengths")
         object.__setattr__(self, "entries", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.entries,))
+
+    def __repr__(self):
+        return f"IntMatrix(entries={self.entries!r})"
 
     @classmethod
     def _of(cls, rows: tuple) -> "IntMatrix":
@@ -316,16 +325,14 @@ def _smith_eliminate(a: list, rows: int, cols: int) -> None:
         t += 1
 
 
-@dataclass(frozen=True)
-class AbelianGroupPresentation:
+class AbelianGroupPresentation(Frozen):
     """Finitely generated abelian group: free rank plus invariant factors."""
 
-    free_rank: int
-    invariant_factors: tuple = ()
+    __slots__ = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
-        free_rank = operator.index(self.free_rank)
-        factors = tuple(operator.index(x) for x in self.invariant_factors)
+    def __init__(self, free_rank: int, invariant_factors: tuple = ()):
+        free_rank = operator.index(free_rank)
+        factors = tuple(operator.index(x) for x in invariant_factors)
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         for i, x in enumerate(factors):
@@ -335,6 +342,23 @@ class AbelianGroupPresentation:
                 raise ValueError(f"invariant factors {factors} violate divisibility")
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "invariant_factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.free_rank, self.invariant_factors) == (
+            other.free_rank,
+            other.invariant_factors,
+        )
+
+    def __hash__(self):
+        return hash((self.free_rank, self.invariant_factors))
+
+    def __repr__(self):
+        return (
+            f"AbelianGroupPresentation(free_rank={self.free_rank!r},"
+            f" invariant_factors={self.invariant_factors!r})"
+        )
 
     def describe(self) -> str:
         parts = []
@@ -366,18 +390,14 @@ def kernel_rank(m: IntMatrix) -> int:
     return _kernel_rank(m.cols, _smith_diagonal(m.to_lists(), m.rows, m.cols))
 
 
-@dataclass(frozen=True)
-class BratteliDiagram:
+class BratteliDiagram(Frozen):
     """Leveled multiplicity vectors with nonnegative integer connecting maps."""
 
-    levels: tuple
-    maps: tuple = field(default_factory=tuple)
+    __slots__ = ("levels", "maps")
 
-    def __post_init__(self):
-        levels = tuple(tuple(operator.index(x) for x in level) for level in self.levels)
-        maps = tuple(
-            m if isinstance(m, IntMatrix) else IntMatrix.from_rows(m) for m in self.maps
-        )
+    def __init__(self, levels: tuple, maps: tuple = ()):
+        levels = tuple(tuple(operator.index(x) for x in level) for level in levels)
+        maps = tuple(m if isinstance(m, IntMatrix) else IntMatrix.from_rows(m) for m in maps)
         if not levels:
             raise ValueError("diagram needs at least one level")
         for level in levels:
@@ -397,6 +417,17 @@ class BratteliDiagram:
                 raise ValueError(f"map {k} has a negative entry")
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "maps", maps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.levels, self.maps) == (other.levels, other.maps)
+
+    def __hash__(self):
+        return hash((self.levels, self.maps))
+
+    def __repr__(self):
+        return f"BratteliDiagram(levels={self.levels!r}, maps={self.maps!r})"
 
     @property
     def num_levels(self) -> int:
@@ -430,8 +461,24 @@ def _nested_integers(value, depth: int) -> bool:
 
 
 def load_bratteli(path) -> BratteliDiagram:
+    """The diagram in a JSON file; an integer too long for the interpreter to read is a ValueError.
+
+    ``json.load`` reads such an integer with ``int()``, whose error advises a
+    call a command line cannot make, so it is replaced by one naming
+    ``PYTHONINTMAXSTRDIGITS``; decoding errors keep their own messages.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return BratteliDiagram.from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except ValueError:
+            raise ValueError(
+                f"{path} holds an integer of more than {int_str_limit()} digits, the"
+                " interpreter's limit for reading an integer; set PYTHONINTMAXSTRDIGITS"
+                " to a larger limit, or to 0 for none"
+            ) from None
+    return BratteliDiagram.from_json(data)
 
 
 def truncated_limit(diagram: BratteliDiagram, depth: int | None = None) -> dict:

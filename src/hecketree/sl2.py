@@ -34,10 +34,9 @@ along.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, lru_cache, total_ordering
 
-from .core import HeckeAlgebra, HeckeElement, label_int
+from .core import Frozen, HeckeAlgebra, HeckeElement, label_int
 
 #: The deepest cosets :class:`SL2EndAlgebra` lists; its points are coded at this depth.
 DEPTH_BOUND = 6
@@ -88,28 +87,43 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
-class PruferElement:
+@total_ordering
+class PruferElement(Frozen):
     """Element ``num / p^depth`` of the Prüfer p-group, in lowest terms.
 
     Canonical form: ``0 <= num < p^depth`` with ``num`` coprime to ``p``;
-    zero is ``(depth=0, num=0)``.
+    zero is ``(depth=0, num=0)``.  Elements compare, hash and sort as the
+    tuple ``(p, depth, num)``.
     """
 
-    p: int
-    depth: int
-    num: int
+    __slots__ = ("p", "depth", "num")
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.depth < 0:
+    def __init__(self, p: int, depth: int, num: int):
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if depth < 0:
             raise ValueError("depth must be nonnegative")
-        if self.depth == 0:
-            if self.num != 0:
+        if depth == 0:
+            if num != 0:
                 raise ValueError("depth-0 element must be zero")
-        elif not 0 < self.num < self.p**self.depth or self.num % self.p == 0:
-            raise ValueError(f"{self.num}/{self.p}^{self.depth} is not in lowest terms")
+        elif not 0 < num < p**depth or num % p == 0:
+            raise ValueError(f"{num}/{p}^{depth} is not in lowest terms")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "num", num)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.depth, self.num) == (other.p, other.depth, other.num)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.p, self.depth, self.num) < (other.p, other.depth, other.num)
+
+    def __hash__(self):
+        return hash((self.p, self.depth, self.num))
 
     def is_zero(self) -> bool:
         return self.depth == 0
@@ -264,16 +278,32 @@ def nu(u: PruferElement) -> HeckeElement:
     return algebra.element({g: 1 for g in orbit(u)})
 
 
-@dataclass(frozen=True, order=True)
-class DoubleCoset:
+@total_ordering
+class DoubleCoset(Frozen):
     """A unit-square orbit, keyed by its minimal representative.
 
     Equality, hashing and order look at the representative alone: it
     determines the orbit, and ``members`` can run to hundreds of points.
     """
 
-    representative: PruferElement
-    members: tuple = field(compare=False)
+    __slots__ = ("representative", "members")
+
+    def __init__(self, representative: PruferElement, members: tuple):
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "members", members)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.representative == other.representative
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.representative < other.representative
+
+    def __hash__(self):
+        return hash((self.representative,))
 
     def label(self) -> str:
         return self.representative.label()

@@ -25,32 +25,40 @@ module is purely algebraic and exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import HeckeAlgebra, HeckeElement, exact, label_int
+from .core import Frozen, HeckeAlgebra, HeckeElement, exact, label_int
 
 HOMOGENEOUS = "homogeneous"
 TWO_ORBIT = "two-orbit"
 
 
-@dataclass(frozen=True)
-class SphericalParams:
+class SphericalParams(Frozen):
     """Branching data of the tree plus the vertex-orbit mode."""
 
-    mode: str
-    q0: int
-    q1: int
+    __slots__ = ("mode", "q0", "q1")
 
-    def __post_init__(self):
-        if self.mode not in (HOMOGENEOUS, TWO_ORBIT):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.q0 < 2 or self.q1 < 2:
-            raise ValueError(
-                f"branching numbers must be >= 2, got ({self.q0}, {self.q1})"
-            )
-        if self.mode == HOMOGENEOUS and self.q0 != self.q1:
+    def __init__(self, mode: str, q0: int, q1: int):
+        if mode not in (HOMOGENEOUS, TWO_ORBIT):
+            raise ValueError(f"unknown mode {mode!r}")
+        if q0 < 2 or q1 < 2:
+            raise ValueError(f"branching numbers must be >= 2, got ({q0}, {q1})")
+        if mode == HOMOGENEOUS and q0 != q1:
             raise ValueError("homogeneous mode requires equal branching numbers")
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "q0", q0)
+        object.__setattr__(self, "q1", q1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.mode, self.q0, self.q1) == (other.mode, other.q0, other.q1)
+
+    def __hash__(self):
+        return hash((self.mode, self.q0, self.q1))
+
+    def __repr__(self):
+        return f"SphericalParams(mode={self.mode!r}, q0={self.q0!r}, q1={self.q1!r})"
 
     @classmethod
     def homogeneous(cls, q: int) -> "SphericalParams":

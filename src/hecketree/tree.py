@@ -47,8 +47,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from math import prod
+
+from .core import Frozen
 
 DEFAULT_MAX_VERTICES = 4_000_000
 MAX_INDEX_BITS = 8192  # a ball stores radius + 2 vertex numbers; this caps their size
@@ -73,8 +74,7 @@ class HorocycleMismatch(ValueError):
     """The two vertices do not lie on a common horocycle."""
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class TreeBall:
+class TreeBall(Frozen):
     """Ball of a given radius in the (q0+1, q1+1)-semi-homogeneous tree.
 
     Only the sphere offsets and the branching ``width[d]`` at each depth are
@@ -85,16 +85,22 @@ class TreeBall:
 
     ``memo`` holds the histograms the per-cell oracles read, one inner dict
     per kind (``"depths"``, ``"tables"``, ``"classes"``).  They depend only
-    on the ball, so they live as long as it does.
+    on the ball, so they live as long as it does, and a pickle or copy of the
+    ball carries them.  Two balls are equal only if they are the same object.
     """
 
-    q0: int
-    q1: int
-    radius: int
-    width: list
-    sphere_start: list
-    max_vertices: int
-    memo: dict = field(default_factory=dict, init=False)
+    __slots__ = ("q0", "q1", "radius", "width", "sphere_start", "max_vertices", "memo")
+
+    def __init__(
+        self, q0: int, q1: int, radius: int, width: list, sphere_start: list, max_vertices: int
+    ):
+        object.__setattr__(self, "q0", q0)
+        object.__setattr__(self, "q1", q1)
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "sphere_start", sphere_start)
+        object.__setattr__(self, "max_vertices", max_vertices)
+        object.__setattr__(self, "memo", {})
 
     @property
     def num_vertices(self) -> int:

@@ -13,7 +13,6 @@ tree model: it compares its two routes point by point in the Prüfer group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import tree
 from .core import HeckeElement
@@ -28,12 +27,25 @@ from .spherical import HOMOGENEOUS, SphericalAlgebra, SphericalParams
 MAX_SL2_SWEEP_ADDITIONS = 2_000_000
 
 
-@dataclass
 class VerifyReport:
-    family: str
-    params: dict
-    cells: int = 0
-    mismatches: list = field(default_factory=list)
+    """A sweep's result, filled in as it runs, so not hashable: cells checked, mismatches."""
+
+    def __init__(self, family: str, params: dict, cells: int = 0, mismatches: list | None = None):
+        self.family = family
+        self.params = params
+        self.cells = cells
+        self.mismatches = [] if mismatches is None else mismatches
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_json() == other.to_json()
+
+    def __repr__(self):
+        return (
+            f"VerifyReport(family={self.family!r}, params={self.params!r},"
+            f" cells={self.cells!r}, mismatches={self.mismatches!r})"
+        )
 
     @property
     def ok(self) -> bool:

@@ -280,8 +280,12 @@ def test_ktheory_unused_option_exit_2(capsys, tmp_path, argv, message):
             "verify sl2 --p 3 --max 1 --max-ball-vertices 5",
             "--max-ball-vertices does not apply to the sl2 family",
         ),
+        # mul multiplies the two labels it is given, so no extent bounds it
+        ("mul spherical G1 G1 --q 2 --max 0", "--max does not apply to mul"),
+        ("mul iwahori s t --qs 2 --qt 2 --len 3", "--len does not apply to mul"),
+        ("mul sl2 1/3 1/3 --p 3 --max 2", "--max does not apply to mul"),
     ],
-    ids=["table", "mul", "verify"],
+    ids=["table", "mul", "verify", "mul-spherical-max", "mul-iwahori-len", "mul-sl2-max"],
 )
 def test_unread_family_flag_exit_2(capsys, argv, message):
     # a family option the family never reads is an error, not a no-op
@@ -752,6 +756,36 @@ def test_ktheory_names_the_int_printing_limit(capsys, tmp_path, rows, message):
 
 
 @pytest.mark.parametrize(
+    "content, message",
+    [
+        # json.load reads a map entry with int(), whose own error advises a
+        # call a command line cannot make
+        (
+            '{"levels": [[1], [1]], "maps": [[[LONG]]]}',
+            "error: PATH holds an integer of more than LIMIT digits, the interpreter's limit"
+            " for reading an integer; set PYTHONINTMAXSTRDIGITS to a larger limit, or to 0"
+            " for none",
+        ),
+        # the decoding errors are ValueErrors too, and keep their messages
+        ('{"levels": [[1], [1]], "maps": [', "error: Expecting value: line 1 column 33 (char 32)"),
+        (b"\xff", "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ],
+    ids=["int", "json", "utf-8"],
+)
+def test_ktheory_file_names_the_int_reading_limit(capsys, tmp_path, content, message):
+    limit = sys.get_int_max_str_digits()
+    path = tmp_path / "d.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content.replace("LONG", "1" * (limit + 1)))
+    assert main(["ktheory", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == message.replace("PATH", str(path)).replace("LIMIT", str(limit))
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("spherical", "G{}", "G0", "--q", "2"),
@@ -788,6 +822,32 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == [["G0", "3/1"], ["G2", "1/1"]]
+
+
+_IMPORT_FOOTPRINT = """
+import sys
+before = set(sys.modules)
+import hecketree.cli
+print(sorted({"dataclasses", "inspect", "csv"} & (set(sys.modules) - before)))
+sys.exit(hecketree.cli.main(["table", "spherical", "--q", "2", "--max", "1", "--format", "csv"]))
+"""
+
+
+def test_import_loads_no_dataclasses_inspect_or_csv():
+    # every command is a fresh process, so what an import loads is paid per
+    # command; csv is imported by the CSV writer alone.  Only modules the
+    # import adds count, so a module the interpreter preloads cannot trip this
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_FOOTPRINT], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "[]\n"
+        "family,left,right,value\n"
+        "spherical,G0,G0,G0:1/1\n"
+        "spherical,G0,G1,G1:1/1\n"
+        "spherical,G1,G1,G0:3/1;G2:1/1\n"
+    )
 
 
 def test_reused_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch):
