@@ -18,6 +18,7 @@ therefore stay ``int`` through every product of integer elements, and a
 
 from __future__ import annotations
 
+import operator
 import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
@@ -109,13 +110,25 @@ class HeckeAlgebra:
 class Frozen:
     """Base of the immutable value classes, whose fields are their ``__slots__``.
 
-    ``__init__`` sets each field once, through ``object.__setattr__``;
-    assigning or deleting a field afterwards is an AttributeError.  Pickling
-    and copying carry the fields over as they are, without a second
-    ``__init__``.  Subclasses write their own equality, hash and repr.
+    ``__init__`` sets every field once, by one call to :meth:`_set`;
+    assigning or deleting a field afterwards is an AttributeError.  From the
+    fields, in ``__slots__`` order, this class derives equality (same class,
+    equal fields), the hash (that of the field tuple) and the repr
+    (``Name(field=value, ...)``).  Pickling and copying carry the fields over
+    as they are, without a second ``__init__``.  A subclass whose values
+    compare or print by another rule overrides the method concerned.
     """
 
     __slots__ = ()
+
+    def _set(self, *values) -> None:
+        """Set the fields to ``values``, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        """The field values, in ``__slots__`` order."""
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable object")
@@ -123,16 +136,36 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of an immutable object")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        body = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__name__}({body})"
+
     def __reduce__(self):
-        return _rebuild, (type(self), tuple([getattr(self, name) for name in self.__slots__]))
+        return _rebuild, (type(self), self._fields())
 
 
 def _rebuild(cls, values: tuple) -> Frozen:
     """The ``cls`` instance with these field values, in ``__slots__`` order."""
     out = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(out, name, value)
+    out._set(*values)
     return out
+
+
+def branching(*numbers) -> tuple:
+    """The branching numbers (or letter weights) as ints; a float or Fraction is a TypeError.
+
+    ``operator.index`` takes ints and their subclasses only, so no
+    non-integer reaches an exact table to turn its results into floats.
+    """
+    return tuple(map(operator.index, numbers))
 
 
 def exact(value) -> int | Fraction:

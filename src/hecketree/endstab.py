@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .core import HeckeAlgebra, HeckeElement, exact, label_int
+from .core import Frozen, HeckeAlgebra, HeckeElement, branching, exact, label_int
 from .ktheory import BratteliDiagram, IntMatrix
 
 
@@ -51,6 +51,7 @@ class HorocycleAlgebra(HeckeAlgebra):
 
     def __init__(self, q: int):
         super().__init__()
+        (q,) = branching(q)
         if q < 2:
             raise ValueError(f"branching number must be >= 2, got {q}")
         self.q = q
@@ -112,6 +113,7 @@ class ToeplitzAlgebra(HeckeAlgebra):
 
     def __init__(self, q: int):
         super().__init__()
+        (q,) = branching(q)
         if q < 2:
             raise ValueError(f"branching number must be >= 2, got {q}")
         self.q = q
@@ -210,10 +212,13 @@ def nf_to_m(x: HeckeElement) -> HeckeElement:
     return m_algebra.element(terms)
 
 
-class EventuallyConstantSeq:
+class EventuallyConstantSeq(Frozen):
     """Rational sequence with a finite prefix and a constant tail, in canonical form.
 
-    Values must pass :func:`core.exact`; they are kept as given.
+    Values must pass :func:`core.exact`; they are kept as given.  An
+    immutable value: equal prefix and tail make equal sequences, it hashes
+    as ``(prefix, tail)``, and assigning a field is an AttributeError.  It
+    prints as the sequence itself, ``(prefix..., tail, tail, ...)``.
     """
 
     __slots__ = ("prefix", "tail")
@@ -223,19 +228,10 @@ class EventuallyConstantSeq:
         cleaned = [exact(x) for x in prefix]
         while cleaned and cleaned[-1] == tail:
             cleaned.pop()
-        self.prefix = tuple(cleaned)
-        self.tail = tail
+        self._set(tuple(cleaned), tail)
 
     def value_at(self, k: int) -> int | Fraction:
         return self.prefix[k] if k < len(self.prefix) else self.tail
-
-    def __eq__(self, other):
-        if not isinstance(other, EventuallyConstantSeq):
-            return NotImplemented
-        return self.prefix == other.prefix and self.tail == other.tail
-
-    def __hash__(self):
-        return hash((self.prefix, self.tail))
 
     def __repr__(self):
         body = ", ".join(str(x) for x in self.prefix)

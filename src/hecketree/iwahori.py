@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import HeckeAlgebra, HeckeElement
+from .core import HeckeAlgebra, HeckeElement, branching
 
 LETTERS = ("s", "t")
 
@@ -110,6 +110,7 @@ class IwahoriAlgebra(HeckeAlgebra):
 
     def __init__(self, qs: int, qt: int):
         super().__init__()
+        qs, qt = branching(qs, qt)
         if qs < 2 or qt < 2:
             raise ValueError(f"letter weights must be >= 2, got ({qs}, {qt})")
         self.qs = qs

@@ -30,7 +30,7 @@ import json
 import operator
 from typing import NamedTuple
 
-from .core import Frozen, int_str_limit, unprintable_int
+from .core import Frozen, _rebuild, int_str_limit, unprintable_int
 
 
 class IntMatrix(Frozen):
@@ -42,25 +42,12 @@ class IntMatrix(Frozen):
         rows = tuple(tuple(operator.index(x) for x in row) for row in entries)
         if rows and any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("matrix rows have unequal lengths")
-        object.__setattr__(self, "entries", rows)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.entries,))
-
-    def __repr__(self):
-        return f"IntMatrix(entries={self.entries!r})"
+        self._set(rows)
 
     @classmethod
     def _of(cls, rows: tuple) -> "IntMatrix":
         """Wrap a tuple of equal-length tuples of ints without checking or copying it."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "entries", rows)
-        return out
+        return _rebuild(cls, (rows,))
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -340,25 +327,7 @@ class AbelianGroupPresentation(Frozen):
                 raise ValueError(f"invariant factor {x} < 2")
             if i and factors[i] % factors[i - 1]:
                 raise ValueError(f"invariant factors {factors} violate divisibility")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "invariant_factors", factors)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.free_rank, self.invariant_factors) == (
-            other.free_rank,
-            other.invariant_factors,
-        )
-
-    def __hash__(self):
-        return hash((self.free_rank, self.invariant_factors))
-
-    def __repr__(self):
-        return (
-            f"AbelianGroupPresentation(free_rank={self.free_rank!r},"
-            f" invariant_factors={self.invariant_factors!r})"
-        )
+        self._set(free_rank, factors)
 
     def describe(self) -> str:
         parts = []
@@ -415,19 +384,7 @@ class BratteliDiagram(Frozen):
                 )
             if any(x < 0 for row in m.entries for x in row):
                 raise ValueError(f"map {k} has a negative entry")
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "maps", maps)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.levels, self.maps) == (other.levels, other.maps)
-
-    def __hash__(self):
-        return hash((self.levels, self.maps))
-
-    def __repr__(self):
-        return f"BratteliDiagram(levels={self.levels!r}, maps={self.maps!r})"
+        self._set(levels, maps)
 
     @property
     def num_levels(self) -> int:
@@ -466,12 +423,15 @@ def load_bratteli(path) -> BratteliDiagram:
     ``json.load`` reads such an integer with ``int()``, whose error advises a
     call a command line cannot make, so it is replaced by one naming
     ``PYTHONINTMAXSTRDIGITS``; decoding errors keep their own messages.
+    Nesting deeper than the decoder's recursion limit is a ValueError too.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError):
             raise
+        except RecursionError:
+            raise ValueError(f"{path} is nested too deeply to decode as JSON") from None
         except ValueError:
             raise ValueError(
                 f"{path} holds an integer of more than {int_str_limit()} digits, the"

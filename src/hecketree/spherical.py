@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import Frozen, HeckeAlgebra, HeckeElement, exact, label_int
+from .core import Frozen, HeckeAlgebra, HeckeElement, branching, exact, label_int
 
 HOMOGENEOUS = "homogeneous"
 TWO_ORBIT = "two-orbit"
@@ -41,24 +41,12 @@ class SphericalParams(Frozen):
     def __init__(self, mode: str, q0: int, q1: int):
         if mode not in (HOMOGENEOUS, TWO_ORBIT):
             raise ValueError(f"unknown mode {mode!r}")
+        q0, q1 = branching(q0, q1)
         if q0 < 2 or q1 < 2:
             raise ValueError(f"branching numbers must be >= 2, got ({q0}, {q1})")
         if mode == HOMOGENEOUS and q0 != q1:
             raise ValueError("homogeneous mode requires equal branching numbers")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "q0", q0)
-        object.__setattr__(self, "q1", q1)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.mode, self.q0, self.q1) == (other.mode, other.q0, other.q1)
-
-    def __hash__(self):
-        return hash((self.mode, self.q0, self.q1))
-
-    def __repr__(self):
-        return f"SphericalParams(mode={self.mode!r}, q0={self.q0!r}, q1={self.q1!r})"
+        self._set(mode, q0, q1)
 
     @classmethod
     def homogeneous(cls, q: int) -> "SphericalParams":

@@ -49,7 +49,7 @@ from bisect import bisect_right
 from collections import Counter
 from math import prod
 
-from .core import Frozen
+from .core import Frozen, branching
 
 DEFAULT_MAX_VERTICES = 4_000_000
 MAX_INDEX_BITS = 8192  # a ball stores radius + 2 vertex numbers; this caps their size
@@ -94,13 +94,10 @@ class TreeBall(Frozen):
     def __init__(
         self, q0: int, q1: int, radius: int, width: list, sphere_start: list, max_vertices: int
     ):
-        object.__setattr__(self, "q0", q0)
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "sphere_start", sphere_start)
-        object.__setattr__(self, "max_vertices", max_vertices)
-        object.__setattr__(self, "memo", {})
+        self._set(q0, q1, radius, width, sphere_start, max_vertices, {})
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def num_vertices(self) -> int:
@@ -152,6 +149,7 @@ def build_ball(
     is homogeneous when ``q0 == q1``.  Both parameters must be at least 2
     (at least three edges at every vertex).
     """
+    q0, q1 = branching(q0, q1)
     if q0 < 2 or q1 < 2:
         raise ValueError(f"branching numbers must be >= 2, got ({q0}, {q1})")
     if radius < 0:

@@ -769,8 +769,10 @@ def test_ktheory_names_the_int_printing_limit(capsys, tmp_path, rows, message):
         # the decoding errors are ValueErrors too, and keep their messages
         ('{"levels": [[1], [1]], "maps": [', "error: Expecting value: line 1 column 33 (char 32)"),
         (b"\xff", "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        # the decoder stops on deep nesting with a RecursionError, not a ValueError
+        ("[" * 100_000, "error: PATH is nested too deeply to decode as JSON"),
     ],
-    ids=["int", "json", "utf-8"],
+    ids=["int", "json", "utf-8", "deep"],
 )
 def test_ktheory_file_names_the_int_reading_limit(capsys, tmp_path, content, message):
     limit = sys.get_int_max_str_digits()

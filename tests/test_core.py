@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hecketree.core import HeckeAlgebra
+from hecketree.endstab import HorocycleAlgebra, ToeplitzAlgebra
+from hecketree.iwahori import IwahoriAlgebra
 from hecketree.sl2 import SL2EndAlgebra
 from hecketree.spherical import SphericalAlgebra, SphericalParams
+from hecketree.tree import build_ball
 
 A = SphericalAlgebra(SphericalParams.homogeneous(2))
 
@@ -232,3 +235,31 @@ def test_operations_leave_cached_constants_unchanged():
             assert y.algebra == algebra
         assert algebra._product_cache[(a, b)] is cached
         assert cached == before and x == algebra.element(before)
+
+
+#: name -> (constructor taking one branching number or letter weight q,
+#: its message for q = 1)
+BRANCHED = {
+    "spherical": (SphericalParams.homogeneous, "branching numbers must be >= 2, got (1, 1)"),
+    "two-orbit": (
+        lambda q: SphericalParams.two_orbit(3, q),
+        "branching numbers must be >= 2, got (3, 1)",
+    ),
+    "horocycle": (HorocycleAlgebra, "branching number must be >= 2, got 1"),
+    "toeplitz": (ToeplitzAlgebra, "branching number must be >= 2, got 1"),
+    "iwahori": (lambda q: IwahoriAlgebra(q, 3), "letter weights must be >= 2, got (1, 3)"),
+    "ball": (lambda q: build_ball(2, q, 3), "branching numbers must be >= 2, got (2, 1)"),
+}
+
+
+@pytest.mark.parametrize("name", BRANCHED)
+@pytest.mark.parametrize("q", [2.0, 2.5, Fraction(5, 2), Fraction(3)], ids=repr)
+def test_branching_numbers_are_integers(name, q):
+    # a float or a Fraction would carry into every exact table
+    make, message = BRANCHED[name]
+    with pytest.raises(TypeError):
+        make(q)
+    with pytest.raises(ValueError) as excinfo:
+        make(1)
+    assert str(excinfo.value) == message
+    make(3)

@@ -2,9 +2,11 @@
 
 import copy
 import pickle
+from fractions import Fraction
 
 import pytest
 
+from hecketree.endstab import EventuallyConstantSeq
 from hecketree.ktheory import AbelianGroupPresentation, BratteliDiagram, IntMatrix
 from hecketree.sl2 import DoubleCoset, PruferElement
 from hecketree.spherical import SphericalParams
@@ -52,6 +54,21 @@ FROZEN_FIELDS = {
     "DoubleCoset": ("representative", "members"),
     "SphericalParams": ("mode", "q0", "q1"),
 }
+
+VALUES["EventuallyConstantSeq"] = (
+    lambda n: EventuallyConstantSeq(prefix=[Fraction(1, 2), n], tail=3),
+    "(1/2, 0, 3, 3, ...)",
+)
+FROZEN_FIELDS["EventuallyConstantSeq"] = ("prefix", "tail")
+
+#: The classes whose equality and hash come from ``core.Frozen``.
+GENERIC = (
+    "IntMatrix",
+    "AbelianGroupPresentation",
+    "BratteliDiagram",
+    "SphericalParams",
+    "EventuallyConstantSeq",
+)
 
 BALL_FIELDS = ("q0", "q1", "radius", "width", "sphere_start", "max_vertices")
 
@@ -151,3 +168,9 @@ def test_tree_ball_is_compared_by_identity_and_keeps_its_memo():
         assert [getattr(twin, f) for f in BALL_FIELDS] == [getattr(ball, f) for f in BALL_FIELDS]
         assert twin.memo == {"depths": {1: 3}}
         assert twin.sphere(2) == ball.sphere(2)
+
+
+@pytest.mark.parametrize("name", GENERIC)
+def test_generic_values_hash_as_their_field_tuple(name):
+    value = VALUES[name][0](0)
+    assert hash(value) == hash(tuple(getattr(value, field) for field in FROZEN_FIELDS[name]))
