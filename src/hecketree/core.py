@@ -31,7 +31,8 @@ class HeckeAlgebra:
     ``r_value``, set ``unit``, and provide label round-tripping for the CLI.
     Instances are immutable apart from memos of results already computed:
     the product cache here, and in subclasses the word dict of
-    ``IwahoriAlgebra._word_product`` and the recursion rows of
+    ``IwahoriAlgebra._word_product``, the closed-form terms of
+    ``IwahoriAlgebra.multiply_closed`` and the recursion rows of
     ``SphericalAlgebra.multiply_recursive``.  No memo changes a result.
     """
 

@@ -194,22 +194,26 @@ def nf_to_m(x: HeckeElement) -> HeckeElement:
     """Rewrite a diagonally supported normal-form element in the horocycle basis.
 
     Only defined on the span of the monomials ``(n, n)``; raises ValueError
-    on any off-diagonal support.
+    on any off-diagonal support.  One pass reads the diagonal, in no
+    particular order, and one pass from the top class down sums its tails.
     """
     nf = x.algebra
     if not isinstance(nf, ToeplitzAlgebra):
         raise TypeError("expected an element of the normal-form algebra")
     diag: dict = {}
-    for (a, b), coeff in x.terms():
+    for (a, b), coeff in x.items():
         if a != b:
             raise ValueError(f"monomial ({a},{b}) is outside the horocycle subalgebra")
         diag[a] = coeff
-    m_algebra = nf.horocycle
-    # (n, n) = sum of classes 0..n, so the class-i coefficient is a tail sum
+    # (n, n) = sum of classes 0..n, so the class-i coefficient is a tail sum;
+    # sums of the element's exact coefficients are exact, so only zeros drop
     terms = {}
-    for i in range(max(diag, default=-1) + 1):
-        terms[i] = sum(coeff for n, coeff in diag.items() if n >= i)
-    return m_algebra.element(terms)
+    tail = 0
+    for i in range(max(diag, default=-1), -1, -1):
+        tail += diag.get(i, 0)
+        if tail:
+            terms[i] = tail
+    return HeckeElement._of(nf.horocycle, terms)
 
 
 class EventuallyConstantSeq(Frozen):

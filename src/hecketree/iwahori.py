@@ -18,7 +18,8 @@ The generated product of a word pair ``(w1, w2)`` is kept on the algebra,
 so ``(w1, w2)`` asked again is one lookup and ``(w1, w2 + letter)`` is one
 rewriting step.  A table or sweep asks for the words in length order, so
 each of its cells costs one step; a pair whose one-letter-shorter pair was
-never asked for is rewritten letter by letter from ``w1``.
+never asked for is rewritten letter by letter from ``w1``.  The closed form
+keeps its own terms, one dict per left word, right word and result flag.
 
 Coherence boundary: a type-exchanging automorphism forces equal branching
 at the two vertex types, so the inversion-decorated sector is a genuine
@@ -116,6 +117,7 @@ class IwahoriAlgebra(HeckeAlgebra):
         self.qs = qs
         self.qt = qt
         self._word_products = {}  # (w1, w2) -> rewritten product, see _word_product
+        self._closed_products = {}  # (left, right, iflag) -> terms, see multiply_closed
 
     def _key(self):
         return (self.qs, self.qt)
@@ -228,16 +230,26 @@ class IwahoriAlgebra(HeckeAlgebra):
         return out
 
     def multiply_closed(self, a: DeltaIndex, b: DeltaIndex) -> HeckeElement:
-        """Product from the closed form (independent of the rewriting route)."""
+        """Product from the closed form (independent of the rewriting route).
+
+        The product depends on ``a`` and ``b`` only through the word the
+        left factor contributes, the right word and the result flag, so its
+        terms are kept under that triple: flipping both flags and swapping
+        the letters of the left word gives the same entry (``is * i`` and
+        ``t * 1`` share one).  Each kept dict is the term dict of every
+        element returned for it, so it is never mutated.  Every closed-form
+        coefficient is a positive int, so the dict is wrapped as it is.
+        """
         left = bar(a.word) if b.iflag else a.word
         iflag = a.iflag ^ b.iflag
-        return HeckeElement(
-            self,
-            [
-                (DeltaIndex(iflag, word), coeff)
+        key = (left, b.word, iflag)
+        terms = self._closed_products.get(key)
+        if terms is None:
+            terms = self._closed_products[key] = {
+                DeltaIndex(iflag, word): coeff
                 for word, coeff in self._word_product_closed(left, b.word).items()
-            ],
-        )
+            }
+        return HeckeElement._of(self, terms)
 
     def words_up_to(self, max_len: int, with_iflag: bool = True) -> list:
         """All basis indices with word length <= max_len, in canonical order."""

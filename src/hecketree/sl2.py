@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache, lru_cache, total_ordering
 
-from .core import Frozen, HeckeAlgebra, HeckeElement, label_int
+from .core import Frozen, HeckeAlgebra, HeckeElement, branching, label_int
 
 #: The deepest cosets :class:`SL2EndAlgebra` lists; its points are coded at this depth.
 DEPTH_BOUND = 6
@@ -93,12 +93,14 @@ class PruferElement(Frozen):
 
     Canonical form: ``0 <= num < p^depth`` with ``num`` coprime to ``p``;
     zero is ``(depth=0, num=0)``.  Elements compare, hash and sort as the
-    tuple ``(p, depth, num)``.
+    tuple ``(p, depth, num)``.  The prime is read by :func:`core.branching`,
+    so a float or a Fraction is a TypeError.
     """
 
     __slots__ = ("p", "depth", "num")
 
     def __init__(self, p: int, depth: int, num: int):
+        (p,) = branching(p)
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if depth < 0:
@@ -108,9 +110,7 @@ class PruferElement(Frozen):
                 raise ValueError("depth-0 element must be zero")
         elif not 0 < num < p**depth or num % p == 0:
             raise ValueError(f"{num}/{p}^{depth} is not in lowest terms")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "num", num)
+        self._set(p, depth, num)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -217,6 +217,7 @@ class PruferGroupAlgebra(HeckeAlgebra):
 
     def __init__(self, p: int):
         super().__init__()
+        (p,) = branching(p)
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -328,6 +329,7 @@ class SL2EndAlgebra(HeckeAlgebra):
 
     def __init__(self, p: int):
         super().__init__()
+        (p,) = branching(p)
         self.p = p
         self.unit = double_coset(prufer_zero(p))
         self._modulus = p**DEPTH_BOUND

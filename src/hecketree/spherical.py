@@ -12,9 +12,10 @@ The generator is index 1 and labels print the distance.  The algebra is
 commutative: exactly the polynomial ring on its generator.
 
 The recursive route keeps, for each ``m``, the last two rows of the
-recursion for ``basis(k) * basis(m)``.  A sweep that asks for ``n`` in
-increasing order for every ``m`` (as ``verify spherical`` does) pays one
-recursion step per cell; a row behind the kept one restarts at row 0.
+recursion for ``basis(k) * basis(m)``, as int dicts.  A sweep that asks for
+``n`` in increasing order for every ``m`` (as ``verify spherical`` does)
+pays one recursion step per cell; a row behind the kept one restarts at
+row 0.
 
 Note on completions (documentation only, nothing here computes norms): a
 polynomial ring in one self-adjoint variable has *-representations given by
@@ -123,20 +124,27 @@ class SphericalAlgebra(HeckeAlgebra):
     def generator_times(self, x: HeckeElement) -> HeckeElement:
         """Multiply by the generator through the defining recursion."""
         acc: dict = {}
-        for n, coeff in x.terms():
+        for n, coeff in x.items():
             a, b = self._recursion(n)
-            for idx, weight in ((n - 1, a), (n, b), (n + 1, 1)):
-                if weight:
-                    acc[idx] = acc.get(idx, 0) + coeff * weight
-        return HeckeElement(self, acc)
+            if a:
+                acc[n - 1] = acc.get(n - 1, 0) + coeff * a
+            if b:
+                acc[n] = acc.get(n, 0) + coeff * b
+            acc[n + 1] = acc.get(n + 1, 0) + coeff
+        # exact coefficients times int weights: exact, so only zeros are dropped
+        return HeckeElement._of(self, {idx: c for idx, c in acc.items() if c})
 
     def multiply_recursive(self, n: int, m: int) -> HeckeElement:
         """Basis product computed by reducing one factor to the generator.
 
-        Row ``k`` is ``basis(k) * basis(m)``; each step of the recursion
-        gives the next row from the last two.  The step reached for ``m`` and
-        its two rows are kept, so a call with ``n`` at or past that step
+        Row ``k`` is ``basis(k) * basis(m)``, kept as an int dict; each step
+        of the recursion gives the next row from the last two: one pass of
+        :meth:`generator_times` over row ``k``, then one that takes off
+        ``b * row k`` and ``a * row (k - 1)``.  The step reached for ``m``
+        and its two rows are kept, so a call with ``n`` at or past that step
         continues from there and one with ``n`` behind it restarts at row 0.
+        A kept row is the term dict of the element returned for it, so rows
+        are never mutated.
         """
         _check_index(n)
         _check_index(m)
@@ -144,15 +152,19 @@ class SphericalAlgebra(HeckeAlgebra):
             n, m = m, n
         state = self._recursion_rows.get(m)
         if state is None or state[0] > n:
-            state = (0, self.zero(), self.basis_element(m))
-        k, prev, result = state
+            state = (0, {}, {m: 1})
+        k, prev, row = state
         while k < n:
             a, b = self._recursion(k)
-            nxt = self.generator_times(result) - b * result - a * prev
-            prev, result = result, nxt
+            nxt = dict(self.generator_times(HeckeElement._of(self, row))._terms)
+            for terms, weight in ((row, b), (prev, a)):
+                if weight:
+                    for idx, coeff in terms.items():
+                        nxt[idx] = nxt.get(idx, 0) - weight * coeff
+            prev, row = row, {idx: c for idx, c in nxt.items() if c}
             k += 1
-        self._recursion_rows[m] = (k, prev, result)
-        return result
+        self._recursion_rows[m] = (k, prev, row)
+        return HeckeElement._of(self, row)
 
     def multiply_closed(self, n: int, m: int) -> HeckeElement:
         """Basis product from the closed-form table."""

@@ -17,12 +17,17 @@ fixed vertex.  The witness's ancestor offsets are read once; then each
 vertex of the block climbs its own offset toward the root until it meets
 the marked ray or the witness's path to it, and the depth of that meeting
 fixes the vertex's confluence depth, crossing word or confluence class.
-Every vertex of the block is enumerated and climbed, none is skipped by
-arithmetic on the block as a whole.  The Iwahori witnesses all lie on one
-apartment through the base edge, the marked ray and one branch off it, so
-each edge group is climbed once, against the deepest witness of that
-branch, and the one climb gives its crossing words to every witness;
-every edge of the group is still enumerated.  The single-constant references
+The climb runs one depth at a time over a chunk of at most
+:data:`CLIMB_CHUNK` vertices: the chunk's offsets are listed, the ones on
+the anchor at that depth are counted and dropped, and each of the others
+is divided on its own by the branching above it, so memory stays bounded
+by the chunk, not the block.  Every vertex of the block is enumerated and
+climbed, none is skipped by arithmetic on the block as a whole.  The
+Iwahori witnesses all lie on one apartment through the base edge, the
+marked ray and one branch off it, so each edge group is climbed once,
+against the deepest witness of that branch, and the one climb gives its
+crossing words to every witness; every edge of the group is still
+enumerated.  The single-constant references
 (:func:`spherical_constant`, :func:`iwahori_constant`,
 :func:`horocycle_constant`) stay per-vertex: they measure each vertex with
 the generic :func:`distance`, :func:`weyl_distance` or confluence-class
@@ -52,6 +57,8 @@ from math import prod
 from .core import Frozen, branching
 
 DEFAULT_MAX_VERTICES = 4_000_000
+#: The most vertices an anchored climb lists at once (:func:`_anchored_climb`).
+CLIMB_CHUNK = 4096
 MAX_INDEX_BITS = 8192  # a ball stores radius + 2 vertex numbers; this caps their size
 
 _SWAP_TYPES = str.maketrans("st", "ts")
@@ -84,7 +91,8 @@ class TreeBall(Frozen):
     :func:`horocycle_members`): what a count visits.
 
     ``memo`` holds the histograms the per-cell oracles read, one inner dict
-    per kind (``"depths"``, ``"tables"``, ``"classes"``).  They depend only
+    per kind (``"depths"``, ``"tables"``, ``"classes"``; a word table is kept
+    with the rows :func:`iwahori_product` has keyed from it).  They depend only
     on the ball, so they live as long as it does, and a pickle or copy of the
     ball carries them.  Two balls are equal only if they are the same object.
     """
@@ -228,6 +236,13 @@ def _anchored_climb(ball: TreeBall, block: range, witness: int) -> Counter:
     ``-e < 0`` counts those that land on the witness's path off the ray at
     depth ``e``, which is then their deepest common ancestor with the
     witness.  The counts sum to ``len(block)``.
+
+    The block is climbed in chunks of at most :data:`CLIMB_CHUNK` vertices,
+    each one depth at a time: the chunk's offsets at the block's depth are
+    a list, and at each depth the offsets on the anchor (0 on the marked
+    ray, the witness's ancestor on its path) are counted and dropped, and
+    every other offset is divided on its own into its parent's offset one
+    depth up.  At depth 0 every offset left is the root's, on the ray.
     """
     ss, width = ball.sphere_start, ball.width
     d = ball.depth(block.start)
@@ -246,15 +261,24 @@ def _anchored_climb(ball: TreeBall, block: range, witness: int) -> Counter:
         o //= width[e]
         anchor[e] = o
 
-    def landings():
-        for o in range(block.start - ss[d], block.stop - ss[d]):
-            e = d
-            while o and o != anchor[e]:
-                e -= 1
-                o //= width[e]
-            yield -e if o else e
-
-    return Counter(landings())
+    landed = Counter()
+    first, last = block.start - ss[d], block.stop - ss[d]
+    for start in range(first, last, CLIMB_CHUNK):
+        level = list(range(start, min(start + CLIMB_CHUNK, last)))
+        for e in range(d, 0, -1):
+            on_ray = level.count(0)
+            a, w = anchor[e], width[e - 1]
+            climbing = [o // w for o in level if o and o != a]
+            if on_ray:
+                landed[e] += on_ray
+            if len(level) - on_ray > len(climbing):
+                landed[-e] += len(level) - on_ray - len(climbing)
+            level = climbing
+            if not level:
+                break
+        if level:
+            landed[0] += len(level)
+    return landed
 
 
 # -- vertex-stabilizer (spherical) counting ---------------------------------
@@ -497,25 +521,35 @@ def iwahori_product(ball: TreeBall, w1: str, w2: str, iflags: tuple) -> dict:
     All witnesses lie on one apartment (:func:`_witness_edges`), so one climb
     of a word group fixes its crossing words to every witness.  The ball's
     memo keeps that table (:func:`_word_table`) for each word from the base
-    edge: each group is climbed once per ball, every edge of it enumerated,
-    and each cell is one lookup.  Raises ``ValueError`` on a word that is
-    not alternating.
+    edge, with its rows keyed as cells ask for them: ``(iflag, w2)`` maps to
+    the vector of a cell with that result flag and right-hand word, read
+    from row ``w2`` at flag 0 and from row ``swap_types(w2)``, its words
+    swapped, at flag 1.  So each group is climbed once per ball, every edge
+    of it enumerated, each row is keyed once, and each cell is one lookup
+    and a copy of the keyed row, which the caller then owns.  Raises
+    ``ValueError`` on a word that is not alternating: only crossing words
+    reach the memo, so the words are checked when the lookup misses.
     """
-    _check_words(w1, w2)
-    d1, d2 = (flag & 1 for flag in iflags)
-    dt = d1 ^ d2
-    bound = len(w1) + len(w2)
-    if ball.radius < bound + 2:
-        raise BallTooSmall(f"ball radius {ball.radius} < required {bound + 2}")
-    tables = ball.memo.setdefault("tables", {})
+    d1 = iflags[0] & 1
+    dt = d1 ^ (iflags[1] & 1)
     word_ef = swap_types(w1) if d1 else w1
-    table = tables.get(word_ef)
-    if table is None:
-        table = tables[word_ef] = _word_table(ball, word_ef)
-    counts = table.get(swap_types(w2) if dt else w2, {})
-    if dt:
-        return {(1, swap_types(word)): count for word, count in counts.items()}
-    return {(0, word): count for word, count in counts.items()}
+    tables = ball.memo.setdefault("tables", {})
+    kept = tables.get(word_ef)
+    row = kept[1].get((dt, w2)) if kept else None
+    if row is None:
+        # a kept row passed these checks, for words of the same lengths
+        _check_words(w1, w2)
+        bound = len(w1) + len(w2)
+        if ball.radius < bound + 2:
+            raise BallTooSmall(f"ball radius {ball.radius} < required {bound + 2}")
+        if kept is None:
+            kept = tables[word_ef] = (_word_table(ball, word_ef), {})
+        table, rows = kept
+        counts = table.get(swap_types(w2) if dt else w2, {})
+        row = rows[(dt, w2)] = {
+            (dt, swap_types(word) if dt else word): count for word, count in counts.items()
+        }
+    return dict(row)
 
 
 # -- end-stabilizer (horocycle) counting ---------------------------------------

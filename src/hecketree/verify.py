@@ -8,6 +8,19 @@ the pass condition.  The tree oracle returns each cell's whole vector in one
 call, read from histograms kept in the memo of the sweep's ball, so each is
 measured once per sweep and shared between cells.  The SL2 sweep has no
 tree model: it compares its two routes point by point in the Prüfer group.
+
+Each route hands over one int vector per cell, computed or looked up once
+and compared as it is.  An algebraic route returns an element whose term
+dict :func:`_int_terms` hands over without a copy: the product cache's dict
+for ``multiply_basis``, the kept closed-form terms of Iwahori
+``multiply_closed``, the kept recursion row of ``multiply_recursive``, the
+one-pass tail sums of ``nf_to_m``.  The tree oracle hands over its own
+fresh vector: spherical counts keyed by distance (re-keyed by index only in
+two-orbit mode), horocycle counts keyed by class, and Iwahori counts keyed
+by ``(iflag, word)`` tuples, which compare and hash as the equal
+:class:`DeltaIndex` keys of the other routes.  Those tuples stay tuples
+until a mismatch is reported, and only the report turns them into
+:class:`DeltaIndex` to label them.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ import itertools
 from . import tree
 from .core import HeckeElement
 from .endstab import HorocycleAlgebra, m_to_nf, nf_to_m
-from .iwahori import DeltaIndex, IwahoriAlgebra
+from .iwahori import DeltaIndex, IwahoriAlgebra, index_label
 from .sl2 import PruferElement, SL2EndAlgebra, orbit_convolution
 from .spherical import HOMOGENEOUS, SphericalAlgebra, SphericalParams
 
@@ -62,9 +75,18 @@ class VerifyReport:
 
 
 def _int_terms(x: HeckeElement) -> dict:
-    """Structure-constant dict of an element known to have integer coefficients."""
+    """Structure-constant dict of an element known to have integer coefficients.
+
+    When every coefficient is an ``int`` (a check made on the set of their
+    types) this is the element's own term dict, not a copy: it may be shared
+    with a memo, so the sweep only reads it.  Otherwise each coefficient is
+    converted, and a non-integral one is an AssertionError.
+    """
+    terms = x._terms
+    if set(map(type, terms.values())) <= {int}:
+        return terms
     out = {}
-    for idx, coeff in x.items():
+    for idx, coeff in terms.items():
         if coeff.denominator != 1:
             raise AssertionError(f"non-integral structure constant {coeff} at {idx!r}")
         out[idx] = coeff.numerator
@@ -109,7 +131,7 @@ def _sweep(
         report.cells += 1
         vectors = routes(a, b)
         first, *rest = vectors.values()
-        if any(vec != first for vec in rest):
+        if rest.count(first) != len(rest):
             import shlex  # only a failing sweep needs it; importing costs 0.1 MiB resident
 
             key = [algebra.basis_label(a), algebra.basis_label(b)]
@@ -135,13 +157,12 @@ def verify_spherical(
     ball.sphere(step * max_index)  # the deepest sphere counted: fail on its budget first
 
     def routes(n, m):
+        oracle = tree.spherical_product(ball, step * n, step * m)
         return {
             "closed": _int_terms(algebra.multiply_closed(n, m)),
             "recursive": _int_terms(algebra.multiply_recursive(n, m)),
-            "oracle": {
-                k // step: count
-                for k, count in tree.spherical_product(ball, step * n, step * m).items()
-            },
+            # keyed by distance, which is the basis index in homogeneous mode
+            "oracle": oracle if step == 1 else {k // step: c for k, c in oracle.items()},
         }
 
     return _sweep(
@@ -177,8 +198,10 @@ def verify_iwahori(
     the oracle (:func:`tree.iwahori_product`) climbs each word group of
     length <= max_len once, enumerating every edge of it, and reads each
     cell from that group's table; the budget is checked on those groups
-    before the first cell.  Its ``(iflag, word)`` keys become
-    :class:`DeltaIndex` keys, so a mismatch labels them as the other routes.
+    before the first cell.  Its keys stay ``(iflag, word)`` tuples, which
+    compare and hash as the equal :class:`DeltaIndex` keys of the other
+    routes; a mismatch report turns every key into a :class:`DeltaIndex`
+    to label it.
     """
     algebra = IwahoriAlgebra(qs, qt)
     ball = tree.build_ball(qs, qt, 2 * max_len + 2, max_vertices)
@@ -191,12 +214,7 @@ def verify_iwahori(
             "closed": _int_terms(algebra.multiply_closed(a, b)),
         }
         if oracle_decorated or (a.iflag == b.iflag == 0):
-            vectors["oracle"] = {
-                DeltaIndex(*idx): count
-                for idx, count in tree.iwahori_product(
-                    ball, a.word, b.word, (a.iflag, b.iflag)
-                ).items()
-            }
+            vectors["oracle"] = tree.iwahori_product(ball, a.word, b.word, (a.iflag, b.iflag))
         return vectors
 
     return _sweep(
@@ -206,6 +224,7 @@ def verify_iwahori(
         CELLS["iwahori"](algebra, max_len),
         routes,
         _flags(qs=qs, qt=qt),
+        label=lambda idx: index_label(DeltaIndex._make(idx)),
     )
 
 

@@ -987,6 +987,15 @@ _NF_M1_M1 = m_to_nf(HorocycleAlgebra(3), 1) * m_to_nf(HorocycleAlgebra(3), 1)
             [["M1", "M2"]],
             ["table", "normal-form", "oracle"],
         ),
+        (
+            # a decorated cell: i * s, whose oracle keys are (iflag, word) tuples
+            ("verify", "iwahori", "--qs", "2", "--qt", "2", "--len", "1"),
+            tree,
+            "iwahori_product",
+            lambda ball, w1, w2, iflags: (w1, w2, iflags) == ("", "s", (1, 0)),
+            [["i", "s"]],
+            ["generated", "closed", "oracle"],
+        ),
     ],
 )
 def test_verify_reports_mismatch(capsys, monkeypatch, argv, owner, name, hit, keys, routes):
@@ -1005,6 +1014,27 @@ def test_verify_reports_mismatch(capsys, monkeypatch, argv, owner, name, hit, ke
         replay = shlex.split(mismatch["replay"])
         assert replay[:5] == ["hecketree", "mul", argv[1], *mismatch["key"]]
         assert run_cli(capsys, *replay[1:])[0] == 0
+
+
+def test_verify_iwahori_mismatch_labels_oracle_keys(capsys, monkeypatch):
+    # the oracle hands over (iflag, word) tuples; the report labels them as
+    # index_label labels the other routes' DeltaIndex keys
+    _perturb(
+        monkeypatch,
+        tree,
+        "iwahori_product",
+        lambda ball, w1, w2, iflags: (w1, w2, iflags) == ("", "s", (1, 0)),
+    )
+    code, out = run_cli(capsys, "verify", "iwahori", "--qs", "2", "--qt", "2", "--len", "1")
+    assert code == 1
+    (mismatch,) = json.loads(out)["mismatches"]
+    assert mismatch["key"] == ["i", "s"]
+    assert mismatch["routes"] == {
+        "generated": {"is": 1},
+        "closed": {"is": 1},
+        "oracle": {"is": 2},
+    }
+    assert mismatch["replay"] == "hecketree mul iwahori i s --qs 2 --qt 2"
 
 
 @pytest.mark.parametrize(

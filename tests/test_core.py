@@ -1,5 +1,7 @@
 """Element arithmetic over a concrete provider (the vertex-stabilizer algebra)."""
 
+import copy
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -235,6 +237,32 @@ def test_operations_leave_cached_constants_unchanged():
             assert y.algebra == algebra
         assert algebra._product_cache[(a, b)] is cached
         assert cached == before and x == algebra.element(before)
+
+
+def test_memoized_routes_hand_out_values_later_calls_leave_alone():
+    # multiply_recursive keeps its rows and multiply_closed its terms as the
+    # term dicts of the elements they return, so no later call may change one
+    spherical = SphericalAlgebra(SphericalParams.two_orbit(2, 3))
+    iwahori = IwahoriAlgebra(2, 2)
+    s, i_s, i = iwahori.parse_label("s"), iwahori.parse_label("is"), iwahori.parse_label("i")
+    handed = [
+        (spherical, spherical.multiply_recursive(2, 3)),
+        (spherical, spherical.multiply_recursive(3, 3)),
+        (iwahori, iwahori.multiply_closed(s, s)),
+        (iwahori, iwahori.multiply_closed(i_s, i)),
+    ]
+    snapshots = [copy.deepcopy(dict(x.items())) for _, x in handed]
+    for n, m in ((3, 3), (4, 3), (1, 3), (2, 3), (5, 2), (2, 2)):
+        spherical.multiply_recursive(n, m)
+    # (is) * i = t shares its kept terms with t * 1: left word t, right word 1, flag 0
+    for a, b in itertools.product(iwahori.words_up_to(2), repeat=2):
+        iwahori.multiply_closed(a, b)
+    for (algebra, x), before in zip(handed, snapshots):
+        for y in (x + x, -x, 2 * x, x * x, x.star(), x - x):
+            assert y.algebra == algebra
+        assert dict(x.items()) == before and x == algebra.element(before)
+    assert spherical.multiply_recursive(2, 3) == spherical.element(snapshots[0])
+    assert iwahori.multiply_closed(i_s, i) == iwahori.element(snapshots[3])
 
 
 #: name -> (constructor taking one branching number or letter weight q,

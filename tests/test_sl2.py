@@ -1,6 +1,7 @@
 """Prüfer-group arithmetic, unit-square orbits, and the pulled-back product."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +33,20 @@ def test_prufer_canonical_form():
         PruferElement(4, 1, 1)
     with pytest.raises(ValueError):
         PruferElement(3, 2, 3)  # 3/9 is not reduced
+
+
+@pytest.mark.parametrize("p", [7.0, Fraction(7)], ids=repr)
+@pytest.mark.parametrize(
+    "make",
+    [lambda p: PruferElement(p, 1, 3), PruferGroupAlgebra, SL2EndAlgebra],
+    ids=["PruferElement", "PruferGroupAlgebra", "SL2EndAlgebra"],
+)
+def test_prime_must_be_an_int(make, p):
+    # the int prime first, so a primality answer kept for 7 cannot let 7.0 through
+    assert make(7).p == 7
+    assert PruferElement(7, 1, 3).label() == "3/7"
+    with pytest.raises(TypeError):
+        make(p)
 
 
 def test_prufer_add_examples():

@@ -1,5 +1,6 @@
 """Geometry of tree balls and the counting oracle itself."""
 
+import copy
 import random
 from collections import Counter
 from math import prod
@@ -387,6 +388,31 @@ def test_iwahori_product_equals_constants(qs, qt, max_len):
                     expected[t] = count
             # the tables earlier pairs left in the ball's memo serve this one
             assert tree.iwahori_product(ball, a.word, b.word, flags) == expected
+
+
+@pytest.mark.parametrize(
+    "oracle, args",
+    [
+        (tree.spherical_product, [(2, 3), (2, 1), (3, 2)]),
+        (tree.iwahori_product, [("st", "s", (0, 0)), ("st", "s", (1, 1)), ("ts", "t", (0, 1))]),
+        (tree.horocycle_product, [(2, 1), (2, 2), (1, 2)]),
+    ],
+    ids=["spherical", "iwahori", "horocycle"],
+)
+def test_oracle_vectors_belong_to_the_caller(oracle, args):
+    # the memo keeps histograms and keyed rows; a caller that mutates the
+    # vector it was handed changes neither the memo nor a later answer
+    ball = tree.build_ball(2, 2, 8)
+    fresh = [oracle(tree.build_ball(2, 2, 8), *cell) for cell in args]
+    for cell, expected in zip(args, fresh):
+        vector = oracle(ball, *cell)
+        before = copy.deepcopy(vector)
+        assert vector == expected
+        for idx in list(vector):
+            vector[idx] += 1
+        vector["junk"] = 1
+        assert oracle(ball, *cell) == before == expected
+    assert [oracle(ball, *cell) for cell in args] == fresh
 
 
 @pytest.mark.parametrize("q", [2, 3])
