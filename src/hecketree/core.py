@@ -9,6 +9,13 @@ combinations with exact rational coefficients, bilinear multiplication, the
 star involution, and the coset-counting homomorphism to the scalars -- is
 generic and lives in :class:`HeckeElement`.
 
+A subclass validates its parameters and passes them to
+``HeckeAlgebra.__init__``; algebras of one class with equal parameters
+compare and hash equal, and overriding ``_key`` is optional.  The rules
+every algebra shares live here: branching numbers are read and bounded by
+:func:`branching`, and :func:`shared` keeps one instance per class and
+parameters for the maps whose images must share a product cache.
+
 Coefficient rule, owned by :func:`exact`: a coefficient is an ``int`` or a
 ``Fraction`` and is kept as given, never converted; anything else, ``bool``
 and ``float`` included, is a ``TypeError``.  Integer structure constants
@@ -18,6 +25,7 @@ therefore stay ``int`` through every product of integer elements, and a
 
 from __future__ import annotations
 
+import functools
 import operator
 import sys
 from collections.abc import Iterable, Mapping
@@ -27,19 +35,21 @@ from fractions import Fraction
 class HeckeAlgebra:
     """A double-coset basis with integer structure constants.
 
-    Concrete algebras implement ``_basis_product``, ``involute_basis``,
+    Concrete algebras validate their parameters and pass them to
+    ``__init__``, implement ``_basis_product``, ``involute_basis``,
     ``r_value``, set ``unit``, and provide label round-tripping for the CLI.
-    Instances are immutable apart from memos of results already computed:
-    the product cache here, and in subclasses the word dict of
-    ``IwahoriAlgebra._word_product``, the closed-form terms of
-    ``IwahoriAlgebra.multiply_closed`` and the recursion rows of
-    ``SphericalAlgebra.multiply_recursive``.  No memo changes a result.
+    Two algebras are equal when they are of one class and their ``_key``
+    matches: by default the parameters passed to ``__init__``, and a
+    subclass that compares by another rule overrides ``_key``.  Instances
+    are immutable apart from memos of results already computed, such as the
+    product cache here.  No memo changes a result.
     """
 
     #: basis index of the identity double coset
     unit = None
 
-    def __init__(self):
+    def __init__(self, *params):
+        self._params = params
         self._product_cache = {}
 
     # -- subclass surface -------------------------------------------------
@@ -68,7 +78,7 @@ class HeckeAlgebra:
 
     def _key(self):
         """Hashable parameter tuple; algebras compare equal iff these match."""
-        raise NotImplementedError
+        return self._params
 
     # -- generic behaviour ------------------------------------------------
 
@@ -160,13 +170,30 @@ def _rebuild(cls, values: tuple) -> Frozen:
     return out
 
 
-def branching(*numbers) -> tuple:
-    """The branching numbers (or letter weights) as ints; a float or Fraction is a TypeError.
+def branching(*numbers, noun: str = "branching number") -> tuple:
+    """The branching numbers (or letter weights) as ints, each at least 2.
 
-    ``operator.index`` takes ints and their subclasses only, so no
-    non-integer reaches an exact table to turn its results into floats.
+    ``operator.index`` takes ints and their subclasses only, so a float or a
+    Fraction is a TypeError and no non-integer reaches an exact table to
+    turn its results into floats.  A number below 2 is a ValueError naming
+    ``noun``, with one number printed bare and several as a tuple.
     """
-    return tuple(map(operator.index, numbers))
+    numbers = tuple(map(operator.index, numbers))
+    if min(numbers) < 2:
+        if len(numbers) == 1:
+            raise ValueError(f"{noun} must be >= 2, got {numbers[0]}")
+        raise ValueError(f"{noun}s must be >= 2, got {numbers}")
+    return numbers
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def shared(cls, *params):
+    """The one ``cls(*params)`` of the process, for maps whose images share a product cache.
+
+    Typed, so a float equal to a cached int is passed on to ``cls`` and
+    refused there, never answered with the int's instance.
+    """
+    return cls(*params)
 
 
 def exact(value) -> int | Fraction:
@@ -186,18 +213,23 @@ def int_str_limit() -> int:
     return get_limit() if get_limit else 0
 
 
-def unprintable_int(subject: str) -> ValueError:
-    """The error for ``subject``, an int of more digits than the interpreter will print.
+def int_limit_error(fact: str, use: str) -> ValueError:
+    """The error stating ``fact`` about an int over the interpreter's limit for ``use``.
 
-    The interpreter converts an int of more than ``sys.get_int_max_str_digits()``
-    decimal digits to text only if that limit is raised, which a command line
-    can do through the ``PYTHONINTMAXSTRDIGITS`` environment variable alone.
+    ``use`` is "printing" or "reading".  The interpreter converts between an int of more than
+    ``sys.get_int_max_str_digits()`` decimal digits and text only if that
+    limit is raised, which a command line can do through the
+    ``PYTHONINTMAXSTRDIGITS`` environment variable alone.
     """
     return ValueError(
-        f"{subject} has more than {int_str_limit()} digits, the interpreter's limit"
-        " for printing an integer; set PYTHONINTMAXSTRDIGITS to a larger limit, or to 0"
-        " for none"
+        f"{fact}, the interpreter's limit for {use} an integer; set PYTHONINTMAXSTRDIGITS"
+        " to a larger limit, or to 0 for none"
     )
+
+
+def unprintable_int(subject: str) -> ValueError:
+    """The error for ``subject``, an int of more digits than the interpreter will print."""
+    return int_limit_error(f"{subject} has more than {int_str_limit()} digits", "printing")
 
 
 def label_int(text: str) -> int | None:
@@ -213,10 +245,9 @@ def label_int(text: str) -> int | None:
         return None
     limit = int_str_limit()
     if limit and len(text) > limit:
-        raise ValueError(
-            f"the label integer {text[:10]}... has {len(text)} digits, more than {limit},"
-            " the interpreter's limit for reading an integer; set PYTHONINTMAXSTRDIGITS"
-            " to a larger limit, or to 0 for none"
+        raise int_limit_error(
+            f"the label integer {text[:10]}... has {len(text)} digits, more than {limit}",
+            "reading",
         )
     return int(text)
 

@@ -38,9 +38,9 @@ code.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
-from .core import Frozen, HeckeAlgebra, HeckeElement, branching, exact, label_int
+from .core import Frozen, HeckeAlgebra, HeckeElement, branching, exact, label_int, shared
 from .ktheory import BratteliDiagram, IntMatrix
 
 
@@ -50,14 +50,9 @@ class HorocycleAlgebra(HeckeAlgebra):
     unit = 0
 
     def __init__(self, q: int):
-        super().__init__()
         (q,) = branching(q)
-        if q < 2:
-            raise ValueError(f"branching number must be >= 2, got {q}")
+        super().__init__(q)
         self.q = q
-
-    def _key(self):
-        return self.q
 
     @cached_property
     def normal_form(self) -> "ToeplitzAlgebra":
@@ -112,14 +107,9 @@ class ToeplitzAlgebra(HeckeAlgebra):
     unit = (0, 0)
 
     def __init__(self, q: int):
-        super().__init__()
         (q,) = branching(q)
-        if q < 2:
-            raise ValueError(f"branching number must be >= 2, got {q}")
+        super().__init__(q)
         self.q = q
-
-    def _key(self):
-        return self.q
 
     @cached_property
     def horocycle(self) -> HorocycleAlgebra:
@@ -285,12 +275,6 @@ def to_sequence(x: HeckeElement) -> EventuallyConstantSeq:
     return EventuallyConstantSeq(values, tail)
 
 
-@cache
-def _horocycle_algebra(q: int) -> HorocycleAlgebra:
-    """The algebra :func:`from_sequence` maps into, one per ``q``."""
-    return HorocycleAlgebra(q)
-
-
 def from_sequence(seq: EventuallyConstantSeq, q: int) -> HeckeElement:
     """Inverse of :func:`to_sequence`, through the projection basis.
 
@@ -299,7 +283,7 @@ def from_sequence(seq: EventuallyConstantSeq, q: int) -> HeckeElement:
     sum of the classes up to k.  Every image for one ``q`` lies in the same
     algebra, so products of images share its product cache.
     """
-    algebra = _horocycle_algebra(q)
+    algebra = shared(HorocycleAlgebra, q)
     values = list(seq.prefix) + [seq.tail]
     terms = {0: values[0]}
     for k in range(1, len(values)):

@@ -110,17 +110,12 @@ class IwahoriAlgebra(HeckeAlgebra):
     unit = DeltaIndex(0, "")
 
     def __init__(self, qs: int, qt: int):
-        super().__init__()
-        qs, qt = branching(qs, qt)
-        if qs < 2 or qt < 2:
-            raise ValueError(f"letter weights must be >= 2, got ({qs}, {qt})")
+        qs, qt = branching(qs, qt, noun="letter weight")
+        super().__init__(qs, qt)
         self.qs = qs
         self.qt = qt
         self._word_products = {}  # (w1, w2) -> rewritten product, see _word_product
         self._closed_products = {}  # (left, right, iflag) -> terms, see multiply_closed
-
-    def _key(self):
-        return (self.qs, self.qt)
 
     def letter_weight(self, letter: str) -> int:
         if letter == "s":

@@ -30,7 +30,7 @@ import json
 import operator
 from typing import NamedTuple
 
-from .core import Frozen, _rebuild, int_str_limit, unprintable_int
+from .core import Frozen, _rebuild, int_limit_error, int_str_limit, unprintable_int
 
 
 class IntMatrix(Frozen):
@@ -433,10 +433,8 @@ def load_bratteli(path) -> BratteliDiagram:
         except RecursionError:
             raise ValueError(f"{path} is nested too deeply to decode as JSON") from None
         except ValueError:
-            raise ValueError(
-                f"{path} holds an integer of more than {int_str_limit()} digits, the"
-                " interpreter's limit for reading an integer; set PYTHONINTMAXSTRDIGITS"
-                " to a larger limit, or to 0 for none"
+            raise int_limit_error(
+                f"{path} holds an integer of more than {int_str_limit()} digits", "reading"
             ) from None
     return BratteliDiagram.from_json(data)
 

@@ -33,10 +33,11 @@ along.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
-from functools import cache, lru_cache, total_ordering
+from functools import lru_cache, total_ordering
 
-from .core import Frozen, HeckeAlgebra, HeckeElement, branching, label_int
+from .core import Frozen, HeckeAlgebra, HeckeElement, label_int, shared
 
 #: The deepest cosets :class:`SL2EndAlgebra` lists; its points are coded at this depth.
 DEPTH_BOUND = 6
@@ -93,14 +94,14 @@ class PruferElement(Frozen):
 
     Canonical form: ``0 <= num < p^depth`` with ``num`` coprime to ``p``;
     zero is ``(depth=0, num=0)``.  Elements compare, hash and sort as the
-    tuple ``(p, depth, num)``.  The prime is read by :func:`core.branching`,
-    so a float or a Fraction is a TypeError.
+    tuple ``(p, depth, num)``.  The prime is read by ``operator.index``, so
+    a float or a Fraction is a TypeError, and one below 2 is not prime.
     """
 
     __slots__ = ("p", "depth", "num")
 
     def __init__(self, p: int, depth: int, num: int):
-        (p,) = branching(p)
+        p = operator.index(p)
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         if depth < 0:
@@ -216,15 +217,12 @@ class PruferGroupAlgebra(HeckeAlgebra):
     """Group algebra of the Prüfer p-group; hosts the images of the nu map."""
 
     def __init__(self, p: int):
-        super().__init__()
-        (p,) = branching(p)
+        p = operator.index(p)
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
+        super().__init__(p)
         self.p = p
         self.unit = prufer_zero(p)
-
-    def _key(self):
-        return self.p
 
     def r_value(self, g: PruferElement) -> int:
         return 1
@@ -263,19 +261,13 @@ def parse_prufer(p: int, text: str) -> PruferElement:
     return make_prufer(p, num, depth)
 
 
-@cache
-def _prufer_algebra(p: int) -> PruferGroupAlgebra:
-    """The algebra :func:`nu` maps into, one per prime."""
-    return PruferGroupAlgebra(p)
-
-
 def nu(u: PruferElement) -> HeckeElement:
     """Image of the double coset of ``u``: the sum over its unit-square orbit.
 
     Every image for one prime lies in the same algebra, so products of images
     share its product cache.
     """
-    algebra = _prufer_algebra(u.p)
+    algebra = shared(PruferGroupAlgebra, u.p)
     return algebra.element({g: 1 for g in orbit(u)})
 
 
@@ -290,8 +282,7 @@ class DoubleCoset(Frozen):
     __slots__ = ("representative", "members")
 
     def __init__(self, representative: PruferElement, members: tuple):
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "members", members)
+        self._set(representative, members)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -328,8 +319,8 @@ class SL2EndAlgebra(HeckeAlgebra):
     """
 
     def __init__(self, p: int):
-        super().__init__()
-        (p,) = branching(p)
+        p = operator.index(p)
+        super().__init__(p)
         self.p = p
         self.unit = double_coset(prufer_zero(p))
         self._modulus = p**DEPTH_BOUND
@@ -337,9 +328,6 @@ class SL2EndAlgebra(HeckeAlgebra):
         self._member_codes = [(0,)]  # the codes of the members of each of _cosets
         self._position = {0: 0}  # point code -> position in _cosets of its coset
         self._depth_end = [1]  # _depth_end[n]: how many cosets have depth <= n
-
-    def _key(self):
-        return self.p
 
     def check_depth(self, depth: int) -> None:
         """Raise ValueError if cosets of depth ``depth`` are out of bounds.

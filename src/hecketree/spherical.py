@@ -43,8 +43,6 @@ class SphericalParams(Frozen):
         if mode not in (HOMOGENEOUS, TWO_ORBIT):
             raise ValueError(f"unknown mode {mode!r}")
         q0, q1 = branching(q0, q1)
-        if q0 < 2 or q1 < 2:
-            raise ValueError(f"branching numbers must be >= 2, got ({q0}, {q1})")
         if mode == HOMOGENEOUS and q0 != q1:
             raise ValueError("homogeneous mode requires equal branching numbers")
         self._set(mode, q0, q1)
@@ -78,13 +76,10 @@ class SphericalAlgebra(HeckeAlgebra):
     unit = 0
 
     def __init__(self, params: SphericalParams):
-        super().__init__()
+        super().__init__(params)
         self.params = params
         self._basis_polys = [(1,), (0, 1)]
         self._recursion_rows = {}  # m -> (k, row k - 1, row k), see multiply_recursive
-
-    def _key(self):
-        return self.params
 
     # -- basis data ---------------------------------------------------------
 

@@ -158,8 +158,6 @@ def build_ball(
     (at least three edges at every vertex).
     """
     q0, q1 = branching(q0, q1)
-    if q0 < 2 or q1 < 2:
-        raise ValueError(f"branching numbers must be >= 2, got ({q0}, {q1})")
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     if (radius + 1) * (max(q0, q1) + 1).bit_length() > MAX_INDEX_BITS:

@@ -561,6 +561,49 @@ def test_nu_output(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a prime below 2 is refused as not prime, not as a branching number
+        ("mul sl2 0 0 --p 1", "error: 1 is not prime"),
+        ("nu --p 1 --depth 1", "error: 1 is not prime"),
+        ("table sl2 --p 0 --max 1", "error: 0 is not prime"),
+        (
+            "table spherical --q 2 --q0 2 --q1 3 --max 1",
+            "error: pass either --q or --q0/--q1, not both",
+        ),
+        ("table affine --q 1 --max 1", "error: branching number must be >= 2, got 1"),
+        ("verify iwahori --qs 1 --qt 2 --len 1", "error: letter weights must be >= 2, got (1, 2)"),
+        (
+            "verify spherical --q0 2 --q1 1 --max 1",
+            "error: branching numbers must be >= 2, got (2, 1)",
+        ),
+    ],
+)
+def test_parameter_errors_exit_2_with_their_message(capsys, argv, message):
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [
+        ("table spherical --q 2 --max abc", "--max", "abc"),
+        ("nu --p 3 --depth x", "--depth", "x"),
+        ("table iwahori --qs 2 --qt 2 --len 1.5", "--len", "1.5"),
+    ],
+)
+def test_non_numeric_count_exit_2(capsys, argv, flag, text):
+    with pytest.raises(SystemExit) as excinfo:  # argparse rejects a bad option value this way
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: argument {flag}: expected a nonnegative integer, got {text!r}"
+    )
+
+@pytest.mark.parametrize(
     "argv",
     [("nu", "--p", "3", "--depth", "7"), ("nu", "--p", "7", "--depth", "9"),
      ("table", "sl2", "--p", "3", "--max", "7")],

@@ -7,9 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from hecketree import verify
 from hecketree.core import HeckeAlgebra
+from hecketree.core import shared
 from hecketree.endstab import HorocycleAlgebra, ToeplitzAlgebra
 from hecketree.iwahori import IwahoriAlgebra
+from hecketree.sl2 import PruferGroupAlgebra
 from hecketree.sl2 import SL2EndAlgebra
 from hecketree.spherical import SphericalAlgebra, SphericalParams
 from hecketree.tree import build_ball
@@ -291,3 +294,56 @@ def test_branching_numbers_are_integers(name, q):
         make(1)
     assert str(excinfo.value) == message
     make(3)
+
+
+#: name -> (algebra class, two parameter tuples naming different algebras)
+PARAMETERIZED = {
+    "spherical": (
+        SphericalAlgebra,
+        (SphericalParams.homogeneous(2),),
+        (SphericalParams.two_orbit(2, 3),),
+    ),
+    "iwahori": (IwahoriAlgebra, (2, 3), (3, 2)),
+    "horocycle": (HorocycleAlgebra, (2,), (3,)),
+    "toeplitz": (ToeplitzAlgebra, (2,), (3,)),
+    "prufer": (PruferGroupAlgebra, (3,), (5,)),
+    "sl2": (SL2EndAlgebra, (3,), (5,)),
+}
+
+
+@pytest.mark.parametrize("name", PARAMETERIZED)
+def test_algebras_compare_by_class_and_parameters(name):
+    cls, params, other = PARAMETERIZED[name]
+    a, b = cls(*params), cls(*params)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != cls(*other)
+    # a product of elements of equal algebras is defined, of unequal ones not
+    assert (a.one() * b.one()).algebra is a
+    with pytest.raises(ValueError, match="different Hecke algebras"):
+        a.one() * cls(*other).one()
+
+
+def test_equal_parameters_in_another_class_make_another_algebra():
+    assert HorocycleAlgebra(2) != ToeplitzAlgebra(2)
+    assert PruferGroupAlgebra(3) != SL2EndAlgebra(3)
+
+
+def test_shared_keeps_one_instance_per_class_and_parameters():
+    assert shared(HorocycleAlgebra, 2) is shared(HorocycleAlgebra, 2)
+    assert shared(HorocycleAlgebra, 2) is not shared(ToeplitzAlgebra, 2)
+    assert shared(HorocycleAlgebra, 2) is not shared(HorocycleAlgebra, 3)
+    # typed: a float equal to a cached int reaches the constructor, which refuses it
+    with pytest.raises(TypeError):
+        shared(HorocycleAlgebra, 2.0)
+
+
+def test_int_terms_converts_integral_fractions_and_names_the_rest():
+    # the sweeps read int vectors; a Fraction reaches them only by a fault
+    M = HorocycleAlgebra(2)
+    terms = verify._int_terms(M.element({0: 1, 1: Fraction(3)}))
+    assert terms == {0: 1, 1: 3} and [type(c) for c in terms.values()] == [int, int]
+    ints = M.element({0: 1, 2: 5})
+    assert verify._int_terms(ints) is ints._terms
+    with pytest.raises(AssertionError) as excinfo:
+        verify._int_terms(M.element({0: 1, 2: Fraction(1, 2)}))
+    assert str(excinfo.value) == "non-integral structure constant 1/2 at 2"

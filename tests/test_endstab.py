@@ -225,3 +225,11 @@ def test_coset_counts_agree_across_embedding(terms):
         algebra = HorocycleAlgebra(q)
         x = algebra.element(terms)
         assert x.r_hom() == m_element_to_nf(x).r_hom()
+
+
+def test_from_sequence_refuses_a_float_q_after_the_int():
+    # the shared algebra for q = 2 is not handed out for 2.0
+    s = EventuallyConstantSeq([], 1)
+    assert from_sequence(s, 2).algebra.q == 2
+    with pytest.raises(TypeError):
+        from_sequence(s, 2.0)

@@ -369,3 +369,20 @@ def test_representative_count_checks_exact_division():
     bogus = DoubleCoset(u, (u, make_prufer(5, 2, 1), make_prufer(5, 4, 1)))
     with pytest.raises(AssertionError, match="do not spread evenly"):
         A._basis_product(A.unit, bogus)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: PruferElement(1, 0, 0), "1 is not prime"),
+        (lambda: SL2EndAlgebra(1), "1 is not prime"),
+        (lambda: PruferGroupAlgebra(0), "0 is not prime"),
+        (lambda: PruferGroupAlgebra(-3), "-3 is not prime"),
+    ],
+    ids=["element", "end-algebra", "group-algebra", "negative"],
+)
+def test_prime_below_two_is_not_prime(make, message):
+    # a prime is no branching number: below 2 it is refused as not prime
+    with pytest.raises(ValueError) as excinfo:
+        make()
+    assert str(excinfo.value) == message

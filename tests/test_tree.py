@@ -710,3 +710,87 @@ def test_witness_edges_lie_on_one_apartment(q0, q1):
 def test_deep_sweeps_ok(sweep):
     report = sweep()
     assert report.ok and report.cells
+
+
+#: name -> (call on the radius-3 ball of T(2, 2), exception type, message)
+GUARDS = {
+    "sphere-above": (
+        lambda b: b.sphere(4),
+        tree.BallTooSmall,
+        "sphere radius 4 outside ball of radius 3",
+    ),
+    "sphere-below": (
+        lambda b: b.sphere(-1),
+        tree.BallTooSmall,
+        "sphere radius -1 outside ball of radius 3",
+    ),
+    "ray-above": (
+        lambda b: b.ray_vertex(4),
+        tree.BallTooSmall,
+        "ray vertex 4 outside ball of radius 3",
+    ),
+    "ray-below": (
+        lambda b: b.ray_vertex(-1),
+        tree.BallTooSmall,
+        "ray vertex -1 outside ball of radius 3",
+    ),
+    "climb-two-spheres": (
+        lambda b: tree._anchored_climb(b, range(2, 5), 0),
+        ValueError,
+        "block range(2, 5) spans more than one sphere",
+    ),
+    "edges_by_weyl_word": (
+        lambda b: tree.edges_by_weyl_word(b, 2),
+        tree.BallTooSmall,
+        "ball radius 3 < required 4 for words of length 2",
+    ),
+    "iwahori_constant": (
+        lambda b: tree.iwahori_constant(b, "s", "t", "st"),
+        tree.BallTooSmall,
+        "ball radius 3 < required 4",
+    ),
+    "iwahori_product": (
+        lambda b: tree.iwahori_product(b, "s", "t", (0, 0)),
+        tree.BallTooSmall,
+        "ball radius 3 < required 4",
+    ),
+    "horocycle_members": (
+        lambda b: tree.horocycle_members(b, 2),
+        tree.BallTooSmall,
+        "ball radius 3 < required 4",
+    ),
+    "horocycle_product": (
+        lambda b: tree.horocycle_product(b, 1, 0),
+        tree.BallTooSmall,
+        "ball radius 3 < required 4",
+    ),
+    "spherical_constant": (
+        lambda b: tree.spherical_constant(b, 1, -1, 0),
+        ValueError,
+        "sphere radii must be nonnegative",
+    ),
+    "spherical_product": (
+        lambda b: tree.spherical_product(b, -1, 1),
+        ValueError,
+        "sphere radii must be nonnegative",
+    ),
+    "horocycle_constant": (
+        lambda b: tree.horocycle_constant(b, 0, 0, -1),
+        ValueError,
+        "horocycle classes must be nonnegative",
+    ),
+    "horocycle_product-negative": (
+        lambda b: tree.horocycle_product(b, 0, -1),
+        ValueError,
+        "horocycle classes must be nonnegative",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GUARDS)
+def test_guards_raise_their_exception_and_message(name):
+    call, kind, message = GUARDS[name]
+    with pytest.raises(ValueError) as excinfo:
+        call(tree.build_ball(2, 2, 3))
+    assert excinfo.type is kind
+    assert str(excinfo.value) == message
