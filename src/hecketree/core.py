@@ -13,8 +13,11 @@ A subclass validates its parameters and passes them to
 ``HeckeAlgebra.__init__``; algebras of one class with equal parameters
 compare and hash equal, and overriding ``_key`` is optional.  The rules
 every algebra shares live here: branching numbers are read and bounded by
-:func:`branching`, and :func:`shared` keeps one instance per class and
-parameters for the maps whose images must share a product cache.
+:func:`branching`, :func:`shared` keeps one instance per class and
+parameters for the maps whose images must share a product cache, and
+:func:`structure_constants` checks a term dict of coset counts once, where
+it is made: the product cache's dicts, which :meth:`HeckeAlgebra.product_terms`
+hands out bare, and any dict a subclass keeps for another route.
 
 Coefficient rule, owned by :func:`exact`: a coefficient is an ``int`` or a
 ``Fraction`` and is kept as given, never converted; anything else, ``bool``
@@ -90,20 +93,21 @@ class HeckeAlgebra:
 
     def multiply_basis(self, a, b) -> "HeckeElement":
         """Product of two basis elements, with structure constants cached."""
-        key = (a, b)
-        terms = self._product_cache.get(key)
+        terms = self._product_cache.get((a, b))
         if terms is None:
-            terms = {}
-            for idx, coeff in self._basis_product(a, b).items():
-                if type(coeff) is not int or coeff < 0:  # bool is not a count
-                    raise AssertionError(
-                        f"structure constant {coeff!r} at {idx!r} is not a "
-                        "nonnegative integer"
-                    )
-                if coeff:
-                    terms[idx] = coeff
-            self._product_cache[key] = terms
+            terms = self._cache_product(a, b)
         return HeckeElement._of(self, terms)
+
+    def product_terms(self, a, b) -> dict:
+        """The term dict :meth:`multiply_basis` wraps: checked once, cached, so only read it."""
+        terms = self._product_cache.get((a, b))
+        return self._cache_product(a, b) if terms is None else terms
+
+    def _cache_product(self, a, b) -> dict:
+        terms = self._product_cache[(a, b)] = structure_constants(
+            self._basis_product(a, b).items()
+        )
+        return terms
 
     def element(self, terms) -> "HeckeElement":
         return HeckeElement(self, terms)
@@ -205,6 +209,24 @@ def exact(value) -> int | Fraction:
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return value
     raise TypeError(f"coefficients must be int or Fraction, got {type(value)!r}")
+
+
+def structure_constants(items) -> dict:
+    """Term dict of ``(index, coefficient)`` pairs that count cosets, checked as it is made.
+
+    A structure constant is a plain nonnegative ``int`` (``bool`` is not a
+    count); any other coefficient is an AssertionError naming its index.
+    Zero coefficients are dropped.
+    """
+    terms = {}
+    for idx, coeff in items:
+        if type(coeff) is not int or coeff < 0:
+            raise AssertionError(
+                f"structure constant {coeff!r} at {idx!r} is not a nonnegative integer"
+            )
+        if coeff:
+            terms[idx] = coeff
+    return terms
 
 
 def int_str_limit() -> int:

@@ -18,8 +18,10 @@ The generated product of a word pair ``(w1, w2)`` is kept on the algebra,
 so ``(w1, w2)`` asked again is one lookup and ``(w1, w2 + letter)`` is one
 rewriting step.  A table or sweep asks for the words in length order, so
 each of its cells costs one step; a pair whose one-letter-shorter pair was
-never asked for is rewritten letter by letter from ``w1``.  The closed form
-keeps its own terms, one dict per left word, right word and result flag.
+never asked for is rewritten letter by letter from ``w1``.  Its terms are
+keyed by :class:`DeltaIndex` once per left word, right word and result flag;
+the closed form keeps its own terms, one dict per such triple, checked as
+integral counts when it is kept.
 
 Coherence boundary: a type-exchanging automorphism forces equal branching
 at the two vertex types, so the inversion-decorated sector is a genuine
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import HeckeAlgebra, HeckeElement, branching
+from .core import HeckeAlgebra, HeckeElement, branching, structure_constants
 
 LETTERS = ("s", "t")
 
@@ -115,6 +117,7 @@ class IwahoriAlgebra(HeckeAlgebra):
         self.qs = qs
         self.qt = qt
         self._word_products = {}  # (w1, w2) -> rewritten product, see _word_product
+        self._generated_products = {}  # (left, right, iflag) -> terms, see _basis_product
         self._closed_products = {}  # (left, right, iflag) -> terms, see multiply_closed
 
     def letter_weight(self, letter: str) -> int:
@@ -189,12 +192,23 @@ class IwahoriAlgebra(HeckeAlgebra):
         return terms
 
     def _basis_product(self, a: DeltaIndex, b: DeltaIndex) -> dict:
+        """The rewritten product keyed by :class:`DeltaIndex`, kept per left word, right word and flag.
+
+        As in :meth:`multiply_closed`, the product depends on ``a`` and
+        ``b`` only through that triple, so each kept word product is keyed
+        once.  The kept dict is shared, so it is never mutated;
+        :meth:`multiply_basis` checks it and caches its own copy.
+        """
         left = bar(a.word) if b.iflag else a.word
         iflag = a.iflag ^ b.iflag
-        return {
-            DeltaIndex(iflag, word): coeff
-            for word, coeff in self._word_product(left, b.word).items()
-        }
+        key = (left, b.word, iflag)
+        terms = self._generated_products.get(key)
+        if terms is None:
+            terms = self._generated_products[key] = {
+                DeltaIndex(iflag, word): coeff
+                for word, coeff in self._word_product(left, b.word).items()
+            }
+        return terms
 
     def multiply_by_generator(
         self, letter: str, x: HeckeElement, side: str = "left"
@@ -232,18 +246,20 @@ class IwahoriAlgebra(HeckeAlgebra):
         terms are kept under that triple: flipping both flags and swapping
         the letters of the left word gives the same entry (``is * i`` and
         ``t * 1`` share one).  Each kept dict is the term dict of every
-        element returned for it, so it is never mutated.  Every closed-form
-        coefficient is a positive int, so the dict is wrapped as it is.
+        element returned for it, so it is never mutated.  Its coefficients
+        are checked once, when it is kept (:func:`core.structure_constants`),
+        so a caller may read the element's terms as counts without checking
+        them again.
         """
         left = bar(a.word) if b.iflag else a.word
         iflag = a.iflag ^ b.iflag
         key = (left, b.word, iflag)
         terms = self._closed_products.get(key)
         if terms is None:
-            terms = self._closed_products[key] = {
-                DeltaIndex(iflag, word): coeff
+            terms = self._closed_products[key] = structure_constants(
+                (DeltaIndex(iflag, word), coeff)
                 for word, coeff in self._word_product_closed(left, b.word).items()
-            }
+            )
         return HeckeElement._of(self, terms)
 
     def words_up_to(self, max_len: int, with_iflag: bool = True) -> list:

@@ -13,21 +13,26 @@ a single-constant reference beside it.
 The histograms come from one anchored climb (:func:`_anchored_climb`).  A
 block is a contiguous range of one sphere (a sphere, the edges at one
 crossing word, the members of one horocycle class) and a witness is one
-fixed vertex.  The witness's ancestor offsets are read once; then each
-vertex of the block climbs its own offset toward the root until it meets
-the marked ray or the witness's path to it, and the depth of that meeting
-fixes the vertex's confluence depth, crossing word or confluence class.
-The climb runs one depth at a time over a chunk of at most
-:data:`CLIMB_CHUNK` vertices: the chunk's offsets are listed, the ones on
-the anchor at that depth are counted and dropped, and each of the others
-is divided on its own by the branching above it, so memory stays bounded
-by the chunk, not the block.  Every vertex of the block is enumerated and
-climbed, none is skipped by arithmetic on the block as a whole.  The
-Iwahori witnesses all lie on one apartment through the base edge, the
-marked ray and one branch off it, so each edge group is climbed once,
-against the deepest witness of that branch, and the one climb gives its
-crossing words to every witness; every edge of the group is still
-enumerated.  The single-constant references
+fixed vertex.  The anchor is the marked ray together with the paths of the
+witnesses up to it; their offsets are read once.  Then each vertex of the
+block climbs its own offset toward the root until it lands on the anchor,
+and the vertex it lands on fixes where it meets each witness, hence its
+confluence depth, crossing word or confluence class.  The climb runs one
+depth at a time over a chunk of at most :data:`CLIMB_CHUNK` vertices: the
+chunk's offsets are listed, the ones on the anchor at that depth are
+counted and dropped, and each of the others is divided on its own by the
+branching above it, so memory stays bounded by the chunk, not the block.
+Every vertex of the block is enumerated and climbed, none is skipped by
+arithmetic on the block as a whole.  A sphere is climbed against the ray
+alone.  The Iwahori witnesses all lie on one apartment through the base
+edge, the marked ray and one branch off it, so each edge group is climbed
+once, against the deepest witness of that branch, and the one climb gives
+its crossing words to every witness.  The horocycle witnesses, the first
+member of each class, hang off the marked ray as the teeth of a comb, one
+per class, so each class block is climbed once against the whole comb and
+the one climb gives its confluence classes from every witness.  Witnesses
+are found by offset arithmetic, so only the blocks actually climbed count
+against the ball's budget.  The single-constant references
 (:func:`spherical_constant`, :func:`iwahori_constant`,
 :func:`horocycle_constant`) stay per-vertex: they measure each vertex with
 the generic :func:`distance`, :func:`weyl_distance` or confluence-class
@@ -92,7 +97,8 @@ class TreeBall(Frozen):
 
     ``memo`` holds the histograms the per-cell oracles read, one inner dict
     per kind (``"depths"``, ``"tables"``, ``"classes"``; a word table is kept
-    with the rows :func:`iwahori_product` has keyed from it).  They depend only
+    with the rows :func:`iwahori_product` has keyed from it, and a class
+    block's histograms as one list, one per witness).  They depend only
     on the ball, so they live as long as it does, and a pickle or copy of the
     ball carries them.  Two balls are equal only if they are the same object.
     """
@@ -222,55 +228,66 @@ def ray_confluence_depth(ball: TreeBall, v: int) -> int:
     return d
 
 
-def _anchored_climb(ball: TreeBall, block: range, witness: int) -> Counter:
-    """Where each vertex of ``block`` meets the anchor of ``witness``, as a histogram.
+def _anchored_climb(ball: TreeBall, block: range, *witnesses: int) -> Counter:
+    """Where each vertex of ``block`` lands on the anchor of ``witnesses``, as a histogram.
 
     ``block`` is a contiguous range of one sphere.  The anchor is the marked
-    ray together with the path from the witness up to it.  Each vertex of
-    the block climbs its offset one depth at a time (the parent of offset
-    ``i`` at depth ``e`` is offset ``i // width[e - 1]``) until it lands on
-    the anchor.  Key ``e >= 0`` counts the vertices that land on the marked
-    ray at depth ``e``, which is their :func:`ray_confluence_depth`; key
-    ``-e < 0`` counts those that land on the witness's path off the ray at
-    depth ``e``, which is then their deepest common ancestor with the
-    witness.  The counts sum to ``len(block)``.
+    ray together with the path from each witness up to it; with no witness
+    it is the ray alone.  Each vertex of the block climbs its offset one
+    depth at a time (the parent of offset ``i`` at depth ``e`` is offset
+    ``i // width[e - 1]``) until it lands on the anchor, at its deepest
+    common ancestor with it.  Key ``x`` counts the vertices that land on
+    anchor vertex ``x``.  A landing on the marked ray is at the vertices'
+    :func:`ray_confluence_depth`.  Since the anchor holds the ray and every
+    witness's path to it, a vertex meets each witness, and leaves the ray,
+    where its landing vertex does.  The counts sum to ``len(block)``.
 
     The block is climbed in chunks of at most :data:`CLIMB_CHUNK` vertices,
     each one depth at a time: the chunk's offsets at the block's depth are
-    a list, and at each depth the offsets on the anchor (0 on the marked
-    ray, the witness's ancestor on its path) are counted and dropped, and
-    every other offset is divided on its own into its parent's offset one
-    depth up.  At depth 0 every offset left is the root's, on the ray.
+    a list, kept in order, and at each depth the offsets on the anchor (0
+    on the marked ray, a witness's ancestor off it) are counted and
+    dropped, and every other offset is divided on its own into its parent's
+    offset one depth up.  At depth 0 every offset left is the root's, on
+    the ray.  So a climb against several witnesses enumerates and climbs
+    each vertex of the block once, as a climb against one does.
     """
     ss, width = ball.sphere_start, ball.width
     d = ball.depth(block.start)
     if block and block.stop > ss[d + 1]:
         raise ValueError(f"block {block} spans more than one sphere")
-    # anchor[e]: offset of the witness's ancestor at depth e, -1 below the witness
-    anchor = [-1] * (d + 1)
-    e = ball.depth(witness)
-    o = witness - ss[e]
-    while e > d:
-        e -= 1
-        o //= width[e]
-    anchor[e] = o
-    while e:
-        e -= 1
-        o //= width[e]
-        anchor[e] = o
+    # off[e]: offsets of the witnesses' ancestors at depth e that are off the marked ray
+    off = [()] * (d + 1)
+    for w in witnesses:
+        e = ball.depth(w)
+        o = w - ss[e]
+        while e > d:
+            e -= 1
+            o //= width[e]
+        while o and o not in off[e]:  # above a vertex already listed, all are
+            off[e] += (o,)
+            e -= 1
+            o //= width[e]
 
     landed = Counter()
     first, last = block.start - ss[d], block.stop - ss[d]
     for start in range(first, last, CLIMB_CHUNK):
         level = list(range(start, min(start + CLIMB_CHUNK, last)))
         for e in range(d, 0, -1):
-            on_ray = level.count(0)
-            a, w = anchor[e], width[e - 1]
-            climbing = [o // w for o in level if o and o != a]
-            if on_ray:
-                landed[e] += on_ray
-            if len(level) - on_ray > len(climbing):
-                landed[-e] += len(level) - on_ray - len(climbing)
+            anchor, w = off[e], width[e - 1]
+            if not anchor:
+                climbing = [o // w for o in level if o]
+            elif len(anchor) == 1:
+                a = anchor[0]
+                climbing = [o // w for o in level if o and o != a]
+            else:
+                climbing = [o // w for o in level if o and o not in anchor]
+            if len(climbing) < len(level):
+                lo, hi = level[0], level[-1]
+                if not lo:
+                    landed[ss[e]] += level.count(0)
+                for a in anchor:
+                    if lo <= a <= hi and (count := level.count(a)):
+                        landed[ss[e] + a] += count
             level = climbing
             if not level:
                 break
@@ -311,7 +328,7 @@ def spherical_product(ball: TreeBall, n: int, m: int) -> dict:
     ``v`` of the ``n``-sphere to it is determined by the depth at which the
     path from ``v`` to the root meets the ray.  So the vector is read from
     the histogram of those depths over the ``n``-sphere, which does not
-    depend on ``m``; it is one anchored climb of the sphere against the root,
+    depend on ``m``; it is one anchored climb of the sphere with no witness,
     whose anchor is the marked ray.  The ball's memo keeps it under ``n``, so
     each sphere is measured once and every ``m`` is read from it.
     """
@@ -322,7 +339,8 @@ def spherical_product(ball: TreeBall, n: int, m: int) -> dict:
     cache = ball.memo.setdefault("depths", {})
     depths = cache.get(n)
     if depths is None:
-        depths = cache[n] = _anchored_climb(ball, ball.sphere(n), 0)
+        landed = _anchored_climb(ball, ball.sphere(n))
+        depths = cache[n] = {ball.depth(x): size for x, size in landed.items()}
     counts: dict = {}
     for c, size in depths.items():
         k = n - m
@@ -438,7 +456,10 @@ def _word_table(ball: TreeBall, word_ef: str) -> dict:
     Maps ``word_fg`` to ``{word_eg: count}``: the number of edges ``f`` of
     the group at crossing word ``word_ef`` from the base edge whose crossing
     word to the witness at ``word_eg`` is ``word_fg``, for every witness the
-    ball reaches (words of length <= radius - 2).  The witnesses lie on one
+    ball reaches (words of length <= radius - 2).  Only the rows a cell can
+    read are kept: :func:`iwahori_product` asks for row ``w2`` of the group
+    at ``w1`` only when ``len(w1) + len(w2) <= radius - 2``, so a row longer
+    than ``radius - 2 - len(word_ef)`` is dropped.  The witnesses lie on one
     apartment (:func:`_witness_edges`), so the group is climbed once, every
     edge of it enumerated, against the deepest ``s...`` witness.  An edge
     landing on the marked ray at depth ``e`` meets a witness on the ray at
@@ -450,6 +471,7 @@ def _word_table(ball: TreeBall, word_ef: str) -> dict:
     edge, on the ray.
     """
     reach = ball.radius - 2
+    longest = reach - len(word_ef)
     witnesses = _witness_edges(ball, reach)
     ss = ball.sphere_start
     sides = []  # (word_eg, depth of the witness, whether it is on the marked ray)
@@ -459,12 +481,15 @@ def _word_table(ball: TreeBall, word_ef: str) -> dict:
     block = edges_by_weyl_word(ball, len(word_ef))[word_ef]
     d = ball.depth(block.start)
     table: dict = {}
-    for key, count in _anchored_climb(ball, block, witnesses[("st" * reach)[:reach]]).items():
-        on_ray, e = key >= 0, abs(key)
+    apex = witnesses[("st" * reach)[:reach]]
+    for x, count in _anchored_climb(ball, block, apex).items():
+        e = ball.depth(x)
         for word_eg, dg, ray_witness in sides:
-            dc = min(e, dg) if ray_witness == on_ray else 0
-            row = table.setdefault(_crossing_word(d, dg, dc), {})
-            row[word_eg] = row.get(word_eg, 0) + count
+            dc = min(e, dg) if ray_witness == (x == ss[e]) else 0
+            word_fg = _crossing_word(d, dg, dc)
+            if len(word_fg) <= longest:
+                row = table.setdefault(word_fg, {})
+                row[word_eg] = row.get(word_eg, 0) + count
     return table
 
 
@@ -598,32 +623,57 @@ def horocycle_members(ball: TreeBall, n: int) -> range:
     return ball._budgeted(start + span, start + ball.width[n] * span)
 
 
-def _class_histogram(ball: TreeBall, block: range, w: int) -> Counter:
-    """Confluence classes from ``w`` over the vertices of ``block``, by one anchored climb.
+def _horocycle_witnesses(ball: TreeBall, reach: int) -> list:
+    """The first member of each horocycle class ``k <= reach``, by offset arithmetic.
 
-    Equals ``Counter(horocycle_class(ball, v, w) for v in block)`` and, like
-    it, raises :class:`HorocycleMismatch` if any vertex of the block is off
-    the horocycle of ``w``.  A vertex landing on the path of ``w`` off the
-    marked ray has its ray toward the marked end merge with that of ``w``
-    there; one landing on the ray at depth ``e`` merges at depth
-    ``max(e, c)``, with ``c`` the ray confluence depth of ``w``.
+    Equals ``horocycle_members(ball, k)[0]`` for each ``k`` but hands out no
+    block, so no budget applies.  The witness of class ``k > 0`` is offset
+    ``span`` of sphere ``2k`` (:func:`horocycle_members`), the first vertex
+    below offset 1 of sphere ``k + 1``, so its path leaves the marked ray at
+    depth ``k``.  Together with the ray the witnesses' paths form a comb:
+    one tooth per class, tooth ``k`` hanging from ray vertex ``k`` down to
+    depth ``2k``, and no two teeth share a vertex.
     """
-    d, dw = ball.depth(block.start), ball.depth(w)
-    cw = ray_confluence_depth(ball, w)
-    classes = Counter()
-    for key, count in _anchored_climb(ball, block, w).items():
-        if key < 0:
-            n_v, n_w = d + key, dw + key
-        else:
-            top = max(key, cw)
-            n_v, n_w = d + top - 2 * key, dw + top - 2 * cw
-        if n_v != n_w:
-            raise HorocycleMismatch(
-                f"{count} vertices of {block} and vertex {w} lie on different horocycles"
-                f" ({n_v} != {n_w})"
-            )
-        classes[n_v] += count
-    return classes
+    ss, width = ball.sphere_start, ball.width
+    return [0] + [ss[2 * k] + prod(width[k + 1 : 2 * k]) for k in range(1, reach + 1)]
+
+
+def _class_histograms(ball: TreeBall, block: range, *witnesses: int) -> list:
+    """Confluence classes from each witness over the vertices of ``block``, by one climb.
+
+    Item ``i`` equals ``Counter(horocycle_class(ball, v, witnesses[i]) for v
+    in block)`` and, like it, sums to ``len(block)``; a vertex of the block
+    off the horocycle of any witness raises :class:`HorocycleMismatch`.  The
+    block is climbed once against all witnesses (:func:`_anchored_climb`),
+    and each vertex meets a witness where its landing vertex ``x`` does.
+    The path from ``x`` leaves the marked ray at depth ``c``, its ray
+    confluence depth, and that of the witness at ``cw``.  Unless ``c ==
+    cw`` and ``x`` is off the ray, the two meet on the ray, and the vertex's
+    ray toward the marked end merges with the witness's at depth ``max(c,
+    cw)``; otherwise they may meet off the ray, and if so their rays merge
+    where they meet.  On the comb of :func:`_horocycle_witnesses` that is
+    the witness whose tooth ``x`` lies on.
+    """
+    ss = ball.sphere_start
+    d = ball.depth(block.start)
+    sides = [(w, ball.depth(w), ray_confluence_depth(ball, w)) for w in witnesses]
+    histograms = [Counter() for _ in witnesses]
+    for x, count in _anchored_climb(ball, block, *witnesses).items():
+        c = ray_confluence_depth(ball, x)
+        off_ray = x != ss[c]
+        for classes, (w, dw, cw) in zip(histograms, sides):
+            if off_ray and c == cw and (dc := _meet(ball, x, w)[2]) > c:
+                n_v, n_w = d - dc, dw - dc
+            else:
+                top = max(c, cw)
+                n_v, n_w = d + top - 2 * c, dw + top - 2 * cw
+            if n_v != n_w:
+                raise HorocycleMismatch(
+                    f"{count} vertices of {block} and vertex {w} lie on different horocycles"
+                    f" ({n_v} != {n_w})"
+                )
+            classes[n_v] += count
+    return histograms
 
 
 def horocycle_constant(ball: TreeBall, m: int, n: int, k: int) -> int:
@@ -650,9 +700,14 @@ def horocycle_product(ball: TreeBall, m: int, n: int) -> dict:
     Maps each class ``k <= max(m, n)`` to ``horocycle_constant(ball, m, n,
     k)`` and omits the zeros.  Deeper classes are not counted: the
     confluence distance is an ultrametric, so a witness beyond ``max(m, n)``
-    cannot be reached.  The ball's memo maps ``(m, k)`` to the histogram of
-    confluence classes from the witness over the class-``m`` members, so
-    each pair is measured once and every ``n`` is read from it.
+    cannot be reached.  The witnesses of every class the ball reaches lie
+    on one comb (:func:`_horocycle_witnesses`), found by offset arithmetic,
+    so the class-``m`` members are climbed once against all of them.  The
+    ball's memo keeps, under ``m``, one histogram of confluence classes per
+    witness (:func:`_class_histograms`), so each class block is measured
+    once per ball, every vertex of it enumerated, and every ``n`` and ``k``
+    is read from it; only the blocks of the classes asked for are handed
+    out, so only they count against the budget.
     """
     if min(m, n) < 0:
         raise ValueError("horocycle classes must be nonnegative")
@@ -660,14 +715,13 @@ def horocycle_product(ball: TreeBall, m: int, n: int) -> dict:
     if ball.radius < 2 * top + 2:
         raise BallTooSmall(f"ball radius {ball.radius} < required {2 * top + 2}")
     cache = ball.memo.setdefault("classes", {})
+    histograms = cache.get(m)
+    if histograms is None:
+        witnesses = _horocycle_witnesses(ball, (ball.radius - 2) // 2)
+        histograms = cache[m] = _class_histograms(ball, horocycle_members(ball, m), *witnesses)
     counts: dict = {}
     for k in range(top + 1):
-        classes = cache.get((m, k))
-        if classes is None:
-            classes = cache[(m, k)] = _class_histogram(
-                ball, horocycle_members(ball, m), horocycle_members(ball, k)[0]
-            )
-        count = classes[n]
+        count = histograms[k][n]
         if count:
             counts[k] = count
     return counts

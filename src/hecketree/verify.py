@@ -10,17 +10,25 @@ measured once per sweep and shared between cells.  The SL2 sweep has no
 tree model: it compares its two routes point by point in the Prüfer group.
 
 Each route hands over one int vector per cell, computed or looked up once
-and compared as it is.  An algebraic route returns an element whose term
-dict :func:`_int_terms` hands over without a copy: the product cache's dict
-for ``multiply_basis``, the kept closed-form terms of Iwahori
-``multiply_closed``, the kept recursion row of ``multiply_recursive``, the
-one-pass tail sums of ``nf_to_m``.  The tree oracle hands over its own
-fresh vector: spherical counts keyed by distance (re-keyed by index only in
-two-orbit mode), horocycle counts keyed by class, and Iwahori counts keyed
-by ``(iflag, word)`` tuples, which compare and hash as the equal
-:class:`DeltaIndex` keys of the other routes.  Those tuples stay tuples
-until a mismatch is reported, and only the report turns them into
-:class:`DeltaIndex` to label them.
+and compared as it is, and the integrality of each term dict is checked
+where the dict is made.  A dict checked when it was kept is handed over
+as it is, with no element around it where the route allows: the product
+cache's dict from :meth:`HeckeAlgebra.product_terms` (checked by
+:func:`core.structure_constants` as it is cached), which spherical
+``multiply_closed`` also wraps, and the kept closed-form terms of Iwahori
+``multiply_closed``, checked when each is kept.  The two
+``multiply_closed`` routes still return elements, so that a replacement
+of either is what the sweep compares; the sweep reads their term dicts.
+The other routes keep a per-cell :func:`_int_terms`: the recursion rows
+of ``multiply_recursive``, kept but not checked when made, and the routes
+that build a fresh vector for each cell, the one-pass tail sums of
+``nf_to_m`` and the sl2 orbit spread.  The tree oracle hands over its own fresh vector: spherical
+counts keyed by distance (re-keyed by index only in two-orbit mode),
+horocycle counts keyed by class, and Iwahori counts keyed by ``(iflag,
+word)`` tuples, which compare and hash as the equal :class:`DeltaIndex`
+keys of the other routes.  Those tuples stay tuples until a mismatch is
+reported, and only the report turns them into :class:`DeltaIndex` to
+label them.
 """
 
 from __future__ import annotations
@@ -159,7 +167,8 @@ def verify_spherical(
     def routes(n, m):
         oracle = tree.spherical_product(ball, step * n, step * m)
         return {
-            "closed": _int_terms(algebra.multiply_closed(n, m)),
+            # the product cache's dict, checked when it was cached
+            "closed": algebra.multiply_closed(n, m)._terms,
             "recursive": _int_terms(algebra.multiply_recursive(n, m)),
             # keyed by distance, which is the basis index in homogeneous mode
             "oracle": oracle if step == 1 else {k // step: c for k, c in oracle.items()},
@@ -210,8 +219,9 @@ def verify_iwahori(
 
     def routes(a, b):
         vectors = {
-            "generated": _int_terms(algebra.multiply_basis(a, b)),
-            "closed": _int_terms(algebra.multiply_closed(a, b)),
+            "generated": algebra.product_terms(a, b),
+            # the kept closed-form terms, checked when they were kept
+            "closed": algebra.multiply_closed(a, b)._terms,
         }
         if oracle_decorated or (a.iflag == b.iflag == 0):
             vectors["oracle"] = tree.iwahori_product(ball, a.word, b.word, (a.iflag, b.iflag))
@@ -238,8 +248,11 @@ def verify_affine(
     The oracle vector of a cell covers classes up to max(m, n)
     (:func:`tree.horocycle_product`): the confluence distance is an
     ultrametric, so a witness at a deeper class cannot be reached and those
-    counts vanish identically (spot-checked separately in the tests).  Each
-    class is converted to normal form once per sweep, not once per cell.
+    counts vanish identically (spot-checked separately in the tests).  The
+    witnesses of all classes hang off the marked ray as one comb, so the
+    oracle climbs each class block once, against every witness, enumerating
+    every member of it: ``max_index + 1`` climbs per sweep.  Each class is
+    converted to normal form once per sweep, not once per cell.
     """
     algebra = HorocycleAlgebra(q)
     ball = tree.build_ball(q, q, 2 * max_index + 2, max_vertices)
@@ -248,7 +261,7 @@ def verify_affine(
 
     def routes(m, n):
         return {
-            "table": _int_terms(algebra.multiply_basis(m, n)),
+            "table": algebra.product_terms(m, n),
             "normal-form": _int_terms(nf_to_m(normal_forms[m] * normal_forms[n])),
             "oracle": tree.horocycle_product(ball, m, n),
         }

@@ -193,6 +193,19 @@ def test_zero_structure_constants_dropped_on_admission():
     assert algebra._product_cache == {(0, 0): {1: 2}}
 
 
+@pytest.mark.parametrize("bad", [True, -1, Fraction(1)])
+def test_product_terms_hands_over_the_checked_cached_dict(bad):
+    # product_terms is multiply_basis without the element: the same check
+    # on admission, and then the cached dict itself
+    with pytest.raises(AssertionError, match="not a nonnegative integer"):
+        _ToyAlgebra({0: bad}).product_terms(0, 0)
+    algebra = _ToyAlgebra({0: 0, 1: 2})
+    terms = algebra.product_terms(0, 0)
+    assert terms == {1: 2} and terms is algebra._product_cache[(0, 0)]
+    assert algebra.multiply_basis(0, 0)._terms is terms
+    assert algebra.product_terms(0, 0) is terms
+
+
 def test_terms_sorted_canonically():
     x = A.element({4: 1, 1: 2, 0: 3})
     assert [idx for idx, _ in x.terms()] == [0, 1, 4]

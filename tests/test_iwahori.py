@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -192,6 +193,33 @@ def test_kept_word_products_match_in_any_order(qs, qt):
         )
         assert algebra.multiply_basis(a, b) == expected, (a, b)
     assert len(algebra._word_products) == 11 * 11
+
+
+@pytest.mark.parametrize(
+    "made, route",
+    [("_word_product_closed", "multiply_closed"), ("_basis_product", "multiply_basis")],
+)
+def test_kept_terms_are_checked_where_they_are_made(monkeypatch, made, route):
+    # a sweep reads the kept dicts of both routes as counts, unchecked, so a
+    # non-integral coefficient must fail when the dict is made and kept
+    def half(self, *args):
+        return {"st" if made == "_word_product_closed" else DeltaIndex(0, "st"): Fraction(1, 2)}
+
+    monkeypatch.setattr(IwahoriAlgebra, made, half)
+    algebra = IwahoriAlgebra(2, 3)
+    s, t = DeltaIndex(0, "s"), DeltaIndex(0, "t")
+    with pytest.raises(AssertionError, match=r"Fraction\(1, 2\) at DeltaIndex\(iflag=0, word='st'\)"):
+        getattr(algebra, route)(s, t)
+    assert algebra._closed_products == algebra._product_cache == {}
+
+
+def test_generated_products_are_keyed_once_per_triple():
+    # is * i and t * 1 share left word t, right word 1 and flag 0
+    algebra = IwahoriAlgebra(2, 2)
+    first = algebra._basis_product(*map(algebra.parse_label, ("t", "1")))
+    assert algebra._basis_product(*map(algebra.parse_label, ("is", "i"))) is first
+    assert list(algebra._generated_products) == [("t", "", 0)]
+    assert algebra.product_terms(algebra.parse_label("is"), algebra.parse_label("i")) == first
 
 
 def test_star_reverses_words():

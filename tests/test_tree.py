@@ -478,8 +478,8 @@ def test_ball_memo_changes_no_count(monkeypatch, name, sweep, oracle_cells):
     [
         # one table per word group from the base edge: the 11 words of length <= 5
         (lambda: verify.verify_iwahori(2, 2, 5), "tables", 11),
-        # (m, k) pairs with k <= max(m, n) for some n <= 7: all 8 * 8
-        (lambda: verify.verify_affine(2, 7), "classes", 64),
+        # one per class block 0..7, each climbed once against all 8 witnesses
+        (lambda: verify.verify_affine(2, 7), "classes", 8),
         # one per sphere radius 0..8
         (lambda: verify.verify_spherical(SphericalParams.homogeneous(2), 8), "depths", 9),
     ],
@@ -501,6 +501,22 @@ def test_sweep_measures_each_histogram_once(monkeypatch, sweep, kind, histograms
     (ball,) = balls
     assert len(ball.memo[kind]) == len(climbs) == histograms
     assert list(ball.memo) == [kind]
+
+
+def test_affine_sweep_keeps_whole_histograms(monkeypatch):
+    # one histogram per class block and witness, each over every member
+    balls = []
+    build_ball = tree.build_ball
+    monkeypatch.setattr(
+        tree, "build_ball", lambda *args: balls.append(build_ball(*args)) or balls[-1]
+    )
+    assert verify.verify_affine(3, 5).ok
+    (ball,) = balls
+    kept = ball.memo["classes"]
+    assert sorted(kept) == list(range(6))
+    for m, histograms in kept.items():
+        assert len(histograms) == 6
+        assert {sum(h.values()) for h in histograms} == {len(tree.horocycle_members(ball, m))}
 
 
 class _ExplicitBall:
@@ -597,8 +613,9 @@ def _landing(ball, v, w):
     """Per-vertex reference for one key of the anchored climb of ``v`` against ``w``."""
     dc = tree._meet(ball, v, w)[2]
     if dc > tree.ray_confluence_depth(ball, w):
-        return -dc  # the common ancestor is on the witness's path off the marked ray
-    return tree.ray_confluence_depth(ball, v)
+        # the common ancestor is on the witness's path off the marked ray
+        return tree.vertex_path(ball, w, 0)[ball.depth(w) - dc]
+    return ball.ray_vertex(tree.ray_confluence_depth(ball, v))
 
 
 @st.composite
@@ -648,13 +665,84 @@ def test_anchored_climb_matches_per_vertex_functions(case):
         expected = Counter(tree.horocycle_class(ball, v, w) for v in block)
     except tree.HorocycleMismatch:
         with pytest.raises(tree.HorocycleMismatch):
-            tree._class_histogram(ball, block, w)
+            tree._class_histograms(ball, block, w)
     else:
         # a sphere (ray vertex and the rest) or a mixed block holds vertices of
         # two horocycles, so no witness lies on the horocycle of all of them
         assert kind not in ("sphere", "mixed")
-        classes = tree._class_histogram(ball, block, w)
+        (classes,) = tree._class_histograms(ball, block, w)
         assert classes == expected and sum(classes.values()) == len(block)
+
+
+@st.composite
+def _comb_blocks(draw):
+    """A ball, a class block (or one straddling two horocycles) and several witnesses.
+
+    The witnesses are members of the root's horocycle classes: some the
+    first members, which form the comb a horocycle sweep climbs against, and
+    some not, so that two witnesses may share a path off the marked ray.
+    """
+    q0, q1 = draw(st.sampled_from([(2, 2), (3, 3), (2, 3), (3, 2)]))
+    ball = tree.build_ball(q0, q1, 8)
+    reach = 3
+    block = tree.horocycle_members(ball, draw(st.integers(0, reach)))
+    straddles = block.start > 0 and draw(st.booleans())
+    if straddles:  # one more vertex of the sphere, on another horocycle
+        block = draw(
+            st.sampled_from((range(block.start - 1, block.stop), range(block.start, block.stop + 1)))
+        )
+    comb = tree._horocycle_witnesses(ball, reach)
+    assert comb == [tree.horocycle_members(ball, k)[0] for k in range(reach + 1)]
+    members = st.integers(0, reach).flatmap(
+        lambda k: st.sampled_from(tree.horocycle_members(ball, k))
+    )
+    witnesses = draw(
+        st.one_of(
+            st.just(comb),
+            st.lists(st.one_of(st.sampled_from(comb), members), min_size=1, max_size=6),
+        )
+    )
+    return ball, block, witnesses, straddles
+
+
+def _anchor_landing(ball, v, witnesses):
+    """Per-vertex reference: the deepest vertex on the path from ``v`` to the root on the anchor."""
+    anchor = set(ball.ray())
+    for w in witnesses:
+        anchor.update(tree.vertex_path(ball, w, 0))
+    return next(u for u in tree.vertex_path(ball, v, 0) if u in anchor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_comb_blocks())
+def test_climb_against_several_witnesses_matches_per_vertex_classes(case):
+    ball, block, witnesses, straddles = case
+    climb = tree._anchored_climb(ball, block, *witnesses)
+    assert climb == Counter(_anchor_landing(ball, v, witnesses) for v in block)
+    if straddles:
+        # no witness lies on both horocycles of the block
+        with pytest.raises(tree.HorocycleMismatch):
+            tree._class_histograms(ball, block, *witnesses)
+        return
+    histograms = tree._class_histograms(ball, block, *witnesses)
+    assert len(histograms) == len(witnesses)
+    for w, classes in zip(witnesses, histograms):
+        assert classes == Counter(tree.horocycle_class(ball, v, w) for v in block), w
+        assert sum(classes.values()) == len(block)
+
+
+def test_horocycle_product_climbs_only_the_block_it_reads():
+    # the witnesses of every class the ball reaches are found by arithmetic,
+    # so a budget below the deepest class block still answers a shallow cell
+    q, reach = 3, 3
+    radius = 2 * reach + 2
+    deepest = len(tree.horocycle_members(tree.build_ball(q, q, radius), reach))
+    budgeted = tree.build_ball(q, q, radius, max_vertices=deepest - 1)
+    with pytest.raises(tree.BallBudgetExceeded):
+        tree.horocycle_members(budgeted, reach)
+    expected = tree.horocycle_product(tree.build_ball(q, q, radius), 0, 1)
+    assert tree.horocycle_product(budgeted, 0, 1) == expected == {1: 1}
+    assert list(budgeted.memo["classes"]) == [0]
 
 
 @pytest.mark.parametrize("q0, q1", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -674,7 +762,13 @@ def test_word_table_matches_per_edge_weyl_distance(q0, q1, radius):
                 tree.weyl_distance(ball, f, g) for f in groups[word_ef]
             ).items():
                 expected.setdefault(word_fg, {})[word_eg] = count
-        assert tree._word_table(ball, word_ef) == expected, word_ef
+        # a cell from this group reads row w2 only if len(word_ef) + len(w2)
+        # <= radius - 2 (iwahori_product's BallTooSmall guard); the table
+        # keeps exactly those rows, each as the per-edge count gives it
+        longest = radius - 2 - len(word_ef)
+        table = tree._word_table(ball, word_ef)
+        assert table == {w: row for w, row in expected.items() if len(w) <= longest}, word_ef
+        assert all(len(w) > longest for w in expected.keys() - table.keys()), word_ef
 
 
 @pytest.mark.parametrize("q0, q1", [(2, 2), (2, 3), (3, 2), (4, 3)])
