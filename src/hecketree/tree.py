@@ -274,6 +274,7 @@ def _anchored_climb(ball: TreeBall, block: range, *witnesses: int) -> Counter:
         level = list(range(start, min(start + CLIMB_CHUNK, last)))
         for e in range(d, 0, -1):
             anchor, w = off[e], width[e - 1]
+            # the ray alone and one path are the common anchors: test them by comparison
             if not anchor:
                 climbing = [o // w for o in level if o]
             elif len(anchor) == 1:
