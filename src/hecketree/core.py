@@ -104,6 +104,7 @@ class HeckeAlgebra:
         return self._cache_product(a, b) if terms is None else terms
 
     def _cache_product(self, a, b) -> dict:
+        """Check the structure constants of ``a * b`` and cache them."""
         terms = self._product_cache[(a, b)] = structure_constants(
             self._basis_product(a, b).items()
         )

@@ -18,10 +18,10 @@ The generated product of a word pair ``(w1, w2)`` is kept on the algebra,
 so ``(w1, w2)`` asked again is one lookup and ``(w1, w2 + letter)`` is one
 rewriting step.  A table or sweep asks for the words in length order, so
 each of its cells costs one step; a pair whose one-letter-shorter pair was
-never asked for is rewritten letter by letter from ``w1``.  Its terms are
-keyed by :class:`DeltaIndex` once per left word, right word and result flag;
-the closed form keeps its own terms, one dict per such triple, checked as
-integral counts when it is kept.
+never asked for is rewritten letter by letter from ``w1``.  The rewritten
+terms are keyed by :class:`DeltaIndex` once per left word, right word and
+result flag; the closed form keeps its own terms, one dict per such
+triple, checked as integral counts when it is kept.
 
 Coherence boundary: a type-exchanging automorphism forces equal branching
 at the two vertex types, so the inversion-decorated sector is a genuine
@@ -192,7 +192,7 @@ class IwahoriAlgebra(HeckeAlgebra):
         return terms
 
     def _basis_product(self, a: DeltaIndex, b: DeltaIndex) -> dict:
-        """The rewritten product keyed by :class:`DeltaIndex`, kept per left word, right word and flag.
+        """The rewritten product keyed by :class:`DeltaIndex`, kept per word pair and flag.
 
         As in :meth:`multiply_closed`, the product depends on ``a`` and
         ``b`` only through that triple, so each kept word product is keyed

@@ -22,13 +22,13 @@ of either is what the sweep compares; the sweep reads their term dicts.
 The other routes keep a per-cell :func:`_int_terms`: the recursion rows
 of ``multiply_recursive``, kept but not checked when made, and the routes
 that build a fresh vector for each cell, the one-pass tail sums of
-``nf_to_m`` and the sl2 orbit spread.  The tree oracle hands over its own fresh vector: spherical
-counts keyed by distance (re-keyed by index only in two-orbit mode),
-horocycle counts keyed by class, and Iwahori counts keyed by ``(iflag,
-word)`` tuples, which compare and hash as the equal :class:`DeltaIndex`
-keys of the other routes.  Those tuples stay tuples until a mismatch is
-reported, and only the report turns them into :class:`DeltaIndex` to
-label them.
+``nf_to_m`` and the sl2 orbit spread.  The tree oracle hands over its own
+fresh vector: spherical counts keyed by distance (re-keyed by index only
+in two-orbit mode), horocycle counts keyed by class, and Iwahori counts
+keyed by ``(iflag, word)`` tuples, which compare and hash as the equal
+:class:`DeltaIndex` keys of the other routes.  Those tuples stay tuples
+until a mismatch is reported, and only the report turns them into
+:class:`DeltaIndex` to label them.
 """
 
 from __future__ import annotations

@@ -208,7 +208,8 @@ def test_kept_terms_are_checked_where_they_are_made(monkeypatch, made, route):
     monkeypatch.setattr(IwahoriAlgebra, made, half)
     algebra = IwahoriAlgebra(2, 3)
     s, t = DeltaIndex(0, "s"), DeltaIndex(0, "t")
-    with pytest.raises(AssertionError, match=r"Fraction\(1, 2\) at DeltaIndex\(iflag=0, word='st'\)"):
+    named = r"Fraction\(1, 2\) at DeltaIndex\(iflag=0, word='st'\)"
+    with pytest.raises(AssertionError, match=named):
         getattr(algebra, route)(s, t)
     assert algebra._closed_products == algebra._product_cache == {}
 

@@ -688,9 +688,8 @@ def _comb_blocks(draw):
     block = tree.horocycle_members(ball, draw(st.integers(0, reach)))
     straddles = block.start > 0 and draw(st.booleans())
     if straddles:  # one more vertex of the sphere, on another horocycle
-        block = draw(
-            st.sampled_from((range(block.start - 1, block.stop), range(block.start, block.stop + 1)))
-        )
+        start, stop = block.start, block.stop
+        block = draw(st.sampled_from((range(start - 1, stop), range(start, stop + 1))))
     comb = tree._horocycle_witnesses(ball, reach)
     assert comb == [tree.horocycle_members(ball, k)[0] for k in range(reach + 1)]
     members = st.integers(0, reach).flatmap(
@@ -706,7 +705,7 @@ def _comb_blocks(draw):
 
 
 def _anchor_landing(ball, v, witnesses):
-    """Per-vertex reference: the deepest vertex on the path from ``v`` to the root on the anchor."""
+    """Per-vertex reference: the deepest anchor vertex on the path from ``v`` to the root."""
     anchor = set(ball.ray())
     for w in witnesses:
         anchor.update(tree.vertex_path(ball, w, 0))
