@@ -16,8 +16,8 @@ every algebra shares live here: branching numbers are read and bounded by
 :func:`branching`, :func:`shared` keeps one instance per class and
 parameters for the maps whose images must share a product cache, and
 :func:`structure_constants` checks a term dict of coset counts once, where
-it is made: the product cache's dicts, which :meth:`HeckeAlgebra.product_terms`
-hands out bare, and any dict a subclass keeps for another route.
+it is made: the product cache's dicts, which :meth:`HeckeAlgebra.multiply_basis`
+wraps without a copy, and any dict a subclass keeps for another route.
 
 Coefficient rule, owned by :func:`exact`: a coefficient is an ``int`` or a
 ``Fraction`` and is kept as given, never converted; anything else, ``bool``
@@ -92,23 +92,14 @@ class HeckeAlgebra:
         return hash((type(self), self._key()))
 
     def multiply_basis(self, a, b) -> "HeckeElement":
-        """Product of two basis elements, with structure constants cached."""
-        terms = self._product_cache.get((a, b))
+        """Product of two basis elements, with structure constants checked and cached."""
+        key = (a, b)
+        terms = self._product_cache.get(key)
         if terms is None:
-            terms = self._cache_product(a, b)
+            terms = self._product_cache[key] = structure_constants(
+                self._basis_product(a, b).items()
+            )
         return HeckeElement._of(self, terms)
-
-    def product_terms(self, a, b) -> dict:
-        """The term dict :meth:`multiply_basis` wraps: checked once, cached, so only read it."""
-        terms = self._product_cache.get((a, b))
-        return self._cache_product(a, b) if terms is None else terms
-
-    def _cache_product(self, a, b) -> dict:
-        """Check the structure constants of ``a * b`` and cache them."""
-        terms = self._product_cache[(a, b)] = structure_constants(
-            self._basis_product(a, b).items()
-        )
-        return terms
 
     def element(self, terms) -> "HeckeElement":
         return HeckeElement(self, terms)

@@ -11,14 +11,13 @@ tree model: it compares its two routes point by point in the Prüfer group.
 
 Each route hands over one int vector per cell, computed or looked up once
 and compared as it is, and the integrality of each term dict is checked
-where the dict is made.  A dict checked when it was kept is handed over
-as it is, with no element around it where the route allows: the product
-cache's dict from :meth:`HeckeAlgebra.product_terms` (checked by
-:func:`core.structure_constants` as it is cached), which spherical
-``multiply_closed`` also wraps, and the kept closed-form terms of Iwahori
-``multiply_closed``, checked when each is kept.  The two
-``multiply_closed`` routes still return elements, so that a replacement
-of either is what the sweep compares; the sweep reads their term dicts.
+where the dict is made.  A dict checked when it was kept is read from
+the route's element as it is: the product cache's dict, which
+``multiply_basis`` and spherical ``multiply_closed`` wrap (checked by
+:func:`core.structure_constants` as it is cached), and the kept
+closed-form terms of Iwahori ``multiply_closed``, checked when each is
+kept.  Every route still returns an element, so that a replacement of
+any is what the sweep compares; the sweep reads its term dict.
 The other routes keep a per-cell :func:`_int_terms`: the recursion rows
 of ``multiply_recursive``, kept but not checked when made, and the routes
 that build a fresh vector for each cell, the one-pass tail sums of
@@ -219,7 +218,8 @@ def verify_iwahori(
 
     def routes(a, b):
         vectors = {
-            "generated": algebra.product_terms(a, b),
+            # the product cache's dict, checked when it was cached
+            "generated": algebra.multiply_basis(a, b)._terms,
             # the kept closed-form terms, checked when they were kept
             "closed": algebra.multiply_closed(a, b)._terms,
         }
@@ -261,7 +261,8 @@ def verify_affine(
 
     def routes(m, n):
         return {
-            "table": algebra.product_terms(m, n),
+            # the product cache's dict, checked when it was cached
+            "table": algebra.multiply_basis(m, n)._terms,
             "normal-form": _int_terms(nf_to_m(normal_forms[m] * normal_forms[n])),
             "oracle": tree.horocycle_product(ball, m, n),
         }

@@ -193,17 +193,13 @@ def test_zero_structure_constants_dropped_on_admission():
     assert algebra._product_cache == {(0, 0): {1: 2}}
 
 
-@pytest.mark.parametrize("bad", [True, -1, Fraction(1)])
-def test_product_terms_hands_over_the_checked_cached_dict(bad):
-    # product_terms is multiply_basis without the element: the same check
-    # on admission, and then the cached dict itself
-    with pytest.raises(AssertionError, match="not a nonnegative integer"):
-        _ToyAlgebra({0: bad}).product_terms(0, 0)
+def test_multiply_basis_wraps_the_cached_dict():
+    # a sweep reads the element's terms as counts, so they must be the
+    # dict checked when it was cached, not a copy
     algebra = _ToyAlgebra({0: 0, 1: 2})
-    terms = algebra.product_terms(0, 0)
-    assert terms == {1: 2} and terms is algebra._product_cache[(0, 0)]
+    terms = algebra.multiply_basis(0, 0)._terms
+    assert terms is algebra._product_cache[(0, 0)]
     assert algebra.multiply_basis(0, 0)._terms is terms
-    assert algebra.product_terms(0, 0) is terms
 
 
 def test_terms_sorted_canonically():

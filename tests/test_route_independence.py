@@ -5,8 +5,8 @@ each route of each sweep runs on its own, at a small extent, with a fresh
 algebra, a fresh ball and emptied module caches, under ``sys.setprofile``,
 which collects the hecketree functions it enters.  Every route restates the
 expression its sweep in ``verify.py`` evaluates for a cell.  Two routes of a
-family may share only ``core.py`` (elements, ``multiply_basis``,
-``product_terms`` and the product cache, shared by design) and the functions of that family's
+family may share only ``core.py`` (elements, ``multiply_basis`` and the
+product cache, shared by design) and the functions of that family's
 allowlist in ``SHARED``.  Since each route has an algebra of its own, a
 route that reached another route's ``_basis_product`` through ``core``
 would enter it, and fail here.
@@ -121,7 +121,7 @@ def iwahori_routes(qs: int, qt: int, top: int) -> dict:
     def generated():
         algebra = IwahoriAlgebra(qs, qt)
         for a, b in cells:
-            algebra.product_terms(a, b)
+            algebra.multiply_basis(a, b)
 
     def closed():
         algebra = IwahoriAlgebra(qs, qt)
@@ -144,7 +144,7 @@ def affine_routes(q: int, top: int) -> dict:
     def table():
         algebra = HorocycleAlgebra(q)
         for m, n in cells:
-            algebra.product_terms(m, n)
+            algebra.multiply_basis(m, n)
 
     def normal_form():
         algebra = HorocycleAlgebra(q)
