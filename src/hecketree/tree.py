@@ -277,7 +277,7 @@ def _anchored_climb(ball: TreeBall, block: range, *witnesses: int) -> Counter:
             # the ray alone (spheres) and one path (Iwahori groups) are the
             # common anchors: testing them by comparison makes sphere 5 at
             # q = 4 climb in 290 us, not 365, and the --len 5 groups of
-            # (2, 3) in 150 us, not 180 (in-process, CPython 3.11)
+            # (2, 3) in 150 us, not 180 (in-process, CPython 3.11, 2 vCPU)
             if not anchor:
                 climbing = [o // w for o in level if o]
             elif len(anchor) == 1:
