@@ -7,17 +7,25 @@ to for an AF algebra crossed by a single endomorphism (both odd K-groups of
 the coefficient algebra vanish, so the K-groups of the crossed product are
 the cokernel and kernel of the induced map minus the identity).
 
-Only ``smith_normal_form`` returns the witnesses U and V, which ride along
-in the elimination as identities appended to M's rows and stacked below
-them.  ``cokernel``, ``kernel_rank``, ``pv_k_groups`` and
-``truncated_limit`` read the diagonal alone, so they run the same
-elimination on M's bare rows.  The elimination clears each pivot's column
-by a Euclid loop of row operations before it touches the pivot's row, which
-keeps V's entries to a few hundred digits and U's to a few dozen on a
-32 x 32 matrix of one-digit entries.  The tests check that diagonal against
-``smith_normal_form`` and, independently, against the determinantal divisors
-(gcds of k x k minors); they pin the bytes of D, which the Smith form fixes,
-apart from those of U and V, which the pivot rule fixes.
+The module has two eliminations.  The Smith elimination serves
+``smith_normal_form``, ``cokernel`` and ``pv_k_groups``.  Only
+``smith_normal_form`` returns the witnesses U and V, which ride along in the
+elimination as identities appended to M's rows and stacked below them;
+``cokernel`` and ``pv_k_groups`` read the diagonal alone, so they run the
+same elimination on M's bare rows.  The elimination clears each pivot's
+column by a Euclid loop of row operations before it touches the pivot's
+row, which keeps V's entries to a few hundred digits and U's to a few dozen
+on a 32 x 32 matrix of one-digit entries.  The tests check that diagonal
+against ``smith_normal_form`` and, independently, against the determinantal
+divisors (gcds of k x k minors); they pin the bytes of D, which the Smith
+form fixes, apart from those of U and V, which the pivot rule fixes.
+
+The fraction-free (Bareiss) elimination serves ``IntMatrix.det`` and
+``kernel_rank``: rank over Z is rank over Q, so a kernel rank needs no
+invariant factors.  Its entries are minors of M, so they stay exact
+integers without a Euclid loop.  Rank thus has two independent routes, the
+Smith diagonal (``SNFResult.rank``) and the fraction-free loop, which
+``test_transform_free_routes_match_smith_normal_form`` compares.
 
 Truncated limits, not symbolic ones: the machinery reports finite stages and
 flags when consecutive stages agree, which is what desk-scale verification
@@ -33,13 +41,20 @@ from typing import NamedTuple
 from .core import Frozen, _rebuild, int_limit_error, int_str_limit, unprintable_int
 
 
+def _index(x) -> int:
+    """``operator.index(x)``, except that a bool is a TypeError, never read as 0 or 1."""
+    if x.__class__ is bool:
+        raise TypeError(f"expected an integer, got the bool {x!r}")
+    return operator.index(x)
+
+
 class IntMatrix(Frozen):
     """Immutable rectangular matrix with exact integer entries."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple):
-        rows = tuple(tuple(operator.index(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(_index, row)) for row in entries)
         if rows and any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("matrix rows have unequal lengths")
         self._set(rows)
@@ -92,29 +107,59 @@ class IntMatrix(Frozen):
         )
 
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant: the last pivot of the fraction-free elimination, signed.
+
+        The last pivot is the minor of every pivot row and column, so it is
+        the determinant up to the row swaps' sign when the rank is full; a
+        smaller rank means a zero determinant.
+        """
         n = self.rows
         if n != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        rank, sign, pivot = _fraction_free(self.to_lists(), n, n)
+        return sign * pivot if rank == n else 0
+
+
+def _fraction_free(a: list, rows: int, cols: int) -> tuple:
+    """Fraction-free (Bareiss) elimination of the ``rows`` x ``cols`` list of rows ``a``, in place.
+
+    Returns ``(rank, sign, pivot)``: the rank, the sign of the row swaps and
+    the last pivot (1 for rank 0).  Columns are taken in order.  The first
+    row not yet a pivot row with a nonzero entry in the column is swapped up
+    to be the next pivot row; a column with none is skipped.  After a pivot
+    p, with ``prev`` the one before it, each entry z right of the pivot
+    column in a row below becomes ``(z * p - x * y) // prev``, where x is
+    the row's pivot-column entry and y the pivot row's entry above z.  Every
+    entry is then a minor of the matrix ``a`` held (Sylvester's identity),
+    so each quotient is exact and the last pivot is the minor of all pivot
+    rows and columns.  What would change nothing is skipped: a row with
+    x = 0 while p = prev, and a pair with z = y = 0.
+    """
+    rank, sign, prev = 0, 1, 1
+    for k in range(cols):
+        if rank == rows:
+            break
+        for i in range(rank, rows):
+            if a[i][k]:
+                break
+        else:
+            continue
+        if i != rank:
+            a[rank], a[i] = a[i], a[rank]
+            sign = -sign
+        pivot_row = a[rank]
+        p = pivot_row[k]
+        for i in range(rank + 1, rows):
+            row = a[i]
+            x = row[k]
+            if x or p != prev:
+                for j in range(k + 1, cols):
+                    z, y = row[j], pivot_row[j]
+                    if z or y:
+                        row[j] = (z * p - x * y) // prev
+        prev = p
+        rank += 1
+    return rank, sign, prev
 
 
 class SNFResult(NamedTuple):
@@ -318,8 +363,8 @@ class AbelianGroupPresentation(Frozen):
     __slots__ = ("free_rank", "invariant_factors")
 
     def __init__(self, free_rank: int, invariant_factors: tuple = ()):
-        free_rank = operator.index(free_rank)
-        factors = tuple(operator.index(x) for x in invariant_factors)
+        free_rank = _index(free_rank)
+        factors = tuple(map(_index, invariant_factors))
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         for i, x in enumerate(factors):
@@ -355,8 +400,12 @@ def cokernel(m: IntMatrix) -> AbelianGroupPresentation:
 
 
 def kernel_rank(m: IntMatrix) -> int:
-    """Rank of the integer kernel (the kernel is free)."""
-    return _kernel_rank(m.cols, _smith_diagonal(m.to_lists(), m.rows, m.cols))
+    """Rank of the integer kernel (the kernel is free): the columns less the rank over Q.
+
+    The rank comes from the fraction-free elimination, not the Smith
+    diagonal, which would find the invariant factors too.
+    """
+    return m.cols - _fraction_free(m.to_lists(), m.rows, m.cols)[0]
 
 
 class BratteliDiagram(Frozen):
@@ -365,7 +414,7 @@ class BratteliDiagram(Frozen):
     __slots__ = ("levels", "maps")
 
     def __init__(self, levels: tuple, maps: tuple = ()):
-        levels = tuple(tuple(operator.index(x) for x in level) for level in levels)
+        levels = tuple(tuple(map(_index, level)) for level in levels)
         maps = tuple(m if isinstance(m, IntMatrix) else IntMatrix.from_rows(m) for m in maps)
         if not levels:
             raise ValueError("diagram needs at least one level")

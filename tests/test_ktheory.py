@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -27,6 +28,8 @@ def test_matrix_validation_and_ops():
     m = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert m.rows == 2 and m.cols == 2
     assert m.det() == -2
+    with pytest.raises(ValueError):
+        IntMatrix.zeros(2, 3).det()
     assert (m @ IntMatrix.identity(2)) == m
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1], [2, 3]])
@@ -86,11 +89,12 @@ def int_matrices(draw, max_rows, max_cols, bound):
 
 
 @st.composite
-def low_rank_matrices(draw):
-    """Products of a rows x k and a k x cols matrix, up to 4 x 4: k bounds the
-    rank, so rank-deficient matrices are common, and k = 0 gives zero ones."""
-    left = draw(int_matrices(4, 4, 3))
-    right = draw(int_matrices(4, 4, 3))
+def low_rank_matrices(draw, size=4, bound=3):
+    """Products of a rows x k and a k x cols matrix, up to size x size, with
+    factor entries in [-bound, bound]: k bounds the rank, so rank-deficient
+    matrices are common, and k = 0 gives zero ones."""
+    left = draw(int_matrices(size, size, bound))
+    right = draw(int_matrices(size, size, bound))
     inner = draw(st.integers(0, min(left.cols, right.rows)))
     a, b = left.entries, right.entries
     return IntMatrix.from_rows(
@@ -234,6 +238,17 @@ def test_diagram_validation():
 def test_non_integer_entries_are_not_truncated():
     with pytest.raises(TypeError):
         IntMatrix.from_rows([[1.5]])
+    # a bool is no integer entry either, as in core.exact and from_json
+    for make in (
+        lambda: IntMatrix.from_rows([[True, False]]),
+        lambda: IntMatrix(((1, 0), (0, True))),
+        lambda: BratteliDiagram(((True,),), ()),
+        lambda: BratteliDiagram(((1,), (1,)), ([[True]],)),
+        lambda: AbelianGroupPresentation(True),
+        lambda: AbelianGroupPresentation(0, (2, False)),
+    ):
+        with pytest.raises(TypeError, match="bool"):
+            make()
     with pytest.raises(TypeError):
         BratteliDiagram(((1.5,),), ())
     with pytest.raises(TypeError):
@@ -257,8 +272,6 @@ def test_truncated_limit_depth_bound():
 
 
 def _fraction_rank(m):
-    from fractions import Fraction
-
     rows = [[Fraction(x) for x in row] for row in m.entries]
     rank = 0
     col = 0
@@ -298,6 +311,60 @@ def test_snf_diagonal_product_matches_determinant(n, data):
     for x in snf.diagonal:
         prod *= x
     assert prod == abs(m.det())
+
+
+def _fraction_det(m):
+    """Determinant by Gaussian elimination over the rationals."""
+    rows = [[Fraction(x) for x in row] for row in m.entries]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            factor = rows[i][k] / rows[k][k]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[k])]
+    return det
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices up to 6 x 6 with entries in [-20, 20], the 0 x 0 one
+    included.  Half of them have about half their entries zero, so a zero
+    pivot entry (a row swap) and a column with no pivot left are common."""
+    n = draw(st.integers(0, 6))
+    entries = st.integers(-20, 20)
+    if draw(st.booleans()):
+        entries = st.one_of(st.just(0), entries)
+    return IntMatrix.from_rows([[draw(entries) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+@example(IntMatrix.from_rows([[0, 1, 2], [0, 3, 4], [5, 6, 7]]))
+@example(IntMatrix.from_rows([[0, 0, 1], [0, 2, 0], [3, 0, 0]]))
+@example(IntMatrix.from_rows([[1, 2, 3], [0, 0, 4], [0, 5, 6]]))
+def test_det_matches_rational_elimination(m):
+    assert m.det() == _fraction_det(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_rank_matrices(7, 4))
+@degenerate_shapes
+# row 2 has a zero pivot-column entry at a changed pivot, so it must be rescaled
+@example(IntMatrix.from_rows([[-4, 3, -5, -21], [3, -18, -12, -21], [0, -6, 0, -3], [-10, 3, 19, 3]]))
+def test_fraction_free_rank_of_low_rank_products(m):
+    # the fraction-free rank against the rational one and the Smith diagonal
+    assert kernel_rank(m) == m.cols - _fraction_rank(m) == smith_normal_form(m).kernel_rank
+
+
+def test_kernel_rank_of_toeplitz_maps_matches_smith_diagonal():
+    for m in toeplitz_bratteli(12).maps:
+        assert kernel_rank(m) == smith_normal_form(m).kernel_rank
 
 
 def test_pv_doubling_endomorphism():
