@@ -15,9 +15,11 @@ compare and hash equal, and overriding ``_key`` is optional.  The rules
 every algebra shares live here: branching numbers are read and bounded by
 :func:`branching`, :func:`shared` keeps one instance per class and
 parameters for the maps whose images must share a product cache, and
-:func:`structure_constants` checks a term dict of coset counts once, where
-it is made: the product cache's dicts, which :meth:`HeckeAlgebra.multiply_basis`
-wraps without a copy, and any dict a subclass keeps for another route.
+:func:`structure_constants` checks the coset counts of a basis product
+where the product cache admits them, in :meth:`HeckeAlgebra.multiply_basis`,
+which wraps the checked dict without a copy.  That is the one check: a
+``verify`` sweep compares every other route with a route that reads this
+cache, so a bad value elsewhere is a mismatch.
 
 Coefficient rule, owned by :func:`exact`: a coefficient is an ``int`` or a
 ``Fraction`` and is kept as given, never converted; anything else, ``bool``

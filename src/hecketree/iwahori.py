@@ -21,7 +21,7 @@ each of its cells costs one step; a pair whose one-letter-shorter pair was
 never asked for is rewritten letter by letter from ``w1``.  The rewritten
 terms are keyed by :class:`DeltaIndex` once per left word, right word and
 result flag; the closed form keeps its own terms, one dict per such
-triple, checked as integral counts when it is kept.
+triple.
 
 Coherence boundary: a type-exchanging automorphism forces equal branching
 at the two vertex types, so the inversion-decorated sector is a genuine
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import HeckeAlgebra, HeckeElement, branching, structure_constants
+from .core import HeckeAlgebra, HeckeElement, branching
 
 LETTERS = ("s", "t")
 
@@ -246,20 +246,19 @@ class IwahoriAlgebra(HeckeAlgebra):
         terms are kept under that triple: flipping both flags and swapping
         the letters of the left word gives the same entry (``is * i`` and
         ``t * 1`` share one).  Each kept dict is the term dict of every
-        element returned for it, so it is never mutated.  Its coefficients
-        are checked once, when it is kept (:func:`core.structure_constants`),
-        so a caller may read the element's terms as counts without checking
-        them again.
+        element returned for it, so it is never mutated.  Its terms are not
+        checked here: a sweep compares them with the generated product, whose
+        terms the product cache checks.
         """
         left = bar(a.word) if b.iflag else a.word
         iflag = a.iflag ^ b.iflag
         key = (left, b.word, iflag)
         terms = self._closed_products.get(key)
         if terms is None:
-            terms = self._closed_products[key] = structure_constants(
-                (DeltaIndex(iflag, word), coeff)
+            terms = self._closed_products[key] = {
+                DeltaIndex(iflag, word): coeff
                 for word, coeff in self._word_product_closed(left, b.word).items()
-            )
+            }
         return HeckeElement._of(self, terms)
 
     def words_up_to(self, max_len: int, with_iflag: bool = True) -> list:

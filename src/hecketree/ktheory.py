@@ -49,20 +49,25 @@ def _index(x) -> int:
 
 
 class IntMatrix(Frozen):
-    """Immutable rectangular matrix with exact integer entries."""
+    """Immutable rectangular matrix with exact integer entries.
 
-    __slots__ = ("entries",)
+    The column count is a field, so a matrix with no rows keeps it:
+    ``IntMatrix.zeros(0, 3)`` maps Z^3 to 0.  The constructor reads it off
+    the first row (0 when there is none).
+    """
+
+    __slots__ = ("entries", "cols")
 
     def __init__(self, entries: tuple):
         rows = tuple(tuple(map(_index, row)) for row in entries)
         if rows and any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("matrix rows have unequal lengths")
-        self._set(rows)
+        self._set(rows, len(rows[0]) if rows else 0)
 
     @classmethod
-    def _of(cls, rows: tuple) -> "IntMatrix":
-        """Wrap a tuple of equal-length tuples of ints without checking or copying it."""
-        return _rebuild(cls, (rows,))
+    def _of(cls, rows: tuple, cols: int) -> "IntMatrix":
+        """Wrap a tuple of tuples of ``cols`` ints each without checking or copying it."""
+        return _rebuild(cls, (rows, cols))
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -70,19 +75,15 @@ class IntMatrix(Frozen):
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._of(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls._of(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls._of(tuple((0,) * cols for _ in range(rows)))
+        return cls._of(tuple((0,) * cols for _ in range(rows)), cols)
 
     @property
     def rows(self) -> int:
         return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
 
     def to_lists(self) -> list:
         return [list(row) for row in self.entries]
@@ -90,10 +91,11 @@ class IntMatrix(Frozen):
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = list(zip(*other.entries)) if other.entries else []
+        ot = list(zip(*other.entries)) or [()] * other.cols
         mul = operator.mul
         return IntMatrix._of(
-            tuple(tuple(sum(map(mul, row, col)) for col in ot) for row in self.entries)
+            tuple(tuple(sum(map(mul, row, col)) for col in ot) for row in self.entries),
+            other.cols,
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
@@ -103,7 +105,8 @@ class IntMatrix(Frozen):
             tuple(
                 tuple(a - b for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
-            )
+            ),
+            self.cols,
         )
 
     def det(self) -> int:
@@ -221,9 +224,9 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     a += ([1 if i == j else 0 for j in range(cols)] for i in range(cols))
     _smith_eliminate(a, rows, cols)
     return SNFResult(
-        IntMatrix._of(tuple(tuple(row[cols:]) for row in a[:rows])),
-        IntMatrix._of(tuple(tuple(row[:cols]) for row in a[:rows])),
-        IntMatrix._of(tuple(map(tuple, a[rows:]))),
+        IntMatrix._of(tuple(tuple(row[cols:]) for row in a[:rows]), rows),
+        IntMatrix._of(tuple(tuple(row[:cols]) for row in a[:rows]), cols),
+        IntMatrix._of(tuple(map(tuple, a[rows:])), cols),
     )
 
 

@@ -9,25 +9,18 @@ call, read from histograms kept in the memo of the sweep's ball, so each is
 measured once per sweep and shared between cells.  The SL2 sweep has no
 tree model: it compares its two routes point by point in the Prüfer group.
 
-Each route hands over one int vector per cell, computed or looked up once
-and compared as it is, and the integrality of each term dict is checked
-where the dict is made.  A dict checked when it was kept is read from
-the route's element as it is: the product cache's dict, which
-``multiply_basis`` and spherical ``multiply_closed`` wrap (checked by
-:func:`core.structure_constants` as it is cached), and the kept
-closed-form terms of Iwahori ``multiply_closed``, checked when each is
-kept.  Every route still returns an element, so that a replacement of
-any is what the sweep compares; the sweep reads its term dict.
-The other routes keep a per-cell :func:`_int_terms`: the recursion rows
-of ``multiply_recursive``, kept but not checked when made, and the routes
-that build a fresh vector for each cell, the one-pass tail sums of
-``nf_to_m`` and the sl2 orbit spread.  The tree oracle hands over its own
-fresh vector: spherical counts keyed by distance (re-keyed by index only
-in two-orbit mode), horocycle counts keyed by class, and Iwahori counts
-keyed by ``(iflag, word)`` tuples, which compare and hash as the equal
-:class:`DeltaIndex` keys of the other routes.  Those tuples stay tuples
-until a mismatch is reported, and only the report turns them into
-:class:`DeltaIndex` to label them.
+Each route hands over the term dict it made or kept, one per cell,
+uncopied, and the sweep compares them as they are.  Structure constants
+are checked once, where the product cache admits them
+(:func:`core.structure_constants`), and every sweep compares each route
+with one that reads that cache, so a non-integral or negative value in
+any route is an ordinary mismatch: the report prints an ``int`` as a
+number and any other coefficient as its ``str`` (``"1/2"``).  The tree
+oracle's vector is fresh: spherical counts keyed by distance (re-keyed by
+index only in two-orbit mode), horocycle counts keyed by class, and
+Iwahori counts keyed by ``(iflag, word)`` tuples, which compare and hash
+as the equal :class:`DeltaIndex` keys of the other routes; only a
+mismatch report turns them into :class:`DeltaIndex`, to label them.
 """
 
 from __future__ import annotations
@@ -35,7 +28,6 @@ from __future__ import annotations
 import itertools
 
 from . import tree
-from .core import HeckeElement
 from .endstab import HorocycleAlgebra, m_to_nf, nf_to_m
 from .iwahori import DeltaIndex, IwahoriAlgebra, index_label
 from .sl2 import PruferElement, SL2EndAlgebra, orbit_convolution
@@ -81,28 +73,13 @@ class VerifyReport:
         }
 
 
-def _int_terms(x: HeckeElement) -> dict:
-    """Structure-constant dict of an element known to have integer coefficients.
-
-    When every coefficient is an ``int`` (a check made on the set of their
-    types) this is the element's own term dict, not a copy: it may be shared
-    with a memo, so the sweep only reads it.  Otherwise each coefficient is
-    converted, and a non-integral one is an AssertionError.
-    """
-    terms = x._terms
-    if set(map(type, terms.values())) <= {int}:
-        return terms
-    out = {}
-    for idx, coeff in terms.items():
-        if coeff.denominator != 1:
-            raise AssertionError(f"non-integral structure constant {coeff} at {idx!r}")
-        out[idx] = coeff.numerator
-    return out
-
-
 def _route_json(label, routes: dict) -> dict:
+    """The route vectors as JSON: an ``int`` is a number, any other coefficient its ``str``."""
     return {
-        name: {label(idx): coeff for idx, coeff in sorted(vec.items())}
+        name: {
+            label(idx): coeff if type(coeff) is int else str(coeff)
+            for idx, coeff in sorted(vec.items())
+        }
         for name, vec in routes.items()
     }
 
@@ -166,9 +143,8 @@ def verify_spherical(
     def routes(n, m):
         oracle = tree.spherical_product(ball, step * n, step * m)
         return {
-            # the product cache's dict, checked when it was cached
             "closed": algebra.multiply_closed(n, m)._terms,
-            "recursive": _int_terms(algebra.multiply_recursive(n, m)),
+            "recursive": algebra.multiply_recursive(n, m)._terms,
             # keyed by distance, which is the basis index in homogeneous mode
             "oracle": oracle if step == 1 else {k // step: c for k, c in oracle.items()},
         }
@@ -218,9 +194,7 @@ def verify_iwahori(
 
     def routes(a, b):
         vectors = {
-            # the product cache's dict, checked when it was cached
             "generated": algebra.multiply_basis(a, b)._terms,
-            # the kept closed-form terms, checked when they were kept
             "closed": algebra.multiply_closed(a, b)._terms,
         }
         if oracle_decorated or (a.iflag == b.iflag == 0):
@@ -261,9 +235,8 @@ def verify_affine(
 
     def routes(m, n):
         return {
-            # the product cache's dict, checked when it was cached
             "table": algebra.multiply_basis(m, n)._terms,
-            "normal-form": _int_terms(nf_to_m(normal_forms[m] * normal_forms[n])),
+            "normal-form": nf_to_m(normal_forms[m] * normal_forms[n])._terms,
             "oracle": tree.horocycle_product(ball, m, n),
         }
 
@@ -303,7 +276,7 @@ def verify_sl2(p: int, max_depth: int) -> VerifyReport:
         return {
             "orbit": {
                 g: coeff
-                for c, coeff in _int_terms(algebra.multiply_basis(a, b)).items()
+                for c, coeff in algebra.multiply_basis(a, b).items()
                 for g in c.members
             },
             "convolution": orbit_convolution(a, b),

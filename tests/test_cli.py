@@ -958,20 +958,28 @@ def test_verify_budget_checked_before_the_first_cell(capsys, monkeypatch, argv, 
     assert code == 0 and json.loads(out)["ok"] is True and climbs
 
 
-def _perturb(monkeypatch, owner, name, hit):
-    """Make the route ``owner.name`` add the unit to its result on the calls ``hit`` picks.
+def _add_one(out):
+    """The element plus the unit, or the tree vector with every count 1 higher."""
+    if isinstance(out, dict):
+        return {idx: count + 1 for idx, count in out.items()}
+    return out + out.algebra.one()
 
-    ``hit`` sees the positional arguments; every count of a tree vector gains 1.
+
+def _halve(out):
+    """The element with every coefficient c made ``Fraction(c, 2)``."""
+    return out.scale(Fraction(1, 2))
+
+
+def _perturb(monkeypatch, owner, name, hit, change=_add_one):
+    """Make the route ``owner.name`` return ``change(result)`` on the calls ``hit`` picks.
+
+    ``hit`` sees the positional arguments.
     """
     original = getattr(owner, name)
 
     def route(*args, **kwargs):
         out = original(*args, **kwargs)
-        if not hit(*args):
-            return out
-        if isinstance(out, dict):
-            return {idx: count + 1 for idx, count in out.items()}
-        return out + out.algebra.one()
+        return change(out) if hit(*args) else out
 
     monkeypatch.setattr(owner, name, route)
 
@@ -1042,10 +1050,18 @@ _NF_M1_M1 = m_to_nf(HorocycleAlgebra(3), 1) * m_to_nf(HorocycleAlgebra(3), 1)
     ],
 )
 def test_verify_reports_mismatch(capsys, monkeypatch, argv, owner, name, hit, keys, routes):
+    _assert_mismatch_report(capsys, monkeypatch, argv, owner, name, hit, keys, routes, _add_one)
+
+
+def _assert_mismatch_report(capsys, monkeypatch, argv, owner, name, hit, keys, routes, change):
+    """The sweep ``argv``, with ``owner.name`` perturbed by ``change``, exits 1 and reports ``keys``.
+
+    Each mismatch names ``routes`` and a replay line that exits 0; returns the report.
+    """
     code, out = run_cli(capsys, *argv)
     assert code == 0
     clean = json.loads(out)
-    _perturb(monkeypatch, owner, name, hit)
+    _perturb(monkeypatch, owner, name, hit, change)
     code, out = run_cli(capsys, *argv)
     doc = json.loads(out)
     assert code == 1
@@ -1057,6 +1073,66 @@ def test_verify_reports_mismatch(capsys, monkeypatch, argv, owner, name, hit, ke
         replay = shlex.split(mismatch["replay"])
         assert replay[:5] == ["hecketree", "mul", argv[1], *mismatch["key"]]
         assert run_cli(capsys, *replay[1:])[0] == 0
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv, owner, name, hit, keys, routes, halved",
+    [
+        (
+            ("verify", "spherical", "--q", "2", "--max", "2"),
+            SphericalAlgebra,
+            "multiply_recursive",
+            lambda self, n, m: (n, m) == (1, 2),
+            [["G1", "G2"]],
+            ["closed", "recursive", "oracle"],
+            "recursive",
+        ),
+        (
+            ("verify", "iwahori", "--qs", "2", "--qt", "2", "--len", "1"),
+            IwahoriAlgebra,
+            "multiply_closed",
+            lambda self, a, b: (self.basis_label(a), self.basis_label(b)) == ("s", "t"),
+            [["s", "t"]],
+            ["generated", "closed", "oracle"],
+            "closed",
+        ),
+        (
+            ("verify", "affine", "--q", "3", "--max", "2"),
+            verify,
+            "nf_to_m",
+            lambda x: x == _NF_M1_M1,
+            [["M1", "M1"]],
+            ["table", "normal-form", "oracle"],
+            "normal-form",
+        ),
+        (
+            ("verify", "sl2", "--p", "5", "--max", "1"),
+            SL2EndAlgebra,
+            "multiply_basis",
+            lambda self, a, b: (a.label(), b.label()) == ("1/5", "2/5"),
+            [["1/5", "2/5"]],
+            ["orbit", "convolution"],
+            "orbit",
+        ),
+    ],
+    ids=["spherical-recursive", "iwahori-closed", "affine-normal-form", "sl2-orbit"],
+)
+def test_verify_reports_a_non_integral_value_as_a_mismatch(
+    capsys, monkeypatch, argv, owner, name, hit, keys, routes, halved
+):
+    # only the product cache checks structure constants; any other route is
+    # checked by the comparison, so a halved coefficient is an ordinary
+    # mismatch whose report prints it as a fraction string
+    doc = _assert_mismatch_report(
+        capsys, monkeypatch, argv, owner, name, hit, keys, routes, _halve
+    )
+    for mismatch in doc["mismatches"]:
+        printed = {route: list(vec.values()) for route, vec in mismatch["routes"].items()}
+        fractions = printed.pop(halved)
+        assert all(type(c) is str for c in fractions)
+        assert any("/" in c for c in fractions)
+        assert all(type(c) is int for counts in printed.values() for c in counts)
 
 
 def test_verify_iwahori_mismatch_labels_oracle_keys(capsys, monkeypatch):

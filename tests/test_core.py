@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hecketree import verify
 from hecketree.core import HeckeAlgebra
 from hecketree.core import shared
 from hecketree.endstab import HorocycleAlgebra, ToeplitzAlgebra
@@ -337,15 +336,3 @@ def test_shared_keeps_one_instance_per_class_and_parameters():
     # typed: a float equal to a cached int reaches the constructor, which refuses it
     with pytest.raises(TypeError):
         shared(HorocycleAlgebra, 2.0)
-
-
-def test_int_terms_converts_integral_fractions_and_names_the_rest():
-    # the sweeps read int vectors; a Fraction reaches them only by a fault
-    M = HorocycleAlgebra(2)
-    terms = verify._int_terms(M.element({0: 1, 1: Fraction(3)}))
-    assert terms == {0: 1, 1: 3} and [type(c) for c in terms.values()] == [int, int]
-    ints = M.element({0: 1, 2: 5})
-    assert verify._int_terms(ints) is ints._terms
-    with pytest.raises(AssertionError) as excinfo:
-        verify._int_terms(M.element({0: 1, 2: Fraction(1, 2)}))
-    assert str(excinfo.value) == "non-integral structure constant 1/2 at 2"

@@ -37,6 +37,28 @@ def test_matrix_validation_and_ops():
         m @ IntMatrix.identity(3)
 
 
+@pytest.mark.parametrize("rows, cols", [(0, 3), (2, 0), (0, 0)])
+def test_a_matrix_without_rows_keeps_its_column_count(rows, cols):
+    # the column count is a field: Z^3 -> 0 is 0 x 3, with a rank-3 kernel
+    m = IntMatrix.zeros(rows, cols)
+    assert (m.rows, m.cols) == (rows, cols)
+    assert m != IntMatrix.zeros(rows, cols + 1)
+    assert kernel_rank(m) == cols
+    assert IntMatrix.zeros(2, rows) @ m == IntMatrix.zeros(2, cols)
+    assert m @ IntMatrix.zeros(cols, 4) == IntMatrix.zeros(rows, 4)
+    assert smith_normal_form(m) == (
+        IntMatrix.identity(rows),
+        IntMatrix.zeros(rows, cols),
+        IntMatrix.identity(cols),
+    )
+    _assert_snf_postconditions(m)
+
+
+def test_the_constructor_reads_the_column_count_off_the_first_row():
+    assert IntMatrix.from_rows([[1, 2, 3]]).cols == 3
+    assert IntMatrix.from_rows([[], []]).cols == IntMatrix.from_rows([]).cols == 0
+
+
 def test_det_examples():
     assert IntMatrix.identity(3).det() == 1
     assert IntMatrix.zeros(2, 2).det() == 0

@@ -20,7 +20,7 @@ P = PruferElement
 VALUES = {
     "IntMatrix": (
         lambda n: IntMatrix(entries=[[1, n], [3, 4]]),
-        "IntMatrix(entries=((1, 0), (3, 4)))",
+        "IntMatrix(entries=((1, 0), (3, 4)), cols=2)",
     ),
     "AbelianGroupPresentation": (
         lambda n: AbelianGroupPresentation(free_rank=n, invariant_factors=[2, 4]),
@@ -28,7 +28,7 @@ VALUES = {
     ),
     "BratteliDiagram": (
         lambda n: BratteliDiagram(levels=[(1,), (1, n + 1)], maps=[[[1], [2]]]),
-        "BratteliDiagram(levels=((1,), (1, 1)), maps=(IntMatrix(entries=((1,), (2,))),))",
+        "BratteliDiagram(levels=((1,), (1, 1)), maps=(IntMatrix(entries=((1,), (2,)), cols=1),))",
     ),
     "PruferElement": (lambda n: P(p=3, depth=1, num=n + 1), "1/3"),
     "DoubleCoset": (
@@ -47,7 +47,7 @@ VALUES = {
 
 #: The fields of each immutable class.
 FROZEN_FIELDS = {
-    "IntMatrix": ("entries",),
+    "IntMatrix": ("entries", "cols"),
     "AbelianGroupPresentation": ("free_rank", "invariant_factors"),
     "BratteliDiagram": ("levels", "maps"),
     "PruferElement": ("p", "depth", "num"),
