@@ -14,14 +14,14 @@ their mirror images on the right, and the inversion rules ``D_i^2 = 1``,
 ``D_i D_s D_i = D_t``.  A closed form for arbitrary word pairs is provided
 as an independent route and must agree with the generated product.
 
-The generated product of a word pair ``(w1, w2)`` is kept on the algebra,
-so ``(w1, w2)`` asked again is one lookup and ``(w1, w2 + letter)`` is one
-rewriting step.  A table or sweep asks for the words in length order, so
-each of its cells costs one step; a pair whose one-letter-shorter pair was
-never asked for is rewritten letter by letter from ``w1``.  The rewritten
-terms are keyed by :class:`DeltaIndex` once per left word, right word and
-result flag; the closed form keeps its own terms, one dict per such
-triple.
+Each route makes its terms keyed by :class:`DeltaIndex` and keeps one
+memo, one dict per left word, right word and result flag.  The generated
+product of such a triple is kept on the algebra, so the triple asked again
+is one lookup and ``(w1, w2 + letter, flag)`` is one rewriting step.  A
+table or sweep asks for the words in length order, so each of its cells
+costs one step; a triple whose one-letter-shorter triple was never asked
+for is rewritten letter by letter from ``w1``.  The closed form keeps its
+own terms, one dict per triple.
 
 Coherence boundary: a type-exchanging automorphism forces equal branching
 at the two vertex types, so the inversion-decorated sector is a genuine
@@ -116,8 +116,7 @@ class IwahoriAlgebra(HeckeAlgebra):
         super().__init__(qs, qt)
         self.qs = qs
         self.qt = qt
-        self._word_products = {}  # (w1, w2) -> rewritten product, see _word_product
-        self._generated_products = {}  # (left, right, iflag) -> terms, see _basis_product
+        self._word_products = {}  # (left, right, iflag) -> terms, see _word_product
         self._closed_products = {}  # (left, right, iflag) -> terms, see multiply_closed
 
     def letter_weight(self, letter: str) -> int:
@@ -159,31 +158,33 @@ class IwahoriAlgebra(HeckeAlgebra):
     def _words_times_letter(self, terms: dict, letter: str) -> dict:
         q = self.letter_weight(letter)
         out: dict = {}
-        for word, coeff in terms.items():
+        for idx, coeff in terms.items():
+            iflag, word = idx
             if word.endswith(letter):
-                shorter = word[:-1]
+                shorter = DeltaIndex(iflag, word[:-1])
                 out[shorter] = out.get(shorter, 0) + coeff * q
-                out[word] = out.get(word, 0) + coeff * (q - 1)
+                out[idx] = out.get(idx, 0) + coeff * (q - 1)
             else:
-                longer = word + letter
+                longer = DeltaIndex(iflag, word + letter)
                 out[longer] = out.get(longer, 0) + coeff
         return out
 
-    def _word_product(self, w1: str, w2: str) -> dict:
-        """Rewrite ``w1 * w2`` one letter of ``w2`` at a time, kept per word pair.
+    def _word_product(self, w1: str, w2: str, iflag: int) -> dict:
+        """Rewrite ``w1 * w2`` one letter of ``w2`` at a time into terms at flag ``iflag``.
 
-        A pair one letter shorter that was asked for before is one step
-        away; any other pair is rewritten from ``w1``.  Only the pairs asked
-        for are kept, not the prefixes of the loop, and the kept dicts are
-        shared, so they are never mutated.  (With ``w2`` empty the shorter
-        pair is the pair itself, never kept here, so ``w1 * 1`` is ``w1``.)
+        The product is kept per triple.  The triple one letter of ``w2``
+        shorter, if asked for before, is one step away; any other is
+        rewritten from ``w1``.  Only the triples asked for are kept, not the
+        prefixes of the loop, and the kept dicts are shared, so they are
+        never mutated.  (With ``w2`` empty the shorter triple is the triple
+        itself, never kept here, so ``w1 * 1`` is ``w1``.)
         """
-        key = (w1, w2)
+        key = (w1, w2, iflag)
         terms = self._word_products.get(key)
         if terms is None:
-            shorter = self._word_products.get((w1, w2[:-1]))
+            shorter = self._word_products.get((w1, w2[:-1], iflag))
             if shorter is None:
-                terms, letters = {w1: 1}, w2
+                terms, letters = {DeltaIndex(iflag, w1): 1}, w2
             else:
                 terms, letters = shorter, w2[-1]
             for letter in letters:
@@ -192,23 +193,14 @@ class IwahoriAlgebra(HeckeAlgebra):
         return terms
 
     def _basis_product(self, a: DeltaIndex, b: DeltaIndex) -> dict:
-        """The rewritten product keyed by :class:`DeltaIndex`, kept per word pair and flag.
+        """The kept rewritten product of the (left word, right word, flag) of ``a * b``.
 
         As in :meth:`multiply_closed`, the product depends on ``a`` and
-        ``b`` only through that triple, so each kept word product is keyed
-        once.  The kept dict is shared, so it is never mutated;
-        :meth:`multiply_basis` checks it and caches its own copy.
+        ``b`` only through that triple.  :meth:`multiply_basis` checks the
+        shared dict and caches its own copy.
         """
         left = bar(a.word) if b.iflag else a.word
-        iflag = a.iflag ^ b.iflag
-        key = (left, b.word, iflag)
-        terms = self._generated_products.get(key)
-        if terms is None:
-            terms = self._generated_products[key] = {
-                DeltaIndex(iflag, word): coeff
-                for word, coeff in self._word_product(left, b.word).items()
-            }
-        return terms
+        return self._word_product(left, b.word, a.iflag ^ b.iflag)
 
     def multiply_by_generator(
         self, letter: str, x: HeckeElement, side: str = "left"
@@ -223,19 +215,20 @@ class IwahoriAlgebra(HeckeAlgebra):
 
     # -- closed form ---------------------------------------------------------------
 
-    def _word_product_closed(self, w1: str, w2: str) -> dict:
+    def _word_product_closed(self, w1: str, w2: str, iflag: int) -> dict:
         # alternating words cancel over min(len) letters when w1 ends with
-        # w2's first letter and over none otherwise (m = 0 gives w1 + w2)
+        # w2's first letter and over none otherwise (m = 0 gives w1 + w2);
+        # the words made are distinct, but a term made twice must add up
         m = min(len(w1), len(w2)) if w1[-1:] == w2[:1] else 0
         out: dict = {}
         window = 1  # weight of the i trailing letters of w1 already consumed
         for i in range(m):
             q = self.letter_weight(w2[i])
-            word = w1[: len(w1) - i] + w2[i + 1 :]
-            out[word] = out.get(word, 0) + window * (q - 1)
+            idx = DeltaIndex(iflag, w1[: len(w1) - i] + w2[i + 1 :])
+            out[idx] = out.get(idx, 0) + window * (q - 1)
             window *= q
-        word = w1[: len(w1) - m] + w2[m:]
-        out[word] = out.get(word, 0) + window
+        idx = DeltaIndex(iflag, w1[: len(w1) - m] + w2[m:])
+        out[idx] = out.get(idx, 0) + window
         return out
 
     def multiply_closed(self, a: DeltaIndex, b: DeltaIndex) -> HeckeElement:
@@ -243,22 +236,19 @@ class IwahoriAlgebra(HeckeAlgebra):
 
         The product depends on ``a`` and ``b`` only through the word the
         left factor contributes, the right word and the result flag, so its
-        terms are kept under that triple: flipping both flags and swapping
-        the letters of the left word gives the same entry (``is * i`` and
-        ``t * 1`` share one).  Each kept dict is the term dict of every
-        element returned for it, so it is never mutated.  Its terms are not
-        checked here: a sweep compares them with the generated product, whose
-        terms the product cache checks.
+        terms are made in their final keys and kept under that triple:
+        flipping both flags and swapping the letters of the left word gives
+        the same entry (``is * i`` and ``t * 1`` share one).  Each kept dict
+        is the term dict of every element returned for it, so it is never
+        mutated.  Its terms are not checked here: a sweep compares them with
+        the generated product, whose terms the product cache checks.
         """
         left = bar(a.word) if b.iflag else a.word
         iflag = a.iflag ^ b.iflag
         key = (left, b.word, iflag)
         terms = self._closed_products.get(key)
         if terms is None:
-            terms = self._closed_products[key] = {
-                DeltaIndex(iflag, word): coeff
-                for word, coeff in self._word_product_closed(left, b.word).items()
-            }
+            terms = self._closed_products[key] = self._word_product_closed(left, b.word, iflag)
         return HeckeElement._of(self, terms)
 
     def words_up_to(self, max_len: int, with_iflag: bool = True) -> list:

@@ -410,9 +410,13 @@ class SL2EndAlgebra(HeckeAlgebra):
         carrying ``r`` to it permutes ``O1`` and ``O``; so the convolution of
         the two orbit sums has ``|O2| * n_O`` pairs landing in ``O``, spread
         evenly over its ``|O|`` points, and the structure constant is
-        ``|O2| * n_O / |O|``.  A sum deeper than both operands, or a division
-        that is not exact, raises :class:`AssertionError`.
+        ``|O2| * n_O / |O|``.  An operand of another prime raises
+        ``ValueError``; a sum deeper than both operands, or a division that
+        is not exact, raises :class:`AssertionError`.
         """
+        for c in (c1, c2):
+            if c.representative.p != self.p:
+                raise ValueError(f"prime mismatch: {c.representative.p} != {self.p}")
         if len(c1.members) > len(c2.members):
             c1, c2 = c2, c1
         max_depth = max(c1.representative.depth, c2.representative.depth)

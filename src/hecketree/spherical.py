@@ -238,13 +238,12 @@ class SphericalAlgebra(HeckeAlgebra):
         """Coefficient sequence (low degree first) of ``x`` as a polynomial in the generator."""
         if x.is_zero():
             return ()
+        # each basis polynomial is monic of its degree: the top coefficient is nonzero
         degree = max(n for n, _ in x.terms())
         coeffs = [0] * (degree + 1)
         for n, c in x.terms():
             for i, p in enumerate(self._basis_poly(n)):
                 coeffs[i] += c * p
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
         return tuple(coeffs)
 
     def from_polynomial(self, coeffs) -> HeckeElement:

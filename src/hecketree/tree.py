@@ -97,10 +97,10 @@ class TreeBall(Frozen):
 
     ``memo`` holds the histograms the per-cell oracles read, one inner dict
     per kind (``"depths"``, ``"tables"``, ``"classes"``; a word table is kept
-    with the rows :func:`iwahori_product` has keyed from it, and a class
-    block's histograms as one list, one per witness).  They depend only
-    on the ball, so they live as long as it does, and a pickle or copy of the
-    ball carries them.  Two balls are equal only if they are the same object.
+    alone, its rows keyed as :func:`iwahori_product` returns them at flag 0,
+    and a class block's histograms as one list, one per witness).  They
+    depend only on the ball, so they live as long as it does, and a pickle
+    or copy of the ball carries them.  Two balls are equal only if they are the same object.
     """
 
     __slots__ = ("q0", "q1", "radius", "width", "sphere_start", "max_vertices", "memo")
@@ -457,15 +457,16 @@ def _witness_edges(ball: TreeBall, max_len: int) -> dict:
 def _word_table(ball: TreeBall, word_ef: str) -> dict:
     """Crossing words to every witness over the group at ``word_ef``, by one anchored climb.
 
-    Maps ``word_fg`` to ``{word_eg: count}``: the number of edges ``f`` of
-    the group at crossing word ``word_ef`` from the base edge whose crossing
-    word to the witness at ``word_eg`` is ``word_fg``, for every witness the
-    ball reaches (words of length <= radius - 2).  Only the rows a cell can
-    read are kept: :func:`iwahori_product` asks for row ``w2`` of the group
-    at ``w1`` only when ``len(w1) + len(w2) <= radius - 2``, so a row longer
-    than ``radius - 2 - len(word_ef)`` is dropped.  The witnesses lie on one
-    apartment (:func:`_witness_edges`), so the group is climbed once, every
-    edge of it enumerated, against the deepest ``s...`` witness.  An edge
+    Maps ``word_fg`` to ``{(0, word_eg): count}``: the number of edges
+    ``f`` of the group at crossing word ``word_ef`` from the base edge whose
+    crossing word to the witness at ``word_eg`` is ``word_fg``, for every
+    witness the ball reaches (words of length <= radius - 2), keyed as it
+    is counted by the result index of a flag-0 cell.  Only the rows a cell
+    can read are kept: :func:`iwahori_product` asks for row ``w2`` of the
+    group at ``w1`` only when ``len(w1) + len(w2) <= radius - 2``, so a row
+    longer than ``radius - 2 - len(word_ef)`` is dropped.  The witnesses
+    lie on one apartment (:func:`_witness_edges`), so the group is climbed
+    once, every edge of it enumerated, against the deepest ``s...`` witness.  An edge
     landing on the marked ray at depth ``e`` meets a witness on the ray at
     depth ``min(e, dg)``, with ``dg`` the witness's depth, and an ``s...``
     witness at the root; one landing on the path of the ``s...`` witnesses
@@ -478,22 +479,22 @@ def _word_table(ball: TreeBall, word_ef: str) -> dict:
     longest = reach - len(word_ef)
     witnesses = _witness_edges(ball, reach)
     ss = ball.sphere_start
-    sides = []  # (word_eg, depth of the witness, whether it is on the marked ray)
+    sides = []  # ((0, word_eg), depth of the witness, whether it is on the marked ray)
     for word_eg, g in witnesses.items():
         dg = ball.depth(g)
-        sides.append((word_eg, dg, g == ss[dg]))
+        sides.append(((0, word_eg), dg, g == ss[dg]))
     block = edges_by_weyl_word(ball, len(word_ef))[word_ef]
     d = ball.depth(block.start)
     table: dict = {}
     apex = witnesses[("st" * reach)[:reach]]
     for x, count in _anchored_climb(ball, block, apex).items():
         e = ball.depth(x)
-        for word_eg, dg, ray_witness in sides:
+        for index_eg, dg, ray_witness in sides:
             dc = min(e, dg) if ray_witness == (x == ss[e]) else 0
             word_fg = _crossing_word(d, dg, dc)
             if len(word_fg) <= longest:
                 row = table.setdefault(word_fg, {})
-                row[word_eg] = row.get(word_eg, 0) + count
+                row[index_eg] = row.get(index_eg, 0) + count
     return table
 
 
@@ -547,35 +548,34 @@ def iwahori_product(ball: TreeBall, w1: str, w2: str, iflags: tuple) -> dict:
 
     All witnesses lie on one apartment (:func:`_witness_edges`), so one climb
     of a word group fixes its crossing words to every witness.  The ball's
-    memo keeps that table (:func:`_word_table`) for each word from the base
-    edge, with its rows keyed as cells ask for them: ``(iflag, w2)`` maps to
-    the vector of a cell with that result flag and right-hand word, read
-    from row ``w2`` at flag 0 and from row ``swap_types(w2)``, its words
-    swapped, at flag 1.  So each group is climbed once per ball, every edge
-    of it enumerated, each row is keyed once, and each cell is one lookup
-    and a copy of the keyed row, which the caller then owns.  Raises
-    ``ValueError`` on a word that is not alternating: only crossing words
-    reach the memo, so the words are checked when the lookup misses.
+    memo keeps that table (:func:`_word_table`), and nothing else, for each
+    word from the base edge; its rows are keyed by flag-0 result index as
+    they are counted.  A cell with result flag 0 returns a copy of row
+    ``w2``; one with result flag 1 reads row ``swap_types(w2)`` and returns
+    it keyed ``(1, swap_types(word))``.  So each group is climbed once per
+    ball, every edge of it enumerated, and each cell is one lookup and a
+    new dict, which the caller then owns.  Raises ``ValueError`` on a word
+    that is not alternating: only crossing words reach the memo, so the
+    words are checked when the lookup misses.
     """
     d1 = iflags[0] & 1
     dt = d1 ^ (iflags[1] & 1)
     word_ef = swap_types(w1) if d1 else w1
+    word_fg = swap_types(w2) if dt else w2
     tables = ball.memo.setdefault("tables", {})
-    kept = tables.get(word_ef)
-    row = kept[1].get((dt, w2)) if kept else None
+    table = tables.get(word_ef)
+    row = None if table is None else table.get(word_fg)
     if row is None:
         # a kept row passed these checks, for words of the same lengths
         _check_words(w1, w2)
         bound = len(w1) + len(w2)
         if ball.radius < bound + 2:
             raise BallTooSmall(f"ball radius {ball.radius} < required {bound + 2}")
-        if kept is None:
-            kept = tables[word_ef] = (_word_table(ball, word_ef), {})
-        table, rows = kept
-        counts = table.get(swap_types(w2) if dt else w2, {})
-        row = rows[(dt, w2)] = {
-            (dt, swap_types(word) if dt else word): count for word, count in counts.items()
-        }
+        if table is None:
+            table = tables[word_ef] = _word_table(ball, word_ef)
+        row = table.get(word_fg, {})
+    if dt:
+        return {(1, swap_types(word)): count for (_, word), count in row.items()}
     return dict(row)
 
 

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -23,10 +24,25 @@ from hecketree.sl2 import SL2EndAlgebra, make_prufer
 from hecketree.spherical import SphericalAlgebra, SphericalParams
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def run_python(*args):
+    """Run a Python child process with this checkout's ``src`` first on its PYTHONPATH.
+
+    pytest's ``pythonpath`` setting reaches this process alone, so without
+    it the child would import whatever ``hecketree`` its environment finds,
+    or none.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def test_table_spherical_contains_known_row(capsys):
@@ -134,8 +150,9 @@ def test_table_iwahori_keeps_one_word_product_per_pair(capsys, monkeypatch):
     monkeypatch.setitem(cli.FAMILIES, "iwahori", family)
     code, out = run_cli(capsys, "table", "iwahori", "--qs", "2", "--qt", "3", "--len", "6")
     assert code == 0 and len(out.splitlines()) == 676
-    # 13 words of length <= 6: one kept product per word pair, none per prefix
-    assert len(built[0]._word_products) <= 13 * 13
+    # 13 words of length <= 6: one kept product per word pair and result
+    # flag, none per prefix
+    assert len(built[0]._word_products) <= 13 * 13 * 2
 
 
 def test_verify_exit_codes(capsys):
@@ -755,13 +772,27 @@ def test_mul_prints_a_constant_under_the_int_printing_limit(capsys):
     assert json.loads(out)["value"] == [["(0,0)", f"{2**14000}/1"]]
 
 
-def test_table_names_the_int_printing_limit_after_the_records_before(capsys):
+def test_mul_prints_any_constant_with_the_int_printing_limit_off(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out = run_cli(capsys, "mul", "affine-nf", "(0,15000)", "(15000,0)", "--q", "2")
+        expected = [["(0,0)", f"{2**15000}/1"]]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert json.loads(out)["value"] == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_names_the_int_printing_limit_after_the_records_before(capsys, fmt):
     # at q = 10^1500 - 1 the coefficients of G3 * G3 have about 4,500 digits,
-    # and table streams, so the nine records before that cell are written
+    # and table streams, so the nine records before that cell are written,
+    # after the header row in CSV
     q = "9" * 1500
-    assert main(["table", "spherical", "--q", q, "--max", "3"]) == 2
+    assert main(["table", "spherical", "--q", q, "--max", "3", "--format", fmt]) == 2
     captured = capsys.readouterr()
-    assert len(captured.out.splitlines()) == 9
+    assert len(captured.out.splitlines()) == (fmt == "csv") + 9
     assert captured.err.startswith("error: a coefficient of G3 * G3 has more than")
     assert "set PYTHONINTMAXSTRDIGITS" in captured.err
 
@@ -860,11 +891,7 @@ def test_deterministic_output(capsys):
 
 
 def test_module_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "hecketree", "mul", "spherical", "G1", "G1", "--q", "2"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_python("-m", "hecketree", "mul", "spherical", "G1", "G1", "--q", "2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == [["G0", "3/1"], ["G2", "1/1"]]
 
@@ -882,9 +909,7 @@ def test_import_loads_no_dataclasses_inspect_or_csv():
     # every command is a fresh process, so what an import loads is paid per
     # command; csv is imported by the CSV writer alone.  Only modules the
     # import adds count, so a module the interpreter preloads cannot trip this
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_FOOTPRINT], capture_output=True, text=True
-    )
+    proc = run_python("-c", _IMPORT_FOOTPRINT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
         "[]\n"
@@ -907,10 +932,7 @@ def test_reused_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch):
     in_process = [(exc.value.code, *capsys.readouterr())]
     code = main(good)
     in_process.append((code, *capsys.readouterr()))
-    fresh = [
-        subprocess.run([sys.executable, "-m", "hecketree", *argv], capture_output=True, text=True)
-        for argv in (bad, good)
-    ]
+    fresh = [run_python("-m", "hecketree", *argv) for argv in (bad, good)]
     assert in_process == [(proc.returncode, proc.stdout, proc.stderr) for proc in fresh]
     assert in_process[0][0] == 2 and in_process[1][0] == 0
     assert builds == [1]
@@ -1372,14 +1394,18 @@ def test_sl2_output_pinned(capsys):
 
 
 # sha256 of the stdout of the cold-tables benchmark's table commands (its two
-# nu commands are pinned above) and of CSV tables of every table family: the
-# bytes a table writer could change.
+# nu commands are pinned above), of an equal-weight Iwahori table (the only
+# pinned one with inversion-decorated cells) and of CSV tables of every table
+# family: the bytes a table writer could change.
 TABLE_STDOUT_SHA256 = {
     "table spherical --q 2 --max 40": (
         "f40af2ad5c14c80b4ed82163876b31c3b82d66e5216ab5b2277c432114c1e4bf"
     ),
     "table iwahori --qs 2 --qt 3 --len 6": (
         "a5ef76873dc3c28815da28784fcc63e308edbf6dfec82a0bd9053941fb35b027"
+    ),
+    "table iwahori --qs 2 --qt 2 --len 5": (
+        "39a17517d76292294304f745fbd7afb5fca97175338f67a29ae33fb58decab7e"
     ),
     "table affine --q 3 --max 30": (
         "c6a46559bb25294d8bb0e182b6044ff12415c704c1ce198e98f6e16ac252bb50"

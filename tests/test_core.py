@@ -72,6 +72,13 @@ def test_scalar_coefficient_types():
             A.basis_element(1).scale(bad)
 
 
+def test_scalar_on_the_right_and_scale_by_zero():
+    x = A.element({1: 3, 2: Fraction(1, 2)})
+    assert x * 3 == 3 * x == A.element({1: 9, 2: Fraction(3, 2)})
+    assert x * Fraction(1, 2) == A.element({1: Fraction(3, 2), 2: Fraction(1, 4)})
+    assert x.scale(0) == A.zero()
+
+
 def test_mixed_algebra_rejected():
     other = SphericalAlgebra(SphericalParams.homogeneous(3))
     with pytest.raises(ValueError):

@@ -35,6 +35,8 @@ def test_matrix_validation_and_ops():
         IntMatrix.from_rows([[1], [2, 3]])
     with pytest.raises(ValueError):
         m @ IntMatrix.identity(3)
+    with pytest.raises(ValueError, match="shape mismatch in subtraction"):
+        m - IntMatrix.zeros(2, 3)
 
 
 @pytest.mark.parametrize("rows, cols", [(0, 3), (2, 0), (0, 0)])

@@ -339,6 +339,26 @@ def test_orbit_convolution_checks_the_prime():
 
 
 @pytest.mark.parametrize(
+    "left, right",
+    [
+        (
+            SL2EndAlgebra(3).coset(make_prufer(3, 1, 1)),
+            SL2EndAlgebra(5).coset(make_prufer(5, 1, 1)),
+        ),
+        (SL2EndAlgebra(3).unit, SL2EndAlgebra(5).unit),
+        (SL2EndAlgebra(5).unit, SL2EndAlgebra(3).unit),
+    ],
+)
+def test_basis_product_checks_the_prime(left, right):
+    # a coset of another prime is refused as coset() refuses its point, and
+    # nothing is cached
+    algebra = SL2EndAlgebra(5)
+    with pytest.raises(ValueError, match="prime mismatch: 3 != 5"):
+        algebra.multiply_basis(left, right)
+    assert algebra._product_cache == {}
+
+
+@pytest.mark.parametrize(
     "n", [561, 3_215_031_751, 3_825_123_056_546_413_051, 1_000_000_000_000_000_001]
 )
 def test_is_prime_rejects_pseudoprimes(n):

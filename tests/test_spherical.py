@@ -178,6 +178,8 @@ def test_polynomial_examples():
     assert Q2.to_polynomial(Q2.basis_element(2)) == (-3, 0, 1)
     assert Q2.to_polynomial(Q2.one()) == (1,)
     assert Q2.to_polynomial(Q2.basis_element(3)) == (0, -5, 0, 1)
+    # trailing zeros of the input are dropped
+    assert Q2.from_polynomial((1, 0, 0)) == Q2.one()
     with pytest.raises(TypeError):
         Q2.from_polynomial([0.5])
 

@@ -760,7 +760,7 @@ def test_word_table_matches_per_edge_weyl_distance(q0, q1, radius):
             for word_fg, count in Counter(
                 tree.weyl_distance(ball, f, g) for f in groups[word_ef]
             ).items():
-                expected.setdefault(word_fg, {})[word_eg] = count
+                expected.setdefault(word_fg, {})[(0, word_eg)] = count
         # a cell from this group reads row w2 only if len(word_ef) + len(w2)
         # <= radius - 2 (iwahori_product's BallTooSmall guard); the table
         # keeps exactly those rows, each as the per-edge count gives it
