@@ -10,6 +10,8 @@ print a single JSON document.
 once per command (:class:`BasisMemo`) and join their records from those
 fragments, byte for byte as ``json.dumps`` lays them out: with its default
 separators one record a line, with ``indent=2`` in ``nu``'s document.
+``table`` and ``mul`` share one cell loop (:func:`emit_records`), which
+multiplies, checks and writes each cell in one pass, JSON and CSV alike.
 
 ``table``, ``mul`` and ``verify`` are generic over the families: one line
 of :data:`FAMILIES` (its options, algebra, extent option and sweep) plus its
@@ -25,6 +27,7 @@ import itertools
 import json
 import operator
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import verify as verify_mod
@@ -42,19 +45,23 @@ MAX_TOEPLITZ_INTEGERS = 250_000
 
 
 class BasisMemo(dict):
-    """Basis index -> (sort key, label, JSON-encoded label), filled on first use.
+    """Basis index -> (sort key, label, JSON-encoded label, term fragment), filled on first use.
 
     One per command, so each index is keyed, labelled and encoded once
-    however many records it appears in.
+    however many records it appears in.  The term fragment opens the index's
+    terms in ``fmt``: ``[<encoded label>, "`` for JSON, ``label:`` for CSV.
     """
 
-    def __init__(self, algebra):
+    def __init__(self, algebra, fmt: str = "json"):
         super().__init__()
         self.algebra = algebra
+        self.fmt = fmt
 
     def __missing__(self, idx):
         label = self.algebra.basis_label(idx)
-        entry = self[idx] = (self.algebra.basis_key(idx), label, json.dumps(label))
+        encoded = encode_basestring_ascii(label)
+        fragment = f'[{encoded}, "' if self.fmt == "json" else label + ":"
+        entry = self[idx] = (self.algebra.basis_key(idx), label, encoded, fragment)
         return entry
 
 
@@ -62,7 +69,7 @@ _ENTRY = operator.itemgetter(0)
 
 
 def product_record(memo: BasisMemo, a, b) -> tuple:
-    """One table cell: ``(left, right, value)``.
+    """One cell of ``mul`` or ``nu``: ``(left, right, value)``.
 
     ``left`` and ``right`` are the memo entries of ``a`` and ``b``; ``value``
     lists the product's terms as ``(entry, coefficient)`` pairs in the
@@ -74,34 +81,51 @@ def product_record(memo: BasisMemo, a, b) -> tuple:
     return memo[a], memo[b], sorted([(memo[idx], c) for idx, c in terms], key=_ENTRY)
 
 
-def emit_records(family: str, records, fmt: str, out) -> None:
-    """Write product records as JSON lines or CSV rows, one record at a time.
+def emit_records(family: str, memo: BasisMemo, cells, out) -> None:
+    """Multiply each cell ``(a, b)`` and write its record where it is made.
 
-    A JSON line is ``{"family": ..., "key": [a, b], "value": [[label, "n/d"],
-    ...]}``, joined from the memo's encoded labels in the layout of
-    ``json.dumps`` with its default separators.  A coefficient too long to
-    print is a ValueError naming ``PYTHONINTMAXSTRDIGITS``, raised after the
+    The one writer of ``table`` and ``mul``, in the format of ``memo``.  A
+    JSON line is ``{"family": ..., "key": [a, b], "value": [[label, "n/d"],
+    ...]}``, joined from the memo's fragments in the layout of ``json.dumps``
+    with its default separators; a CSV row is ``family,left,right,value``
+    with ``label:n/d`` terms joined by ``;``.  Each product is read from
+    ``multiply_basis``, which checks its structure constants, and its terms
+    are sorted only when there are several.  A coefficient too long to print
+    is a ValueError naming ``PYTHONINTMAXSTRDIGITS``, raised after the
     records before it are written.
     """
-    if fmt == "json":
-        head = '{"family": ' + json.dumps(family) + ', "key": ['
-        for left, right, value in records:
-            try:
-                terms = ", ".join([f'[{e[2]}, "{c}/1"]' for e, c in value])
-            except ValueError:
-                raise unprintable_int(f"a coefficient of {left[1]} * {right[1]}") from None
-            out.write(f'{head}{left[2]}, {right[2]}], "value": [{terms}]}}\n')
-        return
-    import csv  # only --format csv needs it; every other command's process skips the import
+    multiply = memo.algebra.multiply_basis
+    if memo.fmt == "json":
+        head = '{"family": ' + encode_basestring_ascii(family) + ', "key": ['
+        sep, close = ", ", '/1"]'
 
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["family", "left", "right", "value"])
-    for left, right, value in records:
+        def write(left, right, value):
+            out.write(f'{head}{left[2]}, {right[2]}], "value": [{value}]}}\n')
+
+    else:
+        import csv  # only --format csv needs it; every other command's process skips the import
+
+        writerow = csv.writer(out, lineterminator="\n").writerow
+        writerow(["family", "left", "right", "value"])
+        sep, close = ";", "/1"
+
+        def write(left, right, value):
+            writerow([family, left[1], right[1], value])
+
+    for a, b in cells:
+        terms = multiply(a, b)._terms
+        left, right = memo[a], memo[b]
         try:
-            terms = ";".join([f"{e[1]}:{c}/1" for e, c in value])
+            if len(terms) == 1:
+                [(idx, c)] = terms.items()
+                value = f"{memo[idx][3]}{c}{close}"
+            else:
+                # memo entries sort by their first field, the basis key
+                entries = sorted([(memo[idx], c) for idx, c in terms.items()], key=_ENTRY)
+                value = sep.join([f"{e[3]}{c}{close}" for e, c in entries])
         except ValueError:
             raise unprintable_int(f"a coefficient of {left[1]} * {right[1]}") from None
-        writer.writerow([family, left[1], right[1], terms])
+        write(left, right, value)
 
 
 def _indented(open_: str, items: list, close: str, depth: int) -> str:
@@ -214,9 +238,7 @@ def cmd_table(args) -> int:
     # CELLS lists a family's indices when called, so a bad extent fails before
     # the CSV header is written
     cells = verify_mod.CELLS[args.family](algebra, _extent(args, family))
-    memo = BasisMemo(algebra)
-    records = (product_record(memo, a, b) for a, b in cells)
-    emit_records(args.family, records, args.format, sys.stdout)
+    emit_records(args.family, BasisMemo(algebra, args.format), cells, sys.stdout)
     return 0
 
 
@@ -227,9 +249,9 @@ def cmd_mul(args) -> int:
     algebra = family.algebra(*family.options(args))
     a = algebra.parse_label(args.left)
     b = algebra.parse_label(args.right)
-    record = product_record(BasisMemo(algebra), a, b)
-    _check_printable(record)
-    emit_records(args.family, [record], args.format, sys.stdout)
+    memo = BasisMemo(algebra, args.format)
+    _check_printable(product_record(memo, a, b))
+    emit_records(args.family, memo, [(a, b)], sys.stdout)
     return 0
 
 
@@ -307,7 +329,7 @@ def cmd_nu(args) -> int:
         # each point lies in one orbit, so each is encoded once; the first
         # member is the representative, and nu(c) is the orbit sum, each
         # member with coefficient 1, in the same order as the orbit
-        points = [json.dumps(g.label()) for g in c.members]
+        points = [encode_basestring_ascii(g.label()) for g in c.members]
         fields = [
             '"representative": ' + points[0],
             '"orbit": ' + _indented("[", points, "]", 3),

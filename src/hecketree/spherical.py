@@ -2,8 +2,10 @@
 
 On the (q0 + 1, q1 + 1)-semi-homogeneous tree the multiplication table and
 the sphere counts are one formula in the distances
-(:meth:`SphericalAlgebra._basis_product`).  The vertex-orbit mode of a
-sphere-transitive action only picks which distances are basis indices:
+(:meth:`SphericalAlgebra._basis_product`); its coefficients depend on the
+smaller factor alone, so the closed form keeps one row per smaller factor.
+The vertex-orbit mode of a sphere-transitive action only picks which
+distances are basis indices:
 
 * homogeneous (q0 = q1) -- one vertex orbit; index ``n`` is distance ``n``;
 * two-orbit -- vertices split by parity; index ``n`` is distance ``2n``.
@@ -80,6 +82,7 @@ class SphericalAlgebra(HeckeAlgebra):
         self.params = params
         self._basis_polys = [(1,), (0, 1)]
         self._recursion_rows = {}  # m -> (k, row k - 1, row k), see multiply_recursive
+        self._closed_rows = {}  # n -> (row, Q_(d-1)·q_d, Q_(d-1), stride), see _basis_product
 
     # -- basis data ---------------------------------------------------------
 
@@ -175,6 +178,12 @@ class SphericalAlgebra(HeckeAlgebra):
                       + Q_(d−1)·(q_d + [d = e])·G_(e−d),
 
         and distance e + d − 2l is basis index m + n − 2l/step.
+
+        The coefficients depend on the smaller factor ``n`` alone, except
+        for the ``[d = e]`` of the end term: the row ``1, (q_l − 1)·Q_(l−1)``
+        for ``l < d``, the end term's ``Q_(d−1)·q_d`` and ``Q_(d−1)``, and the
+        index stride ``−2/step`` are kept per ``n``, and each call returns a
+        fresh dict of them.
         """
         _check_index(n)
         _check_index(m)
@@ -182,17 +191,21 @@ class SphericalAlgebra(HeckeAlgebra):
             n, m = m, n
         if n == 0:
             return {m: 1}
-        p = self.params
-        step = p.step
-        d = step * n
-        out = {m + n: 1}
-        prod = 1  # Q_(l-1)
-        for l in range(1, d):
-            ql = p.q1 if l % 2 else p.q0
-            out[m + n - 2 * l // step] = (ql - 1) * prod
-            prod *= ql
-        delta = 1 if m == n else 0
-        out[m - n] = prod * ((p.q1 if d % 2 else p.q0) + delta)
+        kept = self._closed_rows.get(n)
+        if kept is None:
+            p = self.params
+            d = p.step * n
+            row = [1]
+            prod = 1  # Q_(l-1)
+            for l in range(1, d):
+                ql = p.q1 if l % 2 else p.q0
+                row.append((ql - 1) * prod)
+                prod *= ql
+            end = prod * (p.q1 if d % 2 else p.q0)
+            kept = self._closed_rows[n] = (row, end, prod, -2 // p.step)
+        row, end, q_before, stride = kept
+        out = dict(zip(range(m + n, m - n, stride), row))
+        out[m - n] = end + q_before if m == n else end
         return out
 
     # -- normalization ---------------------------------------------------------

@@ -18,6 +18,7 @@ from test_acceptance import ACCEPTANCE_COMMANDS
 
 from hecketree import cli, sl2, tree, verify
 from hecketree.cli import main
+from hecketree.core import HeckeAlgebra
 from hecketree.endstab import HorocycleAlgebra, m_to_nf, toeplitz_bratteli
 from hecketree.iwahori import IwahoriAlgebra
 from hecketree.sl2 import SL2EndAlgebra, make_prufer
@@ -1211,13 +1212,13 @@ def test_table_streams(monkeypatch):
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
     written = []  # stdout length when each product is computed
-    original = cli.product_record
+    original = HeckeAlgebra.multiply_basis
 
-    def product_record(*args):
+    def multiply_basis(*args):
         written.append(len(out.getvalue()))
         return original(*args)
 
-    monkeypatch.setattr(cli, "product_record", product_record)
+    monkeypatch.setattr(HeckeAlgebra, "multiply_basis", multiply_basis)
     assert main(["table", "spherical", "--q", "2", "--max", "2"]) == 0
     assert len(written) == 6
     assert written[-1] > 0
@@ -1413,6 +1414,18 @@ TABLE_STDOUT_SHA256 = {
     "table spherical --q0 3 --q1 2 --max 4": (
         "0477a382c800204b15620ddec7315c390a4eb720768652bb321f837fd61d90a1"
     ),
+    # q != 2 in homogeneous mode, and two-orbit mode (index step 1 in a row)
+    # over every row length up to 20
+    "table spherical --q 3 --max 20": (
+        "3ab9eebcfa0a4d275472eae8b91caaa4fc96457a1c9133cd7a9c76d667d37401"
+    ),
+    "table spherical --q0 2 --q1 3 --max 20": (
+        "ca44fa6b29bb3efeea159e65e84f2f498fd7d81c2d7fbe2aaf07c83e9c3f1906"
+    ),
+    # q = 2 zeroes every diagonal cell's G-term: dropped, never printed as 0/1
+    "table affine --q 2 --max 12": (
+        "d755b659c2fc9debf64bfe2f01e484a35f10ab9192722c5afb7e97afe5a2a8ff"
+    ),
     "table sl2 --p 3 --max 3": (
         "9e9454daf31a21ebf0112150e3609a2c337baf95ef35b994fe14de305a8cd13a"
     ),
@@ -1481,3 +1494,45 @@ def test_csv_quotes_labels_containing_commas(capsys):
     rows = list(csv_mod.reader(io.StringIO(out)))
     assert rows[0] == ["family", "left", "right", "value"]
     assert rows[1] == ["affine-nf", "(0,1)", "(1,0)", "(0,0):2/1"]
+
+
+@pytest.mark.parametrize(
+    "family, algebra, flags, extent",
+    [
+        ("spherical", SphericalAlgebra(SphericalParams.homogeneous(3)), ["--q", "3"], 7),
+        (
+            "spherical",
+            SphericalAlgebra(SphericalParams.two_orbit(2, 3)),
+            ["--q0", "2", "--q1", "3"],
+            7,
+        ),
+        # words_up_to lists the inversion-decorated words too
+        ("iwahori", IwahoriAlgebra(2, 2), ["--qs", "2", "--qt", "2"], 3),
+        ("iwahori", IwahoriAlgebra(2, 3), ["--qs", "2", "--qt", "3"], 3),
+        ("affine", HorocycleAlgebra(2), ["--q", "2"], 5),
+        ("affine", HorocycleAlgebra(3), ["--q", "3"], 5),
+        ("sl2", SL2EndAlgebra(3), ["--p", "3"], 2),
+        ("sl2", SL2EndAlgebra(5), ["--p", "5"], 1),
+    ],
+)
+def test_table_writer_matches_json_dumps_and_csv(capsys, family, algebra, flags, extent):
+    # every cell, rebuilt from multiply_basis(a, b).terms() with json.dumps and
+    # csv.writer, independently of the writer's fragments and sort
+    import csv as csv_mod
+
+    flags = [*flags, "--" + cli.FAMILIES[family].extent, str(extent)]
+    lines, rows = [], io.StringIO()
+    writer = csv_mod.writer(rows, lineterminator="\n")
+    writer.writerow(["family", "left", "right", "value"])
+    for a, b in verify.CELLS[family](algebra, extent):
+        key = [algebra.basis_label(a), algebra.basis_label(b)]
+        terms = [(algebra.basis_label(idx), c) for idx, c in algebra.multiply_basis(a, b).terms()]
+        value = [[label, f"{c}/1"] for label, c in terms]
+        lines.append(json.dumps({"family": family, "key": key, "value": value}) + "\n")
+        writer.writerow([family, *key, ";".join(f"{label}:{c}/1" for label, c in terms)])
+    code, out = run_cli(capsys, "table", family, *flags)
+    assert code == 0
+    assert out.splitlines(keepends=True) == lines
+    code, out = run_cli(capsys, "table", family, *flags, "--format", "csv")
+    assert code == 0
+    assert out == rows.getvalue()

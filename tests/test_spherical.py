@@ -67,6 +67,26 @@ def test_kept_recursion_rows_match_in_any_order(params):
         assert algebra.multiply_recursive(n, m) == algebra.multiply_closed(n, m), (n, m)
 
 
+@pytest.mark.parametrize(
+    "params", [SphericalParams.homogeneous(3), SphericalParams.two_orbit(2, 3)]
+)
+def test_kept_closed_form_rows_match_in_any_order(params):
+    # each row is kept per smaller factor n and serves m < n, m = n and m > n
+    algebra = SphericalAlgebra(params)
+    cells = [(n, m) for n in range(13) for m in range(13)]
+    random.Random(29).shuffle(cells)
+    for n, m in cells:
+        fresh = SphericalAlgebra(params)
+        assert algebra._basis_product(n, m) == fresh._basis_product(n, m), (n, m)
+    # a returned dict is the caller's: changing it changes no later product
+    for n, m in [(4, 9), (9, 4), (4, 4), (4, 6)]:
+        fresh = SphericalAlgebra(params)._basis_product(n, m)
+        out = algebra._basis_product(n, m)
+        out.clear()
+        out[0] = 7
+        assert algebra._basis_product(n, m) == fresh, (n, m)
+        assert algebra._basis_product(n, 12) == SphericalAlgebra(params)._basis_product(n, 12)
+
 
 @pytest.mark.parametrize(
     "params",
