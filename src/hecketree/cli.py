@@ -14,8 +14,9 @@ separators one record a line, with ``indent=2`` in ``nu``'s document.
 multiplies, checks and writes each cell in one pass, JSON and CSV alike.
 
 ``table``, ``mul`` and ``verify`` are generic over the families: one line
-of :data:`FAMILIES` (its options, algebra, extent option and sweep) plus its
-entry of :data:`hecketree.verify.CELLS` define a family for all three.
+of :data:`FAMILIES` (its options, algebra, extent option and sweep), its
+entry of :data:`hecketree.verify.CELLS` and, for ``verify``, its routes
+declaration in :mod:`hecketree.verify` define a family for all three.
 
 Exit codes: 0 success, 1 verification mismatch, 2 invalid input.
 """

@@ -554,14 +554,15 @@ def test_table_and_verify_run_over_the_same_cells(
     assert code == 0
     keys = [json.loads(line)["key"] for line in out.splitlines()]
     swept = []
-    original = verify._sweep
+    family = options.split()[0]
+    listed = verify.CELLS[family]
 
-    def sweep(family, params, algebra, cells, *rest, **kwargs):
-        cells = list(cells)
-        swept.extend([algebra.basis_label(a), algebra.basis_label(b)] for a, b in cells)
-        return original(family, params, algebra, cells, *rest, **kwargs)
+    def cells(algebra, top):
+        for a, b in listed(algebra, top):
+            swept.append([algebra.basis_label(a), algebra.basis_label(b)])
+            yield a, b
 
-    monkeypatch.setattr(verify, "_sweep", sweep)
+    monkeypatch.setitem(verify.CELLS, family, cells)
     code, out = run_cli(capsys, "verify", *options.split())
     assert code == 0 and json.loads(out)["cells"] == count
     assert swept == keys

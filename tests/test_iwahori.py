@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hecketree import tree
+from hecketree import tree, verify
 from hecketree.iwahori import (
     DeltaIndex,
     IwahoriAlgebra,
@@ -142,6 +142,24 @@ def test_oracle_agreement_word_sector_biregular(ball23):
             for target in A23.words_up_to(len(a.word) + len(b.word), with_iflag=False):
                 count = tree.iwahori_constant(ball23, a.word, b.word, target.word)
                 assert prod.coefficient(target) == count
+
+
+def test_sweep_oracle_checks_the_plain_cells_at_unequal_weights():
+    # at qs != qt only plain words have an edge model: the declared oracle
+    # returns a vector on exactly the 121 (0, 0) cells of the 484
+    make_algebra, routes = verify.iwahori_routes(2, 3, 5)
+    algebra = make_algebra()
+    oracle = routes["oracle"](algebra)
+    checked = {
+        (a.iflag, b.iflag)
+        for a, b in verify.CELLS["iwahori"](algebra, 5)
+        if oracle(a, b) is not None
+    }
+    assert checked == {(0, 0)}
+    report = verify.verify_iwahori(2, 3, 5)
+    assert report.ok and report.route_cells == {"generated": 484, "closed": 484, "oracle": 121}
+    report = verify.verify_iwahori(2, 2, 5)
+    assert report.ok and report.route_cells == {"generated": 484, "closed": 484, "oracle": 484}
 
 
 def test_twisted_tensor_law():

@@ -1,17 +1,19 @@
 """Route independence: the routes a ``verify`` sweep compares share no code.
 
 A sweep is evidence only while its routes are separate code paths.  Here
-each route of each sweep runs on its own, at a small extent, with a fresh
-algebra, a fresh ball and emptied module caches, under ``sys.setprofile``,
-which collects the hecketree functions it enters.  Every route restates the
-expression its sweep in ``verify.py`` evaluates for a cell.  Two routes of a
-family may share only ``core.py`` (elements, ``multiply_basis`` and the
-product cache, shared by design) and the functions of that family's
-allowlist in ``SHARED``.  Since each route has an algebra of its own, a
-route that reached another route's ``_basis_product`` through ``core``
-would enter it, and fail here.
+each route a ``<family>_routes`` function in ``verify.py`` declares runs on
+its own, over its sweep's cells at a small extent, with a fresh algebra, a
+fresh ball and emptied module caches, under ``sys.setprofile``, which
+collects the hecketree functions it enters.  These are the declarations the
+sweep runs, not restatements.  Two routes of a family may share only
+``core.py`` (elements, ``multiply_basis`` and the product cache, shared by
+design) and the functions of that family's allowlist in ``SHARED``, and
+each allowlisted function must be shared by two routes of some sweep.
+Since each route has an algebra of its own, a route that reached another
+route's ``_basis_product`` through ``core`` would enter it, and fail here.
 """
 
+import functools
 import itertools
 import sys
 import types
@@ -21,10 +23,7 @@ import pytest
 
 import hecketree
 from hecketree import cli, core, endstab, iwahori, ktheory, sl2, spherical, tree, verify
-from hecketree.endstab import HorocycleAlgebra, m_to_nf, nf_to_m
-from hecketree.iwahori import IwahoriAlgebra
-from hecketree.sl2 import SL2EndAlgebra, orbit_convolution
-from hecketree.spherical import SphericalAlgebra, SphericalParams
+from hecketree.spherical import SphericalParams
 
 MODULES = (cli, core, endstab, iwahori, ktheory, sl2, spherical, tree, verify)
 PACKAGE = str(Path(hecketree.__file__).parent)
@@ -70,129 +69,67 @@ def _code_names() -> dict:
 NAMES = _code_names()
 
 
-def entered(route) -> set:
-    """The hecketree functions ``route()`` enters, with every module cache emptied first."""
-    for module in MODULES:
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-    seen = set()
+def entered(family: str, sweep: tuple) -> dict:
+    """Route name -> the hecketree functions it enters, for ``verify.<family>_routes(*sweep)``.
 
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if event == "call" and code.co_filename.startswith(PACKAGE):
-            seen.add(NAMES.get(code) or f"{Path(code.co_filename).stem}.{code.co_name}")
+    Each route is made on a fresh algebra and run over the sweep's cells,
+    with every module cache emptied first.  The declaration's own code, to
+    which ``NAMES`` attributes every route's cell function, is left out.
+    """
+    declare = getattr(verify, f"{family}_routes")
+    make_algebra, makers = declare(*sweep)
+    top = sweep[-1]
+    # the sl2 cells are cosets listed by the algebra whose members the
+    # convolution adds, so each sl2 route lists the cosets it reads
+    cells = None if family == "sl2" else list(verify.CELLS[family](make_algebra(), top))
+    reached = {}
+    for name, make in makers.items():
+        for module in MODULES:
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+        seen = reached[name] = set()
 
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        route()
-    finally:
-        sys.setprofile(previous)
-    return seen
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_filename.startswith(PACKAGE):
+                seen.add(NAMES.get(code) or f"{Path(code.co_filename).stem}.{code.co_name}")
 
-
-def spherical_routes(params: SphericalParams, top: int) -> dict:
-    step = params.step
-    cells = list(verify.CELLS["spherical"](None, top))
-
-    def closed():
-        algebra = SphericalAlgebra(params)
-        for n, m in cells:
-            algebra.multiply_closed(n, m)
-
-    def recursive():
-        algebra = SphericalAlgebra(params)
-        for n, m in cells:
-            algebra.multiply_recursive(n, m)
-
-    def oracle():
-        ball = tree.build_ball(params.q0, params.q1, 2 * step * top)
-        ball.sphere(step * top)
-        for n, m in cells:
-            tree.spherical_product(ball, step * n, step * m)
-
-    return {"closed": closed, "recursive": recursive, "oracle": oracle}
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            algebra = make_algebra()
+            cell = make(algebra)
+            for a, b in verify.CELLS[family](algebra, top) if cells is None else cells:
+                cell(a, b)
+        finally:
+            sys.setprofile(previous)
+        seen.discard(f"verify.{declare.__qualname__}")
+    return reached
 
 
-def iwahori_routes(qs: int, qt: int, top: int) -> dict:
-    cells = list(verify.CELLS["iwahori"](IwahoriAlgebra(qs, qt), top))
-
-    def generated():
-        algebra = IwahoriAlgebra(qs, qt)
-        for a, b in cells:
-            algebra.multiply_basis(a, b)
-
-    def closed():
-        algebra = IwahoriAlgebra(qs, qt)
-        for a, b in cells:
-            algebra.multiply_closed(a, b)
-
-    def oracle():
-        ball = tree.build_ball(qs, qt, 2 * top + 2)
-        tree.edges_by_weyl_word(ball, top)
-        for a, b in cells:
-            if qs == qt or a.iflag == b.iflag == 0:
-                tree.iwahori_product(ball, a.word, b.word, (a.iflag, b.iflag))
-
-    return {"generated": generated, "closed": closed, "oracle": oracle}
-
-
-def affine_routes(q: int, top: int) -> dict:
-    cells = list(verify.CELLS["affine"](None, top))
-
-    def table():
-        algebra = HorocycleAlgebra(q)
-        for m, n in cells:
-            algebra.multiply_basis(m, n)
-
-    def normal_form():
-        algebra = HorocycleAlgebra(q)
-        normal_forms = [m_to_nf(algebra, n) for n in range(top + 1)]
-        for m, n in cells:
-            nf_to_m(normal_forms[m] * normal_forms[n])
-
-    def oracle():
-        ball = tree.build_ball(q, q, 2 * top + 2)
-        tree.horocycle_members(ball, top)
-        for m, n in cells:
-            tree.horocycle_product(ball, m, n)
-
-    return {"table": table, "normal-form": normal_form, "oracle": oracle}
-
-
-def sl2_routes(p: int, top: int) -> dict:
-    # the sweep's cells are cosets listed by its algebra, whose members the
-    # convolution adds; so each route lists the cosets it reads
-    def cells():
-        algebra = SL2EndAlgebra(p)
-        algebra.check_depth(top)
-        return algebra, verify.CELLS["sl2"](algebra, top)
-
-    def orbit():
-        algebra, pairs = cells()
-        for a, b in pairs:
-            algebra.multiply_basis(a, b)
-
-    def convolution():
-        _, pairs = cells()
-        for a, b in pairs:
-            orbit_convolution(a, b)
-
-    return {"orbit": orbit, "convolution": convolution}
-
-
-#: family -> the route sets of its sweeps, each at a small extent.
+#: family -> the arguments of its ``verify.<family>_routes`` declaration in
+#: each sweep profiled, each at a small extent, its last argument.
 SWEEPS = {
     "spherical": [
-        spherical_routes(SphericalParams.homogeneous(2), 3),
-        spherical_routes(SphericalParams.two_orbit(2, 3), 2),
-        spherical_routes(SphericalParams.two_orbit(3, 2), 2),
+        (SphericalParams.homogeneous(2), 3),
+        (SphericalParams.two_orbit(2, 3), 2),
+        (SphericalParams.two_orbit(3, 2), 2),
     ],
-    "iwahori": [iwahori_routes(2, 3, 3), iwahori_routes(2, 2, 3)],
-    "affine": [affine_routes(2, 4), affine_routes(3, 3)],
-    "sl2": [sl2_routes(3, 2), sl2_routes(5, 1)],
+    "iwahori": [(2, 3, 3), (2, 2, 3)],
+    "affine": [(2, 4), (3, 3)],
+    "sl2": [(3, 2), (5, 1)],
 }
+
+
+@functools.cache
+def reached(family: str) -> list:
+    """Per sweep of the family: route name -> the functions outside ``core.py`` it enters."""
+    return [
+        {name: {f for f in fs if not f.startswith("core.")} for name, fs in routes.items()}
+        for routes in (entered(family, sweep) for sweep in SWEEPS[family])
+    ]
+
 
 #: family -> the functions outside ``core.py`` that two of its routes may share.
 SHARED = {
@@ -234,28 +171,37 @@ SHARED = {
 
 @pytest.mark.parametrize("family", SWEEPS)
 def test_routes_share_only_core_and_the_allowlist(family):
-    for routes in SWEEPS[family]:
-        reached = {
-            name: {f for f in entered(route) if not f.startswith("core.")}
-            for name, route in routes.items()
-        }
-        for (first, a), (second, b) in itertools.combinations(reached.items(), 2):
+    for routes in reached(family):
+        for (first, a), (second, b) in itertools.combinations(routes.items(), 2):
             extra = sorted(a & b - SHARED[family])
             assert not extra, f"{first} and {second} share {extra}"
 
 
+@pytest.mark.parametrize("family", SWEEPS)
+def test_every_allowlisted_function_is_shared(family):
+    # an entry no two routes enter would hide a lost profile, not allow a share
+    shared = {
+        f
+        for routes in reached(family)
+        for a, b in itertools.combinations(routes.values(), 2)
+        for f in a & b
+    }
+    assert sorted(SHARED[family] - shared) == []
+
+
 def test_each_route_does_its_work():
     # an empty route, or one the profile does not see, would share nothing
-    assert "spherical.SphericalAlgebra._basis_product" in entered(SWEEPS["spherical"][0]["closed"])
-    assert "spherical.SphericalAlgebra.generator_times" in entered(
-        SWEEPS["spherical"][0]["recursive"]
-    )
-    assert "tree.spherical_product" in entered(SWEEPS["spherical"][0]["oracle"])
-    assert "iwahori.IwahoriAlgebra._word_product" in entered(SWEEPS["iwahori"][0]["generated"])
-    assert "iwahori.IwahoriAlgebra._word_product_closed" in entered(SWEEPS["iwahori"][0]["closed"])
-    assert "tree.iwahori_product" in entered(SWEEPS["iwahori"][0]["oracle"])
-    assert "endstab.HorocycleAlgebra._basis_product" in entered(SWEEPS["affine"][0]["table"])
-    assert "endstab.ToeplitzAlgebra._basis_product" in entered(SWEEPS["affine"][0]["normal-form"])
-    assert "tree.horocycle_product" in entered(SWEEPS["affine"][0]["oracle"])
-    assert "sl2.SL2EndAlgebra._basis_product" in entered(SWEEPS["sl2"][0]["orbit"])
-    assert "sl2.orbit_convolution" in entered(SWEEPS["sl2"][0]["convolution"])
+    def first(family, name):
+        return reached(family)[0][name]
+
+    assert "spherical.SphericalAlgebra._basis_product" in first("spherical", "closed")
+    assert "spherical.SphericalAlgebra.generator_times" in first("spherical", "recursive")
+    assert "tree.spherical_product" in first("spherical", "oracle")
+    assert "iwahori.IwahoriAlgebra._word_product" in first("iwahori", "generated")
+    assert "iwahori.IwahoriAlgebra._word_product_closed" in first("iwahori", "closed")
+    assert "tree.iwahori_product" in first("iwahori", "oracle")
+    assert "endstab.HorocycleAlgebra._basis_product" in first("affine", "table")
+    assert "endstab.ToeplitzAlgebra._basis_product" in first("affine", "normal-form")
+    assert "tree.horocycle_product" in first("affine", "oracle")
+    assert "sl2.SL2EndAlgebra._basis_product" in first("sl2", "orbit")
+    assert "sl2.orbit_convolution" in first("sl2", "convolution")

@@ -857,6 +857,21 @@ GUARDS = {
         tree.BallTooSmall,
         "ball radius 3 < required 4",
     ),
+    "spherical_constant-radius": (
+        lambda b: tree.spherical_constant(b, 4, 0, 4),
+        tree.BallTooSmall,
+        "ball radius 3 < required 4 for (4,0,4)",
+    ),
+    "spherical_product-radius": (
+        lambda b: tree.spherical_product(b, 2, 2),
+        tree.BallTooSmall,
+        "ball radius 3 < required 4",
+    ),
+    "horocycle_constant-radius": (
+        lambda b: tree.horocycle_constant(b, 2, 2, 0),
+        tree.BallTooSmall,
+        "ball radius 3 < required 6",
+    ),
     "spherical_constant": (
         lambda b: tree.spherical_constant(b, 1, -1, 0),
         ValueError,
