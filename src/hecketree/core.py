@@ -17,9 +17,9 @@ every algebra shares live here: branching numbers are read and bounded by
 parameters for the maps whose images must share a product cache, and
 :func:`structure_constants` checks the coset counts of a basis product
 where the product cache admits them, in :meth:`HeckeAlgebra.multiply_basis`,
-which wraps the checked dict without a copy.  That is the one check: a
-``verify`` sweep compares every other route with a route that reads this
-cache, so a bad value elsewhere is a mismatch.
+which keeps the dict the algebra handed over and wraps it without a copy.
+That is the one check: a ``verify`` sweep compares every other route with
+a route that reads this cache, so a bad value elsewhere is a mismatch.
 
 Coefficient rule, owned by :func:`exact`: a coefficient is an ``int`` or a
 ``Fraction`` and is kept as given, never converted; anything else, ``bool``
@@ -47,7 +47,8 @@ class HeckeAlgebra:
     matches: by default the parameters passed to ``__init__``, and a
     subclass that compares by another rule overrides ``_key``.  Instances
     are immutable apart from memos of results already computed, such as the
-    product cache here.  No memo changes a result.
+    product cache here.  No memo changes a result.  The product cache keeps
+    the dict ``_basis_product`` returns, which is never mutated afterwards.
     """
 
     #: basis index of the identity double coset
@@ -60,7 +61,7 @@ class HeckeAlgebra:
     # -- subclass surface -------------------------------------------------
 
     def _basis_product(self, a, b):
-        """Structure constants of a basis product, as a dict index -> int."""
+        """Structure constants of a basis product, as a dict index -> int, kept as it is."""
         raise NotImplementedError
 
     def involute_basis(self, a):
@@ -98,9 +99,7 @@ class HeckeAlgebra:
         key = (a, b)
         terms = self._product_cache.get(key)
         if terms is None:
-            terms = self._product_cache[key] = structure_constants(
-                self._basis_product(a, b).items()
-            )
+            terms = self._product_cache[key] = structure_constants(self._basis_product(a, b))
         return HeckeElement._of(self, terms)
 
     def element(self, terms) -> "HeckeElement":
@@ -205,22 +204,19 @@ def exact(value) -> int | Fraction:
     raise TypeError(f"coefficients must be int or Fraction, got {type(value)!r}")
 
 
-def structure_constants(items) -> dict:
-    """Term dict of ``(index, coefficient)`` pairs that count cosets, checked as it is made.
+def structure_constants(terms: dict) -> dict:
+    """Check that the term dict ``terms`` counts cosets; return it, or a copy without its zeros.
 
     A structure constant is a plain nonnegative ``int`` (``bool`` is not a
     count); any other coefficient is an AssertionError naming its index.
-    Zero coefficients are dropped.
+    ``terms`` itself is returned unless a coefficient is zero.
     """
-    terms = {}
-    for idx, coeff in items:
+    for idx, coeff in terms.items():
         if type(coeff) is not int or coeff < 0:
             raise AssertionError(
                 f"structure constant {coeff!r} at {idx!r} is not a nonnegative integer"
             )
-        if coeff:
-            terms[idx] = coeff
-    return terms
+    return terms if all(terms.values()) else {idx: c for idx, c in terms.items() if c}
 
 
 def int_str_limit() -> int:

@@ -14,14 +14,16 @@ their mirror images on the right, and the inversion rules ``D_i^2 = 1``,
 ``D_i D_s D_i = D_t``.  A closed form for arbitrary word pairs is provided
 as an independent route and must agree with the generated product.
 
-Each route makes its terms keyed by :class:`DeltaIndex` and keeps one
-memo, one dict per left word, right word and result flag.  The generated
-product of such a triple is kept on the algebra, so the triple asked again
-is one lookup and ``(w1, w2 + letter, flag)`` is one rewriting step.  A
-table or sweep asks for the words in length order, so each of its cells
-costs one step; a triple whose one-letter-shorter triple was never asked
-for is rewritten letter by letter from ``w1``.  The closed form keeps its
-own terms, one dict per triple.
+Each route makes its terms keyed by :class:`DeltaIndex`.  A product depends
+on its factors only through the left word, the right word and the result
+flag, so ``a * b`` equals its twin with both flags flipped and the letters
+of ``a.word`` swapped (``is * i`` is ``t * 1``).  The generated route keeps
+no memo of its own but reads the product cache: a twin is one lookup and
+``a * (b + letter)`` is one rewriting step from ``a * b``.  A table or
+sweep asks for the words in length order, so each of its cells costs one
+lookup or one step; a pair whose one-letter-shorter pair was never asked
+for is rewritten letter by letter.  The closed form keeps its own terms,
+one dict per triple.
 
 Coherence boundary: a type-exchanging automorphism forces equal branching
 at the two vertex types, so the inversion-decorated sector is a genuine
@@ -83,7 +85,9 @@ class DeltaIndex(NamedTuple):
 
 
 def index_label(idx: DeltaIndex) -> str:
-    text = ("i" if idx.iflag else "") + idx.word
+    """Label of an index, or of any ``(iflag, word)`` pair: ``"1"`` for the identity."""
+    iflag, word = idx
+    text = ("i" if iflag else "") + word
     return text or "1"
 
 
@@ -116,7 +120,6 @@ class IwahoriAlgebra(HeckeAlgebra):
         super().__init__(qs, qt)
         self.qs = qs
         self.qt = qt
-        self._word_products = {}  # (left, right, iflag) -> terms, see _word_product
         self._closed_products = {}  # (left, right, iflag) -> terms, see multiply_closed
 
     def letter_weight(self, letter: str) -> int:
@@ -169,38 +172,28 @@ class IwahoriAlgebra(HeckeAlgebra):
                 out[longer] = out.get(longer, 0) + coeff
         return out
 
-    def _word_product(self, w1: str, w2: str, iflag: int) -> dict:
-        """Rewrite ``w1 * w2`` one letter of ``w2`` at a time into terms at flag ``iflag``.
-
-        The product is kept per triple.  The triple one letter of ``w2``
-        shorter, if asked for before, is one step away; any other is
-        rewritten from ``w1``.  Only the triples asked for are kept, not the
-        prefixes of the loop, and the kept dicts are shared, so they are
-        never mutated.  (With ``w2`` empty the shorter triple is the triple
-        itself, never kept here, so ``w1 * 1`` is ``w1``.)
-        """
-        key = (w1, w2, iflag)
-        terms = self._word_products.get(key)
-        if terms is None:
-            shorter = self._word_products.get((w1, w2[:-1], iflag))
-            if shorter is None:
-                terms, letters = {DeltaIndex(iflag, w1): 1}, w2
-            else:
-                terms, letters = shorter, w2[-1]
-            for letter in letters:
-                terms = self._words_times_letter(terms, letter)
-            self._word_products[key] = terms
-        return terms
-
     def _basis_product(self, a: DeltaIndex, b: DeltaIndex) -> dict:
-        """The kept rewritten product of the (left word, right word, flag) of ``a * b``.
+        """The rewritten terms of ``a * b``, grown from the products the cache keeps.
 
-        As in :meth:`multiply_closed`, the product depends on ``a`` and
-        ``b`` only through that triple.  :meth:`multiply_basis` checks the
-        shared dict and caches its own copy.
+        That is the twin's kept dict, else one step from the kept ``a * b``
+        with one letter less on the right, else every letter of ``b.word``
+        from ``a * i^b.iflag``.  Kept pairs are looked up by plain ``(iflag,
+        word)`` tuples, equal to their :class:`DeltaIndex`.
         """
-        left = bar(a.word) if b.iflag else a.word
-        return self._word_product(left, b.word, a.iflag ^ b.iflag)
+        iflag, word = b
+        cache = self._product_cache
+        terms = cache.get(((1 - a.iflag, bar(a.word)), (1 - iflag, word)))
+        if terms is not None:
+            return terms
+        shorter = cache.get((a, (iflag, word[:-1]))) if word else None
+        if shorter is None:
+            left = bar(a.word) if iflag else a.word
+            terms, letters = {DeltaIndex(a.iflag ^ iflag, left): 1}, word
+        else:
+            terms, letters = shorter, word[-1]
+        for letter in letters:
+            terms = self._words_times_letter(terms, letter)
+        return terms
 
     def multiply_by_generator(
         self, letter: str, x: HeckeElement, side: str = "left"

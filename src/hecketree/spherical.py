@@ -154,7 +154,7 @@ class SphericalAlgebra(HeckeAlgebra):
         k, prev, row = state
         while k < n:
             a, b = self._recursion(k)
-            nxt = dict(self.generator_times(HeckeElement._of(self, row))._terms)
+            nxt = self.generator_times(HeckeElement._of(self, row))._terms
             for terms, weight in ((row, b), (prev, a)):
                 if weight:
                     for idx, coeff in terms.items():

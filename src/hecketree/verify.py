@@ -28,8 +28,8 @@ sweep's ball, each measured once per sweep, and returns it fresh:
 spherical counts keyed by distance (re-keyed by index only in two-orbit
 mode), horocycle counts keyed by class, and Iwahori counts keyed by
 ``(iflag, word)`` tuples, which compare and hash as the equal
-:class:`DeltaIndex` keys of the other routes; only a mismatch report turns
-them into :class:`DeltaIndex`, to label them.
+:class:`DeltaIndex` keys of the other routes; a mismatch report labels
+them as they are, since :func:`iwahori.index_label` takes any such pair.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import itertools
 
 from . import tree
 from .endstab import HorocycleAlgebra, m_to_nf, nf_to_m
-from .iwahori import DeltaIndex, IwahoriAlgebra, index_label
+from .iwahori import IwahoriAlgebra
 from .sl2 import PruferElement, SL2EndAlgebra, orbit_convolution
 from .spherical import HOMOGENEOUS, SphericalAlgebra, SphericalParams
 
@@ -311,7 +311,6 @@ def verify_iwahori(
         max_len,
         iwahori_routes(qs, qt, max_len, max_vertices),
         _flags(qs=qs, qt=qt),
-        label=lambda idx: index_label(DeltaIndex._make(idx)),
     )
 
 

@@ -151,9 +151,11 @@ def test_table_iwahori_keeps_one_word_product_per_pair(capsys, monkeypatch):
     monkeypatch.setitem(cli.FAMILIES, "iwahori", family)
     code, out = run_cli(capsys, "table", "iwahori", "--qs", "2", "--qt", "3", "--len", "6")
     assert code == 0 and len(out.splitlines()) == 676
-    # 13 words of length <= 6: one kept product per word pair and result
-    # flag, none per prefix
-    assert len(built[0]._word_products) <= 13 * 13 * 2
+    # 13 words of length <= 6: the product cache keeps a cell and its twin
+    # (both flags flipped, the left letters swapped) in one dict, and no prefix
+    cache = built[0]._product_cache
+    assert len(cache) == 676
+    assert len({id(terms) for terms in cache.values()}) <= 13 * 13 * 2
 
 
 def test_verify_exit_codes(capsys):
@@ -896,6 +898,26 @@ def test_module_entry_point():
     proc = run_python("-m", "hecketree", "mul", "spherical", "G1", "G1", "--q", "2")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == [["G0", "3/1"], ["G2", "1/1"]]
+
+
+_READ_ONE_LINE = """
+import json, subprocess, sys
+argv = ["-m", "hecketree", "table", "spherical", "--q", "2", "--max", "60"]
+proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+first = proc.stdout.readline().decode()
+proc.stdout.close()
+stderr = proc.stderr.read().decode()
+print(json.dumps([proc.wait(), stderr, first]))
+"""
+
+
+def test_reader_closing_the_pipe_ends_a_table_quietly():
+    # the table is 0.9 MB, so it is still writing when its reader closes the
+    # pipe after one line: main turns the BrokenPipeError into exit 0, silently
+    proc = run_python("-c", _READ_ONE_LINE)
+    assert proc.returncode == 0, proc.stderr
+    first = '{"family": "spherical", "key": ["G0", "G0"], "value": [["G0", "1/1"]]}\n'
+    assert json.loads(proc.stdout) == [0, "", first]
 
 
 _IMPORT_FOOTPRINT = """

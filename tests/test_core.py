@@ -193,6 +193,14 @@ def test_structure_constants_checked_on_admission(bad):
     assert algebra._product_cache == {}
 
 
+def test_product_cache_keeps_the_dict_handed_over():
+    # checked, a zero-free dict is cached and handed out as the algebra made it
+    constants = {0: 1, 1: 2}
+    algebra = _ToyAlgebra(constants)
+    assert algebra.multiply_basis(0, 0)._terms is constants
+    assert algebra._product_cache[(0, 0)] is constants
+
+
 def test_zero_structure_constants_dropped_on_admission():
     algebra = _ToyAlgebra({0: 0, 1: 2})
     assert algebra.multiply_basis(0, 0).items() == {1: 2}.items()
@@ -208,6 +216,8 @@ def test_terms_sorted_canonically():
 
 def test_repr_readable():
     assert repr(A.element({0: 3, 2: 1})) == "3*G0 + G2"
+    # a coefficient that is no integer is parenthesized
+    assert repr(A.element({1: Fraction(1, 2), 2: 3})) == "(1/2)*G1 + 3*G2"
     assert repr(A.zero()) == "0"
 
 

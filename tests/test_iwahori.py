@@ -50,6 +50,8 @@ def test_bar_and_inverse():
 def test_label_roundtrip():
     for text in ["1", "i", "s", "ist", "tst"]:
         assert index_label(parse_index(text)) == text
+        # the oracle's plain (iflag, word) keys are labelled as they are
+        assert index_label(tuple(parse_index(text))) == text
     assert parse_index("1") == DeltaIndex(0, "")
     with pytest.raises(ValueError):
         parse_index("iss")
@@ -162,21 +164,10 @@ def test_sweep_oracle_checks_the_plain_cells_at_unequal_weights():
     assert report.ok and report.route_cells == {"generated": 484, "closed": 484, "oracle": 484}
 
 
-def test_twisted_tensor_law():
-    # (flag, word) pairs multiply like a group ring twisted by the letter swap
-    for algebra in (A22,):
-        indices = algebra.words_up_to(2)
-        for a in indices:
-            for b in indices:
-                left = bar(a.word) if b.iflag else a.word
-                expected = algebra.element(algebra._word_product(left, b.word, a.iflag ^ b.iflag))
-                assert algebra.multiply_basis(a, b) == expected
-
-
-def _rewritten(algebra, w1, w2):
-    """``w1 * w2`` by the one-letter rewriting rule, letter by letter from ``w1``."""
-    terms = {w1: 1}
-    for letter in w2:
+def _rewritten(algebra, a, b):
+    """``a * b`` by the one-letter rewriting rule, letter by letter from ``a * i^b.iflag``."""
+    terms = {bar(a.word) if b.iflag else a.word: 1}
+    for letter in b.word:
         q = algebra.letter_weight(letter)
         out = {}
         for word, coeff in terms.items():
@@ -186,26 +177,29 @@ def _rewritten(algebra, w1, w2):
             else:
                 out[word + letter] = out.get(word + letter, 0) + coeff
         terms = out
-    return terms
+    return algebra.element({DeltaIndex(a.iflag ^ b.iflag, w): c for w, c in terms.items()})
+
+
+def test_twisted_tensor_law():
+    # (flag, word) pairs multiply like a group ring twisted by the letter swap
+    for algebra in (A22,):
+        indices = algebra.words_up_to(2)
+        for a in indices:
+            for b in indices:
+                assert algebra.multiply_basis(a, b) == _rewritten(algebra, a, b)
 
 
 @pytest.mark.parametrize("qs,qt", [(2, 3), (2, 2)])
 def test_kept_word_products_match_in_any_order(qs, qt):
-    # each product grows from the kept one a letter shorter when that was
-    # asked for, and from w1 otherwise; neither depends on the order of cells
+    # each product is its twin's kept dict, else grows from the kept one a
+    # letter shorter, else from the left word; none depends on the order of cells
     algebra = IwahoriAlgebra(qs, qt)
     cells = list(itertools.product(algebra.words_up_to(5), repeat=2))
     random.Random(17).shuffle(cells)
     for a, b in cells:
-        left = bar(a.word) if b.iflag else a.word
-        expected = algebra.element(
-            {
-                DeltaIndex(a.iflag ^ b.iflag, w): c
-                for w, c in _rewritten(algebra, left, b.word).items()
-            }
-        )
-        assert algebra.multiply_basis(a, b) == expected, (a, b)
-    assert len(algebra._word_products) == 11 * 11 * 2
+        assert algebra.multiply_basis(a, b) == _rewritten(algebra, a, b), (a, b)
+    # 484 cells, each sharing one dict with its twin
+    assert len({id(terms) for terms in algebra._product_cache.values()}) == 11 * 11 * 2
 
 
 def test_kept_terms_are_checked_where_they_are_made(monkeypatch):
@@ -224,12 +218,13 @@ def test_kept_terms_are_checked_where_they_are_made(monkeypatch):
 
 
 def test_generated_products_are_keyed_once_per_triple():
-    # is * i and t * 1 share left word t, right word 1 and flag 0
-    algebra = IwahoriAlgebra(2, 2)
-    first = algebra._basis_product(*map(algebra.parse_label, ("t", "1")))
-    assert algebra._basis_product(*map(algebra.parse_label, ("is", "i"))) is first
-    assert list(algebra._word_products) == [("t", "", 0)]
-    assert algebra.multiply_basis(*map(algebra.parse_label, ("is", "i")))._terms == first
+    # is * i and t * 1 share left word t, right word 1 and flag 0, so the
+    # product cache keeps one dict for both, whichever is asked first
+    for first, second in [("t", "1"), ("is", "i")], [("is", "i"), ("t", "1")]:
+        algebra = IwahoriAlgebra(2, 2)
+        kept = algebra.multiply_basis(*map(algebra.parse_label, first))._terms
+        assert algebra.multiply_basis(*map(algebra.parse_label, second))._terms is kept
+        assert kept == {DeltaIndex(0, "t"): 1}
 
 
 def test_star_reverses_words():

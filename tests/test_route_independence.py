@@ -197,7 +197,7 @@ def test_each_route_does_its_work():
     assert "spherical.SphericalAlgebra._basis_product" in first("spherical", "closed")
     assert "spherical.SphericalAlgebra.generator_times" in first("spherical", "recursive")
     assert "tree.spherical_product" in first("spherical", "oracle")
-    assert "iwahori.IwahoriAlgebra._word_product" in first("iwahori", "generated")
+    assert "iwahori.IwahoriAlgebra._words_times_letter" in first("iwahori", "generated")
     assert "iwahori.IwahoriAlgebra._word_product_closed" in first("iwahori", "closed")
     assert "tree.iwahori_product" in first("iwahori", "oracle")
     assert "endstab.HorocycleAlgebra._basis_product" in first("affine", "table")

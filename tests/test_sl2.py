@@ -229,6 +229,12 @@ def test_parse_labels():
     for text in ("1/0", "1/-5"):
         with pytest.raises(ValueError, match="is not a power of 5"):
             parse_prufer(5, text)
+    # the group algebra of the Prüfer group reads and prints the same labels
+    group = PruferGroupAlgebra(5)
+    assert group.parse_label("2/5") == make_prufer(5, 2, 1)
+    assert group.parse_label("0") == group.unit
+    for text in ("2/5", "0"):
+        assert group.basis_label(group.parse_label(text)) == text
 
 
 def test_coset_ordering_deterministic():
