@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import verify as verify_mod
-from .core import int_str_limit, unprintable_int
+from .core import int_str_limit, label_int, unprintable_int
 from .endstab import HorocycleAlgebra, ToeplitzAlgebra, toeplitz_bratteli, toeplitz_shift_alpha
 from .iwahori import IwahoriAlgebra
 from .ktheory import load_bratteli, pv_k_groups, truncated_limit
@@ -353,26 +353,41 @@ def cmd_nu(args) -> int:
     return 0
 
 
-def nonnegative_int(text: str) -> int:
-    """argparse type for counts: an int >= 0, else an error naming the flag."""
+def integer(text: str, signed: bool = True) -> int:
+    """argparse type of every integer option: a label integer, after a ``-`` if ``signed``.
+
+    The digits are read as a basis label reads them (:func:`core.label_int`):
+    ``int()`` would also take ``1_0``, ``+3``, ``' 3'`` and non-ASCII digits
+    such as ``٣``, and no label does.  A signed option reads the ``-``
+    so that ``--q -1`` reaches its parameter's own check; a count
+    (:func:`nonnegative_int`) refuses it.  Any other spelling is an error
+    naming the flag.
+    """
+    negative = signed and text[:1] == "-"
     try:
-        value = int(text)
-    except ValueError:
-        value = -1  # reported the same way as a negative count
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
-    return value
+        value = label_int(text[1:] if negative else text)
+    except ValueError as exc:  # more digits than the interpreter reads
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value is None or (negative and not value):
+        kind = "an integer" if signed else "a nonnegative integer"
+        raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
+    return -value if negative else value
+
+
+def nonnegative_int(text: str) -> int:
+    """argparse type of a count (an extent, a budget, a depth): :func:`integer`, unsigned."""
+    return integer(text, signed=False)
 
 
 def _add_family_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--q", type=int, help="homogeneous branching number")
-    parser.add_argument("--q0", type=int, help="even-type branching number (two-orbit)")
-    parser.add_argument("--q1", type=int, help="odd-type branching number (two-orbit)")
-    parser.add_argument("--qs", type=int, help="weight of the letter s")
-    parser.add_argument("--qt", type=int, help="weight of the letter t")
+    parser.add_argument("--q", type=integer, help="homogeneous branching number")
+    parser.add_argument("--q0", type=integer, help="even-type branching number (two-orbit)")
+    parser.add_argument("--q1", type=integer, help="odd-type branching number (two-orbit)")
+    parser.add_argument("--qs", type=integer, help="weight of the letter s")
+    parser.add_argument("--qt", type=integer, help="weight of the letter t")
     parser.add_argument("--max", type=nonnegative_int, help="largest basis index")
     parser.add_argument("--len", type=nonnegative_int, help="largest word length")
-    parser.add_argument("--p", type=int, help="prime for the sl2 family")
+    parser.add_argument("--p", type=integer, help="prime for the sl2 family")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,13 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_k = sub.add_parser("ktheory", help="Bratteli limit / crossed-product K-groups")
     p_k.add_argument("path", nargs="?", help="Bratteli diagram JSON file")
-    p_k.add_argument("--depth", type=int, help="truncation level (default: all provided)")
+    p_k.add_argument("--depth", type=integer, help="truncation level (default: all provided)")
     p_k.add_argument("--example", choices=["toeplitz"], help="run a built-in example")
-    p_k.add_argument("--size", type=int, help="stage size for --example (default: 6)")
+    p_k.add_argument("--size", type=integer, help="stage size for --example (default: 6)")
     p_k.set_defaults(func=cmd_ktheory)
 
     p_nu = sub.add_parser("nu", help="unit-square orbit map and sl2 table")
-    p_nu.add_argument("--p", type=int, required=True)
+    p_nu.add_argument("--p", type=integer, required=True)
     p_nu.add_argument("--depth", type=nonnegative_int, required=True)
     p_nu.set_defaults(func=cmd_nu)
 

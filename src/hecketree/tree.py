@@ -98,9 +98,11 @@ class TreeBall(Frozen):
     ``memo`` holds the histograms the per-cell oracles read, one inner dict
     per kind (``"depths"``, ``"tables"``, ``"classes"``; a word table is kept
     alone, its rows keyed as :func:`iwahori_product` returns them at flag 0,
-    and a class block's histograms as one list, one per witness).  They
-    depend only on the ball, so they live as long as it does, and a pickle
-    or copy of the ball carries them.  Two balls are equal only if they are the same object.
+    and a class block's histograms as one list, one per witness), and under
+    ``"sides"`` the witness sides every word table is counted against
+    (:func:`_witness_sides`).  They depend only on the ball, so they live as
+    long as it does, and a pickle or copy of the ball carries them.  Two
+    balls are equal only if they are the same object.
     """
 
     __slots__ = ("q0", "q1", "radius", "width", "sphere_start", "max_vertices", "memo")
@@ -359,17 +361,28 @@ def spherical_product(ball: TreeBall, n: int, m: int) -> dict:
 # -- edge-fixator (Weyl distance) counting -----------------------------------
 
 
+def _crossing_length(de: int, df: int, dc: int) -> int:
+    """Length of the crossing word between two edges: :func:`_crossing_word`'s, from its depths.
+
+    The crossed vertices run from the near endpoint of one edge to that of
+    the other, and an edge's near endpoint is its child when that is the
+    meet, else its parent, one depth up.  The same edge crosses none.
+    """
+    if de == df == dc:
+        return 0
+    return de + df - 2 * dc + 1 - (dc != de) - (dc != df)
+
+
 def _crossing_word(de: int, df: int, dc: int) -> str:
     """Crossing word between two edges, from the depths of their child endpoints and meet.
 
     ``de`` and ``df`` are the depths of the child endpoints, ``dc`` that of
-    their deepest common ancestor (:func:`_meet`).
+    their deepest common ancestor (:func:`_meet`).  Its length is
+    :func:`_crossing_length`; its first letter is the type of ``e``'s near
+    endpoint.
     """
-    if de == df == dc:
-        return ""
+    length = _crossing_length(de, df, dc)
     near_e = de if dc == de else de - 1
-    near_f = df if dc == df else df - 1
-    length = near_e + near_f - 2 * dc + 1
     return (("ts" if near_e & 1 else "st") * (length // 2 + 1))[:length]
 
 
@@ -454,6 +467,29 @@ def _witness_edges(ball: TreeBall, max_len: int) -> dict:
     return {word: start for word, start, _ in _word_blocks(ball, max_len)}
 
 
+def _witness_sides(ball: TreeBall) -> tuple:
+    """``(apex, sides)``: what every word table of the ball is counted against, once per ball.
+
+    ``sides`` lists ``((0, word_eg), dg, on_ray)`` for the witness at every
+    crossing word the ball reaches (length <= radius - 2): its result
+    index at flag 0, its depth and whether it lies on the marked ray.
+    ``apex`` is the deepest ``s...`` witness, the end of the apartment
+    (:func:`_witness_edges`).  Offset arithmetic alone, so no budget
+    applies; the ball's memo keeps the pair under ``"sides"``.
+    """
+    kept = ball.memo.get("sides")
+    if kept is None:
+        reach = ball.radius - 2
+        witnesses = _witness_edges(ball, reach)
+        ss = ball.sphere_start
+        sides = []
+        for word_eg, g in witnesses.items():
+            dg = ball.depth(g)
+            sides.append(((0, word_eg), dg, g == ss[dg]))
+        kept = ball.memo["sides"] = (witnesses[("st" * reach)[:reach]], sides)
+    return kept
+
+
 def _word_table(ball: TreeBall, word_ef: str) -> dict:
     """Crossing words to every witness over the group at ``word_ef``, by one anchored climb.
 
@@ -464,36 +500,34 @@ def _word_table(ball: TreeBall, word_ef: str) -> dict:
     is counted by the result index of a flag-0 cell.  Only the rows a cell
     can read are kept: :func:`iwahori_product` asks for row ``w2`` of the
     group at ``w1`` only when ``len(w1) + len(w2) <= radius - 2``, so a row
-    longer than ``radius - 2 - len(word_ef)`` is dropped.  The witnesses
-    lie on one apartment (:func:`_witness_edges`), so the group is climbed
-    once, every edge of it enumerated, against the deepest ``s...`` witness.  An edge
+    longer than ``radius - 2 - len(word_ef)`` is dropped; its length is
+    worked out (:func:`_crossing_length`) before any word is spelled, so
+    only a kept row's word is.  The witnesses lie on one apartment
+    (:func:`_witness_edges`), so the group is climbed once, every edge of it
+    enumerated, against the deepest ``s...`` witness.  An edge
     landing on the marked ray at depth ``e`` meets a witness on the ray at
     depth ``min(e, dg)``, with ``dg`` the witness's depth, and an ``s...``
     witness at the root; one landing on the path of the ``s...`` witnesses
     at depth ``e`` meets an ``s...`` witness at ``min(e, dg)`` and a witness
     on the ray at the root.  At radius 2 there is no ``s...`` witness: the
     deepest ``s...`` word is then empty, and the climb is against the base
-    edge, on the ray.
+    edge, on the ray.  The witnesses and their sides are found once per
+    ball (:func:`_witness_sides`); the group is budget-checked as it is
+    handed out (:func:`edges_by_weyl_word`).
     """
-    reach = ball.radius - 2
-    longest = reach - len(word_ef)
-    witnesses = _witness_edges(ball, reach)
-    ss = ball.sphere_start
-    sides = []  # ((0, word_eg), depth of the witness, whether it is on the marked ray)
-    for word_eg, g in witnesses.items():
-        dg = ball.depth(g)
-        sides.append(((0, word_eg), dg, g == ss[dg]))
+    longest = ball.radius - 2 - len(word_ef)
     block = edges_by_weyl_word(ball, len(word_ef))[word_ef]
+    apex, sides = _witness_sides(ball)
+    ss = ball.sphere_start
     d = ball.depth(block.start)
     table: dict = {}
-    apex = witnesses[("st" * reach)[:reach]]
     for x, count in _anchored_climb(ball, block, apex).items():
         e = ball.depth(x)
+        on_ray = x == ss[e]
         for index_eg, dg, ray_witness in sides:
-            dc = min(e, dg) if ray_witness == (x == ss[e]) else 0
-            word_fg = _crossing_word(d, dg, dc)
-            if len(word_fg) <= longest:
-                row = table.setdefault(word_fg, {})
+            dc = min(e, dg) if ray_witness == on_ray else 0
+            if _crossing_length(d, dg, dc) <= longest:
+                row = table.setdefault(_crossing_word(d, dg, dc), {})
                 row[index_eg] = row.get(index_eg, 0) + count
     return table
 

@@ -1,4 +1,4 @@
-"""Verification sweeps: every route of a family compared, cell by cell, exactly.
+"""Verification sweeps: every route of a family compared on every cell, exactly.
 
 The routes are the closed form, the generator or recursive route and,
 where a tree model exists, tree counting; sl2 has none, and compares its
@@ -9,7 +9,11 @@ setup (the oracle's ball and budget check, the affine normal forms) and
 returns the route's function of one cell, which returns ``None`` where the
 route has no model.  :func:`_sweep`, the one driver, runs these
 declarations, as ``tests/test_route_independence.py`` does, and counts in
-``report.route_cells`` the cells each route was compared on.  Routes read
+``report.route_cells`` the cells each route was compared on.  It compares
+whole columns: each later route's vectors with the first route's, in one
+list equality, on the cells where the later route returns a vector; the
+first route of every family returns one on every cell.  It walks the
+cells one by one only when a column disagrees, to report.  Routes read
 ``tree``, ``nf_to_m`` and ``orbit_convolution`` through this module as they
 run, so a patched name is the one called.  Reports list all mismatching
 cells, in cell order, with the values from each route and the ``hecketree
@@ -114,6 +118,17 @@ CELLS = {
 }
 
 
+def _agrees(first: list, column: list, gaps: int) -> bool:
+    """Whether ``column`` equals ``first`` on every cell where it holds a vector.
+
+    ``gaps`` counts the cells where ``column`` holds ``None``.  With none,
+    this is one list equality.
+    """
+    if gaps:
+        first = [None if vec is None else ref for ref, vec in zip(first, column)]
+    return column == first
+
+
 def _sweep(
     family: str, params: dict, extent: int, routes: tuple, mul_flags: list, label=None
 ) -> VerifyReport:
@@ -121,10 +136,15 @@ def _sweep(
 
     ``routes`` is a ``<family>_routes`` declaration: ``(algebra, makers)``.
     Every route is made before the cells are listed, so each fails on its
-    budget before any cell.  Each route then runs over all the cells and
-    the cells are compared in order: faster than taking the routes in turn
-    on each cell, at the cost of keeping every vector of the sweep at once
-    (``verify sl2 --p 11 --max 3`` peaks 1.4 MiB higher).  ``label`` names
+    budget before any cell.  Each route then runs over all the cells into
+    a column, and each later column is compared with the first route's
+    (:func:`_agrees`): faster than taking the routes in turn on each cell,
+    at the cost of keeping every vector of the sweep at once (``verify sl2
+    --p 11 --max 3`` peaks 1.4 MiB higher).  The comparison is sound
+    whichever route returns ``None``: a cell where only the first does is
+    a disagreement.  Only when a column disagrees are the cells walked in
+    order, each compared across the routes that return a vector there, to
+    list the mismatches.  ``label`` names
     the keys of the route vectors (default ``algebra.basis_label``);
     ``mul_flags`` completes the ``hecketree mul`` replay line of a
     mismatching cell.
@@ -136,7 +156,10 @@ def _sweep(
     cells = list(CELLS[family](algebra, extent))
     columns = [[route(a, b) for a, b in cells] for route in made.values()]
     report = VerifyReport(family=family, params=params, cells=len(cells))
-    report.route_cells = {name: len(cells) - col.count(None) for name, col in zip(made, columns)}
+    gaps = [col.count(None) for col in columns]
+    report.route_cells = {name: len(cells) - n for name, n in zip(made, gaps)}
+    if all(_agrees(columns[0], col, n) for col, n in zip(columns[1:], gaps[1:])):
+        return report
     for (a, b), *vectors in zip(cells, *columns):
         first, *rest = [vec for vec in vectors if vec is not None]
         if rest.count(first) != len(rest):

@@ -624,6 +624,43 @@ def test_non_numeric_count_exit_2(capsys, argv, flag, text):
         f"error: argument {flag}: expected a nonnegative integer, got {text!r}"
     )
 
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("table", "spherical", "--q", "2", "--max", "1_0"), "--max"),
+        (("table", "spherical", "--q", "2", "--max", "\u0663"), "--max"),  # Arabic-Indic 3
+        (("table", "spherical", "--q", "2", "--max", "+3"), "--max"),
+        (("table", "spherical", "--q", "2", "--max", " 3"), "--max"),
+        (("table", "spherical", "--q", "2", "--max", "03"), "--max"),
+        (("table", "spherical", "--q", "\u0662", "--max", "1"), "--q"),  # Arabic-Indic 2
+        (("table", "spherical", "--q", "-0", "--max", "1"), "--q"),
+        (("table", "iwahori", "--qs", "2", "--qt", "3_0", "--len", "1"), "--qt"),
+        (("verify", "affine", "--q", "2", "--max", "1", "--max-ball-vertices", "1_000"),
+         "--max-ball-vertices"),
+        (("nu", "--p", "5", "--depth", "0_1"), "--depth"),
+        (("nu", "--p", "+5", "--depth", "1"), "--p"),
+        (("ktheory", "--example", "toeplitz", "--size", "1_0"), "--size"),
+        (("ktheory", "diagram.json", "--depth", "\uff11"), "--depth"),  # fullwidth 1
+    ],
+)
+def test_integer_options_read_only_label_spellings(capsys, argv, flag):
+    # int() reads each of these; a basis label reads none, and neither does an option
+    with pytest.raises(SystemExit) as excinfo:  # argparse rejects a bad option value this way
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == ""
+    assert f"error: argument {flag}: expected " in captured.err.splitlines()[-1]
+
+
+def test_signed_integer_options_reach_their_own_checks(capsys):
+    # a leading - is read, so a negative parameter meets the same message as 1 or 0
+    assert main(["table", "spherical", "--q", "-1", "--max", "1"]) == 2
+    assert capsys.readouterr().err == "error: branching numbers must be >= 2, got (-1, -1)\n"
+    assert main(["ktheory", "--example", "toeplitz", "--size", "-2"]) == 2
+    assert capsys.readouterr().err == "error: --size must be >= 1, got -2\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [("nu", "--p", "3", "--depth", "7"), ("nu", "--p", "7", "--depth", "9"),
@@ -1093,10 +1130,63 @@ _NF_M1_M1 = m_to_nf(HorocycleAlgebra(3), 1) * m_to_nf(HorocycleAlgebra(3), 1)
             [["i", "s"]],
             ["generated", "closed", "oracle"],
         ),
+        (
+            # unequal weights: the oracle column holds None on every decorated
+            # cell, and a plain cell it counts still disagrees
+            ("verify", "iwahori", "--qs", "2", "--qt", "3", "--len", "1"),
+            tree,
+            "iwahori_product",
+            lambda ball, w1, w2, iflags: (w1, w2, iflags) == ("s", "t", (0, 0)),
+            [["s", "t"]],
+            ["generated", "closed", "oracle"],
+        ),
+        (
+            # a decorated cell at unequal weights, where the oracle has no model
+            ("verify", "iwahori", "--qs", "2", "--qt", "3", "--len", "1"),
+            IwahoriAlgebra,
+            "multiply_closed",
+            lambda self, a, b: (self.basis_label(a), self.basis_label(b)) == ("is", "t"),
+            [["is", "t"]],
+            ["generated", "closed"],
+        ),
     ],
 )
 def test_verify_reports_mismatch(capsys, monkeypatch, argv, owner, name, hit, keys, routes):
     _assert_mismatch_report(capsys, monkeypatch, argv, owner, name, hit, keys, routes, _add_one)
+
+
+#: The first route each family declares: :func:`verify._sweep` compares every
+#: later route's column with this one's.
+FIRST_ROUTES = {"spherical": "closed", "iwahori": "generated", "affine": "table", "sl2": "orbit"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in ACCEPTANCE_COMMANDS if argv[0] == "verify"]
+    + [("verify", "sl2", "--p", "5", "--max", "2")],
+    ids=" ".join,
+)
+def test_first_route_returns_a_vector_on_every_cell(argv):
+    # a later route is compared with the first where it returns a vector, so
+    # the first must return one on every cell for each cell to be compared
+    args = cli.build_parser().parse_args(list(argv))
+    family = cli._family(args)
+    sweep = getattr(verify, family.verify)
+    report = sweep(*family.options(args), cli._extent(args, family))
+    assert report.ok
+    first = next(iter(report.route_cells))
+    assert first == FIRST_ROUTES[argv[1]]
+    assert report.route_cells[first] == report.cells
+
+
+def test_columns_agree_only_where_the_later_route_returns_a_vector():
+    first = [{"": 1}, {"s": 1}, {"t": 1}]
+    assert verify._agrees(first, [{"": 1}, None, {"t": 1}], 1)
+    assert not verify._agrees(first, [{"": 1}, None, {"t": 2}], 1)
+    assert not verify._agrees(first, [{"": 1}, {"s": 1}, {"t": 2}], 0)
+    # a cell the first route leaves out is a disagreement, for the cells to be walked
+    assert not verify._agrees([None, {"s": 1}], [{"": 1}, {"s": 1}], 0)
+    assert verify._agrees([None, {"s": 1}], [None, {"s": 1}], 1)
 
 
 def _assert_mismatch_report(capsys, monkeypatch, argv, owner, name, hit, keys, routes, change):

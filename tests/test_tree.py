@@ -474,18 +474,22 @@ def test_ball_memo_changes_no_count(monkeypatch, name, sweep, oracle_cells):
 
 
 @pytest.mark.parametrize(
-    "sweep, kind, histograms",
+    "sweep, kind, histograms, kinds",
     [
-        # one table per word group from the base edge: the 11 words of length <= 5
-        (lambda: verify.verify_iwahori(2, 2, 5), "tables", 11),
+        # one table per word group from the base edge: the 11 words of length
+        # <= 5, each counted against the witness sides the ball keeps once
+        (lambda: verify.verify_iwahori(2, 2, 5), "tables", 11, ["tables", "sides"]),
         # one per class block 0..7, each climbed once against all 8 witnesses
-        (lambda: verify.verify_affine(2, 7), "classes", 8),
+        (lambda: verify.verify_affine(2, 7), "classes", 8, ["classes"]),
         # one per sphere radius 0..8
-        (lambda: verify.verify_spherical(SphericalParams.homogeneous(2), 8), "depths", 9),
+        (
+            lambda: verify.verify_spherical(SphericalParams.homogeneous(2), 8),
+            "depths", 9, ["depths"],
+        ),
     ],
     ids=["iwahori", "affine", "spherical"],
 )
-def test_sweep_measures_each_histogram_once(monkeypatch, sweep, kind, histograms):
+def test_sweep_measures_each_histogram_once(monkeypatch, sweep, kind, histograms, kinds):
     # the sweep's one ball keeps every histogram its cells read, measured once
     balls = []
     build_ball = tree.build_ball
@@ -500,7 +504,7 @@ def test_sweep_measures_each_histogram_once(monkeypatch, sweep, kind, histograms
     assert sweep().ok
     (ball,) = balls
     assert len(ball.memo[kind]) == len(climbs) == histograms
-    assert list(ball.memo) == [kind]
+    assert list(ball.memo) == kinds
 
 
 def test_affine_sweep_keeps_whole_histograms(monkeypatch):
@@ -768,6 +772,30 @@ def test_word_table_matches_per_edge_weyl_distance(q0, q1, radius):
         table = tree._word_table(ball, word_ef)
         assert table == {w: row for w, row in expected.items() if len(w) <= longest}, word_ef
         assert all(len(w) > longest for w in expected.keys() - table.keys()), word_ef
+
+
+@pytest.mark.parametrize("q0, q1, radius", [(2, 3, 12), (3, 3, 10)])
+def test_word_table_keeps_exactly_the_readable_rows(q0, q1, radius):
+    # a row is readable when len(word_ef) + len(word_fg) <= radius - 2: each
+    # one, up to exactly that length, is the per-edge count, and no longer
+    # row is kept, so a length rule one off either way fails here
+    ball = tree.build_ball(q0, q1, radius)
+    reach = radius - 2
+    # every crossing word the ball reaches, each once
+    words = list(dict.fromkeys(
+        w for n in range(reach + 1) for w in (("st" * n)[:n], ("ts" * n)[:n])
+    ))
+    for word_ef in words:
+        longest = reach - len(word_ef)
+        table = tree._word_table(ball, word_ef)
+        assert max(map(len, table)) == longest, word_ef
+        for word_fg in (w for w in words if len(w) <= longest):
+            expected = {}
+            for word_eg in words:
+                count = tree.iwahori_constant(ball, word_ef, word_fg, word_eg)
+                if count:
+                    expected[(0, word_eg)] = count
+            assert table.get(word_fg, {}) == expected, (word_ef, word_fg)
 
 
 @pytest.mark.parametrize("q0, q1", [(2, 2), (2, 3), (3, 2), (4, 3)])
