@@ -258,7 +258,7 @@ def label_int(text: str) -> int | None:
     limit = int_str_limit()
     if limit and len(text) > limit:
         raise int_limit_error(
-            f"the label integer {text[:10]}... has {len(text)} digits, more than {limit}",
+            f"the integer {text[:10]}... has {len(text)} digits, more than {limit}",
             "reading",
         )
     return int(text)

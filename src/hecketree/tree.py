@@ -8,7 +8,8 @@ verified.  Each family has a per-cell function (:func:`spherical_product`,
 :func:`iwahori_product`, :func:`horocycle_product`) that returns a whole
 structure-constant vector, read from histograms kept in the ball's memo
 (:attr:`TreeBall.memo`) and so shared by every cell counted on one ball, and
-a single-constant reference beside it.
+a single-constant reference beside it.  An Iwahori cell at result flag 0
+hands over the row the memo keeps, which its caller only reads.
 
 The histograms come from one anchored climb (:func:`_anchored_climb`).  A
 block is a contiguous range of one sphere (a sphere, the edges at one
@@ -29,10 +30,11 @@ edge, the marked ray and one branch off it, so each edge group is climbed
 once, against the deepest witness of that branch, and the one climb gives
 its crossing words to every witness.  The horocycle witnesses, the first
 member of each class, hang off the marked ray as the teeth of a comb, one
-per class, so each class block is climbed once against the whole comb and
-the one climb gives its confluence classes from every witness.  Witnesses
-are found by offset arithmetic, so only the blocks actually climbed count
-against the ball's budget.  The single-constant references
+per class, so each class block is climbed once against the whole comb, and
+its confluence classes from every witness are read from the depths of
+each landing and of where it leaves the ray.  Witnesses are found by
+offset arithmetic, so only the blocks actually climbed count against the
+ball's budget.  The single-constant references
 (:func:`spherical_constant`, :func:`iwahori_constant`,
 :func:`horocycle_constant`) stay per-vertex: they measure each vertex with
 the generic :func:`distance`, :func:`weyl_distance` or confluence-class
@@ -92,14 +94,14 @@ class TreeBall(Frozen):
     Only the sphere offsets and the branching ``width[d]`` at each depth are
     stored, O(radius) integers; depths, parents, the marked ray and paths
     are derived on demand.  ``max_vertices`` bounds every vertex range the
-    ball hands out (:meth:`sphere`, the blocks of :func:`edges_by_weyl_word`,
-    :func:`horocycle_members`): what a count visits.
+    ball hands out (:meth:`sphere`, the word groups of :func:`edges_by_weyl_word`
+    and :func:`_word_table`, :func:`horocycle_members`): what a count visits.
 
     ``memo`` holds the histograms the per-cell oracles read, one inner dict
     per kind (``"depths"``, ``"tables"``, ``"classes"``; a word table is kept
-    alone, its rows keyed as :func:`iwahori_product` returns them at flag 0,
-    and a class block's histograms as one list, one per witness), and under
-    ``"sides"`` the witness sides every word table is counted against
+    alone, its rows the vectors :func:`iwahori_product` returns at flag 0,
+    and a class block's histograms as one list, one per comb witness), and
+    under ``"sides"`` the witness sides every word table is counted against
     (:func:`_witness_sides`).  They depend only on the ball, so they live as
     long as it does, and a pickle or copy of the ball carries them.  Two
     balls are equal only if they are the same object.
@@ -403,7 +405,8 @@ def _word_blocks(ball: TreeBall, max_len: int):
     """``(word, start, stop)`` of each crossing-word group of length <= max_len, unbudgeted.
 
     The derivation is in :func:`edges_by_weyl_word`, which hands the blocks
-    out; :func:`_witness_edges` reads only their first edges.
+    out; :func:`_word_table` hands out the one it climbs, and
+    :func:`_witness_sides` reads only their first edges.
     """
     ss = ball.sphere_start
     span = 1  # span_d, vertices of sphere d below ray vertex 1
@@ -452,41 +455,34 @@ def _check_words(*words: str) -> None:
             raise ValueError(f"{word!r} is not an alternating word in s and t")
 
 
-def _witness_edges(ball: TreeBall, max_len: int) -> dict:
-    """The witness edge of every crossing word of length <= max_len, by offset arithmetic.
-
-    Equals the first edge of each group of :func:`edges_by_weyl_word`, but
-    hands out no group, so no budget applies.  The ``t...`` witness of
-    length ``L`` is ray vertex ``L + 1``.  The ``s...`` witness of length
-    ``L`` is offset ``span_L`` of sphere ``L``, whose parent is offset
-    ``span_{L-1}`` of sphere ``L - 1``: the ``s...`` witness one letter
-    shorter.  So every witness lies on one apartment through the base edge,
-    the marked ray together with the path from the root to the deepest
-    ``s...`` witness.
-    """
-    return {word: start for word, start, _ in _word_blocks(ball, max_len)}
-
-
 def _witness_sides(ball: TreeBall) -> tuple:
     """``(apex, sides)``: what every word table of the ball is counted against, once per ball.
 
-    ``sides`` lists ``((0, word_eg), dg, on_ray)`` for the witness at every
-    crossing word the ball reaches (length <= radius - 2): its result
-    index at flag 0, its depth and whether it lies on the marked ray.
-    ``apex`` is the deepest ``s...`` witness, the end of the apartment
-    (:func:`_witness_edges`).  Offset arithmetic alone, so no budget
-    applies; the ball's memo keeps the pair under ``"sides"``.
+    The witness of a crossing word is the first edge of its group
+    (:func:`_word_blocks`).  ``sides`` lists ``((0, word_eg), dg, on_ray)``
+    for the witness at every crossing word the ball reaches (length <=
+    radius - 2): its result index at flag 0, its depth and whether it lies
+    on the marked ray.  The ``t...`` witness of length ``L`` is ray vertex
+    ``L + 1``.  The ``s...`` witness of length ``L`` is offset ``span_L``
+    of sphere ``L``, whose parent is offset ``span_{L-1}`` of sphere ``L -
+    1``: the ``s...`` witness one letter shorter.  So every witness lies on
+    one apartment through the base edge, the marked ray together with the
+    path from the root to ``apex``, the deepest ``s...`` witness.  Offset
+    arithmetic alone, so no budget applies; the ball's memo keeps the pair
+    under ``"sides"``.
     """
     kept = ball.memo.get("sides")
     if kept is None:
         reach = ball.radius - 2
-        witnesses = _witness_edges(ball, reach)
+        deepest = ("st" * reach)[:reach]
         ss = ball.sphere_start
         sides = []
-        for word_eg, g in witnesses.items():
+        for word_eg, g, _ in _word_blocks(ball, reach):
+            if word_eg == deepest:
+                apex = g
             dg = ball.depth(g)
             sides.append(((0, word_eg), dg, g == ss[dg]))
-        kept = ball.memo["sides"] = (witnesses[("st" * reach)[:reach]], sides)
+        kept = ball.memo["sides"] = (apex, sides)
     return kept
 
 
@@ -503,7 +499,7 @@ def _word_table(ball: TreeBall, word_ef: str) -> dict:
     longer than ``radius - 2 - len(word_ef)`` is dropped; its length is
     worked out (:func:`_crossing_length`) before any word is spelled, so
     only a kept row's word is.  The witnesses lie on one apartment
-    (:func:`_witness_edges`), so the group is climbed once, every edge of it
+    (:func:`_witness_sides`), so the group is climbed once, every edge of it
     enumerated, against the deepest ``s...`` witness.  An edge
     landing on the marked ray at depth ``e`` meets a witness on the ray at
     depth ``min(e, dg)``, with ``dg`` the witness's depth, and an ``s...``
@@ -512,11 +508,15 @@ def _word_table(ball: TreeBall, word_ef: str) -> dict:
     on the ray at the root.  At radius 2 there is no ``s...`` witness: the
     deepest ``s...`` word is then empty, and the climb is against the base
     edge, on the ray.  The witnesses and their sides are found once per
-    ball (:func:`_witness_sides`); the group is budget-checked as it is
-    handed out (:func:`edges_by_weyl_word`).
+    ball (:func:`_witness_sides`).  Only the group climbed is handed out,
+    so only it counts against the budget.
     """
     longest = ball.radius - 2 - len(word_ef)
-    block = edges_by_weyl_word(ball, len(word_ef))[word_ef]
+    block = next(
+        ball._budgeted(start, stop)
+        for word, start, stop in _word_blocks(ball, len(word_ef))
+        if word == word_ef
+    )
     apex, sides = _witness_sides(ball)
     ss = ball.sphere_start
     d = ball.depth(block.start)
@@ -580,17 +580,18 @@ def iwahori_product(ball: TreeBall, w1: str, w2: str, iflags: tuple) -> dict:
     mod 2, and a word no longer than ``w1`` and ``w2`` together, by the
     triangle inequality on the edge metric.
 
-    All witnesses lie on one apartment (:func:`_witness_edges`), so one climb
+    All witnesses lie on one apartment (:func:`_witness_sides`), so one climb
     of a word group fixes its crossing words to every witness.  The ball's
     memo keeps that table (:func:`_word_table`), and nothing else, for each
     word from the base edge; its rows are keyed by flag-0 result index as
-    they are counted.  A cell with result flag 0 returns a copy of row
-    ``w2``; one with result flag 1 reads row ``swap_types(w2)`` and returns
-    it keyed ``(1, swap_types(word))``.  So each group is climbed once per
-    ball, every edge of it enumerated, and each cell is one lookup and a
-    new dict, which the caller then owns.  Raises ``ValueError`` on a word
-    that is not alternating: only crossing words reach the memo, so the
-    words are checked when the lookup misses.
+    they are counted.  A cell with result flag 0 returns row ``w2`` itself,
+    the dict the memo keeps, so the caller reads it and must not change it,
+    as it reads a product's terms; one with result flag 1 reads row
+    ``swap_types(w2)`` and returns it keyed ``(1, swap_types(word))``, a new
+    dict.  So each group is climbed once per ball, every edge of it
+    enumerated, and each cell is one lookup.  Raises ``ValueError`` on a
+    word that is not alternating: only crossing words reach the memo, so
+    the words are checked when the lookup misses.
     """
     d1 = iflags[0] & 1
     dt = d1 ^ (iflags[1] & 1)
@@ -610,7 +611,7 @@ def iwahori_product(ball: TreeBall, w1: str, w2: str, iflags: tuple) -> dict:
         row = table.get(word_fg, {})
     if dt:
         return {(1, swap_types(word)): count for (_, word), count in row.items()}
-    return dict(row)
+    return row
 
 
 # -- end-stabilizer (horocycle) counting ---------------------------------------
@@ -687,41 +688,35 @@ def _horocycle_witnesses(ball: TreeBall, reach: int) -> list:
     return [_class_bounds(ball, k)[0] for k in range(reach + 1)]
 
 
-def _class_histograms(ball: TreeBall, block: range, *witnesses: int) -> list:
-    """Confluence classes from each witness over the vertices of ``block``, by one climb.
+def _class_histograms(ball: TreeBall, block: range, reach: int) -> list:
+    """Confluence classes from each comb witness over the vertices of ``block``, by one climb.
 
-    Item ``i`` equals ``Counter(horocycle_class(ball, v, witnesses[i]) for v
-    in block)`` and, like it, sums to ``len(block)``; a vertex of the block
-    off the horocycle of any witness raises :class:`HorocycleMismatch`.  The
-    block is climbed once against all witnesses (:func:`_anchored_climb`),
-    and each vertex meets a witness where its landing vertex ``x`` does.
-    The path from ``x`` leaves the marked ray at depth ``c``, its ray
-    confluence depth, and that of the witness at ``cw``.  Unless ``c ==
-    cw`` and ``x`` is off the ray, the two meet on the ray, and the vertex's
-    ray toward the marked end merges with the witness's at depth ``max(c,
-    cw)``; otherwise they may meet off the ray, and if so their rays merge
-    where they meet.  On the comb of :func:`_horocycle_witnesses` that is
-    the witness whose tooth ``x`` lies on.
+    Item ``k`` equals ``Counter(horocycle_class(ball, v, w) for v in
+    block)``, with ``w`` the witness of class ``k <= reach``
+    (:func:`_horocycle_witnesses`), and, like it, sums to ``len(block)``;
+    a vertex of the block off the root's horocycle, which holds every
+    witness, raises :class:`HorocycleMismatch`.  The block, at depth ``d``,
+    is climbed once against the comb (:func:`_anchored_climb`), and every
+    class is read from depths.  A vertex whose landing vertex at depth
+    ``e`` leaves the marked ray at depth ``c`` lies on the root's horocycle
+    exactly when ``d == 2c``.  Its landing lies on the path of witness ``c``, on
+    the ray or on tooth ``c`` off it, so the two meet there, and their rays
+    toward the marked end merge there or, if it is on the ray, at ray
+    vertex ``c``: class ``d - e``.  Any other witness ``k`` leaves the ray
+    elsewhere, so the two meet on the ray, and their rays merge at ray
+    vertex ``max(c, k)``: class ``max(c, k)``.
     """
-    ss = ball.sphere_start
     d = ball.depth(block.start)
-    sides = [(w, ball.depth(w), ray_confluence_depth(ball, w)) for w in witnesses]
-    histograms = [Counter() for _ in witnesses]
-    for x, count in _anchored_climb(ball, block, *witnesses).items():
+    histograms = [Counter() for _ in range(reach + 1)]
+    for x, count in _anchored_climb(ball, block, *_horocycle_witnesses(ball, reach)).items():
         c = ray_confluence_depth(ball, x)
-        off_ray = x != ss[c]
-        for classes, (w, dw, cw) in zip(histograms, sides):
-            if off_ray and c == cw and (dc := _meet(ball, x, w)[2]) > c:
-                n_v, n_w = d - dc, dw - dc
-            else:
-                top = max(c, cw)
-                n_v, n_w = d + top - 2 * c, dw + top - 2 * cw
-            if n_v != n_w:
-                raise HorocycleMismatch(
-                    f"{count} vertices of {block} and vertex {w} lie on different horocycles"
-                    f" ({n_v} != {n_w})"
-                )
-            classes[n_v] += count
+        if d != 2 * c:
+            raise HorocycleMismatch(
+                f"{count} vertices of {block} lie off the root's horocycle ({d - c} != {c})"
+            )
+        e = ball.depth(x)
+        for k, classes in enumerate(histograms):
+            classes[d - e if k == c else max(c, k)] += count
     return histograms
 
 
@@ -753,7 +748,7 @@ def horocycle_product(ball: TreeBall, m: int, n: int) -> dict:
     on one comb (:func:`_horocycle_witnesses`), found by offset arithmetic,
     so the class-``m`` members are climbed once against all of them.  The
     ball's memo keeps, under ``m``, one histogram of confluence classes per
-    witness (:func:`_class_histograms`), so each class block is measured
+    comb witness (:func:`_class_histograms`), so each class block is measured
     once per ball, every vertex of it enumerated, and every ``n`` and ``k``
     is read from it; only the blocks of the classes asked for are handed
     out, so only they count against the budget.
@@ -766,8 +761,8 @@ def horocycle_product(ball: TreeBall, m: int, n: int) -> dict:
     cache = ball.memo.setdefault("classes", {})
     histograms = cache.get(m)
     if histograms is None:
-        witnesses = _horocycle_witnesses(ball, (ball.radius - 2) // 2)
-        histograms = cache[m] = _class_histograms(ball, horocycle_members(ball, m), *witnesses)
+        block = horocycle_members(ball, m)
+        histograms = cache[m] = _class_histograms(ball, block, (ball.radius - 2) // 2)
     counts: dict = {}
     for k in range(top + 1):
         count = histograms[k][n]

@@ -28,12 +28,14 @@ with one that reads that cache, so a non-integral or negative value in
 any route is an ordinary mismatch: the report prints an ``int`` as a
 number and any other coefficient as its ``str`` (``"1/2"``).  The tree
 oracle reads each cell's vector from histograms kept in the memo of the
-sweep's ball, each measured once per sweep, and returns it fresh:
-spherical counts keyed by distance (re-keyed by index only in two-orbit
-mode), horocycle counts keyed by class, and Iwahori counts keyed by
-``(iflag, word)`` tuples, which compare and hash as the equal
-:class:`DeltaIndex` keys of the other routes; a mismatch report labels
-them as they are, since :func:`iwahori.index_label` takes any such pair.
+sweep's ball, each measured once per sweep, and returns it as a new
+dict or, for an Iwahori cell at result flag 0, as the row the ball keeps,
+which the sweep only reads: spherical counts keyed by distance (re-keyed
+by index only in two-orbit mode), horocycle counts keyed by class, and
+Iwahori counts keyed by ``(iflag, word)`` tuples, which compare and hash
+as the equal :class:`DeltaIndex` keys of the other routes; a mismatch
+report labels them as they are, since :func:`iwahori.index_label` takes
+any such pair.
 """
 
 from __future__ import annotations

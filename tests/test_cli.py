@@ -653,6 +653,26 @@ def test_integer_options_read_only_label_spellings(capsys, argv, flag):
     assert f"error: argument {flag}: expected " in captured.err.splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("nu", "--p", "{}", "--depth", "1"), "--p"),
+        (("table", "spherical", "--q", "2", "--max", "{}"), "--max"),
+        (("ktheory", "--example", "toeplitz", "--size", "{}"), "--size"),
+    ],
+)
+def test_integer_option_over_the_int_reading_limit_is_called_an_integer(capsys, argv, flag):
+    # the digit limit is shared with basis labels, but an option is no label
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit) as excinfo:
+        main([arg.format("1" * (limit + 1)) for arg in argv])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert f"error: argument {flag}: the integer 1111111111... has {limit + 1} digits" in last
+    assert "label" not in captured.err
+
+
 def test_signed_integer_options_reach_their_own_checks(capsys):
     # a leading - is read, so a negative parameter meets the same message as 1 or 0
     assert main(["table", "spherical", "--q", "-1", "--max", "1"]) == 2
@@ -918,7 +938,7 @@ def test_mul_refuses_a_label_integer_over_the_int_reading_limit(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip() == (
-        f"error: the label integer 1111111111... has {limit + 1} digits, more than {limit},"
+        f"error: the integer 1111111111... has {limit + 1} digits, more than {limit},"
         " the interpreter's limit for reading an integer; set PYTHONINTMAXSTRDIGITS"
         " to a larger limit, or to 0 for none"
     )

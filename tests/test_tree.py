@@ -394,7 +394,8 @@ def test_iwahori_product_equals_constants(qs, qt, max_len):
     "oracle, args",
     [
         (tree.spherical_product, [(2, 3), (2, 1), (3, 2)]),
-        (tree.iwahori_product, [("st", "s", (0, 0)), ("st", "s", (1, 1)), ("ts", "t", (0, 1))]),
+        # at result flag 1; a flag-0 vector is the row the memo keeps (below)
+        (tree.iwahori_product, [("ts", "t", (0, 1)), ("st", "s", (1, 0))]),
         (tree.horocycle_product, [(2, 1), (2, 2), (1, 2)]),
     ],
     ids=["spherical", "iwahori", "horocycle"],
@@ -413,6 +414,29 @@ def test_oracle_vectors_belong_to_the_caller(oracle, args):
         vector["junk"] = 1
         assert oracle(ball, *cell) == before == expected
     assert [oracle(ball, *cell) for cell in args] == fresh
+
+
+def test_flag_0_iwahori_vectors_are_the_rows_the_memo_keeps(monkeypatch):
+    # a flag-0 cell hands over its kept row, read-only: a second pass over
+    # the sweep's cells returns the same objects and leaves the memo as it was
+    balls = []
+    build = tree.build_ball
+    monkeypatch.setattr(tree, "build_ball", lambda *args: balls.append(build(*args)) or balls[-1])
+    make_algebra, makers = verify.iwahori_routes(2, 2, 5)
+    algebra = make_algebra()
+    oracle = makers["oracle"](algebra)
+    (ball,) = balls
+    cells = list(verify.CELLS["iwahori"](algebra, 5))
+    first = [oracle(a, b) for a, b in cells]
+    kept = copy.deepcopy(ball.memo)
+    second = [oracle(a, b) for a, b in cells]
+    assert second == first and ball.memo == kept
+    flag_0 = [i for i, (a, b) in enumerate(cells) if a.iflag == b.iflag]
+    assert len(flag_0) == len(cells) // 2
+    for i in flag_0:
+        a, b = cells[i]
+        word_ef = tree.swap_types(a.word) if a.iflag else a.word
+        assert second[i] is first[i] is ball.memo["tables"][word_ef][b.word], cells[i]
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -654,28 +678,17 @@ def _blocks(draw):
             st.integers(0, 3).flatmap(lambda k: st.sampled_from(tree.horocycle_members(ball, k))),
         )
     )
-    return ball, kind, block, witness
+    return ball, block, witness
 
 
 @settings(max_examples=120, deadline=None)
 @given(_blocks())
 def test_anchored_climb_matches_per_vertex_functions(case):
-    ball, kind, block, w = case
+    ball, block, w = case
     climb = tree._anchored_climb(ball, block, w)
     assert climb == Counter(_landing(ball, v, w) for v in block)
     # every vertex of the block was visited
     assert sum(climb.values()) == len(block)
-    try:
-        expected = Counter(tree.horocycle_class(ball, v, w) for v in block)
-    except tree.HorocycleMismatch:
-        with pytest.raises(tree.HorocycleMismatch):
-            tree._class_histograms(ball, block, w)
-    else:
-        # a sphere (ray vertex and the rest) or a mixed block holds vertices of
-        # two horocycles, so no witness lies on the horocycle of all of them
-        assert kind not in ("sphere", "mixed")
-        (classes,) = tree._class_histograms(ball, block, w)
-        assert classes == expected and sum(classes.values()) == len(block)
 
 
 @st.composite
@@ -690,12 +703,10 @@ def _comb_blocks(draw):
     ball = tree.build_ball(q0, q1, 8)
     reach = 3
     block = tree.horocycle_members(ball, draw(st.integers(0, reach)))
-    straddles = block.start > 0 and draw(st.booleans())
-    if straddles:  # one more vertex of the sphere, on another horocycle
+    if block.start > 0 and draw(st.booleans()):  # one more vertex of the sphere
         start, stop = block.start, block.stop
         block = draw(st.sampled_from((range(start - 1, stop), range(start, stop + 1))))
     comb = tree._horocycle_witnesses(ball, reach)
-    assert comb == [tree.horocycle_members(ball, k)[0] for k in range(reach + 1)]
     members = st.integers(0, reach).flatmap(
         lambda k: st.sampled_from(tree.horocycle_members(ball, k))
     )
@@ -705,7 +716,7 @@ def _comb_blocks(draw):
             st.lists(st.one_of(st.sampled_from(comb), members), min_size=1, max_size=6),
         )
     )
-    return ball, block, witnesses, straddles
+    return ball, block, witnesses
 
 
 def _anchor_landing(ball, v, witnesses):
@@ -719,19 +730,33 @@ def _anchor_landing(ball, v, witnesses):
 @settings(max_examples=150, deadline=None)
 @given(_comb_blocks())
 def test_climb_against_several_witnesses_matches_per_vertex_classes(case):
-    ball, block, witnesses, straddles = case
+    # each vertex lands where its path to the root first meets the anchor;
+    # the classes read from these landings are checked on the comb below
+    ball, block, witnesses = case
     climb = tree._anchored_climb(ball, block, *witnesses)
     assert climb == Counter(_anchor_landing(ball, v, witnesses) for v in block)
-    if straddles:
-        # no witness lies on both horocycles of the block
-        with pytest.raises(tree.HorocycleMismatch):
-            tree._class_histograms(ball, block, *witnesses)
-        return
-    histograms = tree._class_histograms(ball, block, *witnesses)
-    assert len(histograms) == len(witnesses)
-    for w, classes in zip(witnesses, histograms):
-        assert classes == Counter(tree.horocycle_class(ball, v, w) for v in block), w
-        assert sum(classes.values()) == len(block)
+
+
+@pytest.mark.parametrize("q0, q1", [(2, 2), (3, 3), (2, 3), (3, 2)])
+def test_class_histograms_match_per_vertex_classes_on_the_comb(q0, q1):
+    # every class block of the ball, against each witness of the comb; a
+    # block one vertex wider holds a vertex of another horocycle, on which
+    # no witness lies
+    ball = tree.build_ball(q0, q1, 8)
+    reach = 3
+    comb = tree._horocycle_witnesses(ball, reach)
+    assert comb == [tree.horocycle_members(ball, k)[0] for k in range(reach + 1)]
+    for n in range(ball.radius // 2 + 1):
+        block = tree.horocycle_members(ball, n)
+        histograms = tree._class_histograms(ball, block, reach)
+        assert histograms == [
+            Counter(tree.horocycle_class(ball, v, w) for v in block) for w in comb
+        ], n
+        assert all(sum(classes.values()) == len(block) for classes in histograms), n
+        if n:
+            for wider in (range(block.start - 1, block.stop), range(block.start, block.stop + 1)):
+                with pytest.raises(tree.HorocycleMismatch):
+                    tree._class_histograms(ball, wider, reach)
 
 
 def test_horocycle_product_climbs_only_the_block_it_reads():
@@ -748,6 +773,17 @@ def test_horocycle_product_climbs_only_the_block_it_reads():
     assert list(budgeted.memo["classes"]) == [0]
 
 
+def test_iwahori_product_climbs_only_the_group_it_reads():
+    # the sts group has 12 edges; the 18-edge tst group of the same length
+    # is not climbed, so it does not count against the budget
+    groups = tree.edges_by_weyl_word(tree.build_ball(2, 3, 10), 3)
+    assert (len(groups["sts"]), len(groups["tst"])) == (12, 18)
+    budgeted = tree.build_ball(2, 3, 10, max_vertices=12)
+    assert tree.iwahori_product(budgeted, "sts", "", (0, 0)) == {(0, "sts"): 1}
+    with pytest.raises(tree.BallBudgetExceeded):
+        tree.iwahori_product(tree.build_ball(2, 3, 10, max_vertices=11), "sts", "", (0, 0))
+
+
 @pytest.mark.parametrize("q0, q1", [(2, 2), (2, 3), (3, 2), (3, 3)])
 @pytest.mark.parametrize("radius", [6, 9])
 def test_word_table_matches_per_edge_weyl_distance(q0, q1, radius):
@@ -757,7 +793,13 @@ def test_word_table_matches_per_edge_weyl_distance(q0, q1, radius):
     ball = tree.build_ball(q0, q1, radius)
     groups = tree.edges_by_weyl_word(ball, radius - 2)
     witnesses = {word: groups[word][0] for word in groups}
-    assert tree._witness_edges(ball, radius - 2) == witnesses
+    # the sides, found by offset arithmetic, are those of each group's first edge
+    apex, sides = tree._witness_sides(ball)
+    deepest = ("st" * radius)[: radius - 2]
+    assert apex == witnesses[deepest]
+    assert sides == [
+        ((0, word), ball.depth(g), g in ball.ray()) for word, g in witnesses.items()
+    ]
     for word_ef in tree.edges_by_weyl_word(ball, 4):
         expected = {}
         for word_eg, g in witnesses.items():
