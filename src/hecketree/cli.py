@@ -75,9 +75,9 @@ def product_record(memo: BasisMemo, a, b) -> tuple:
     ``left`` and ``right`` are the memo entries of ``a`` and ``b``; ``value``
     lists the product's terms as ``(entry, coefficient)`` pairs in the
     canonical basis order.  A coefficient is a structure constant, an ``int``
-    (``multiply_basis`` checks), so the writers print it as ``n/1``.
+    (``basis_terms`` checks), so the writers print it as ``n/1``.
     """
-    terms = memo.algebra.multiply_basis(a, b).items()
+    terms = memo.algebra.basis_terms(a, b).items()
     # memo entries sort by their first field, the basis key
     return memo[a], memo[b], sorted([(memo[idx], c) for idx, c in terms], key=_ENTRY)
 
@@ -89,13 +89,14 @@ def emit_records(family: str, memo: BasisMemo, cells, out) -> None:
     JSON line is ``{"family": ..., "key": [a, b], "value": [[label, "n/d"],
     ...]}``, joined from the memo's fragments in the layout of ``json.dumps``
     with its default separators; a CSV row is ``family,left,right,value``
-    with ``label:n/d`` terms joined by ``;``.  Each product is read from
-    ``multiply_basis``, which checks its structure constants, and its terms
-    are sorted only when there are several.  A coefficient too long to print
-    is a ValueError naming ``PYTHONINTMAXSTRDIGITS``, raised after the
-    records before it are written.
+    with ``label:n/d`` terms joined by ``;``.  Each product's terms are read
+    from ``basis_terms``, which checks its structure constants, as the dict
+    the product cache keeps, and are sorted only when there are several.  A
+    coefficient too long to print is a ValueError naming
+    ``PYTHONINTMAXSTRDIGITS``, raised after the records before it are
+    written.
     """
-    multiply = memo.algebra.multiply_basis
+    basis_terms = memo.algebra.basis_terms
     if memo.fmt == "json":
         head = '{"family": ' + encode_basestring_ascii(family) + ', "key": ['
         sep, close = ", ", '/1"]'
@@ -114,7 +115,7 @@ def emit_records(family: str, memo: BasisMemo, cells, out) -> None:
             writerow([family, left[1], right[1], value])
 
     for a, b in cells:
-        terms = multiply(a, b)._terms
+        terms = basis_terms(a, b)
         left, right = memo[a], memo[b]
         try:
             if len(terms) == 1:

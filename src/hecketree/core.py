@@ -16,10 +16,13 @@ every algebra shares live here: branching numbers are read and bounded by
 :func:`branching`, :func:`shared` keeps one instance per class and
 parameters for the maps whose images must share a product cache, and
 :func:`structure_constants` checks the coset counts of a basis product
-where the product cache admits them, in :meth:`HeckeAlgebra.multiply_basis`,
-which keeps the dict the algebra handed over and wraps it without a copy.
-That is the one check: a ``verify`` sweep compares every other route with
-a route that reads this cache, so a bad value elsewhere is a mismatch.
+where the product cache admits them, in :meth:`HeckeAlgebra.basis_terms`,
+which keeps the dict the algebra handed over and hands that dict out.
+:meth:`HeckeAlgebra.multiply_basis` wraps it, uncopied, as an element; a
+caller that wants only the terms (a ``verify`` route, the ``table`` writer,
+element multiplication) reads the dict.  That is the one check: a
+``verify`` sweep compares every other route with a route that reads this
+cache, so a bad value elsewhere is a mismatch.
 
 Coefficient rule, owned by :func:`exact`: a coefficient is an ``int`` or a
 ``Fraction`` and is kept as given, never converted; anything else, ``bool``
@@ -49,6 +52,9 @@ class HeckeAlgebra:
     are immutable apart from memos of results already computed, such as the
     product cache here.  No memo changes a result.  The product cache keeps
     the dict ``_basis_product`` returns, which is never mutated afterwards.
+    :meth:`basis_terms` is the cache's one entry point: it checks a product
+    once, on admission, caches it and hands out the kept dict;
+    :meth:`multiply_basis` wraps that dict as an element.
     """
 
     #: basis index of the identity double coset
@@ -94,13 +100,21 @@ class HeckeAlgebra:
     def __hash__(self):
         return hash((type(self), self._key()))
 
-    def multiply_basis(self, a, b) -> "HeckeElement":
-        """Product of two basis elements, with structure constants checked and cached."""
-        key = (a, b)
-        terms = self._product_cache.get(key)
+    def basis_terms(self, a, b) -> dict:
+        """The terms of the basis product ``a * b``: the dict the product cache keeps.
+
+        The one entry point to the cache: a product is checked by
+        :func:`structure_constants` when it is admitted, once, and every
+        later call hands out the same dict, which the caller only reads.
+        """
+        terms = self._product_cache.get((a, b))
         if terms is None:
-            terms = self._product_cache[key] = structure_constants(self._basis_product(a, b))
-        return HeckeElement._of(self, terms)
+            terms = self._product_cache[a, b] = structure_constants(self._basis_product(a, b))
+        return terms
+
+    def multiply_basis(self, a, b) -> "HeckeElement":
+        """Product of two basis elements: :meth:`basis_terms` wrapped, uncopied, as an element."""
+        return HeckeElement._of(self, self.basis_terms(a, b))
 
     def element(self, terms) -> "HeckeElement":
         return HeckeElement(self, terms)
@@ -402,11 +416,12 @@ class HeckeElement:
             return NotImplemented
         self._check_compatible(other)
         algebra = self.algebra
+        basis_terms = algebra.basis_terms
         acc: dict = {}
         for a, ca in self._terms.items():
             for b, cb in other._terms.items():
                 weight = ca * cb
-                for idx, n in algebra.multiply_basis(a, b)._terms.items():
+                for idx, n in basis_terms(a, b).items():
                     acc[idx] = acc.get(idx, 0) + weight * n
         return HeckeElement._of(algebra, {idx: c for idx, c in acc.items() if c})
 

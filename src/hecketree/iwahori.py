@@ -14,16 +14,21 @@ their mirror images on the right, and the inversion rules ``D_i^2 = 1``,
 ``D_i D_s D_i = D_t``.  A closed form for arbitrary word pairs is provided
 as an independent route and must agree with the generated product.
 
-Each route makes its terms keyed by :class:`DeltaIndex`.  A product depends
-on its factors only through the left word, the right word and the result
-flag, so ``a * b`` equals its twin with both flags flipped and the letters
-of ``a.word`` swapped (``is * i`` is ``t * 1``).  The generated route keeps
-no memo of its own but reads the product cache: a twin is one lookup and
-``a * (b + letter)`` is one rewriting step from ``a * b``.  A table or
-sweep asks for the words in length order, so each of its cells costs one
-lookup or one step; a pair whose one-letter-shorter pair was never asked
-for is rewritten letter by letter.  The closed form keeps its own terms,
-one dict per triple.
+Each route makes its terms keyed by :class:`DeltaIndex`, each key made by
+``tuple.__new__`` (``_index``), not through the named tuple's Python-level
+``__new__``: the same class, so equality, hashes, labels and sort keys are
+those of ``DeltaIndex(iflag, word)``.  A product depends on its factors
+only through the left word, the right word and the result flag, so ``a *
+b`` equals its twin with both flags flipped and the letters of ``a.word``
+swapped (``is * i`` is ``t * 1``).  The generated route keeps no memo of
+its own but reads the product cache (``basis_terms``): a twin is one
+lookup and ``a * (b + letter)`` is one rewriting step from ``a * b``.  A
+table or sweep asks for the words in length order, so each of its cells
+costs one lookup or one step; a pair whose one-letter-shorter pair was
+never asked for is rewritten letter by letter.  The closed form keeps its
+own terms, one dict per triple (:meth:`IwahoriAlgebra.closed_terms`).
+Both hand out the dict they keep, which the caller only reads; the
+element methods ``multiply_basis`` and ``multiply_closed`` wrap it.
 
 Coherence boundary: a type-exchanging automorphism forces equal branching
 at the two vertex types, so the inversion-decorated sector is a genuine
@@ -37,6 +42,7 @@ indices only in the homogeneous case).
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .core import HeckeAlgebra, HeckeElement, branching
@@ -84,6 +90,12 @@ class DeltaIndex(NamedTuple):
     word: str
 
 
+#: ``_index((iflag, word))`` is ``DeltaIndex(iflag, word)``, made by ``tuple.__new__``
+#: without the Python frame of the named tuple's ``__new__``; the terms of a
+#: product are keyed by it, hundreds of times a sweep.
+_index = functools.partial(tuple.__new__, DeltaIndex)
+
+
 def index_label(idx: DeltaIndex) -> str:
     """Label of an index, or of any ``(iflag, word)`` pair: ``"1"`` for the identity."""
     iflag, word = idx
@@ -120,7 +132,7 @@ class IwahoriAlgebra(HeckeAlgebra):
         super().__init__(qs, qt)
         self.qs = qs
         self.qt = qt
-        self._closed_products = {}  # (left, right, iflag) -> terms, see multiply_closed
+        self._closed_products = {}  # (left, right, iflag) -> terms, see closed_terms
 
     def letter_weight(self, letter: str) -> int:
         if letter == "s":
@@ -164,11 +176,11 @@ class IwahoriAlgebra(HeckeAlgebra):
         for idx, coeff in terms.items():
             iflag, word = idx
             if word.endswith(letter):
-                shorter = DeltaIndex(iflag, word[:-1])
+                shorter = _index((iflag, word[:-1]))
                 out[shorter] = out.get(shorter, 0) + coeff * q
                 out[idx] = out.get(idx, 0) + coeff * (q - 1)
             else:
-                longer = DeltaIndex(iflag, word + letter)
+                longer = _index((iflag, word + letter))
                 out[longer] = out.get(longer, 0) + coeff
         return out
 
@@ -180,15 +192,16 @@ class IwahoriAlgebra(HeckeAlgebra):
         from ``a * i^b.iflag``.  Kept pairs are looked up by plain ``(iflag,
         word)`` tuples, equal to their :class:`DeltaIndex`.
         """
+        aflag, aword = a
         iflag, word = b
         cache = self._product_cache
-        terms = cache.get(((1 - a.iflag, bar(a.word)), (1 - iflag, word)))
+        terms = cache.get(((1 - aflag, bar(aword)), (1 - iflag, word)))
         if terms is not None:
             return terms
         shorter = cache.get((a, (iflag, word[:-1]))) if word else None
         if shorter is None:
-            left = bar(a.word) if iflag else a.word
-            terms, letters = {DeltaIndex(a.iflag ^ iflag, left): 1}, word
+            left = bar(aword) if iflag else aword
+            terms, letters = {_index((aflag ^ iflag, left)): 1}, word
         else:
             terms, letters = shorter, word[-1]
         for letter in letters:
@@ -217,32 +230,39 @@ class IwahoriAlgebra(HeckeAlgebra):
         window = 1  # weight of the i trailing letters of w1 already consumed
         for i in range(m):
             q = self.letter_weight(w2[i])
-            idx = DeltaIndex(iflag, w1[: len(w1) - i] + w2[i + 1 :])
+            idx = _index((iflag, w1[: len(w1) - i] + w2[i + 1 :]))
             out[idx] = out.get(idx, 0) + window * (q - 1)
             window *= q
-        idx = DeltaIndex(iflag, w1[: len(w1) - m] + w2[m:])
+        idx = _index((iflag, w1[: len(w1) - m] + w2[m:]))
         out[idx] = out.get(idx, 0) + window
         return out
 
-    def multiply_closed(self, a: DeltaIndex, b: DeltaIndex) -> HeckeElement:
-        """Product from the closed form (independent of the rewriting route).
+    def closed_terms(self, a: DeltaIndex, b: DeltaIndex) -> dict:
+        """The terms of ``a * b`` from the closed form: the dict its memo keeps.
 
         The product depends on ``a`` and ``b`` only through the word the
         left factor contributes, the right word and the result flag, so its
         terms are made in their final keys and kept under that triple:
         flipping both flags and swapping the letters of the left word gives
         the same entry (``is * i`` and ``t * 1`` share one).  Each kept dict
-        is the term dict of every element returned for it, so it is never
-        mutated.  Its terms are not checked here: a sweep compares them with
-        the generated product, whose terms the product cache checks.
+        is handed out for every pair of its triple, so the caller only
+        reads it.  Its terms are not checked here: a sweep compares them
+        with the generated product, whose terms the product cache checks.
         """
-        left = bar(a.word) if b.iflag else a.word
-        iflag = a.iflag ^ b.iflag
-        key = (left, b.word, iflag)
+        aflag, aword = a
+        bflag, bword = b
+        key = (bar(aword) if bflag else aword, bword, aflag ^ bflag)
         terms = self._closed_products.get(key)
         if terms is None:
-            terms = self._closed_products[key] = self._word_product_closed(left, b.word, iflag)
-        return HeckeElement._of(self, terms)
+            terms = self._closed_products[key] = self._word_product_closed(*key)
+        return terms
+
+    def multiply_closed(self, a: DeltaIndex, b: DeltaIndex) -> HeckeElement:
+        """Product from the closed form (independent of the rewriting route).
+
+        :meth:`closed_terms` wrapped, uncopied, as an element.
+        """
+        return HeckeElement._of(self, self.closed_terms(a, b))
 
     def words_up_to(self, max_len: int, with_iflag: bool = True) -> list:
         """All basis indices with word length <= max_len, in canonical order."""

@@ -8,8 +8,9 @@ verified.  Each family has a per-cell function (:func:`spherical_product`,
 :func:`iwahori_product`, :func:`horocycle_product`) that returns a whole
 structure-constant vector, read from histograms kept in the ball's memo
 (:attr:`TreeBall.memo`) and so shared by every cell counted on one ball, and
-a single-constant reference beside it.  An Iwahori cell at result flag 0
-hands over the row the memo keeps, which its caller only reads.
+a single-constant reference beside it.  An Iwahori cell hands over the
+row the memo keeps, at result flag 1 re-keyed once, which its caller only
+reads.
 
 The histograms come from one anchored climb (:func:`_anchored_climb`).  A
 block is a contiguous range of one sphere (a sphere, the edges at one
@@ -94,13 +95,15 @@ class TreeBall(Frozen):
     Only the sphere offsets and the branching ``width[d]`` at each depth are
     stored, O(radius) integers; depths, parents, the marked ray and paths
     are derived on demand.  ``max_vertices`` bounds every vertex range the
-    ball hands out (:meth:`sphere`, the word groups of :func:`edges_by_weyl_word`
-    and :func:`_word_table`, :func:`horocycle_members`): what a count visits.
+    ball hands out (:meth:`sphere`, the word groups of :func:`edges_by_weyl_word`,
+    :func:`_word_table` and :func:`iwahori_constant`, :func:`horocycle_members`):
+    what a count visits.
 
     ``memo`` holds the histograms the per-cell oracles read, one inner dict
     per kind (``"depths"``, ``"tables"``, ``"classes"``; a word table is kept
     alone, its rows the vectors :func:`iwahori_product` returns at flag 0,
-    and a class block's histograms as one list, one per comb witness), and
+    and a class block's histograms as one list, one per comb witness), under
+    ``"flipped"`` the rows :func:`iwahori_product` returns at flag 1, and
     under ``"sides"`` the witness sides every word table is counted against
     (:func:`_witness_sides`).  They depend only on the ball, so they live as
     long as it does, and a pickle or copy of the ball carries them.  Two
@@ -545,8 +548,11 @@ def iwahori_constant(
     which is what the ``iflags`` adjustments below implement.
 
     Every call measures each edge with :func:`weyl_distance`: this is the
-    single-constant reference for :func:`iwahori_product`.  Raises
-    ``ValueError`` on a word that is not alternating.
+    single-constant reference for :func:`iwahori_product`.  Only the group
+    at ``w1`` is enumerated, so only it counts against the budget; the
+    witness, the first edge of its group (:func:`_word_blocks`), is found
+    by offset alone.  Raises ``ValueError`` on a word that is not
+    alternating.
     """
     _check_words(w1, w2, target)
     d1, d2, dt = (flag & 1 for flag in iflags)
@@ -559,13 +565,13 @@ def iwahori_constant(
         raise BallTooSmall(
             f"ball radius {ball.radius} < required {len(w1) + len(w2) + 2}"
         )
-    groups = edges_by_weyl_word(ball, len(w1) + len(w2))
-    # the ball reaches every word up to len(w1) + len(w2), so the group is nonempty
-    g = groups[swap_types(target) if dt else target][0]
+    # the ball reaches every word up to len(w1) + len(w2), so both groups are nonempty
+    blocks = {word: (start, stop) for word, start, stop in _word_blocks(ball, len(w1) + len(w2))}
+    g = blocks[swap_types(target) if dt else target][0]
     word = swap_types(w2) if dt else w2
     return sum(
         1
-        for f in groups.get(swap_types(w1) if d1 else w1, ())
+        for f in ball._budgeted(*blocks[swap_types(w1) if d1 else w1])
         if weyl_distance(ball, f, g) == word
     )
 
@@ -582,21 +588,39 @@ def iwahori_product(ball: TreeBall, w1: str, w2: str, iflags: tuple) -> dict:
 
     All witnesses lie on one apartment (:func:`_witness_sides`), so one climb
     of a word group fixes its crossing words to every witness.  The ball's
-    memo keeps that table (:func:`_word_table`), and nothing else, for each
-    word from the base edge; its rows are keyed by flag-0 result index as
-    they are counted.  A cell with result flag 0 returns row ``w2`` itself,
+    memo keeps that table (:func:`_word_table`) for each word from the base
+    edge; its rows are keyed by flag-0 result index as they are counted.  A
+    cell with result flag 0 returns row ``w2`` itself.  One with result
+    flag 1 reads row ``swap_types(w2)`` keyed ``(1, swap_types(word))``: the
+    memo keeps that re-keyed row too, under ``"flipped"``, by ``w2`` within
+    the group's word, built on the first read.  Either way the cell returns
     the dict the memo keeps, so the caller reads it and must not change it,
-    as it reads a product's terms; one with result flag 1 reads row
-    ``swap_types(w2)`` and returns it keyed ``(1, swap_types(word))``, a new
-    dict.  So each group is climbed once per ball, every edge of it
-    enumerated, and each cell is one lookup.  Raises ``ValueError`` on a
-    word that is not alternating: only crossing words reach the memo, so
-    the words are checked when the lookup misses.
+    as it reads a product's terms.  So each group is climbed once per ball,
+    every edge of it enumerated, each flag-1 row is re-keyed once, and each
+    cell is one lookup.  Raises ``ValueError`` on a word that is not
+    alternating: only crossing words reach the memo, so the words are
+    checked when the lookup misses.
     """
     d1 = iflags[0] & 1
-    dt = d1 ^ (iflags[1] & 1)
     word_ef = swap_types(w1) if d1 else w1
-    word_fg = swap_types(w2) if dt else w2
+    if d1 ^ (iflags[1] & 1):
+        flipped = ball.memo.setdefault("flipped", {})
+        rows = flipped.get(word_ef)
+        row = None if rows is None else rows.get(w2)
+        if row is None:
+            kept = _kept_row(ball, w1, w2, word_ef, swap_types(w2))
+            row = {(1, swap_types(word)): count for (_, word), count in kept.items()}
+            flipped.setdefault(word_ef, {})[w2] = row
+        return row
+    return _kept_row(ball, w1, w2, word_ef, w2)
+
+
+def _kept_row(ball: TreeBall, w1: str, w2: str, word_ef: str, word_fg: str) -> dict:
+    """Row ``word_fg`` of the word table at ``word_ef`` (:func:`iwahori_product`'s words).
+
+    The table is counted on the first read of its group, after the words
+    are checked; a row the table lacks is a new empty dict.
+    """
     tables = ball.memo.setdefault("tables", {})
     table = tables.get(word_ef)
     row = None if table is None else table.get(word_fg)
@@ -609,8 +633,6 @@ def iwahori_product(ball: TreeBall, w1: str, w2: str, iflags: tuple) -> dict:
         if table is None:
             table = tables[word_ef] = _word_table(ball, word_ef)
         row = table.get(word_fg, {})
-    if dt:
-        return {(1, swap_types(word)): count for (_, word), count in row.items()}
     return row
 
 

@@ -21,21 +21,23 @@ mul`` command that replays the cell; an empty mismatch list is the pass
 condition.
 
 Each route hands over the term dict it made or kept, one per cell,
-uncopied, and the sweep compares them as they are.  Structure constants
-are checked once, where the product cache admits them
+uncopied, and the sweep compares them as they are.  The Iwahori generated
+and affine table routes are the algebra's ``basis_terms`` itself, and the
+Iwahori closed route its ``closed_terms``, so those cells wrap no element.
+Structure constants are checked once, where the product cache admits them
 (:func:`core.structure_constants`), and every sweep compares each route
 with one that reads that cache, so a non-integral or negative value in
 any route is an ordinary mismatch: the report prints an ``int`` as a
 number and any other coefficient as its ``str`` (``"1/2"``).  The tree
 oracle reads each cell's vector from histograms kept in the memo of the
-sweep's ball, each measured once per sweep, and returns it as a new
-dict or, for an Iwahori cell at result flag 0, as the row the ball keeps,
-which the sweep only reads: spherical counts keyed by distance (re-keyed
-by index only in two-orbit mode), horocycle counts keyed by class, and
-Iwahori counts keyed by ``(iflag, word)`` tuples, which compare and hash
-as the equal :class:`DeltaIndex` keys of the other routes; a mismatch
-report labels them as they are, since :func:`iwahori.index_label` takes
-any such pair.
+sweep's ball, each measured once per sweep, and returns it as a new dict
+or, for an Iwahori cell, as the row the ball keeps (at result flag 1
+re-keyed on its first read), which the sweep only reads: spherical
+counts keyed by distance (re-keyed by index only in two-orbit mode),
+horocycle counts keyed by class, and Iwahori counts keyed by ``(iflag,
+word)`` tuples, which compare and hash as the equal :class:`DeltaIndex`
+keys of the other routes; a mismatch report labels them as they are,
+since :func:`iwahori.index_label` takes any such pair.
 """
 
 from __future__ import annotations
@@ -235,8 +237,8 @@ def iwahori_routes(
         return cell
 
     return lambda: IwahoriAlgebra(qs, qt), {
-        "generated": lambda algebra: lambda a, b: algebra.multiply_basis(a, b)._terms,
-        "closed": lambda algebra: lambda a, b: algebra.multiply_closed(a, b)._terms,
+        "generated": lambda algebra: algebra.basis_terms,
+        "closed": lambda algebra: algebra.closed_terms,
         "oracle": oracle,
     }
 
@@ -266,7 +268,7 @@ def affine_routes(
         return lambda m, n: tree.horocycle_product(ball, m, n)
 
     return lambda: HorocycleAlgebra(q), {
-        "table": lambda algebra: lambda m, n: algebra.multiply_basis(m, n)._terms,
+        "table": lambda algebra: algebra.basis_terms,
         "normal-form": normal_form,
         "oracle": oracle,
     }

@@ -1076,13 +1076,18 @@ def _halve(out):
 def _perturb(monkeypatch, owner, name, hit, change=_add_one):
     """Make the route ``owner.name`` return ``change(result)`` on the calls ``hit`` picks.
 
-    ``hit`` sees the positional arguments.
+    ``hit`` sees the positional arguments.  A term dict an algebra method
+    hands out is changed as its element would be, into a new dict.
     """
     original = getattr(owner, name)
 
     def route(*args, **kwargs):
         out = original(*args, **kwargs)
-        return change(out) if hit(*args) else out
+        if not hit(*args):
+            return out
+        if isinstance(args[0], HeckeAlgebra) and isinstance(out, dict):
+            return change(args[0].element(out))._terms
+        return change(out)
 
     monkeypatch.setattr(owner, name, route)
 
@@ -1104,7 +1109,7 @@ _NF_M1_M1 = m_to_nf(HorocycleAlgebra(3), 1) * m_to_nf(HorocycleAlgebra(3), 1)
         (
             ("verify", "iwahori", "--qs", "2", "--qt", "2", "--len", "1"),
             IwahoriAlgebra,
-            "multiply_closed",
+            "closed_terms",
             lambda self, a, b: (self.basis_label(a), self.basis_label(b)) == ("s", "t"),
             [["s", "t"]],
             ["generated", "closed", "oracle"],
@@ -1164,7 +1169,7 @@ _NF_M1_M1 = m_to_nf(HorocycleAlgebra(3), 1) * m_to_nf(HorocycleAlgebra(3), 1)
             # a decorated cell at unequal weights, where the oracle has no model
             ("verify", "iwahori", "--qs", "2", "--qt", "3", "--len", "1"),
             IwahoriAlgebra,
-            "multiply_closed",
+            "closed_terms",
             lambda self, a, b: (self.basis_label(a), self.basis_label(b)) == ("is", "t"),
             [["is", "t"]],
             ["generated", "closed"],
@@ -1247,7 +1252,7 @@ def _assert_mismatch_report(capsys, monkeypatch, argv, owner, name, hit, keys, r
         (
             ("verify", "iwahori", "--qs", "2", "--qt", "2", "--len", "1"),
             IwahoriAlgebra,
-            "multiply_closed",
+            "closed_terms",
             lambda self, a, b: (self.basis_label(a), self.basis_label(b)) == ("s", "t"),
             [["s", "t"]],
             ["generated", "closed", "oracle"],
@@ -1345,13 +1350,13 @@ def test_table_streams(monkeypatch):
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
     written = []  # stdout length when each product is computed
-    original = HeckeAlgebra.multiply_basis
+    original = HeckeAlgebra.basis_terms
 
-    def multiply_basis(*args):
+    def basis_terms(*args):
         written.append(len(out.getvalue()))
         return original(*args)
 
-    monkeypatch.setattr(HeckeAlgebra, "multiply_basis", multiply_basis)
+    monkeypatch.setattr(HeckeAlgebra, "basis_terms", basis_terms)
     assert main(["table", "spherical", "--q", "2", "--max", "2"]) == 0
     assert len(written) == 6
     assert written[-1] > 0

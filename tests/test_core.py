@@ -193,6 +193,64 @@ def test_structure_constants_checked_on_admission(bad):
     assert algebra._product_cache == {}
 
 
+@pytest.mark.parametrize("entry", ["basis_terms", "multiply_basis"])
+@pytest.mark.parametrize("bad", [-1, Fraction(1, 2), True])
+def test_each_product_entry_point_checks_on_admission(entry, bad):
+    # multiply_basis reaches the cache through basis_terms, which checks
+    algebra = _ToyAlgebra({0: bad})
+    with pytest.raises(AssertionError, match="not a nonnegative integer"):
+        getattr(algebra, entry)(0, 0)
+    assert algebra._product_cache == {}
+
+
+def test_both_product_entry_points_hand_out_the_kept_dict():
+    constants = {0: 1, 1: 2}
+    algebra = _ToyAlgebra(constants)
+    assert algebra.basis_terms(0, 0) is constants
+    assert algebra.multiply_basis(0, 0)._terms is constants
+    assert algebra.basis_terms(0, 0) is algebra._product_cache[(0, 0)] is constants
+
+
+def test_sweep_cells_read_terms_without_making_elements(monkeypatch):
+    # the generated and closed routes, and the affine table route, read the
+    # kept dicts: a whole verify iwahori command wraps no element
+    from hecketree import cli, verify
+    from hecketree.core import HeckeElement
+
+    wrapped = []
+    original = HeckeElement._of.__func__
+
+    def counted(cls, algebra, terms):
+        wrapped.append(terms)
+        return original(cls, algebra, terms)
+
+    monkeypatch.setattr(HeckeElement, "_of", classmethod(counted))
+    assert cli.main(["verify", "iwahori", "--qs", "2", "--qt", "3", "--len", "3"]) == 0
+    assert wrapped == []
+    make_algebra, makers = verify.affine_routes(3, 4)
+    algebra = make_algebra()
+    table = makers["table"](algebra)
+    assert all(table(m, n) for m in range(5) for n in range(5))
+    assert wrapped == []
+    # the element entry points still wrap, as the count shows
+    algebra.multiply_basis(1, 1)
+    assert len(wrapped) == 1
+
+
+def test_element_product_wraps_only_its_result(monkeypatch):
+    # the basis products inside x * x are read as the kept dicts
+    from hecketree.core import HeckeElement
+
+    wrapped = []
+    original = HeckeElement._of.__func__
+    monkeypatch.setattr(
+        HeckeElement, "_of", classmethod(lambda cls, *args: wrapped.append(1) or original(cls, *args))
+    )
+    x = A.element({0: 1, 1: 2, 3: Fraction(1, 2)})
+    x * x
+    assert wrapped == [1]
+
+
 def test_product_cache_keeps_the_dict_handed_over():
     # checked, a zero-free dict is cached and handed out as the algebra made it
     constants = {0: 1, 1: 2}

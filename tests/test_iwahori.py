@@ -269,3 +269,18 @@ def test_r_hom_multiplicative_where_coherent():
 def test_params_validation():
     with pytest.raises(ValueError):
         IwahoriAlgebra(1, 2)
+
+
+@pytest.mark.parametrize(
+    "algebra, with_iflag", [(A23, False), (A22, True)], ids=["2-3-plain", "2-2-decorated"]
+)
+def test_product_keys_are_delta_indices(algebra, with_iflag):
+    # the keys both routes make through tuple.__new__ are DeltaIndex instances,
+    # equal to and hashing as the ones the named tuple's constructor makes
+    words = algebra.words_up_to(4, with_iflag=with_iflag)
+    for route in (algebra.basis_terms, algebra.closed_terms):
+        for a, b in itertools.product(words, repeat=2):
+            for k in route(a, b):
+                assert type(k) is DeltaIndex
+                assert k == DeltaIndex(*k) and hash(k) == hash(DeltaIndex(*k))
+                assert (k.iflag, k.word) == tuple(k)

@@ -394,15 +394,14 @@ def test_iwahori_product_equals_constants(qs, qt, max_len):
     "oracle, args",
     [
         (tree.spherical_product, [(2, 3), (2, 1), (3, 2)]),
-        # at result flag 1; a flag-0 vector is the row the memo keeps (below)
-        (tree.iwahori_product, [("ts", "t", (0, 1)), ("st", "s", (1, 0))]),
         (tree.horocycle_product, [(2, 1), (2, 2), (1, 2)]),
     ],
-    ids=["spherical", "iwahori", "horocycle"],
+    ids=["spherical", "horocycle"],
 )
 def test_oracle_vectors_belong_to_the_caller(oracle, args):
-    # the memo keeps histograms and keyed rows; a caller that mutates the
-    # vector it was handed changes neither the memo nor a later answer
+    # the memo keeps histograms; a caller that mutates the vector it was
+    # handed changes neither the memo nor a later answer (an Iwahori vector
+    # is the row the memo keeps, at either result flag: below)
     ball = tree.build_ball(2, 2, 8)
     fresh = [oracle(tree.build_ball(2, 2, 8), *cell) for cell in args]
     for cell, expected in zip(args, fresh):
@@ -437,6 +436,33 @@ def test_flag_0_iwahori_vectors_are_the_rows_the_memo_keeps(monkeypatch):
         a, b = cells[i]
         word_ef = tree.swap_types(a.word) if a.iflag else a.word
         assert second[i] is first[i] is ball.memo["tables"][word_ef][b.word], cells[i]
+
+
+def test_flag_1_iwahori_vectors_are_the_rows_the_memo_keeps(monkeypatch):
+    # a flag-1 cell hands over a re-keyed row the memo keeps, built on its
+    # first read and read-only after: a repeated call returns the same object
+    balls = []
+    build = tree.build_ball
+    monkeypatch.setattr(tree, "build_ball", lambda *args: balls.append(build(*args)) or balls[-1])
+    make_algebra, makers = verify.iwahori_routes(2, 2, 5)
+    algebra = make_algebra()
+    oracle = makers["oracle"](algebra)
+    (ball,) = balls
+    cells = [(a, b) for a, b in verify.CELLS["iwahori"](algebra, 5) if a.iflag != b.iflag]
+    assert len(cells) == 242
+    first = [oracle(a, b) for a, b in cells]
+    kept = copy.deepcopy(ball.memo)
+    second = [oracle(a, b) for a, b in cells]
+    assert second == first and ball.memo == kept
+    fresh = tree.build_ball(2, 2, 12)
+    for (a, b), vector, again in zip(cells, first, second):
+        word_ef = tree.swap_types(a.word) if a.iflag else a.word
+        assert again is vector is ball.memo["flipped"][word_ef][b.word], (a, b)
+        # the row re-keyed from the flag-0 row of the swapped word, as a fresh ball counts it
+        flag_0 = tree.iwahori_product(ball, word_ef, tree.swap_types(b.word), (0, 0))
+        assert vector == {(1, tree.swap_types(w)): c for (_, w), c in flag_0.items()}
+        assert vector == tree.iwahori_product(fresh, a.word, b.word, (a.iflag, b.iflag))
+        assert all(iflag == 1 for iflag, _ in vector)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -501,8 +527,12 @@ def test_ball_memo_changes_no_count(monkeypatch, name, sweep, oracle_cells):
     "sweep, kind, histograms, kinds",
     [
         # one table per word group from the base edge: the 11 words of length
-        # <= 5, each counted against the witness sides the ball keeps once
-        (lambda: verify.verify_iwahori(2, 2, 5), "tables", 11, ["tables", "sides"]),
+        # <= 5, each counted against the witness sides the ball keeps once;
+        # the flag-1 rows re-keyed from them are kept beside them
+        (
+            lambda: verify.verify_iwahori(2, 2, 5),
+            "tables", 11, ["tables", "sides", "flipped"],
+        ),
         # one per class block 0..7, each climbed once against all 8 witnesses
         (lambda: verify.verify_affine(2, 7), "classes", 8, ["classes"]),
         # one per sphere radius 0..8
@@ -782,6 +812,15 @@ def test_iwahori_product_climbs_only_the_group_it_reads():
     assert tree.iwahori_product(budgeted, "sts", "", (0, 0)) == {(0, "sts"): 1}
     with pytest.raises(tree.BallBudgetExceeded):
         tree.iwahori_product(tree.build_ball(2, 3, 10, max_vertices=11), "sts", "", (0, 0))
+
+
+def test_iwahori_constant_enumerates_only_the_group_it_counts():
+    # the reference enumerates the 12-edge sts group and reads the witness,
+    # the first edge of the target's group, by offset: the 18-edge tst
+    # group of the same length is never handed out
+    assert tree.iwahori_constant(tree.build_ball(2, 3, 10, max_vertices=12), "sts", "", "sts") == 1
+    with pytest.raises(tree.BallBudgetExceeded):
+        tree.iwahori_constant(tree.build_ball(2, 3, 10, max_vertices=11), "sts", "", "sts")
 
 
 @pytest.mark.parametrize("q0, q1", [(2, 2), (2, 3), (3, 2), (3, 3)])
