@@ -70,7 +70,7 @@ _ENTRY = operator.itemgetter(0)
 
 
 def product_record(memo: BasisMemo, a, b) -> tuple:
-    """One cell of ``mul`` or ``nu``: ``(left, right, value)``.
+    """One cell of ``nu``'s table: ``(left, right, value)``.
 
     ``left`` and ``right`` are the memo entries of ``a`` and ``b``; ``value``
     lists the product's terms as ``(entry, coefficient)`` pairs in the
@@ -89,12 +89,12 @@ def emit_records(family: str, memo: BasisMemo, cells, out) -> None:
     JSON line is ``{"family": ..., "key": [a, b], "value": [[label, "n/d"],
     ...]}``, joined from the memo's fragments in the layout of ``json.dumps``
     with its default separators; a CSV row is ``family,left,right,value``
-    with ``label:n/d`` terms joined by ``;``.  Each product's terms are read
-    from ``basis_terms``, which checks its structure constants, as the dict
-    the product cache keeps, and are sorted only when there are several.  A
-    coefficient too long to print is a ValueError naming
-    ``PYTHONINTMAXSTRDIGITS``, raised after the records before it are
-    written.
+    with ``label:n/d`` terms joined by ``;``, the header going out with the
+    first record.  Each cell is one read of the dict ``basis_terms`` keeps,
+    its structure constants checked, sorted only when it has several terms.
+    A coefficient too long to print is a ValueError naming the term and
+    ``PYTHONINTMAXSTRDIGITS``, raised before anything of its cell, but after
+    the records before it, is written.
     """
     basis_terms = memo.algebra.basis_terms
     if memo.fmt == "json":
@@ -108,10 +108,12 @@ def emit_records(family: str, memo: BasisMemo, cells, out) -> None:
         import csv  # only --format csv needs it; every other command's process skips the import
 
         writerow = csv.writer(out, lineterminator="\n").writerow
-        writerow(["family", "left", "right", "value"])
+        header = [["family", "left", "right", "value"]]
         sep, close = ";", "/1"
 
         def write(left, right, value):
+            if header:
+                writerow(header.pop())
             writerow([family, left[1], right[1], value])
 
     for a, b in cells:
@@ -126,7 +128,11 @@ def emit_records(family: str, memo: BasisMemo, cells, out) -> None:
                 entries = sorted([(memo[idx], c) for idx, c in terms.items()], key=_ENTRY)
                 value = sep.join([f"{e[3]}{c}{close}" for e, c in entries])
         except ValueError:
-            raise unprintable_int(f"a coefficient of {left[1]} * {right[1]}") from None
+            over = [idx for idx, c in terms.items() if abs(c) >= 10 ** int_str_limit()]
+            if not over:  # a label, not a coefficient, is too long to print
+                raise
+            term = memo[min(over, key=memo.algebra.basis_key)][1]
+            raise unprintable_int(f"the coefficient of {term} in {left[1]} * {right[1]}") from None
         write(left, right, value)
 
 
@@ -237,8 +243,6 @@ def _extent(args, family: Family) -> int:
 def cmd_table(args) -> int:
     family = _family(args)
     algebra = family.algebra(*family.options(args))
-    # CELLS lists a family's indices when called, so a bad extent fails before
-    # the CSV header is written
     cells = verify_mod.CELLS[args.family](algebra, _extent(args, family))
     emit_records(args.family, BasisMemo(algebra, args.format), cells, sys.stdout)
     return 0
@@ -249,24 +253,9 @@ def cmd_mul(args) -> int:
     if family.extent and getattr(args, family.extent) is not None:
         raise ValueError(f"--{family.extent} does not apply to mul")
     algebra = family.algebra(*family.options(args))
-    a = algebra.parse_label(args.left)
-    b = algebra.parse_label(args.right)
-    memo = BasisMemo(algebra, args.format)
-    _check_printable(product_record(memo, a, b))
-    emit_records(args.family, memo, [(a, b)], sys.stdout)
+    cell = (algebra.parse_label(args.left), algebra.parse_label(args.right))
+    emit_records(args.family, BasisMemo(algebra, args.format), [cell], sys.stdout)
     return 0
-
-
-def _check_printable(record) -> None:
-    """Refuse, before anything is written, a product with a constant too long to print."""
-    limit = int_str_limit()
-    if not limit:
-        return
-    left, right, value = record
-    bound = 10**limit
-    for entry, c in value:
-        if abs(c) >= bound:
-            raise unprintable_int(f"the coefficient of {entry[1]} in {left[1]} * {right[1]}")
 
 
 def cmd_verify(args) -> int:

@@ -18,9 +18,10 @@ parameters for the maps whose images must share a product cache, and
 :func:`structure_constants` checks the coset counts of a basis product
 where the product cache admits them, in :meth:`HeckeAlgebra.basis_terms`,
 which keeps the dict the algebra handed over and hands that dict out.
-:meth:`HeckeAlgebra.multiply_basis` wraps it, uncopied, as an element; a
-caller that wants only the terms (a ``verify`` route, the ``table`` writer,
-element multiplication) reads the dict.  That is the one check: a
+:meth:`HeckeAlgebra.multiply_basis` wraps it, uncopied, as an element.  One
+rule: callers read the dict and make an element only where element
+arithmetic is the point; every ``verify`` route but affine ``normal-form``
+reads it or the dict its own route keeps.  That is the one check: a
 ``verify`` sweep compares every other route with a route that reads this
 cache, so a bad value elsewhere is a mismatch.
 

@@ -37,7 +37,10 @@ unequal weights the decorated indices remain available as formal rewriting
 data -- the inversion rules conjugate one letter onto the other, which then
 transports unequal weights inconsistently -- but only the plain-word span
 is an algebra, matching the geometry (the tree oracle covers decorated
-indices only in the homogeneous case).
+indices only in the homogeneous case).  At (2, 3), ``(D_s·D_s)·D_i = 2·D_i +
+D_it`` but ``D_s·(D_s·D_i) = 3·D_i + 2·D_it``.  The sector is kept, not
+refused, since the seed's acceptance criterion 3 asserts ``D_i·D_i = 1`` and
+``D_i·D_s·D_i = D_t`` at (2, 3).
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ distances are basis indices:
 The generator is index 1 and labels print the distance.  The algebra is
 commutative: exactly the polynomial ring on its generator.
 
-The recursive route keeps, for each ``m``, the last two rows of the
-recursion for ``basis(k) * basis(m)``, as int dicts.  A sweep that asks for
-``n`` in increasing order for every ``m`` (as ``verify spherical`` does)
-pays one recursion step per cell; a row behind the kept one restarts at
-row 0.
+The recursive route (:meth:`SphericalAlgebra.recursive_terms`) keeps, for
+each ``m``, the last two rows of the recursion for ``basis(k) * basis(m)``,
+as int dicts.  A sweep that asks for ``n`` in increasing order for every
+``m`` (as ``verify spherical`` does) pays one recursion step per cell; a row
+behind the kept one restarts at row 0.  Like ``basis_terms``, it hands out
+the dict it keeps, and a sweep reads it without making an element.
 
 Note on completions (documentation only, nothing here computes norms): a
 polynomial ring in one self-adjoint variable has *-representations given by
@@ -81,7 +82,7 @@ class SphericalAlgebra(HeckeAlgebra):
         super().__init__(params)
         self.params = params
         self._basis_polys = [(1,), (0, 1)]
-        self._recursion_rows = {}  # m -> (k, row k - 1, row k), see multiply_recursive
+        self._recursion_rows = {}  # m -> (k, row k - 1, row k), see recursive_terms
         self._closed_rows = {}  # n -> (row, Q_(d-1)·q_d, Q_(d-1), stride), see _basis_product
 
     # -- basis data ---------------------------------------------------------
@@ -119,30 +120,32 @@ class SphericalAlgebra(HeckeAlgebra):
             return (p.q0 + (1 if n == 1 else 0), 0)
         return ((p.q0 + (1 if n == 1 else 0)) * p.q1, p.q1 - 1)
 
-    def generator_times(self, x: HeckeElement) -> HeckeElement:
-        """Multiply by the generator through the defining recursion."""
+    def _generator_step(self, terms: dict) -> dict:
+        """The terms of the generator times ``terms``, in a new dict that may hold zeros."""
         acc: dict = {}
-        for n, coeff in x.items():
+        for n, coeff in terms.items():
             a, b = self._recursion(n)
             if a:
                 acc[n - 1] = acc.get(n - 1, 0) + coeff * a
             if b:
                 acc[n] = acc.get(n, 0) + coeff * b
             acc[n + 1] = acc.get(n + 1, 0) + coeff
+        return acc
+
+    def generator_times(self, x: HeckeElement) -> HeckeElement:
+        """Multiply by the generator through the defining recursion."""
+        acc = self._generator_step(x._terms)
         # exact coefficients times int weights: exact, so only zeros are dropped
         return HeckeElement._of(self, {idx: c for idx, c in acc.items() if c})
 
-    def multiply_recursive(self, n: int, m: int) -> HeckeElement:
-        """Basis product computed by reducing one factor to the generator.
+    def recursive_terms(self, n: int, m: int) -> dict:
+        """The terms of ``basis(n) * basis(m)`` by the recursion: the row it keeps.
 
-        Row ``k`` is ``basis(k) * basis(m)``, kept as an int dict; each step
-        of the recursion gives the next row from the last two: one pass of
-        :meth:`generator_times` over row ``k``, then one that takes off
-        ``b * row k`` and ``a * row (k - 1)``.  The step reached for ``m``
-        and its two rows are kept, so a call with ``n`` at or past that step
-        continues from there and one with ``n`` behind it restarts at row 0.
-        A kept row is the term dict of the element returned for it, so rows
-        are never mutated.
+        Row ``k`` is ``basis(k) * basis(m)``, an int dict, and each step makes
+        the next from the last two: a :meth:`_generator_step` over row ``k``,
+        less ``b * row k`` and ``a * row (k - 1)``.  The step reached for ``m``
+        and its two rows are kept, so ``n`` at or past it continues from there
+        and ``n`` behind it restarts at row 0.  The caller only reads the row.
         """
         _check_index(n)
         _check_index(m)
@@ -154,7 +157,7 @@ class SphericalAlgebra(HeckeAlgebra):
         k, prev, row = state
         while k < n:
             a, b = self._recursion(k)
-            nxt = self.generator_times(HeckeElement._of(self, row))._terms
+            nxt = self._generator_step(row)
             for terms, weight in ((row, b), (prev, a)):
                 if weight:
                     for idx, coeff in terms.items():
@@ -162,7 +165,11 @@ class SphericalAlgebra(HeckeAlgebra):
             prev, row = row, {idx: c for idx, c in nxt.items() if c}
             k += 1
         self._recursion_rows[m] = (k, prev, row)
-        return HeckeElement._of(self, row)
+        return row
+
+    def multiply_recursive(self, n: int, m: int) -> HeckeElement:
+        """Basis product by the recursion: :meth:`recursive_terms` wrapped, uncopied."""
+        return HeckeElement._of(self, self.recursive_terms(n, m))
 
     def multiply_closed(self, n: int, m: int) -> HeckeElement:
         """Basis product from the closed-form table."""

@@ -8,36 +8,35 @@ and named makers.  A maker takes the sweep's algebra, does its route's own
 setup (the oracle's ball and budget check, the affine normal forms) and
 returns the route's function of one cell, which returns ``None`` where the
 route has no model.  :func:`_sweep`, the one driver, runs these
-declarations, as ``tests/test_route_independence.py`` does, and counts in
-``report.route_cells`` the cells each route was compared on.  It compares
-whole columns: each later route's vectors with the first route's, in one
-list equality, on the cells where the later route returns a vector; the
-first route of every family returns one on every cell.  It walks the
-cells one by one only when a column disagrees, to report.  Routes read
-``tree``, ``nf_to_m`` and ``orbit_convolution`` through this module as they
-run, so a patched name is the one called.  Reports list all mismatching
-cells, in cell order, with the values from each route and the ``hecketree
-mul`` command that replays the cell; an empty mismatch list is the pass
-condition.
+declarations, as ``tests/test_route_independence.py`` does, compares whole
+route columns with the first route's, which has a vector on every cell,
+and counts in ``report.route_cells`` the cells each route was compared on.
+Routes read ``tree``, ``nf_to_m`` and ``orbit_convolution`` through this
+module as they run, so a patched name is the one called.  Reports list all
+mismatching cells, in cell order, with the values from each route and the
+``hecketree mul`` command that replays the cell; an empty mismatch list is
+the pass condition.
 
-Each route hands over the term dict it made or kept, one per cell,
-uncopied, and the sweep compares them as they are.  The Iwahori generated
-and affine table routes are the algebra's ``basis_terms`` itself, and the
-Iwahori closed route its ``closed_terms``, so those cells wrap no element.
-Structure constants are checked once, where the product cache admits them
+One rule holds for every route: it hands over the term dict it keeps, one
+per cell, uncopied, which the sweep only reads, and builds an element only
+where element arithmetic is the route, in affine ``normal-form``.  The
+spherical closed, Iwahori generated and affine table routes are
+``basis_terms`` itself, the spherical recursive and Iwahori closed routes
+``recursive_terms`` and ``closed_terms``, and the sl2 orbit route spreads
+the ``basis_terms`` dict over each orbit.  The tree oracle reads each
+cell's vector from histograms kept in the memo of the sweep's ball, each
+measured once per sweep: a new dict or, for an Iwahori cell, the row the
+ball keeps (at result flag 1 re-keyed on its first read).  Spherical
+counts are keyed by distance (re-keyed by index only in two-orbit mode),
+horocycle counts by class, and Iwahori counts by ``(iflag, word)`` tuples,
+which compare and hash as the equal :class:`DeltaIndex` keys of the other
+routes; a mismatch report labels them as they are, since
+:func:`iwahori.index_label` takes any such pair.  Structure constants are
+checked once, where the product cache admits them
 (:func:`core.structure_constants`), and every sweep compares each route
-with one that reads that cache, so a non-integral or negative value in
-any route is an ordinary mismatch: the report prints an ``int`` as a
-number and any other coefficient as its ``str`` (``"1/2"``).  The tree
-oracle reads each cell's vector from histograms kept in the memo of the
-sweep's ball, each measured once per sweep, and returns it as a new dict
-or, for an Iwahori cell, as the row the ball keeps (at result flag 1
-re-keyed on its first read), which the sweep only reads: spherical
-counts keyed by distance (re-keyed by index only in two-orbit mode),
-horocycle counts keyed by class, and Iwahori counts keyed by ``(iflag,
-word)`` tuples, which compare and hash as the equal :class:`DeltaIndex`
-keys of the other routes; a mismatch report labels them as they are,
-since :func:`iwahori.index_label` takes any such pair.
+with one that reads that cache, so a non-integral or negative value in any
+route is an ordinary mismatch: the report prints an ``int`` as a number
+and any other coefficient as its ``str`` (``"1/2"``).
 """
 
 from __future__ import annotations
@@ -141,17 +140,18 @@ def _sweep(
     ``routes`` is a ``<family>_routes`` declaration: ``(algebra, makers)``.
     Every route is made before the cells are listed, so each fails on its
     budget before any cell.  Each route then runs over all the cells into
-    a column, and each later column is compared with the first route's
+    a column of the dicts it hands over (``basis_terms``, ``recursive_terms``,
+    ``closed_terms``, an oracle row; elements only in affine ``normal-form``),
+    and each later column is compared with the first route's
     (:func:`_agrees`): faster than taking the routes in turn on each cell,
     at the cost of keeping every vector of the sweep at once (``verify sl2
     --p 11 --max 3`` peaks 1.4 MiB higher).  The comparison is sound
     whichever route returns ``None``: a cell where only the first does is
     a disagreement.  Only when a column disagrees are the cells walked in
     order, each compared across the routes that return a vector there, to
-    list the mismatches.  ``label`` names
-    the keys of the route vectors (default ``algebra.basis_label``);
-    ``mul_flags`` completes the ``hecketree mul`` replay line of a
-    mismatching cell.
+    list the mismatches.  ``label`` names the keys of the route vectors
+    (default ``algebra.basis_label``); ``mul_flags`` completes the
+    ``hecketree mul`` replay line of a mismatching cell.
     """
     make_algebra, makers = routes
     algebra = make_algebra()
@@ -199,8 +199,8 @@ def spherical_routes(
         return cell
 
     return lambda: SphericalAlgebra(params), {
-        "closed": lambda algebra: lambda n, m: algebra.multiply_closed(n, m)._terms,
-        "recursive": lambda algebra: lambda n, m: algebra.multiply_recursive(n, m)._terms,
+        "closed": lambda algebra: algebra.basis_terms,
+        "recursive": lambda algebra: algebra.recursive_terms,
         "oracle": oracle,
     }
 
@@ -278,7 +278,7 @@ def sl2_routes(p: int, max_depth: int) -> tuple:
     """Representative counting vs. the full orbit convolution, cosets of depth <= max_depth.
 
     Both routes give the product in the Prüfer group algebra, one count per
-    point: ``orbit`` spreads each structure constant of ``multiply_basis``
+    point: ``orbit`` spreads each structure constant of ``basis_terms``
     over the points of its orbit, ``convolution`` adds every pair of orbit
     members.  A convolution count that varies within an orbit, or a point
     deeper than both operands, is then a mismatch.  The convolution makes
@@ -300,7 +300,7 @@ def sl2_routes(p: int, max_depth: int) -> tuple:
 
     return lambda: SL2EndAlgebra(p), {
         "orbit": lambda algebra: lambda a, b: {
-            g: coeff for c, coeff in algebra.multiply_basis(a, b).items() for g in c.members
+            g: coeff for c, coeff in algebra.basis_terms(a, b).items() for g in c.members
         },
         "convolution": convolution,
     }

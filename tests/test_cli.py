@@ -815,15 +815,27 @@ def test_mul_reads_any_prufer_fraction_in_canonical_digits(capsys):
     ],
 )
 def test_mul_refuses_a_constant_over_the_int_printing_limit(capsys, argv, term):
+    # refused before anything of the cell is written: no record, and no CSV header
     limit = sys.get_int_max_str_digits()
-    assert main(["mul", *argv]) == 2
+    for fmt in ("json", "csv"):
+        assert main(["mul", *argv, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            f"error: the coefficient of {term} has more than {limit} digits, the"
+            " interpreter's limit for printing an integer; set PYTHONINTMAXSTRDIGITS"
+            " to a larger limit, or to 0 for none"
+        )
+
+
+def test_mul_refuses_a_product_label_over_the_int_printing_limit(capsys):
+    # the index of (N, 0) * (1, 0) has 4,301 digits: its label, not a
+    # coefficient, cannot print, and nothing of the cell is written
+    limit = sys.get_int_max_str_digits()
+    assert main(["mul", "affine-nf", f"({'9' * limit},0)", "(1,0)", "--q", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.strip() == (
-        f"error: the coefficient of {term} has more than {limit} digits, the"
-        " interpreter's limit for printing an integer; set PYTHONINTMAXSTRDIGITS"
-        " to a larger limit, or to 0 for none"
-    )
+    assert f"({limit} digits)" in captured.err and "coefficient" not in captured.err
 
 
 def test_mul_prints_a_constant_under_the_int_printing_limit(capsys):
@@ -854,7 +866,7 @@ def test_table_names_the_int_printing_limit_after_the_records_before(capsys, fmt
     assert main(["table", "spherical", "--q", q, "--max", "3", "--format", fmt]) == 2
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == (fmt == "csv") + 9
-    assert captured.err.startswith("error: a coefficient of G3 * G3 has more than")
+    assert captured.err.startswith("error: the coefficient of G0 in G3 * G3 has more than")
     assert "set PYTHONINTMAXSTRDIGITS" in captured.err
 
 
@@ -1101,7 +1113,7 @@ _NF_M1_M1 = m_to_nf(HorocycleAlgebra(3), 1) * m_to_nf(HorocycleAlgebra(3), 1)
         (
             ("verify", "spherical", "--q", "2", "--max", "2"),
             SphericalAlgebra,
-            "multiply_closed",
+            "basis_terms",
             lambda self, n, m: (n, m) == (1, 2),
             [["G1", "G2"]],
             ["closed", "recursive", "oracle"],
@@ -1125,7 +1137,7 @@ _NF_M1_M1 = m_to_nf(HorocycleAlgebra(3), 1) * m_to_nf(HorocycleAlgebra(3), 1)
         (
             ("verify", "sl2", "--p", "5", "--max", "1"),
             SL2EndAlgebra,
-            "multiply_basis",
+            "basis_terms",
             lambda self, a, b: (a.label(), b.label()) == ("1/5", "2/5"),
             [["1/5", "2/5"]],
             ["orbit", "convolution"],
@@ -1243,7 +1255,7 @@ def _assert_mismatch_report(capsys, monkeypatch, argv, owner, name, hit, keys, r
         (
             ("verify", "spherical", "--q", "2", "--max", "2"),
             SphericalAlgebra,
-            "multiply_recursive",
+            "recursive_terms",
             lambda self, n, m: (n, m) == (1, 2),
             [["G1", "G2"]],
             ["closed", "recursive", "oracle"],
@@ -1270,7 +1282,7 @@ def _assert_mismatch_report(capsys, monkeypatch, argv, owner, name, hit, keys, r
         (
             ("verify", "sl2", "--p", "5", "--max", "1"),
             SL2EndAlgebra,
-            "multiply_basis",
+            "basis_terms",
             lambda self, a, b: (a.label(), b.label()) == ("1/5", "2/5"),
             [["1/5", "2/5"]],
             ["orbit", "convolution"],
@@ -1423,7 +1435,8 @@ ACCEPTANCE_STDOUT_SHA256 = {
 
 
 # sha256 of the stdout of the deeper verify sweeps the acceptance commands
-# leave out, one pair per oracle family.
+# leave out, one pair per oracle family, and of two sl2 sweeps, which no
+# acceptance command runs.
 VERIFY_STDOUT_SHA256 = {
     "verify spherical --q 2 --max 8": (
         "8b53df132f1949b4976e11ebcb89a649ff6ad7ce80ebf65593dcec52500defae"
@@ -1442,6 +1455,12 @@ VERIFY_STDOUT_SHA256 = {
     ),
     "verify iwahori --qs 3 --qt 2 --len 4": (
         "66f0763f4882d22d96a7969d015c31dfc5b706d00972b8e62bcd14d28803e871"
+    ),
+    "verify sl2 --p 5 --max 2": (
+        "c8dd06e1b937733144be1e3739ab95362958964dd2d04f87761c91b12ad0c4e3"
+    ),
+    "verify sl2 --p 3 --max 3": (
+        "0702cdd63bd303886a911ee13db4993183e6b59c0cdaad35eb75d0a1c3539dde"
     ),
 }
 

@@ -212,29 +212,36 @@ def test_both_product_entry_points_hand_out_the_kept_dict():
 
 
 def test_sweep_cells_read_terms_without_making_elements(monkeypatch):
-    # the generated and closed routes, and the affine table route, read the
-    # kept dicts: a whole verify iwahori command wraps no element
+    # every route hands over the dict it keeps: the spherical, iwahori and sl2
+    # sweeps make no element, and the affine sweep makes them only in its
+    # normal-form route, whose arithmetic is on elements
+    from test_acceptance import ACCEPTANCE_COMMANDS
+
     from hecketree import cli, verify
     from hecketree.core import HeckeElement
 
-    wrapped = []
-    original = HeckeElement._of.__func__
-
-    def counted(cls, algebra, terms):
-        wrapped.append(terms)
-        return original(cls, algebra, terms)
-
-    monkeypatch.setattr(HeckeElement, "_of", classmethod(counted))
-    assert cli.main(["verify", "iwahori", "--qs", "2", "--qt", "3", "--len", "3"]) == 0
-    assert wrapped == []
+    made = []
+    of, init = HeckeElement._of.__func__, HeckeElement.__init__
+    monkeypatch.setattr(
+        HeckeElement, "_of", classmethod(lambda cls, *args: made.append(1) or of(cls, *args))
+    )
+    monkeypatch.setattr(HeckeElement, "__init__", lambda x, *args: made.append(1) or init(x, *args))
+    sweeps = [argv for argv in ACCEPTANCE_COMMANDS if argv[0] == "verify"]
+    assert len(sweeps) == 11
+    for argv in [*sweeps, ("verify", "sl2", "--p", "5", "--max", "2")]:
+        assert cli.main(list(argv)) == 0
+        if argv[1] != "affine":
+            assert made == [], argv
+        made.clear()
     make_algebra, makers = verify.affine_routes(3, 4)
-    algebra = make_algebra()
-    table = makers["table"](algebra)
-    assert all(table(m, n) for m in range(5) for n in range(5))
-    assert wrapped == []
-    # the element entry points still wrap, as the count shows
-    algebra.multiply_basis(1, 1)
-    assert len(wrapped) == 1
+    for name, make in makers.items():
+        route = make(make_algebra())
+        assert all(route(m, n) for m in range(5) for n in range(5))
+        assert bool(made) == (name == "normal-form"), name
+        made.clear()
+    # the element entry points still make elements, as the count shows
+    make_algebra().multiply_basis(1, 1)
+    assert len(made) == 1
 
 
 def test_element_product_wraps_only_its_result(monkeypatch):

@@ -66,3 +66,7 @@ def test_unequal_weights_break_the_bound_only_with_one_decorated_factor():
     # D_s * D_it contains 3 D_i, over the 2 cosets of D_s
     s, it, i = (algebra.parse_label(text) for text in ("s", "it", "i"))
     assert (s, it, i, 3, 2) in over
+    # and the sector is not associative: the witness the iwahori docstring and README state
+    d = algebra.delta
+    assert (d("s") * d("s")) * d("i") == 2 * d("i") + d("it")
+    assert d("s") * (d("s") * d("i")) == 3 * d("i") + 2 * d("it")

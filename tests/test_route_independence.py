@@ -195,7 +195,7 @@ def test_each_route_does_its_work():
         return reached(family)[0][name]
 
     assert "spherical.SphericalAlgebra._basis_product" in first("spherical", "closed")
-    assert "spherical.SphericalAlgebra.generator_times" in first("spherical", "recursive")
+    assert "spherical.SphericalAlgebra._generator_step" in first("spherical", "recursive")
     assert "tree.spherical_product" in first("spherical", "oracle")
     assert "iwahori.IwahoriAlgebra._words_times_letter" in first("iwahori", "generated")
     assert "iwahori.IwahoriAlgebra._word_product_closed" in first("iwahori", "closed")
