@@ -11,7 +11,8 @@ once per command (:class:`BasisMemo`) and join their records from those
 fragments, byte for byte as ``json.dumps`` lays them out: with its default
 separators one record a line, with ``indent=2`` in ``nu``'s document.
 ``table`` and ``mul`` share one cell loop (:func:`emit_records`), which
-multiplies, checks and writes each cell in one pass, JSON and CSV alike.
+multiplies, checks and writes each cell in one pass, JSON and CSV alike,
+and keeps no product it has written.
 
 ``table``, ``mul`` and ``verify`` are generic over the families: one line
 of :data:`FAMILIES` (its options, algebra, extent option and sweep), its
@@ -75,9 +76,9 @@ def product_record(memo: BasisMemo, a, b) -> tuple:
     ``left`` and ``right`` are the memo entries of ``a`` and ``b``; ``value``
     lists the product's terms as ``(entry, coefficient)`` pairs in the
     canonical basis order.  A coefficient is a structure constant, an ``int``
-    (``basis_terms`` checks), so the writers print it as ``n/1``.
+    (``table_terms`` checks), so the writers print it as ``n/1``.
     """
-    terms = memo.algebra.basis_terms(a, b).items()
+    terms = memo.algebra.table_terms(a, b).items()
     # memo entries sort by their first field, the basis key
     return memo[a], memo[b], sorted([(memo[idx], c) for idx, c in terms], key=_ENTRY)
 
@@ -90,13 +91,16 @@ def emit_records(family: str, memo: BasisMemo, cells, out) -> None:
     ...]}``, joined from the memo's fragments in the layout of ``json.dumps``
     with its default separators; a CSV row is ``family,left,right,value``
     with ``label:n/d`` terms joined by ``;``, the header going out with the
-    first record.  Each cell is one read of the dict ``basis_terms`` keeps,
-    its structure constants checked, sorted only when it has several terms.
-    A coefficient too long to print is a ValueError naming the term and
-    ``PYTHONINTMAXSTRDIGITS``, raised before anything of its cell, but after
-    the records before it, is written.
+    first record.  Each cell is one read of ``table_terms``, its structure
+    constants checked but, outside the Iwahori rows its later cells grow
+    from, not kept; its terms are sorted only when it has several, and
+    ``end_table`` follows the last cell.  A coefficient too long to print,
+    or an integer too long to print in a term's label, is a ValueError
+    naming the term or the cell and ``PYTHONINTMAXSTRDIGITS``, raised before
+    anything of its cell, but after the records before it, is written.
     """
-    basis_terms = memo.algebra.basis_terms
+    algebra = memo.algebra
+    table_terms = algebra.table_terms
     if memo.fmt == "json":
         head = '{"family": ' + encode_basestring_ascii(family) + ', "key": ['
         sep, close = ", ", '/1"]'
@@ -117,7 +121,7 @@ def emit_records(family: str, memo: BasisMemo, cells, out) -> None:
             writerow([family, left[1], right[1], value])
 
     for a, b in cells:
-        terms = basis_terms(a, b)
+        terms = table_terms(a, b)
         left, right = memo[a], memo[b]
         try:
             if len(terms) == 1:
@@ -127,13 +131,19 @@ def emit_records(family: str, memo: BasisMemo, cells, out) -> None:
                 # memo entries sort by their first field, the basis key
                 entries = sorted([(memo[idx], c) for idx, c in terms.items()], key=_ENTRY)
                 value = sep.join([f"{e[3]}{c}{close}" for e, c in entries])
-        except ValueError:
+        except ValueError:  # an int too long to print, in a term's label or a coefficient
+            cell = f"{left[1]} * {right[1]}"
+            try:
+                labels = {idx: memo[idx][1] for idx in terms}
+            except ValueError:
+                raise unprintable_int(f"an integer in the label of a term of {cell}") from None
             over = [idx for idx, c in terms.items() if abs(c) >= 10 ** int_str_limit()]
-            if not over:  # a label, not a coefficient, is too long to print
+            if not over:
                 raise
-            term = memo[min(over, key=memo.algebra.basis_key)][1]
-            raise unprintable_int(f"the coefficient of {term} in {left[1]} * {right[1]}") from None
+            term = labels[min(over, key=algebra.basis_key)]
+            raise unprintable_int(f"the coefficient of {term} in {cell}") from None
         write(left, right, value)
+    algebra.end_table()
 
 
 def _indented(open_: str, items: list, close: str, depth: int) -> str:

@@ -23,7 +23,10 @@ rule: callers read the dict and make an element only where element
 arithmetic is the point; every ``verify`` route but affine ``normal-form``
 reads it or the dict its own route keeps.  That is the one check: a
 ``verify`` sweep compares every other route with a route that reads this
-cache, so a bad value elsewhere is a mismatch.
+cache, so a bad value elsewhere is a mismatch.  A table prints each
+product once, so it reads :meth:`HeckeAlgebra.table_terms`, which makes
+the same check without admitting the product: a table keeps no product it
+has printed.
 
 Coefficient rule, owned by :func:`exact`: a coefficient is an ``int`` or a
 ``Fraction`` and is kept as given, never converted; anything else, ``bool``
@@ -55,7 +58,9 @@ class HeckeAlgebra:
     the dict ``_basis_product`` returns, which is never mutated afterwards.
     :meth:`basis_terms` is the cache's one entry point: it checks a product
     once, on admission, caches it and hands out the kept dict;
-    :meth:`multiply_basis` wraps that dict as an element.
+    :meth:`multiply_basis` wraps that dict as an element.  A table reads
+    :meth:`table_terms`, checked but not admitted, and calls
+    :meth:`end_table` after its last cell.
     """
 
     #: basis index of the identity double coset
@@ -112,6 +117,20 @@ class HeckeAlgebra:
         if terms is None:
             terms = self._product_cache[a, b] = structure_constants(self._basis_product(a, b))
         return terms
+
+    def table_terms(self, a, b) -> dict:
+        """The terms of ``a * b`` for a table, which prints each product once.
+
+        Checked by :func:`structure_constants` like an admitted product, but
+        not admitted, so a table keeps no product it has printed.  An algebra
+        whose products grow from the ones the cache keeps overrides this to
+        admit them (:meth:`hecketree.iwahori.IwahoriAlgebra.table_terms`) and
+        frees them in :meth:`end_table`.
+        """
+        return structure_constants(self._basis_product(a, b))
+
+    def end_table(self) -> None:
+        """Called once a table has read its last cell; :meth:`table_terms` kept nothing here."""
 
     def multiply_basis(self, a, b) -> "HeckeElement":
         """Product of two basis elements: :meth:`basis_terms` wrapped, uncopied, as an element."""

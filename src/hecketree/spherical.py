@@ -3,7 +3,8 @@
 On the (q0 + 1, q1 + 1)-semi-homogeneous tree the multiplication table and
 the sphere counts are one formula in the distances
 (:meth:`SphericalAlgebra._basis_product`); its coefficients depend on the
-smaller factor alone, so the closed form keeps one row per smaller factor.
+smaller factor alone, and the row of each factor is a prefix of the next
+one's, so the closed form keeps one coefficient list, grown on demand.
 The vertex-orbit mode of a sphere-transitive action only picks which
 distances are basis indices:
 
@@ -83,7 +84,7 @@ class SphericalAlgebra(HeckeAlgebra):
         self.params = params
         self._basis_polys = [(1,), (0, 1)]
         self._recursion_rows = {}  # m -> (k, row k - 1, row k), see recursive_terms
-        self._closed_rows = {}  # n -> (row, Q_(d-1)·q_d, Q_(d-1), stride), see _basis_product
+        self._closed_form = None  # (step, coefficients, Q_l list), see _basis_product
 
     # -- basis data ---------------------------------------------------------
 
@@ -187,10 +188,11 @@ class SphericalAlgebra(HeckeAlgebra):
         and distance e + d − 2l is basis index m + n − 2l/step.
 
         The coefficients depend on the smaller factor ``n`` alone, except
-        for the ``[d = e]`` of the end term: the row ``1, (q_l − 1)·Q_(l−1)``
-        for ``l < d``, the end term's ``Q_(d−1)·q_d`` and ``Q_(d−1)``, and the
-        index stride ``−2/step`` are kept per ``n``, and each call returns a
-        fresh dict of them.
+        for the ``[d = e]`` of the end term, and the row ``1, (q_l − 1)·Q_(l−1)``
+        for ``l < d`` is the length-``d`` prefix of the row for any larger
+        ``d``.  So the step, one list of those coefficients and one of the
+        products ``Q_l`` are kept, the lists extended as far as the largest
+        ``d`` asked for, and each call returns a fresh dict of them.
         """
         _check_index(n)
         _check_index(m)
@@ -198,21 +200,19 @@ class SphericalAlgebra(HeckeAlgebra):
             n, m = m, n
         if n == 0:
             return {m: 1}
-        kept = self._closed_rows.get(n)
+        kept = self._closed_form
         if kept is None:
-            p = self.params
-            d = p.step * n
-            row = [1]
-            prod = 1  # Q_(l-1)
-            for l in range(1, d):
-                ql = p.q1 if l % 2 else p.q0
-                row.append((ql - 1) * prod)
-                prod *= ql
-            end = prod * (p.q1 if d % 2 else p.q0)
-            kept = self._closed_rows[n] = (row, end, prod, -2 // p.step)
-        row, end, q_before, stride = kept
-        out = dict(zip(range(m + n, m - n, stride), row))
-        out[m - n] = end + q_before if m == n else end
+            kept = self._closed_form = (self.params.step, [1], [1])
+        step, coeffs, prods = kept
+        d = step * n
+        while len(prods) <= d:
+            l = len(prods)
+            ql = self.params.q1 if l % 2 else self.params.q0
+            coeffs.append((ql - 1) * prods[-1])
+            prods.append(prods[-1] * ql)
+        # the range holds d indices, so zip reads the first d coefficients
+        out = dict(zip(range(m + n, m - n, -2 // step), coeffs))
+        out[m - n] = prods[d] + prods[d - 1] if m == n else prods[d]
         return out
 
     # -- normalization ---------------------------------------------------------

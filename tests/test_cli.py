@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_acceptance import ACCEPTANCE_COMMANDS
 
-from hecketree import cli, sl2, tree, verify
+from hecketree import cli, core, sl2, tree, verify
 from hecketree.cli import main
 from hecketree.core import HeckeAlgebra
 from hecketree.endstab import HorocycleAlgebra, m_to_nf, toeplitz_bratteli
-from hecketree.iwahori import IwahoriAlgebra
+from hecketree.iwahori import IwahoriAlgebra, bar
 from hecketree.sl2 import SL2EndAlgebra, make_prufer
 from hecketree.spherical import SphericalAlgebra, SphericalParams
 
@@ -140,22 +140,97 @@ def test_mul_iwahori_long_word_is_a_loop_not_a_recursion(capsys):
     assert json.loads(out)["value"] == expected
 
 
-def test_table_iwahori_keeps_one_word_product_per_pair(capsys, monkeypatch):
+def _recording(monkeypatch, family):
+    """Make ``cli.FAMILIES[family]`` record each algebra it builds; return the record."""
     built = []
+    make = cli.FAMILIES[family].algebra
 
-    def algebra(qs, qt):
-        built.append(IwahoriAlgebra(qs, qt))
+    def algebra(*options):
+        built.append(make(*options))
         return built[-1]
 
-    family = cli.FAMILIES["iwahori"]._replace(algebra=algebra)
-    monkeypatch.setitem(cli.FAMILIES, "iwahori", family)
+    monkeypatch.setitem(cli.FAMILIES, family, cli.FAMILIES[family]._replace(algebra=algebra))
+    return built
+
+
+def test_table_iwahori_keeps_one_word_product_per_pair(capsys, monkeypatch):
+    built = _recording(monkeypatch, "iwahori")
+    original = IwahoriAlgebra.table_terms
+    shared, rows = [], set()
+
+    def table_terms(self, a, b):
+        # a cell and its twin (both flags flipped, the left letters swapped)
+        # share one dict: the twin written first is still kept
+        terms = original(self, a, b)
+        twin = self._product_cache.get(((1 - a.iflag, bar(a.word)), (1 - b.iflag, b.word)))
+        if twin is not None:
+            assert twin is terms
+            shared.append((a, b))
+        rows.add(len({left for left, _ in self._product_cache}))
+        return terms
+
+    monkeypatch.setattr(IwahoriAlgebra, "table_terms", table_terms)
     code, out = run_cli(capsys, "table", "iwahori", "--qs", "2", "--qt", "3", "--len", "6")
     assert code == 0 and len(out.splitlines()) == 676
-    # 13 words of length <= 6: the product cache keeps a cell and its twin
-    # (both flags flipped, the left letters swapped) in one dict, and no prefix
-    cache = built[0]._product_cache
-    assert len(cache) == 676
-    assert len({id(terms) for terms in cache.values()}) <= 13 * 13 * 2
+    # 13 words of length <= 6: of each twin pair of cells, the one written
+    # second finds the first kept
+    assert len(shared) == 676 // 2
+    # the rows of one word length are dropped together once all are written
+    assert max(rows) == 4
+    # every row and its twin row are written, so no row is kept
+    assert built[0]._product_cache == {}
+
+
+@pytest.mark.parametrize(
+    "family, argv",
+    [
+        ("spherical", ["--q", "2", "--max", "6"]),
+        ("spherical", ["--q0", "2", "--q1", "3", "--max", "6"]),
+        ("iwahori", ["--qs", "2", "--qt", "3", "--len", "4"]),
+        ("affine", ["--q", "3", "--max", "6"]),
+        ("sl2", ["--p", "5", "--max", "2"]),
+    ],
+    ids=["spherical", "spherical-two-orbit", "iwahori", "affine", "sl2"],
+)
+def test_table_keeps_no_product_it_printed(capsys, monkeypatch, family, argv):
+    built = _recording(monkeypatch, family)
+    code, out = run_cli(capsys, "table", family, *argv)
+    assert code == 0 and out
+    assert built[0]._product_cache == {}
+
+
+def test_nu_keeps_no_product_it_printed(capsys, monkeypatch):
+    built = []
+
+    def algebra(p):
+        built.append(SL2EndAlgebra(p))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "SL2EndAlgebra", algebra)
+    code, out = run_cli(capsys, "nu", "--p", "5", "--depth", "2")
+    assert code == 0 and json.loads(out)["table"]
+    assert built[0]._product_cache == {}
+
+
+def test_table_checks_each_product_it_prints_once(capsys, monkeypatch):
+    # the table does not admit a product to the cache, but checks it as
+    # the cache would: one structure_constants call per printed cell
+    checked = []
+    original = core.structure_constants
+
+    def structure_constants(terms):
+        checked.append(terms)
+        return original(terms)
+
+    monkeypatch.setattr(core, "structure_constants", structure_constants)
+    for family, argv, cells in [
+        ("spherical", ["--q", "2", "--max", "4"], 15),
+        ("iwahori", ["--qs", "2", "--qt", "3", "--len", "2"], 100),
+        ("affine", ["--q", "3", "--max", "3"], 16),
+    ]:
+        checked.clear()
+        code, out = run_cli(capsys, "table", family, *argv)
+        assert code == 0 and len(out.splitlines()) == cells == len(checked)
 
 
 def test_verify_exit_codes(capsys):
@@ -832,10 +907,28 @@ def test_mul_refuses_a_product_label_over_the_int_printing_limit(capsys):
     # the index of (N, 0) * (1, 0) has 4,301 digits: its label, not a
     # coefficient, cannot print, and nothing of the cell is written
     limit = sys.get_int_max_str_digits()
-    assert main(["mul", "affine-nf", f"({'9' * limit},0)", "(1,0)", "--q", "2"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"({limit} digits)" in captured.err and "coefficient" not in captured.err
+    left = f"({'9' * limit},0)"
+    for fmt in ("json", "csv"):
+        assert main(["mul", "affine-nf", left, "(1,0)", "--q", "2", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip() == (
+            f"error: an integer in the label of a term of {left} * (1,0) has more than"
+            f" {limit} digits, the interpreter's limit for printing an integer; set"
+            " PYTHONINTMAXSTRDIGITS to a larger limit, or to 0 for none"
+        )
+
+
+def test_mul_prints_a_product_label_with_the_int_printing_limit_off(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, out = run_cli(capsys, "mul", "affine-nf", f"({'9' * limit},0)", "(1,0)", "--q", "2")
+        expected = [[f"({10 ** limit},0)", "1/1"]]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert json.loads(out)["value"] == expected
 
 
 def test_mul_prints_a_constant_under_the_int_printing_limit(capsys):
@@ -1362,13 +1455,13 @@ def test_table_streams(monkeypatch):
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
     written = []  # stdout length when each product is computed
-    original = HeckeAlgebra.basis_terms
+    original = HeckeAlgebra.table_terms
 
-    def basis_terms(*args):
+    def table_terms(*args):
         written.append(len(out.getvalue()))
         return original(*args)
 
-    monkeypatch.setattr(HeckeAlgebra, "basis_terms", basis_terms)
+    monkeypatch.setattr(HeckeAlgebra, "table_terms", table_terms)
     assert main(["table", "spherical", "--q", "2", "--max", "2"]) == 0
     assert len(written) == 6
     assert written[-1] > 0

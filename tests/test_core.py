@@ -193,10 +193,11 @@ def test_structure_constants_checked_on_admission(bad):
     assert algebra._product_cache == {}
 
 
-@pytest.mark.parametrize("entry", ["basis_terms", "multiply_basis"])
+@pytest.mark.parametrize("entry", ["basis_terms", "multiply_basis", "table_terms"])
 @pytest.mark.parametrize("bad", [-1, Fraction(1, 2), True])
 def test_each_product_entry_point_checks_on_admission(entry, bad):
-    # multiply_basis reaches the cache through basis_terms, which checks
+    # multiply_basis reaches the cache through basis_terms, which checks;
+    # table_terms checks as basis_terms does but admits nothing
     algebra = _ToyAlgebra({0: bad})
     with pytest.raises(AssertionError, match="not a nonnegative integer"):
         getattr(algebra, entry)(0, 0)
@@ -264,6 +265,12 @@ def test_product_cache_keeps_the_dict_handed_over():
     algebra = _ToyAlgebra(constants)
     assert algebra.multiply_basis(0, 0)._terms is constants
     assert algebra._product_cache[(0, 0)] is constants
+
+
+def test_table_terms_checks_without_admitting():
+    algebra = _ToyAlgebra({0: 0, 1: 2})
+    assert algebra.table_terms(0, 0) == {1: 2}
+    assert algebra._product_cache == {}
 
 
 def test_zero_structure_constants_dropped_on_admission():

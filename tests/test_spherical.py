@@ -71,7 +71,7 @@ def test_kept_recursion_rows_match_in_any_order(params):
     "params", [SphericalParams.homogeneous(3), SphericalParams.two_orbit(2, 3)]
 )
 def test_kept_closed_form_rows_match_in_any_order(params):
-    # each row is kept per smaller factor n and serves m < n, m = n and m > n
+    # one kept coefficient list serves every smaller factor n, and m < n, m = n and m > n
     algebra = SphericalAlgebra(params)
     cells = [(n, m) for n in range(13) for m in range(13)]
     random.Random(29).shuffle(cells)
@@ -86,6 +86,21 @@ def test_kept_closed_form_rows_match_in_any_order(params):
         out[0] = 7
         assert algebra._basis_product(n, m) == fresh, (n, m)
         assert algebra._basis_product(n, 12) == SphericalAlgebra(params)._basis_product(n, 12)
+
+
+@pytest.mark.parametrize(
+    "params, step", [(SphericalParams.homogeneous(3), 1), (SphericalParams.two_orbit(2, 3), 2)]
+)
+def test_closed_form_keeps_one_coefficient_list(params, step):
+    # the row of a smaller factor is a prefix of a larger one's, so the kept
+    # lists grow to the largest distance asked for and no further
+    algebra = SphericalAlgebra(params)
+    for n, m in [(5, 9), (2, 7), (5, 5), (0, 11)]:
+        algebra._basis_product(n, m)
+    _, coeffs, prods = algebra._closed_form
+    assert len(coeffs) == len(prods) == 5 * step + 1
+    algebra._basis_product(8, 6)
+    assert len(coeffs) == len(prods) == 6 * step + 1
 
 
 @pytest.mark.parametrize(
