@@ -12,7 +12,9 @@ fragments, byte for byte as ``json.dumps`` lays them out: with its default
 separators one record a line, with ``indent=2`` in ``nu``'s document.
 ``table`` and ``mul`` share one cell loop (:func:`emit_records`), which
 multiplies, checks and writes each cell in one pass, JSON and CSV alike,
-and keeps no product it has written.
+and keeps no product it has written.  It makes each distinct coefficient's
+text once per table, however many cells print it, and keeps no text past
+the table's end.
 
 ``table``, ``mul`` and ``verify`` are generic over the families: one line
 of :data:`FAMILIES` (its options, algebra, extent option and sweep), its
@@ -27,13 +29,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import operator
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import verify as verify_mod
-from .core import int_str_limit, label_int, unprintable_int
+from .core import HeckeAlgebra, int_str_limit, label_int, unprintable_int
 from .endstab import HorocycleAlgebra, ToeplitzAlgebra, toeplitz_bratteli, toeplitz_shift_alpha
 from .iwahori import IwahoriAlgebra
 from .ktheory import load_bratteli, pv_k_groups, truncated_limit
@@ -47,27 +48,47 @@ MAX_TOEPLITZ_INTEGERS = 250_000
 
 
 class BasisMemo(dict):
-    """Basis index -> (sort key, label, JSON-encoded label, term fragment), filled on first use.
+    """Basis index -> (label, JSON-encoded label, term fragment), filled on first use.
 
-    One per command, so each index is keyed, labelled and encoded once
-    however many records it appears in.  The term fragment opens the index's
-    terms in ``fmt``: ``[<encoded label>, "`` for JSON, ``label:`` for CSV.
+    One per command, so each index is labelled and encoded once however
+    many records it appears in.  The term fragment opens the index's terms
+    in ``fmt``: ``[<encoded label>, "`` for JSON, ``label:`` for CSV.
+    ``sort_key`` is ``sorted``'s key for a product's indices in the
+    canonical basis order, chosen once: None when the algebra keeps the
+    default :meth:`~hecketree.core.HeckeAlgebra.basis_key`, under which an
+    index is its own key, else the algebra's ``basis_key``.
     """
 
     def __init__(self, algebra, fmt: str = "json"):
         super().__init__()
         self.algebra = algebra
         self.fmt = fmt
+        overridden = type(algebra).basis_key is not HeckeAlgebra.basis_key
+        self.sort_key = algebra.basis_key if overridden else None
 
     def __missing__(self, idx):
         label = self.algebra.basis_label(idx)
         encoded = encode_basestring_ascii(label)
         fragment = f'[{encoded}, "' if self.fmt == "json" else label + ":"
-        entry = self[idx] = (self.algebra.basis_key(idx), label, encoded, fragment)
+        entry = self[idx] = (label, encoded, fragment)
         return entry
 
 
-_ENTRY = operator.itemgetter(0)
+class _Texts(dict):
+    """Coefficient -> its text in a term, ``n`` then ``close``, made on first use.
+
+    :func:`emit_records` makes one per call, so a table converts each
+    distinct coefficient to decimal once and keeps no text past its end.
+    A coefficient too long to print raises ValueError here and is not kept.
+    """
+
+    def __init__(self, close: str):
+        super().__init__()
+        self.close = close
+
+    def __missing__(self, c):
+        text = self[c] = f"{c}{self.close}"
+        return text
 
 
 def product_record(memo: BasisMemo, a, b) -> tuple:
@@ -75,12 +96,12 @@ def product_record(memo: BasisMemo, a, b) -> tuple:
 
     ``left`` and ``right`` are the memo entries of ``a`` and ``b``; ``value``
     lists the product's terms as ``(entry, coefficient)`` pairs in the
-    canonical basis order.  A coefficient is a structure constant, an ``int``
-    (``table_terms`` checks), so the writers print it as ``n/1``.
+    canonical basis order, sorted as :func:`emit_records` sorts a cell.  A
+    coefficient is a structure constant, an ``int`` (``table_terms``
+    checks), so the writers print it as ``n/1``.
     """
-    terms = memo.algebra.table_terms(a, b).items()
-    # memo entries sort by their first field, the basis key
-    return memo[a], memo[b], sorted([(memo[idx], c) for idx, c in terms], key=_ENTRY)
+    terms = memo.algebra.table_terms(a, b)
+    return memo[a], memo[b], [(memo[idx], terms[idx]) for idx in sorted(terms, key=memo.sort_key)]
 
 
 def emit_records(family: str, memo: BasisMemo, cells, out) -> None:
@@ -93,32 +114,36 @@ def emit_records(family: str, memo: BasisMemo, cells, out) -> None:
     with ``label:n/d`` terms joined by ``;``, the header going out with the
     first record.  Each cell is one read of ``table_terms``, its structure
     constants checked but, outside the Iwahori rows its later cells grow
-    from, not kept; its terms are sorted only when it has several, and
-    ``end_table`` follows the last cell.  A coefficient too long to print,
-    or an integer too long to print in a term's label, is a ValueError
-    naming the term or the cell and ``PYTHONINTMAXSTRDIGITS``, raised before
-    anything of its cell, but after the records before it, is written.
+    from, not kept; its terms are sorted by ``memo.sort_key`` only when it
+    has several, and ``end_table`` follows the last cell.  A term is its
+    index's fragment joined to its coefficient's text, and each distinct
+    coefficient's text is made once per call (:class:`_Texts`), however many
+    cells print it.  A coefficient too long to print, or an integer too long
+    to print in a term's label, is a ValueError naming the term or the cell
+    and ``PYTHONINTMAXSTRDIGITS``, raised before anything of its cell, but
+    after the records before it, is written.
     """
     algebra = memo.algebra
     table_terms = algebra.table_terms
+    key = memo.sort_key
     if memo.fmt == "json":
         head = '{"family": ' + encode_basestring_ascii(family) + ', "key": ['
-        sep, close = ", ", '/1"]'
+        sep, texts = ", ", _Texts('/1"]')
 
         def write(left, right, value):
-            out.write(f'{head}{left[2]}, {right[2]}], "value": [{value}]}}\n')
+            out.write(f'{head}{left[1]}, {right[1]}], "value": [{value}]}}\n')
 
     else:
         import csv  # only --format csv needs it; every other command's process skips the import
 
         writerow = csv.writer(out, lineterminator="\n").writerow
         header = [["family", "left", "right", "value"]]
-        sep, close = ";", "/1"
+        sep, texts = ";", _Texts("/1")
 
         def write(left, right, value):
             if header:
                 writerow(header.pop())
-            writerow([family, left[1], right[1], value])
+            writerow([family, left[0], right[0], value])
 
     for a, b in cells:
         terms = table_terms(a, b)
@@ -126,15 +151,14 @@ def emit_records(family: str, memo: BasisMemo, cells, out) -> None:
         try:
             if len(terms) == 1:
                 [(idx, c)] = terms.items()
-                value = f"{memo[idx][3]}{c}{close}"
+                value = memo[idx][2] + texts[c]
             else:
-                # memo entries sort by their first field, the basis key
-                entries = sorted([(memo[idx], c) for idx, c in terms.items()], key=_ENTRY)
-                value = sep.join([f"{e[3]}{c}{close}" for e, c in entries])
+                ordered = sorted(terms, key=key)
+                value = sep.join([memo[idx][2] + texts[terms[idx]] for idx in ordered])
         except ValueError:  # an int too long to print, in a term's label or a coefficient
-            cell = f"{left[1]} * {right[1]}"
+            cell = f"{left[0]} * {right[0]}"
             try:
-                labels = {idx: memo[idx][1] for idx in terms}
+                labels = {idx: memo[idx][0] for idx in terms}
             except ValueError:
                 raise unprintable_int(f"an integer in the label of a term of {cell}") from None
             over = [idx for idx, c in terms.items() if abs(c) >= 10 ** int_str_limit()]
@@ -167,8 +191,8 @@ def _indented_record(record) -> str:
     """A product record without its family, as an entry of ``nu``'s table."""
     left, right, value = record
     fields = [
-        '"key": ' + _indented("[", [left[2], right[2]], "]", 3),
-        '"value": ' + _indented("[", [_indented_term(e[2], f"{c}/1") for e, c in value], "]", 3),
+        '"key": ' + _indented("[", [left[1], right[1]], "]", 3),
+        '"value": ' + _indented("[", [_indented_term(e[1], f"{c}/1") for e, c in value], "]", 3),
     ]
     return _indented("{", fields, "}", 2)
 

@@ -19,7 +19,7 @@ from test_acceptance import ACCEPTANCE_COMMANDS
 from hecketree import cli, core, sl2, tree, verify
 from hecketree.cli import main
 from hecketree.core import HeckeAlgebra
-from hecketree.endstab import HorocycleAlgebra, m_to_nf, toeplitz_bratteli
+from hecketree.endstab import HorocycleAlgebra, ToeplitzAlgebra, m_to_nf, toeplitz_bratteli
 from hecketree.iwahori import IwahoriAlgebra, bar
 from hecketree.sl2 import SL2EndAlgebra, make_prufer
 from hecketree.spherical import SphericalAlgebra, SphericalParams
@@ -231,6 +231,31 @@ def test_table_checks_each_product_it_prints_once(capsys, monkeypatch):
         checked.clear()
         code, out = run_cli(capsys, "table", family, *argv)
         assert code == 0 and len(out.splitlines()) == cells == len(checked)
+
+
+def test_table_makes_one_text_per_distinct_coefficient(capsys, monkeypatch):
+    # the writer converts each coefficient it prints to decimal once per
+    # table, and the next table in the process starts with no text kept
+    made = []
+    original = cli._Texts.__missing__
+
+    def __missing__(self, c):
+        made.append(c)
+        return original(self, c)
+
+    monkeypatch.setattr(cli._Texts, "__missing__", __missing__)
+    for argv in [("spherical", "--q", "2", "--max", "20"), ("affine", "--q", "3", "--max", "10")]:
+        for _ in range(2):
+            made.clear()
+            code, out = run_cli(capsys, "table", *argv)
+            assert code == 0
+            printed = {
+                int(coeff.removesuffix("/1"))
+                for line in out.splitlines()
+                for _, coeff in json.loads(line)["value"]
+            }
+            assert len(printed) > 1
+            assert sorted(made) == sorted(printed), argv
 
 
 def test_verify_exit_codes(capsys):
@@ -1786,3 +1811,69 @@ def test_table_writer_matches_json_dumps_and_csv(capsys, family, algebra, flags,
     code, out = run_cli(capsys, "table", family, *flags, "--format", "csv")
     assert code == 0
     assert out == rows.getvalue()
+
+
+#: ``(family, flags, algebra, basis)`` of :func:`test_mul_matches_json_dumps_and_csv`:
+#: ``algebra()`` is the algebra ``mul`` builds from ``flags``, and ``basis`` the
+#: indices its labels are drawn from, or a function of the algebra listing them.
+_MUL_FAMILIES = [
+    (
+        "spherical",
+        ["--q", "2"],
+        lambda: SphericalAlgebra(SphericalParams.homogeneous(2)),
+        range(13),
+    ),
+    (
+        "spherical",
+        ["--q0", "3", "--q1", "2"],
+        lambda: SphericalAlgebra(SphericalParams.two_orbit(3, 2)),
+        range(13),
+    ),
+    # words_up_to lists the inversion-decorated words too
+    (
+        "iwahori",
+        ["--qs", "2", "--qt", "2"],
+        lambda: IwahoriAlgebra(2, 2),
+        lambda a: a.words_up_to(4),
+    ),
+    ("affine", ["--q", "3"], lambda: HorocycleAlgebra(3), range(13)),
+    # tuple indices, sorted as they are
+    (
+        "affine-nf",
+        ["--q", "2"],
+        lambda: ToeplitzAlgebra(2),
+        [(i, j) for i in range(13) for j in range(13)],
+    ),
+    ("sl2", ["--p", "3"], lambda: SL2EndAlgebra(3), lambda a: a.cosets_up_to_depth(2)),
+    ("sl2", ["--p", "5"], lambda: SL2EndAlgebra(5), lambda a: a.cosets_up_to_depth(2)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_MUL_FAMILIES), st.data())
+def test_mul_matches_json_dumps_and_csv(case, data):
+    # a product of two labels in every family, both sort paths of the writer
+    # included, rebuilt from multiply_basis(a, b).terms() with json.dumps and
+    # csv.writer
+    import csv as csv_mod
+
+    family, flags, make, basis = case
+    algebra = make()
+    basis = list(basis(algebra) if callable(basis) else basis)
+    a, b = data.draw(st.sampled_from(basis)), data.draw(st.sampled_from(basis))
+    key = [algebra.basis_label(a), algebra.basis_label(b)]
+    terms = [(algebra.basis_label(idx), c) for idx, c in algebra.multiply_basis(a, b).terms()]
+    value = [[label, f"{c}/1"] for label, c in terms]
+    rows = io.StringIO()
+    writer = csv_mod.writer(rows, lineterminator="\n")
+    writer.writerow(["family", "left", "right", "value"])
+    writer.writerow([family, *key, ";".join(f"{label}:{c}/1" for label, c in terms)])
+    expected = {
+        "json": json.dumps({"family": family, "key": key, "value": value}) + "\n",
+        "csv": rows.getvalue(),
+    }
+    for fmt, record in expected.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["mul", family, *key, *flags, "--format", fmt])
+        assert (code, out.getvalue()) == (0, record), (family, key, fmt)
