@@ -113,9 +113,10 @@ def emit_records(family: str, memo: BasisMemo, cells, out) -> None:
     with its default separators; a CSV row is ``family,left,right,value``
     with ``label:n/d`` terms joined by ``;``, the header going out with the
     first record.  Each cell is one read of ``table_terms``, its structure
-    constants checked but, outside the Iwahori rows its later cells grow
-    from, not kept; its terms are sorted by ``memo.sort_key`` only when it
-    has several, and ``end_table`` follows the last cell.  A term is its
+    constants checked but, outside the one left word length's Iwahori rows
+    its later cells grow from, not kept; its terms are sorted by
+    ``memo.sort_key`` only when it has several, and ``end_table``, which
+    empties the product cache, follows the last cell.  A term is its
     index's fragment joined to its coefficient's text, and each distinct
     coefficient's text is made once per call (:class:`_Texts`), however many
     cells print it.  A coefficient too long to print, or an integer too long
@@ -173,11 +174,9 @@ def emit_records(family: str, memo: BasisMemo, cells, out) -> None:
 def _indented(open_: str, items: list, close: str, depth: int) -> str:
     """A JSON array or object laid out as ``json.dumps(indent=2)`` does.
 
-    ``items`` are its rendered members and ``depth`` its nesting depth, 0 for
-    the whole document.
+    ``items`` are its rendered members, at least one, and ``depth`` its
+    nesting depth, 0 for the whole document.
     """
-    if not items:
-        return open_ + close
     inner = "\n" + "  " * (depth + 1)
     return open_ + inner + ("," + inner).join(items) + "\n" + "  " * depth + close
 

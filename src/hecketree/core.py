@@ -25,8 +25,9 @@ reads it or the dict its own route keeps.  That is the one check: a
 ``verify`` sweep compares every other route with a route that reads this
 cache, so a bad value elsewhere is a mismatch.  A table prints each
 product once, so it reads :meth:`HeckeAlgebra.table_terms`, which makes
-the same check without admitting the product: a table keeps no product it
-has printed.
+the same check without admitting the product, and ends with
+:meth:`HeckeAlgebra.end_table`, which empties the cache: a table keeps no
+product it has printed beyond one left word length's Iwahori rows.
 
 Coefficient rule, owned by :func:`exact`: a coefficient is an ``int`` or a
 ``Fraction`` and is kept as given, never converted; anything else, ``bool``
@@ -59,8 +60,9 @@ class HeckeAlgebra:
     :meth:`basis_terms` is the cache's one entry point: it checks a product
     once, on admission, caches it and hands out the kept dict;
     :meth:`multiply_basis` wraps that dict as an element.  A table reads
-    :meth:`table_terms`, checked but not admitted, and calls
-    :meth:`end_table` after its last cell.
+    :meth:`table_terms`, checked but not admitted (the Iwahori table keeps
+    one left word length's rows), and calls :meth:`end_table` after its
+    last cell, which leaves the product cache empty.
     """
 
     #: basis index of the identity double coset
@@ -124,13 +126,14 @@ class HeckeAlgebra:
         Checked by :func:`structure_constants` like an admitted product, but
         not admitted, so a table keeps no product it has printed.  An algebra
         whose products grow from the ones the cache keeps overrides this to
-        admit them (:meth:`hecketree.iwahori.IwahoriAlgebra.table_terms`) and
-        frees them in :meth:`end_table`.
+        admit them while they can still be read: the Iwahori table keeps one
+        left word length's rows (:meth:`hecketree.iwahori.IwahoriAlgebra.table_terms`).
         """
         return structure_constants(self._basis_product(a, b))
 
     def end_table(self) -> None:
-        """Called once a table has read its last cell; :meth:`table_terms` kept nothing here."""
+        """Called once a table has read its last cell: the product cache is left empty."""
+        self._product_cache.clear()
 
     def multiply_basis(self, a, b) -> "HeckeElement":
         """Product of two basis elements: :meth:`basis_terms` wrapped, uncopied, as an element."""

@@ -25,10 +25,11 @@ its own but reads the product cache (``basis_terms``): a twin is one
 lookup and ``a * (b + letter)`` is one rewriting step from ``a * b``.  A
 table or sweep asks for the words in length order, so each of its cells
 costs one lookup or one step; a pair whose one-letter-shorter pair was
-never asked for is rewritten letter by letter.  A table keeps a row only
-until its twin row is written (:meth:`IwahoriAlgebra.table_terms`), so it
-runs in the memory of four rows.  The closed form keeps its
-own terms, one dict per triple (:meth:`IwahoriAlgebra.closed_terms`).
+never asked for is rewritten letter by letter.  A row and its twin row
+have one left word length, so a table keeps one left word length's rows
+and leaves the product cache empty (:meth:`IwahoriAlgebra.table_terms`):
+in canonical order at most four rows.  The closed form keeps its own
+terms, one dict per triple (:meth:`IwahoriAlgebra.closed_terms`).
 Both hand out the dict they keep, which the caller only reads; the
 element methods ``multiply_basis`` and ``multiply_closed`` wrap it.
 
@@ -138,8 +139,7 @@ class IwahoriAlgebra(HeckeAlgebra):
         self.qs = qs
         self.qt = qt
         self._closed_products = {}  # (left, right, iflag) -> terms, see closed_terms
-        self._table_row = None  # the left factor of the row a table is writing
-        self._table_rows_waiting = set()  # written rows whose twin row is not, see table_terms
+        self._table_length = None  # the left word length of a table's last cell, see table_terms
 
     def letter_weight(self, letter: str) -> int:
         if letter == "s":
@@ -219,36 +219,17 @@ class IwahoriAlgebra(HeckeAlgebra):
         """The terms of ``a * b`` for a table: admitted, since later cells grow from them.
 
         A cell grows from its twin or from the cell one right letter shorter
-        in its own row (:meth:`_basis_product`), so a written row stays kept
-        until its twin row (both flags flipped, the left letters swapped) is
-        written too.  At the first cell of each row, and at the end of the
-        table (:meth:`end_table`), the cache is cleared if every row written
-        has its twin row written.  In canonical order that holds after each
-        word length's rows, so a table keeps at most four rows at once and
-        none when it ends.  Clearing at those boundaries costs nothing per
-        cell; dropping each twin pair on its own means finding its keys.
+        in its own row (:meth:`_basis_product`), and a row and its twin row
+        (both flags flipped, the left letters swapped) have one left word
+        length.  So the cache is cleared whenever the left word length
+        differs from the previous cell's, and at the end of the table
+        (:meth:`end_table`): a table keeps one left word length's rows, in
+        canonical order at most four, and none when it ends.
         """
-        if a != self._table_row:
-            self._end_table_row(a)
-        return self.basis_terms(a, b)
-
-    def end_table(self) -> None:
-        """The table's last row is written: clear the cache if no row waits for its twin."""
-        self._end_table_row(None)
-
-    def _end_table_row(self, a) -> None:
-        """Start the table row of ``a``; clear the cache if no row written waits for its twin."""
-        done, self._table_row = self._table_row, a
-        if done is None:
-            return
-        twin = (1 - done[0], bar(done[1]))
-        waiting = self._table_rows_waiting
-        if twin in waiting:
-            waiting.remove(twin)
-        else:
-            waiting.add(done)
-        if not waiting:
+        if len(a.word) != self._table_length:
+            self._table_length = len(a.word)
             self._product_cache.clear()
+        return self.basis_terms(a, b)
 
     def multiply_by_generator(
         self, letter: str, x: HeckeElement, side: str = "left"

@@ -322,7 +322,8 @@ class SL2EndAlgebra(HeckeAlgebra):
         p = operator.index(p)
         super().__init__(p)
         self.p = p
-        self.unit = double_coset(prufer_zero(p))
+        zero = PruferElement(p, 0, 0)
+        self.unit = DoubleCoset(zero, (zero,))
         self._modulus = p**DEPTH_BOUND
         self._cosets = [self.unit]  # every coset of depth <= len(_depth_end) - 1, in order
         self._member_codes = [(0,)]  # the codes of the members of each of _cosets

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -140,13 +141,20 @@ def test_mul_iwahori_long_word_is_a_loop_not_a_recursion(capsys):
     assert json.loads(out)["value"] == expected
 
 
-def _recording(monkeypatch, family):
-    """Make ``cli.FAMILIES[family]`` record each algebra it builds; return the record."""
+def _recording(monkeypatch, family, warm=False):
+    """Make ``cli.FAMILIES[family]`` record each algebra it builds; return the record.
+
+    With ``warm``, each algebra already keeps a product, read by ``multiply_basis``.
+    """
     built = []
     make = cli.FAMILIES[family].algebra
 
     def algebra(*options):
         built.append(make(*options))
+        if warm:
+            unit = built[-1].unit
+            built[-1].multiply_basis(unit, unit)
+            assert built[-1]._product_cache
         return built[-1]
 
     monkeypatch.setitem(cli.FAMILIES, family, cli.FAMILIES[family]._replace(algebra=algebra))
@@ -193,10 +201,65 @@ def test_table_iwahori_keeps_one_word_product_per_pair(capsys, monkeypatch):
     ids=["spherical", "spherical-two-orbit", "iwahori", "affine", "sl2"],
 )
 def test_table_keeps_no_product_it_printed(capsys, monkeypatch, family, argv):
-    built = _recording(monkeypatch, family)
-    code, out = run_cli(capsys, "table", family, *argv)
-    assert code == 0 and out
-    assert built[0]._product_cache == {}
+    # a table leaves the product cache empty, also of the products its
+    # algebra kept before the table began
+    for warm in (False, True):
+        with monkeypatch.context() as patch:
+            built = _recording(patch, family, warm)
+            code, out = run_cli(capsys, "table", family, *argv)
+        assert code == 0 and out
+        assert built[0]._product_cache == {}, f"warm={warm}"
+
+
+def _plain_word_cells(algebra) -> list:
+    """Every pair of plain (flag-0) words of length <= 6, in canonical order."""
+    words = algebra.words_up_to(6, with_iflag=False)
+    return [(a, b) for a in words for b in words]
+
+
+def test_plain_word_iwahori_table_keeps_one_word_length(monkeypatch):
+    # a plain row's twin row is decorated, so no row of this table has its
+    # twin in it: the table still keeps only the rows of one left word length
+    original = IwahoriAlgebra.table_terms
+    rows = []
+
+    def table_terms(self, a, b):
+        terms = original(self, a, b)
+        rows.append(len({left for left, _ in self._product_cache}))
+        return terms
+
+    monkeypatch.setattr(IwahoriAlgebra, "table_terms", table_terms)
+    algebra = IwahoriAlgebra(2, 3)
+    out = io.StringIO()
+    cli.emit_records("iwahori", cli.BasisMemo(algebra), _plain_word_cells(algebra), out)
+    assert len(out.getvalue().splitlines()) == len(rows) == 13 * 13
+    assert max(rows) == 2
+    assert algebra._product_cache == {}
+
+
+def test_one_cell_iwahori_tables_keep_nothing():
+    # each one-cell table on one algebra leaves its product cache empty
+    algebra = IwahoriAlgebra(2, 3)
+    out = io.StringIO()
+    for a, b in _plain_word_cells(algebra)[::17]:
+        cli.emit_records("iwahori", cli.BasisMemo(algebra), [(a, b)], out)
+        assert algebra._product_cache == {}, (a, b)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_iwahori_table_in_any_order_prints_the_same_records(seed):
+    # clearing the cache at a change of left word length changes memory,
+    # never a value: each cell prints the record it prints in canonical order
+    def records(cells):
+        out = io.StringIO()
+        cli.emit_records("iwahori", cli.BasisMemo(IwahoriAlgebra(2, 2)), cells, out)
+        return dict(zip(cells, out.getvalue().splitlines(), strict=True))
+
+    words = IwahoriAlgebra(2, 2).words_up_to(3)
+    cells = [(a, b) for a in words for b in words]
+    canonical = records(cells)
+    random.Random(seed).shuffle(cells)
+    assert records(cells) == canonical
 
 
 def test_nu_keeps_no_product_it_printed(capsys, monkeypatch):

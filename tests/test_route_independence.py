@@ -153,9 +153,6 @@ SHARED = {
         "sl2._is_prime",
         "sl2.unit_squares_mod",
         "sl2._orbit_residues",
-        "sl2.orbit",
-        "sl2.double_coset",
-        "sl2.prufer_zero",
         "sl2._code",
         "sl2.PruferElement.__init__",
         "sl2.PruferElement.__hash__",
