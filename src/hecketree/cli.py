@@ -186,6 +186,11 @@ def _indented_term(encoded_label: str, coeff: str) -> str:
     return _indented("[", [encoded_label, f'"{coeff}"'], "]", 4)
 
 
+#: A point's ``[label, "1/1"]`` term in ``nu``'s document: its encoded label
+#: between these two texts, which :func:`_indented_term` lays out once.
+_NU_HEAD, _NU_TAIL = _indented_term("%", "1/1").split("%")
+
+
 def _indented_record(record) -> str:
     """A product record without its family, as an entry of ``nu``'s table."""
     left, right, value = record
@@ -358,7 +363,7 @@ def cmd_nu(args) -> int:
             '"representative": ' + points[0],
             '"orbit": ' + _indented("[", points, "]", 3),
             f'"size": {len(points)}',
-            '"nu": ' + _indented("[", [_indented_term(e, "1/1") for e in points], "]", 3),
+            '"nu": ' + _indented("[", [_NU_HEAD + e + _NU_TAIL for e in points], "]", 3),
         ]
         coset_docs.append(_indented("{", fields, "}", 2))
     memo = BasisMemo(algebra)

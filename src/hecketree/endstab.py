@@ -83,16 +83,23 @@ class HorocycleAlgebra(HeckeAlgebra):
 
         M_m·M_n = r_min·M_max for m ≠ n, and
         M_n² = Σ_(i<n) r_n·M_i + (r_n − Σ_(i<n) r_i)·M_n.
+
+        The counts are written out here rather than read through
+        :meth:`r_value`, and Σ_(i<n) r_i = 1 + (q − 1)(1 + q + ... + q^(n−2))
+        telescopes to q^(n−1) for n ≥ 1, so no cell makes a call per class.
         """
-        for index in (m, n):
-            if index < 0:
-                raise ValueError(f"horocycle class {index} is negative")
-        r = self.r_value
-        lo, hi = min(m, n), max(m, n)
-        if lo != hi:
-            return {hi: r(lo)}
-        out = dict.fromkeys(range(hi), r(hi))
-        out[hi] = r(hi) - sum(map(r, range(hi)))
+        if m < 0 or n < 0:
+            raise ValueError(f"horocycle class {m if m < 0 else n} is negative")
+        q = self.q
+        if m != n:
+            lo, hi = (m, n) if m < n else (n, m)
+            return {hi: 1 if lo == 0 else (q - 1) * q ** (lo - 1)}
+        if n == 0:
+            return {0: 1}
+        below = q ** (n - 1)
+        r = (q - 1) * below
+        out = dict.fromkeys(range(n), r)
+        out[n] = r - below
         return out
 
 

@@ -26,7 +26,11 @@ at :data:`DEPTH_BOUND` and indexes its cosets by the codes of their members;
 enumerated as sorted int residues.  :class:`PruferElement` objects are built
 only where points are parsed, labelled or returned: the members of each
 :class:`DoubleCoset`, one per point, and each distinct sum of a
-convolution.  :func:`prufer_add` and :class:`PruferGroupAlgebra` stay on
+convolution.  An orbit's residues are canonical by construction, so
+:class:`SL2EndAlgebra` builds each member once, trusted, through
+:meth:`PruferElement._of`; the prime is checked once, when the algebra is
+made.  A :class:`DoubleCoset` hashes as its representative, computed once
+and kept.  :func:`prufer_add` and :class:`PruferGroupAlgebra` stay on
 :class:`PruferElement` and are the route the ``nu`` images are multiplied
 along.
 """
@@ -113,6 +117,15 @@ class PruferElement(Frozen):
             raise ValueError(f"{num}/{p}^{depth} is not in lowest terms")
         self._set(p, depth, num)
 
+    @classmethod
+    def _of(cls, p: int, depth: int, num: int) -> "PruferElement":
+        """Wrap ``num / p^depth`` without checking it: ``p`` prime, ``num`` in lowest terms."""
+        out = object.__new__(cls)
+        _set_p(out, p)
+        _set_depth(out, depth)
+        _set_num(out, num)
+        return out
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -142,6 +155,14 @@ class PruferElement(Frozen):
         if self.depth == 0:
             return self
         return PruferElement(self.p, self.depth, self.p**self.depth - self.num)
+
+
+#: The slot setters :meth:`PruferElement._of` sets the fields through.
+_set_p, _set_depth, _set_num = (
+    PruferElement.p.__set__,
+    PruferElement.depth.__set__,
+    PruferElement.num.__set__,
+)
 
 
 def make_prufer(p: int, num: int, depth: int) -> PruferElement:
@@ -277,12 +298,17 @@ class DoubleCoset(Frozen):
 
     Equality, hashing and order look at the representative alone: it
     determines the orbit, and ``members`` can run to hundreds of points.
+    The hash is the representative's, computed once and kept; pickling and
+    copying compute it again.
     """
 
-    __slots__ = ("representative", "members")
+    __slots__ = ("representative", "members", "_hash")
 
     def __init__(self, representative: PruferElement, members: tuple):
-        self._set(representative, members)
+        self._set(representative, members, hash(representative))
+
+    def __reduce__(self):
+        return DoubleCoset, (self.representative, self.members)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -295,7 +321,7 @@ class DoubleCoset(Frozen):
         return self.representative < other.representative
 
     def __hash__(self):
-        return hash((self.representative,))
+        return self._hash
 
     def label(self) -> str:
         return self.representative.label()
@@ -358,7 +384,7 @@ class SL2EndAlgebra(HeckeAlgebra):
                 if a % p == 0 or a * scale in position:
                     continue
                 residues = _orbit_residues(p, n, a)
-                members = tuple([PruferElement(p, n, x) for x in residues])
+                members = tuple([PruferElement._of(p, n, x) for x in residues])
                 codes = tuple([x * scale for x in residues])
                 position.update(dict.fromkeys(codes, len(self._cosets)))
                 self._cosets.append(DoubleCoset(members[0], members))
@@ -427,12 +453,12 @@ class SL2EndAlgebra(HeckeAlgebra):
         totals = [(r + g) % modulus for g in self._codes_of(c1)]
         # a sum of depth <= max_depth is a multiple of p^(DEPTH_BOUND - max_depth)
         step = self.p ** (DEPTH_BOUND - max_depth)
-        for total in totals:
-            if total % step:
-                raise AssertionError(
-                    f"sum {make_prufer(self.p, total, DEPTH_BOUND)!r}"
-                    f" exceeds the operand depth {max_depth}"
-                )
+        deeper = next(filter(step.__rmod__, totals), None)
+        if deeper is not None:
+            raise AssertionError(
+                f"sum {make_prufer(self.p, deeper, DEPTH_BOUND)!r}"
+                f" exceeds the operand depth {max_depth}"
+            )
         hits = Counter(map(self._position.__getitem__, totals))
         out: dict = {}
         for i, n in hits.items():

@@ -1,6 +1,7 @@
 """End-stabilizer algebras: class table, normal form, sequence model, K-theory inputs."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -233,3 +234,37 @@ def test_from_sequence_refuses_a_float_q_after_the_int():
     assert from_sequence(s, 2).algebra.q == 2
     with pytest.raises(TypeError):
         from_sequence(s, 2.0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7])
+def test_table_is_the_documented_formula(q):
+    # M_m·M_n = r_min·M_max for m ≠ n, and
+    # M_n² = Σ_(i<n) r_n·M_i + (r_n − Σ_(i<n) r_i)·M_n, the sum taken over r_value
+    algebra = HorocycleAlgebra(q)
+    r = algebra.r_value
+    for m, n in itertools.product(range(41), repeat=2):
+        if m != n:
+            expected = {max(m, n): r(min(m, n))}
+        else:
+            expected = dict.fromkeys(range(n), r(n))
+            expected[n] = r(n) - sum(r(i) for i in range(n))
+        assert algebra._basis_product(m, n) == expected, (m, n)
+
+
+def test_off_diagonal_product_keeps_nothing_that_grows_with_the_class():
+    algebra = HorocycleAlgebra(2)
+    n = 10**5
+    tracemalloc.start()
+    try:
+        product = algebra.multiply_basis(n, n + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert product.terms() == [(n + 1, 2 ** (n - 1))]
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("m,n,negative", [(-1, 0, -1), (3, -1, -1), (-1, -2, -1), (-2, -1, -2)])
+def test_negative_class_is_refused_by_the_first_negative_operand(m, n, negative):
+    with pytest.raises(ValueError, match=f"^horocycle class {negative} is negative$"):
+        HorocycleAlgebra(3)._basis_product(m, n)

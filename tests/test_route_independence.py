@@ -155,6 +155,7 @@ SHARED = {
         "sl2._orbit_residues",
         "sl2._code",
         "sl2.PruferElement.__init__",
+        "sl2.PruferElement._of",
         "sl2.PruferElement.__hash__",
         "sl2.DoubleCoset.__init__",
         "sl2.SL2EndAlgebra.__init__",

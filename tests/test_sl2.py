@@ -1,6 +1,8 @@
 """Prüfer-group arithmetic, unit-square orbits, and the pulled-back product."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -412,3 +414,31 @@ def test_prime_below_two_is_not_prime(make, message):
     with pytest.raises(ValueError) as excinfo:
         make()
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("p,depth", [(3, 3), (5, 3), (7, 3), (2, 5)])
+def test_listed_members_are_the_checked_points(p, depth):
+    # the algebra builds its orbit points unchecked, from residues that are
+    # canonical by construction: each must be the point the checked
+    # constructor makes, with the same fields and hash
+    A = SL2EndAlgebra(p)
+    for c in A.cosets_up_to_depth(depth):
+        assert c.representative is c.members[0]
+        for g in c.members:
+            checked = PruferElement(p, c.representative.depth, g.num)
+            assert type(g) is PruferElement and g == checked and hash(g) == hash(checked)
+
+
+def test_double_coset_keeps_its_hash_through_pickle_and_copy():
+    A = SL2EndAlgebra(5)
+    listed = A.cosets_up_to_depth(2)
+    for c in listed:
+        assert hash(c) == hash(c.representative)
+        pickles = [pickle.dumps(c, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in [*map(pickle.loads, pickles), copy.copy(c), copy.deepcopy(c)]:
+            assert type(twin) is DoubleCoset
+            assert twin == c and hash(twin) == hash(c) == hash(twin.representative)
+            assert twin.members == c.members
+            assert {c: 1}[twin] == 1
+            assert [d < twin for d in listed] == [d < c for d in listed]
+            assert [d > twin for d in listed] == [d > c for d in listed]
