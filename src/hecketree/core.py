@@ -11,7 +11,7 @@ generic and lives in :class:`HeckeElement`.
 
 A subclass validates its parameters and passes them to
 ``HeckeAlgebra.__init__``; algebras of one class with equal parameters
-compare and hash equal, and overriding ``_key`` is optional.  The rules
+compare and hash equal, by those parameters alone.  The rules
 every algebra shares live here: branching numbers are read and bounded by
 :func:`branching`, :func:`shared` keeps one instance per class and
 parameters for the maps whose images must share a product cache, and
@@ -51,9 +51,8 @@ class HeckeAlgebra:
     Concrete algebras validate their parameters and pass them to
     ``__init__``, implement ``_basis_product``, ``involute_basis``,
     ``r_value``, set ``unit``, and provide label round-tripping for the CLI.
-    Two algebras are equal when they are of one class and their ``_key``
-    matches: by default the parameters passed to ``__init__``, and a
-    subclass that compares by another rule overrides ``_key``.  Instances
+    Two algebras are equal when they are of one class and were passed
+    equal parameters, which ``__init__`` keeps as ``_params``.  Instances
     are immutable apart from memos of results already computed, such as the
     product cache here.  No memo changes a result.  The product cache keeps
     the dict ``_basis_product`` returns, which is never mutated afterwards.
@@ -96,17 +95,13 @@ class HeckeAlgebra:
     def parse_label(self, text: str):
         raise NotImplementedError
 
-    def _key(self):
-        """Hashable parameter tuple; algebras compare equal iff these match."""
-        return self._params
-
     # -- generic behaviour ------------------------------------------------
 
     def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
+        return type(self) is type(other) and self._params == other._params
 
     def __hash__(self):
-        return hash((type(self), self._key()))
+        return hash((type(self), self._params))
 
     def basis_terms(self, a, b) -> dict:
         """The terms of the basis product ``a * b``: the dict the product cache keeps.

@@ -16,7 +16,10 @@ Two concrete models, with exact conversions between them:
 The horocycle subalgebra embeds into the normal form via
 ``class_n = (n,n) - (n-1,n-1)`` and is isomorphic to the algebra of
 eventually constant sequences; both routes are implemented and are required
-to agree with each other and with the tree-counting oracle.
+to agree with each other and with the tree-counting oracle.  Every map
+between these models (:func:`m_to_nf`, :func:`nf_to_m`, :func:`from_sequence`)
+takes its target from ``core.shared``, one algebra per class and ``q``, so
+all images at one ``q`` share that algebra's product cache.
 
 General picture (documentation only; the executable model is the full
 automorphism group, where complete tables exist).  Any end stabilizer built
@@ -38,7 +41,6 @@ code.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
 from .core import Frozen, HeckeAlgebra, HeckeElement, branching, exact, label_int, shared
 from .ktheory import BratteliDiagram, IntMatrix
@@ -53,14 +55,6 @@ class HorocycleAlgebra(HeckeAlgebra):
         (q,) = branching(q)
         super().__init__(q)
         self.q = q
-
-    @cached_property
-    def normal_form(self) -> "ToeplitzAlgebra":
-        """The normal-form algebra :func:`m_to_nf` maps into, one per horocycle algebra.
-
-        Sharing it shares its product cache between conversions.
-        """
-        return ToeplitzAlgebra(self.q)
 
     def r_value(self, n: int) -> int:
         return 1 if n == 0 else (self.q - 1) * self.q ** (n - 1)
@@ -118,14 +112,6 @@ class ToeplitzAlgebra(HeckeAlgebra):
         super().__init__(q)
         self.q = q
 
-    @cached_property
-    def horocycle(self) -> HorocycleAlgebra:
-        """The horocycle algebra :func:`nf_to_m` maps into, one per normal-form algebra.
-
-        Sharing it shares its product cache between conversions.
-        """
-        return HorocycleAlgebra(self.q)
-
     def r_value(self, ab) -> int:
         a, _ = ab
         return self.q**a
@@ -169,8 +155,12 @@ class ToeplitzAlgebra(HeckeAlgebra):
 
 
 def m_to_nf(m_algebra: HorocycleAlgebra, n: int) -> HeckeElement:
-    """Horocycle class ``n`` in normal form: ``(n,n) - (n-1,n-1)``; class 0 is the unit."""
-    nf = m_algebra.normal_form
+    """Horocycle class ``n`` in normal form: ``(n,n) - (n-1,n-1)``; class 0 is the unit.
+
+    The image lies in ``core.shared(ToeplitzAlgebra, q)``, one algebra for
+    every image at ``q``, so products of images share its product cache.
+    """
+    nf = shared(ToeplitzAlgebra, m_algebra.q)
     if n == 0:
         return nf.one()
     return nf.element({(n, n): 1, (n - 1, n - 1): -1})
@@ -181,7 +171,7 @@ def m_element_to_nf(x: HeckeElement) -> HeckeElement:
     m_algebra = x.algebra
     if not isinstance(m_algebra, HorocycleAlgebra):
         raise TypeError("expected an element of the horocycle algebra")
-    out = m_algebra.normal_form.zero()
+    out = shared(ToeplitzAlgebra, m_algebra.q).zero()
     for n, coeff in x.terms():
         out = out + coeff * m_to_nf(m_algebra, n)
     return out
@@ -193,6 +183,8 @@ def nf_to_m(x: HeckeElement) -> HeckeElement:
     Only defined on the span of the monomials ``(n, n)``; raises ValueError
     on any off-diagonal support.  One pass reads the diagonal, in no
     particular order, and one pass from the top class down sums its tails.
+    The image lies in ``core.shared(HorocycleAlgebra, q)``, as
+    :func:`from_sequence`'s does.
     """
     nf = x.algebra
     if not isinstance(nf, ToeplitzAlgebra):
@@ -210,7 +202,7 @@ def nf_to_m(x: HeckeElement) -> HeckeElement:
         tail += diag.get(i, 0)
         if tail:
             terms[i] = tail
-    return HeckeElement._of(nf.horocycle, terms)
+    return HeckeElement._of(shared(HorocycleAlgebra, nf.q), terms)
 
 
 class EventuallyConstantSeq(Frozen):

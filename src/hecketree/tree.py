@@ -603,36 +603,24 @@ def iwahori_product(ball: TreeBall, w1: str, w2: str, iflags: tuple) -> dict:
     """
     d1 = iflags[0] & 1
     word_ef = swap_types(w1) if d1 else w1
-    if d1 ^ (iflags[1] & 1):
-        flipped = ball.memo.setdefault("flipped", {})
-        rows = flipped.get(word_ef)
-        row = None if rows is None else rows.get(w2)
-        if row is None:
-            kept = _kept_row(ball, w1, w2, word_ef, swap_types(w2))
-            row = {(1, swap_types(word)): count for (_, word), count in kept.items()}
-            flipped.setdefault(word_ef, {})[w2] = row
-        return row
-    return _kept_row(ball, w1, w2, word_ef, w2)
-
-
-def _kept_row(ball: TreeBall, w1: str, w2: str, word_ef: str, word_fg: str) -> dict:
-    """Row ``word_fg`` of the word table at ``word_ef`` (:func:`iwahori_product`'s words).
-
-    The table is counted on the first read of its group, after the words
-    are checked; a row the table lacks is a new empty dict.
-    """
-    tables = ball.memo.setdefault("tables", {})
-    table = tables.get(word_ef)
-    row = None if table is None else table.get(word_fg)
+    flip = d1 ^ (iflags[1] & 1)
+    rows = ball.memo.setdefault("flipped" if flip else "tables", {}).get(word_ef)
+    row = None if rows is None else rows.get(w2)
     if row is None:
         # a kept row passed these checks, for words of the same lengths
         _check_words(w1, w2)
         bound = len(w1) + len(w2)
         if ball.radius < bound + 2:
             raise BallTooSmall(f"ball radius {ball.radius} < required {bound + 2}")
+        tables = ball.memo.setdefault("tables", {})
+        table = tables.get(word_ef)
         if table is None:
             table = tables[word_ef] = _word_table(ball, word_ef)
-        row = table.get(word_fg, {})
+        # a row the table lacks is a new empty dict; the memo keeps only a re-keyed one
+        row = table.get(swap_types(w2) if flip else w2, {})
+        if flip:
+            row = {(1, swap_types(word)): count for (_, word), count in row.items()}
+            ball.memo["flipped"].setdefault(word_ef, {})[w2] = row
     return row
 
 
@@ -688,10 +676,9 @@ def horocycle_members(ball: TreeBall, n: int) -> range:
     """Vertices on the root's horocycle at confluence distance ``n``, as a contiguous range.
 
     The range is :func:`_class_bounds`, checked against the ball's radius
-    and budget.
+    and budget; class 0, the root alone, is checked like every other class,
+    so a budget of 0 refuses it.
     """
-    if n == 0:
-        return range(1)
     if ball.radius < 2 * n:
         raise BallTooSmall(f"ball radius {ball.radius} < required {2 * n}")
     return ball._budgeted(*_class_bounds(ball, n))

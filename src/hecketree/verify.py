@@ -15,7 +15,10 @@ Routes read ``tree``, ``nf_to_m`` and ``orbit_convolution`` through this
 module as they run, so a patched name is the one called.  Reports list all
 mismatching cells, in cell order, with the values from each route and the
 ``hecketree mul`` command that replays the cell; an empty mismatch list is
-the pass condition.
+the pass condition.  Each sweep states its parameters once, as the report's
+``params`` keyed by the CLI's option names, and the replay line's options
+are those entries but the extent (the spherical report alone names its
+parameters otherwise, so its sweep passes its replay options itself).
 
 One rule holds for every route: it hands over the term dict it keeps, one
 per cell, uncopied, which the sweep only reads, and builds an element only
@@ -105,8 +108,8 @@ def _route_json(label, routes: dict) -> dict:
     }
 
 
-def _flags(**values) -> list:
-    """``--name value`` tokens for the ``hecketree mul`` replay of a cell."""
+def _flags(values: dict) -> list:
+    """``--name value`` tokens for the ``hecketree mul`` replay of a cell, one per entry."""
     return [token for name, value in values.items() for token in (f"--{name}", str(value))]
 
 
@@ -132,10 +135,13 @@ def _agrees(first: list, column: list, gaps: int) -> bool:
     return column == first
 
 
-def _sweep(
-    family: str, params: dict, extent: int, routes: tuple, mul_flags: list, label=None
-) -> VerifyReport:
-    """Compare the declared ``routes`` on every cell of ``CELLS[family]`` up to ``extent``.
+def _sweep(family: str, params: dict, routes: tuple, replay=None, label=None) -> VerifyReport:
+    """Compare the declared ``routes`` on every cell of ``CELLS[family]`` up to the extent.
+
+    ``params`` is the report's, keyed by the CLI's option names, with the
+    extent as its last entry.  The other entries are the options of the
+    ``hecketree mul`` replay line of a mismatching cell (:func:`_flags`),
+    unless ``replay`` gives them, as the spherical sweep does.
 
     ``routes`` is a ``<family>_routes`` declaration: ``(algebra, makers)``.
     Every route is made before the cells are listed, so each fails on its
@@ -150,9 +156,10 @@ def _sweep(
     a disagreement.  Only when a column disagrees are the cells walked in
     order, each compared across the routes that return a vector there, to
     list the mismatches.  ``label`` names the keys of the route vectors
-    (default ``algebra.basis_label``); ``mul_flags`` completes the
-    ``hecketree mul`` replay line of a mismatching cell.
+    (default ``algebra.basis_label``).
     """
+    *options, (_, extent) = params.items()
+    replay = dict(options) if replay is None else replay
     make_algebra, makers = routes
     algebra = make_algebra()
     label = algebra.basis_label if label is None else label
@@ -175,7 +182,7 @@ def _sweep(
                 {
                     "key": key,
                     "routes": _route_json(label, compared),
-                    "replay": shlex.join(["hecketree", "mul", family, *key, *mul_flags]),
+                    "replay": shlex.join(["hecketree", "mul", family, *key, *_flags(replay)]),
                 }
             )
     return report
@@ -315,13 +322,8 @@ def verify_spherical(
     return _sweep(
         "spherical",
         {"mode": params.mode, "q0": params.q0, "q1": params.q1, "max": max_index},
-        max_index,
         spherical_routes(params, max_index, max_vertices),
-        (
-            _flags(q=params.q0)
-            if params.mode == HOMOGENEOUS
-            else _flags(q0=params.q0, q1=params.q1)
-        ),
+        {"q": params.q0} if params.mode == HOMOGENEOUS else {"q0": params.q0, "q1": params.q1},
     )
 
 
@@ -335,9 +337,7 @@ def verify_iwahori(
     return _sweep(
         "iwahori",
         {"qs": qs, "qt": qt, "len": max_len},
-        max_len,
         iwahori_routes(qs, qt, max_len, max_vertices),
-        _flags(qs=qs, qt=qt),
     )
 
 
@@ -347,15 +347,11 @@ def verify_affine(
     max_vertices: int = tree.DEFAULT_MAX_VERTICES,
 ) -> VerifyReport:
     """M-table vs. normal-form expansion vs. horocycle counting, classes up to max_index."""
-    return _sweep(
-        "affine", {"q": q, "max": max_index}, max_index,
-        affine_routes(q, max_index, max_vertices), _flags(q=q),
-    )
+    return _sweep("affine", {"q": q, "max": max_index}, affine_routes(q, max_index, max_vertices))
 
 
 def verify_sl2(p: int, max_depth: int) -> VerifyReport:
     """Representative counting vs. the full orbit convolution, cosets of depth <= max_depth."""
     return _sweep(
-        "sl2", {"p": p, "max": max_depth}, max_depth, sl2_routes(p, max_depth), _flags(p=p),
-        label=PruferElement.label,
+        "sl2", {"p": p, "max": max_depth}, sl2_routes(p, max_depth), label=PruferElement.label
     )

@@ -1235,8 +1235,13 @@ def test_verify_budget_limits_one_word_group(capsys):
         (["verify", "spherical", "--q", "2", "--max", "8"], 384),
         # the edges at one word of length 5, the largest group climbed
         (["verify", "iwahori", "--qs", "2", "--qt", "3", "--len", "5"], 108),
+        # extent 0: class 0, sphere 0 and the empty word's group each hold one
+        # vertex or edge, budgeted like every other block
+        (["verify", "affine", "--q", "2", "--max", "0"], 1),
+        (["verify", "spherical", "--q", "2", "--max", "0"], 1),
+        (["verify", "iwahori", "--qs", "2", "--qt", "2", "--len", "0"], 1),
     ],
-    ids=["affine", "spherical", "iwahori"],
+    ids=["affine", "spherical", "iwahori", "affine-0", "spherical-0", "iwahori-0"],
 )
 def test_verify_budget_checked_before_the_first_cell(capsys, monkeypatch, argv, largest):
     # a budget just below the largest block counted exits 2 before any block is climbed
@@ -1367,6 +1372,15 @@ _NF_M1_M1 = m_to_nf(HorocycleAlgebra(3), 1) * m_to_nf(HorocycleAlgebra(3), 1)
             [["is", "t"]],
             ["generated", "closed"],
         ),
+        (
+            # two-orbit: the replay line names --q0 and --q1, each with its own value
+            ("verify", "spherical", "--q0", "2", "--q1", "3", "--max", "2"),
+            SphericalAlgebra,
+            "basis_terms",
+            lambda self, n, m: (n, m) == (1, 2),
+            [["G2", "G4"]],
+            ["closed", "recursive", "oracle"],
+        ),
     ],
 )
 def test_verify_reports_mismatch(capsys, monkeypatch, argv, owner, name, hit, keys, routes):
@@ -1410,8 +1424,13 @@ def test_columns_agree_only_where_the_later_route_returns_a_vector():
 def _assert_mismatch_report(capsys, monkeypatch, argv, owner, name, hit, keys, routes, change):
     """The sweep ``argv``, with ``owner.name`` perturbed by ``change``, exits 1 and reports ``keys``.
 
-    Each mismatch names ``routes`` and a replay line that exits 0; returns the report.
+    Each mismatch names ``routes`` and a replay line that exits 0 and
+    multiplies in the sweep's algebra, each built from its options by the
+    family's declaration; returns the report.
     """
+    parser = cli.build_parser()
+    family = cli.FAMILIES[argv[1]]
+    algebra = family.algebra(*family.options(parser.parse_args(list(argv))))
     code, out = run_cli(capsys, *argv)
     assert code == 0
     clean = json.loads(out)
@@ -1426,6 +1445,7 @@ def _assert_mismatch_report(capsys, monkeypatch, argv, owner, name, hit, keys, r
         assert list(mismatch["routes"]) == routes
         replay = shlex.split(mismatch["replay"])
         assert replay[:5] == ["hecketree", "mul", argv[1], *mismatch["key"]]
+        assert family.algebra(*family.options(parser.parse_args(replay[1:]))) == algebra
         assert run_cli(capsys, *replay[1:])[0] == 0
     return doc
 

@@ -122,12 +122,10 @@ class FinitePairAlgebra(HeckeAlgebra):
     """Hecke algebra of an enumerated pair, with raw-definition constants."""
 
     def __init__(self, data: FinitePairData):
-        super().__init__()
+        # compared by these parameters, which name the pair
+        super().__init__(tuple(data.group[:3]), len(data.subgroup))
         self.data = data
         self.unit = data.double_of[min(data.group)]
-
-    def _key(self):
-        return (tuple(self.data.group[:3]), len(self.data.subgroup))
 
     def _basis_product(self, a, b):
         out = {}

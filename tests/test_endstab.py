@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hecketree import tree
+from hecketree.core import shared
 from hecketree.endstab import (
     EventuallyConstantSeq,
     HorocycleAlgebra,
@@ -85,7 +86,7 @@ def test_m_to_nf():
     for i in range(4):
         acc = acc + m_to_nf(M2, i)
     assert acc == NF2.basis_element((3, 3))
-    # one normal-form algebra per horocycle algebra: conversions share its product cache
+    # one normal-form algebra per q: conversions share its product cache
     assert m_to_nf(M2, 2).algebra is m_to_nf(M2, 3).algebra
     assert m_element_to_nf(M2.basis_element(1)).algebra is m_to_nf(M2, 0).algebra
 
@@ -102,6 +103,20 @@ def test_nf_to_m_shares_one_horocycle_algebra():
     x = m_to_nf(M3, 1) * m_to_nf(M3, 2)
     y = m_to_nf(M3, 3)
     assert nf_to_m(x).algebra is nf_to_m(y).algebra
+
+
+def test_conversions_take_their_hosts_from_shared():
+    # two distinct owners at one q convert into the one core.shared algebra of each model
+    owners = HorocycleAlgebra(3), HorocycleAlgebra(3)
+    assert owners[0] is not owners[1]
+    for owner in owners:
+        x = m_to_nf(owner, 1)
+        assert x.algebra is shared(ToeplitzAlgebra, 3)
+        assert m_element_to_nf(owner.basis_element(2)).algebra is shared(ToeplitzAlgebra, 3)
+        assert nf_to_m(x).algebra is shared(HorocycleAlgebra, 3)
+    # an element of an unshared normal-form algebra converts into the shared one too
+    y = ToeplitzAlgebra(3).basis_element((1, 1))
+    assert nf_to_m(y).algebra is shared(HorocycleAlgebra, 3)
 
 
 def test_nf_to_m_rejects_off_diagonal():
